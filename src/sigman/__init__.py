@@ -5,17 +5,10 @@ embedded in ambient manifolds), checks the associated upper and lower
 energy bounds, evaluates the Fisher metric of 1-D Gaussians against its
 closed forms, and minimizes the relative ratio variance objective to
 produce graph quasi-embeddings.
-"""
 
-from . import (  # noqa: F401
-    cli,
-    configspace,
-    energy,
-    gaussian,
-    geometry,
-    graphembed,
-    mesh,
-    verify,
-)
+Submodules are imported on use (``from sigman import geometry``): the
+package imports none of them itself, so ``python -m sigman.cli`` runs
+without a runpy warning.
+"""
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -24,26 +23,24 @@ class InputError(Exception):
     """Bad input file or malformed option; exits with status 2."""
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, reader):
+    """Load the JSON file at ``path`` and parse it with ``reader``; errors name the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    try:
+        return reader(data)
+    except (ValueError, LookupError, TypeError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SIGMAN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict, args) -> None:
@@ -141,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_energy(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "curve":
-        path = mesh.polyline_from_json(_load_json(args.path))
+        path = _read(args.path, mesh.polyline_from_json)
         if args.samples:
             path = mesh.resample_polyline(path, args.samples)
         report = energy.curve_energy(energy.SignalCurve(path))
@@ -150,7 +147,7 @@ def _cmd_energy(args, started: float) -> tuple[dict, int]:
         return _report("energy curve", args, inputs,
                        energy.report_to_json(report), started), status
     if args.subcommand == "region":
-        grid = mesh.mesh_from_json(_load_json(args.mesh))
+        grid = _read(args.mesh, mesh.mesh_from_json)
         report = energy.region_energy(energy.SignalRegion(grid))
         inputs = {args.mesh: _digest(args.mesh)}
         status = 0 if (report.satisfied1 and report.satisfied2) else 1
@@ -168,7 +165,7 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "fisher":
         outputs = gaussian.fisher_report(args.mu, args.sigma, args.quad)
         return _report("gaussian fisher", args, {}, outputs, started), 0
-    path = mesh.polyline_from_json(_load_json(args.path))
+    path = _read(args.path, mesh.polyline_from_json)
     if args.samples:
         path = mesh.resample_polyline(path, args.samples)
     report = gaussian.check_gaussian_lower_bound(path)
@@ -178,7 +175,7 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_config(args, started: float) -> tuple[dict, int]:
-    path = configspace.config_path_from_json(_load_json(args.path))
+    path = _read(args.path, configspace.config_path_from_json)
     inputs = {args.path: _digest(args.path)}
     if args.subcommand == "energy":
         report = configspace.config_path_energy(path)
@@ -202,11 +199,11 @@ def _cmd_config(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_embed(args, started: float) -> tuple[dict, int]:
-    g = graphembed.graph_from_json(_load_json(args.graph))
-    m = geometry.manifold_from_json(_load_json(args.manifold))
+    g = _read(args.graph, graphembed.graph_from_json)
+    m = _read(args.manifold, geometry.manifold_from_json)
     result = graphembed.minimize_ratio_variance(
         g, m, seed=args.seed, restarts=args.restarts,
-        tol_obj=args.tol, method=args.method, workers=_workers(),
+        tol_obj=args.tol, method=args.method,
     )
     ratios = graphembed.ratio_vector(g, result.config)
     outputs = {

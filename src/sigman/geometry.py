@@ -19,9 +19,12 @@ carries a flat coordinate chart (a plain real vector per point):
 - ``product``: finite products with the product metric (squared lengths
   add across factors).
 
-Shell distances are straight chords and are only defined when the chord
-stays inside the shell; otherwise :func:`distance` raises
-:class:`ChordObstructed` and callers should fall back to a discrete
+:func:`distances` is the one p = 2 distance kernel: it measures whole
+stacks of point pairs row by row, and :func:`distance` at p = 2 is a
+one-row call of it. Shell distances are straight chords and are only
+defined when the chord stays inside the shell; otherwise
+:func:`distances` returns ``inf`` for that row, :func:`distance` raises
+:class:`ChordObstructed`, and callers should fall back to a discrete
 geodesic on a refined mesh (see the mesh module).
 """
 
@@ -340,31 +343,22 @@ def validate_points(m: ManifoldSpec, xs) -> np.ndarray:
 # Distances and norms
 # ---------------------------------------------------------------------------
 
-def _lp_norm(v: np.ndarray, p: float) -> float:
-    if p == 2.0:
-        return float(np.linalg.norm(v))
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+def _chord_min_norm_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise min over t in [0,1] of |x + t (y - x)|^2.
 
-
-def _chord_min_norm_sq(x: np.ndarray, y: np.ndarray) -> float:
-    """min over t in [0,1] of |x + t (y - x)|^2.
-
-    Arguments are canonically ordered first so the answer (and hence any
-    accept/refuse decision built on it) is exactly symmetric in (x, y).
+    Each row's arguments are canonically ordered first (lexicographically
+    smaller endpoint as x), so the answer, and hence any accept/refuse
+    decision built on it, is exactly symmetric in (x, y).
     """
-    for xi, yi in zip(x, y):
-        if xi < yi:
-            break
-        if xi > yi:
-            x, y = y, x
-            break
+    x, y = np.broadcast_arrays(x, y)
+    first = np.argmax(x != y, axis=-1)[..., None]
+    swap = np.take_along_axis(x, first, -1) > np.take_along_axis(y, first, -1)
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
     d = y - x
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(x @ x)
-    t = min(1.0, max(0.0, -float(x @ d) / dd))
-    z = x + t * d
-    return float(z @ z)
+    dd = np.sum(d * d, axis=-1)
+    t = np.divide(-np.sum(x * d, axis=-1), dd, out=np.zeros_like(dd), where=dd > 0.0)
+    z = x + np.clip(t, 0.0, 1.0)[..., None] * d
+    return np.sum(z * z, axis=-1)
 
 
 def chord_stays_in_shell(m: ManifoldSpec, x, y) -> bool:
@@ -378,7 +372,45 @@ def chord_stays_in_shell(m: ManifoldSpec, x, y) -> bool:
         raise GeometryError("chord test is only defined for shell manifolds")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _chord_min_norm_sq(x, y) > m.a
+    return bool(_chord_min_norm_sq(x, y) > m.a)
+
+
+def distances(m: ManifoldSpec, xs, ys) -> np.ndarray:
+    """Row-wise p = 2 distances between chart points over the last axis.
+
+    ``xs`` and ``ys`` broadcast against each other; the result drops the
+    last axis. Flat kinds give the chart 2-norm, the unit sphere the
+    great-circle distance, the shell the straight-chord length, and a
+    product the root sum of squared factor distances. A shell row whose
+    chord leaves the shell is ``inf``; the other rows are unaffected.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    k = chart_dim(m)
+    if xs.shape[-1:] != (k,) or ys.shape[-1:] != (k,):
+        raise DimensionMismatch(
+            f"rows of shapes {xs.shape} and {ys.shape}, chart of {m.kind} needs {k}")
+    if m.kind == "fisher_half_plane":
+        raise NormUnsupported(
+            "no closed-form Fisher distance; tangent_norm gives infinitesimal lengths"
+        )
+    if m.kind == "unit_sphere":
+        cross = np.cross(xs, ys)
+        return np.arctan2(np.sqrt(np.sum(cross * cross, axis=-1)),
+                          np.sum(xs * ys, axis=-1))
+    if m.kind == "product":
+        total = 0.0
+        off = 0
+        for f in m.factors:
+            d = chart_dim(f)
+            total = total + distances(f, xs[..., off:off + d], ys[..., off:off + d]) ** 2
+            off += d
+        return np.sqrt(total)
+    diff = xs - ys
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    if m.kind == "shell":
+        dist = np.where(_chord_min_norm_sq(xs, ys) > m.a, dist, np.inf)
+    return dist
 
 
 def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
@@ -388,7 +420,8 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
     every p >= 1 as the L^p norm of the chart difference. The unit
     sphere returns the great-circle distance and ignores p. The shell
     returns the straight-chord length for p = 2 provided the chord stays
-    inside the shell, else raises ChordObstructed.
+    inside the shell, else raises ChordObstructed. At p = 2 this is a
+    one-row call of :func:`distances`.
     """
     if p < 1.0:
         raise GeometryError(f"norm order must be >= 1, got {p}")
@@ -396,38 +429,20 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
     y = np.asarray(y, dtype=float)
     _check_dim(m, x)
     _check_dim(m, y)
-    if m.kind in ("euclidean", "spd", "gaussian_param"):
-        return _lp_norm(x - y, p)
-    if m.kind == "unit_sphere":
-        # p is irrelevant on the sphere; the intrinsic distance is returned.
-        cross = np.linalg.norm(np.cross(x, y))
-        return float(np.arctan2(cross, float(x @ y)))
-    if m.kind == "shell":
-        if p != 2.0:
+    if p != 2.0 and m.kind not in ("unit_sphere", "fisher_half_plane"):
+        if _all_flat(m):
+            return float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
+        if m.kind == "shell":
             raise NormUnsupported("shell distances are defined for p = 2 only")
-        if not chord_stays_in_shell(m, x, y):
-            raise ChordObstructed(
-                "straight chord leaves the shell; use a refined mesh geodesic"
-            )
-        return float(np.linalg.norm(x - y))
-    if m.kind == "fisher_half_plane":
-        raise NormUnsupported(
-            "no closed-form Fisher distance; tangent_norm gives infinitesimal lengths"
-        )
-    # product
-    if p == 2.0:
-        total = 0.0
-        off = 0
-        for f in m.factors:
-            d = chart_dim(f)
-            total += distance(f, x[off:off + d], y[off:off + d], 2.0) ** 2
-            off += d
-        return math.sqrt(total)
-    if not _all_flat(m):
         raise NormUnsupported(
             f"L^{p} distance needs every product factor to be flat"
         )
-    return _lp_norm(x - y, p)
+    d = float(distances(m, x[None], y[None])[0])
+    if d == math.inf and not _all_flat(m):
+        raise ChordObstructed(
+            "straight chord leaves the shell; use a refined mesh geodesic"
+        )
+    return d
 
 
 def _all_flat(m: ManifoldSpec) -> bool:

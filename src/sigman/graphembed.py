@@ -10,21 +10,24 @@ the optimizer is a seeded multi-start local search: numeric-gradient
 descent with backtracking, feasibility projection after every step, and
 a small collision barrier that is active during the search only (the
 reported objective is always barrier-free).
+
+The objective scores a (B, n, dim) stack of configurations with one
+row-wise :func:`geometry.distances` call; a descent step stacks its
+2·n·dim central-difference perturbations, so a gradient costs one call.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
-from .geometry import GeometryError, ManifoldSpec
+from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
 
@@ -49,7 +52,9 @@ class WeightedGraph:
             raise GraphError("graph needs at least one vertex")
         seen = set()
         norm_edges = []
-        for e in self.edges:
+        for k, e in enumerate(self.edges):
+            if not isinstance(e, (tuple, list)) or len(e) != 3:
+                raise GraphError(f"edges[{k}] must be [i, j, weight], got {e!r}")
             i, j, w = int(e[0]), int(e[1]), float(e[2])
             if not 0 <= i < j < self.n:
                 raise GraphError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
@@ -60,40 +65,25 @@ class WeightedGraph:
             seen.add((i, j))
             norm_edges.append((i, j, w))
         self.edges = norm_edges
-        if self.n > 1:
-            adj = self._matrix(unit=True)
-            order, reached = _bfs(adj, 0)
-            if len(reached) != self.n:
-                raise GraphError("graph must be connected")
+        if self.n > 1 and connected_components(self._matrix(unit=True))[0] != 1:
+            raise GraphError("graph must be connected")
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Endpoint indices i, j and weights w in the fixed edge order."""
+        i, j, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        return i.astype(np.int64), j.astype(np.int64), w
+
     def _matrix(self, unit: bool) -> csr_matrix:
-        i = np.array([e[0] for e in self.edges], dtype=np.int64)
-        j = np.array([e[1] for e in self.edges], dtype=np.int64)
-        w = np.ones(self.m) if unit else np.array([e[2] for e in self.edges])
+        i, j, w = self._arrays()
+        w = np.ones(self.m) if unit else w
         return csr_matrix(
             (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(self.n, self.n),
         )
-
-
-def _bfs(adj: csr_matrix, root: int):
-    seen = {root}
-    frontier = [root]
-    order = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u].indices:
-                if v not in seen:
-                    seen.add(int(v))
-                    nxt.append(int(v))
-                    order.append(int(v))
-        frontier = nxt
-    return order, seen
 
 
 def graph_to_json(g: WeightedGraph) -> dict:
@@ -101,8 +91,10 @@ def graph_to_json(g: WeightedGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> WeightedGraph:
+    if not isinstance(data, dict):
+        raise GraphError("graph JSON must be an object with 'n' and 'edges' fields")
     try:
-        return WeightedGraph(int(data["n"]), [tuple(e) for e in data["edges"]])
+        return WeightedGraph(int(data["n"]), list(data["edges"]))
     except KeyError as exc:
         raise GraphError(f"graph JSON missing field {exc}") from None
 
@@ -123,18 +115,23 @@ def _placement_array(g: WeightedGraph, placement) -> np.ndarray:
     return pts
 
 
+def _pair_distances(m: ManifoldSpec, pts: np.ndarray, i, j) -> np.ndarray:
+    """Distances of the point pairs (pts[i[k]], pts[j[k]]); an obstructed chord raises."""
+    d = geometry.distances(m, pts[i], pts[j])
+    if np.isinf(d).any():
+        raise geometry.ChordObstructed("straight chord leaves the shell; use a mesh geodesic")
+    return d
+
+
 def is_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
                            tol: float = 1e-9) -> bool:
     """True iff manifold distances match hop distances for ALL pairs."""
     pts = _placement_array(g, placement)
     for k in range(g.n):
         geometry.validate_point(m, pts[k])
+    iu, ju = np.triu_indices(g.n, k=1)
     d_graph = graph_metric(g, unit_weights=True)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if abs(geometry.distance(m, pts[i], pts[j]) - d_graph[i, j]) > tol:
-                return False
-    return True
+    return not np.any(np.abs(_pair_distances(m, pts, iu, ju) - d_graph[iu, ju]) > tol)
 
 
 def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
@@ -143,10 +140,8 @@ def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
     pts = _placement_array(g, placement)
     for k in range(g.n):
         geometry.validate_point(m, pts[k])
-    for i, j, _ in g.edges:
-        if abs(geometry.distance(m, pts[i], pts[j]) - 1.0) > tol:
-            return False
-    return True
+    i, j, _ = g._arrays()
+    return not np.any(np.abs(_pair_distances(m, pts, i, j) - 1.0) > tol)
 
 
 def ratio_vector(g: WeightedGraph, config: Configuration) -> np.ndarray:
@@ -155,14 +150,13 @@ def ratio_vector(g: WeightedGraph, config: Configuration) -> np.ndarray:
         raise GraphError(
             f"configuration has {config.n} points, graph has {g.n} vertices"
         )
-    m = config.manifold
-    r = np.empty(g.m)
-    for k, (i, j, w) in enumerate(g.edges):
-        d = geometry.distance(m, config.points[i], config.points[j])
-        if not d > 0.0:
-            raise GraphError(f"edge ({i}, {j}) has zero manifold distance")
-        r[k] = d / w
-    return r
+    i, j, w = g._arrays()
+    d = _pair_distances(config.manifold, config.points, i, j)
+    zero = ~(d > 0.0)
+    if zero.any():
+        k = int(np.argmax(zero))
+        raise GraphError(f"edge ({i[k]}, {j[k]}) has zero manifold distance")
+    return d / w
 
 
 def ratio_variance(r) -> float:
@@ -212,67 +206,70 @@ class EmbedResult:
 
 
 def _project(m: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
+    """Map points (rows of the last axis) back into the manifold."""
     if m.kind == "euclidean":
         return pts
     if m.kind == "unit_sphere":
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     if m.kind == "shell":
         r_lo, r_hi = math.sqrt(m.a), math.sqrt(m.b)
         pad = 1e-3 * (r_hi - r_lo)
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
         return pts / norms * np.clip(norms, r_lo + pad, r_hi - pad)
     raise GraphError(f"manifold kind {m.kind!r} is not supported for embedding")
 
 
-def _edge_distances(m: ManifoldSpec, pts: np.ndarray, edges) -> np.ndarray | None:
-    """Distances of the edge pairs; None when any pair is unmeasurable."""
-    out = np.empty(len(edges))
-    for k, (i, j, _) in enumerate(edges):
-        try:
-            out[k] = geometry.distance(m, pts[i], pts[j])
-        except GeometryError:
-            return None
-    return out
+def _objectives(g: WeightedGraph, m: ManifoldSpec):
+    """Return ``score``: a (B, n, dim) stack of configurations of g in m -> (2, B).
 
-
-def _objectives(g: WeightedGraph, m: ManifoldSpec, pts: np.ndarray,
-                weights: np.ndarray) -> tuple[float, float]:
-    """(raw ratio variance, barrier-augmented search objective)."""
-    dists = _edge_distances(m, pts, g.edges)
-    if dists is None or np.any(dists <= 0.0):
-        return math.inf, math.inf
-    raw = ratio_variance(dists / weights)
+    Row 0 is the raw ratio variance, row 1 the barrier-augmented search
+    objective. A configuration with a zero or obstructed edge or a
+    collision scores ``inf``; the others are unaffected.
+    """
+    ei, ej, weights = g._arrays()
     iu, ju = np.triu_indices(g.n, k=1)
-    gaps_sq = np.sum((pts[iu] - pts[ju]) ** 2, axis=1)
-    if np.any(gaps_sq <= COLLISION_EPS ** 2):
-        return math.inf, math.inf
-    return raw, raw + BARRIER_BETA * float(np.sum(1.0 / gaps_sq))
+
+    def score(stack: np.ndarray) -> np.ndarray:
+        dists = geometry.distances(m, stack[:, ei], stack[:, ej])
+        gaps_sq = np.sum((stack[:, iu] - stack[:, ju]) ** 2, axis=2)
+        ok = (np.all(np.isfinite(dists) & (dists > 0.0), axis=1)
+              & np.all(gaps_sq > COLLISION_EPS ** 2, axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = dists / weights
+            mean = r.mean(axis=1)
+            raw = np.sum((r - mean[:, None]) ** 2, axis=1) / mean ** 2
+            search = raw + BARRIER_BETA * np.sum(1.0 / gaps_sq, axis=1)
+        return np.where(ok, [raw, search], math.inf)
+
+    return score
 
 
-def _descend(g, m, pts, weights, scale, max_iters, tol_obj):
+def _central_gradient(score, pts: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient from one call on all 2·n·dim perturbations.
+
+    A coordinate whose perturbation leaves the feasible set gets 0.
+    """
+    size = pts.size
+    unit = np.eye(size)
+    fs = score(pts + (h * np.concatenate([unit, -unit])).reshape(2 * size, *pts.shape))[1]
+    f_plus, f_minus = fs[:size], fs[size:]
+    with np.errstate(invalid="ignore"):
+        grad = np.where(np.isfinite(f_plus) & np.isfinite(f_minus),
+                        (f_plus - f_minus) / (2.0 * h), 0.0)
+    return grad.reshape(pts.shape)
+
+
+def _descend(score, m, pts, scale, max_iters, tol_obj):
     """Numeric-gradient descent with backtracking; returns local best."""
     h = 1e-6 * scale
     step = 0.1 * scale
-    raw, f = _objectives(g, m, pts, weights)
+    raw, f = score(pts[None])[:, 0]
     best_raw, best_pts = raw, pts.copy()
     iterations = 0
     stall = 0
     for _ in range(max_iters):
         iterations += 1
-        grad = np.zeros_like(pts)
-        flat = pts.ravel()
-        gflat = grad.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            _, f_plus = _objectives(g, m, pts, weights)
-            flat[k] = orig - h
-            _, f_minus = _objectives(g, m, pts, weights)
-            flat[k] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                gflat[k] = 0.0
-            else:
-                gflat[k] = (f_plus - f_minus) / (2.0 * h)
+        grad = _central_gradient(score, pts, h)
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             break
@@ -280,7 +277,7 @@ def _descend(g, m, pts, weights, scale, max_iters, tol_obj):
         improved = False
         while t > 1e-14 * scale:
             cand = _project(m, pts - (t / gnorm) * grad)
-            raw_c, f_c = _objectives(g, m, cand, weights)
+            raw_c, f_c = score(cand[None])[:, 0]
             if f_c < f:
                 pts = cand
                 gain = f - f_c
@@ -297,16 +294,16 @@ def _descend(g, m, pts, weights, scale, max_iters, tol_obj):
     return best_raw, best_pts, iterations
 
 
-def _anneal(g, m, pts, weights, scale, rng, iters=400):
+def _anneal(score, m, pts, scale, rng, iters=400):
     """Coarse simulated-annealing sweep; returns the best point visited."""
-    raw, f = _objectives(g, m, pts, weights)
+    raw, f = score(pts[None])[:, 0]
     best_raw, best_pts = raw, pts.copy()
     temperature = max(f, 1.0) if math.isfinite(f) else 1.0
     for it in range(iters):
         temp = temperature * (1.0 - it / iters) + 1e-12
         cand = _project(m, pts + rng.normal(scale=0.3 * scale * temp / temperature,
                                             size=pts.shape))
-        raw_c, f_c = _objectives(g, m, cand, weights)
+        raw_c, f_c = score(cand[None])[:, 0]
         if not math.isfinite(f_c):
             continue
         if f_c <= f or rng.random() < math.exp(-(f_c - f) / temp):
@@ -325,22 +322,20 @@ def minimize_ratio_variance(
     step_init: float | None = None,
     tol_obj: float = 1e-13,
     method: str = "descent",
-    workers: int = 1,
 ) -> EmbedResult:
     """Best-of-restarts minimization of the relative ratio variance.
 
     Deterministic for a fixed seed: each restart owns the RNG stream
     derived from (seed, restart index), so results do not depend on the
-    worker schedule. The returned objective never exceeds the raw
-    objective of any evaluated iterate, initial samples included.
+    order in which restarts run. The returned objective never exceeds
+    the raw objective of any evaluated iterate, initial samples included.
     """
     if g.n < 2:
         raise GraphError("embedding needs at least 2 vertices")
     if method not in ("descent", "anneal"):
         raise GraphError(f"unknown method {method!r}")
     dim = geometry.chart_dim(m)
-    weights = np.array([w for _, _, w in g.edges])
-    mean_w = float(weights.mean())
+    mean_w = float(g._arrays()[2].mean())
     if m.kind == "euclidean":
         radius = mean_w * g.n ** (1.0 / dim)
         scale = step_init if step_init is not None else radius
@@ -349,6 +344,7 @@ def minimize_ratio_variance(
         scale = step_init if step_init is not None else 0.5
     else:
         raise GraphError(f"manifold kind {m.kind!r} is not supported for embedding")
+    score = _objectives(g, m)
 
     def run_restart(idx: int):
         rng = np.random.default_rng([seed, idx])
@@ -361,28 +357,19 @@ def minimize_ratio_variance(
             direction /= np.linalg.norm(direction, axis=1, keepdims=True)
             radii = radius * rng.random(size=(g.n, 1)) ** (1.0 / dim)
             pts = _project(m, direction * radii)
-            raw0, f0 = _objectives(g, m, pts, weights)
+            raw0, f0 = score(pts[None])[:, 0]
             if math.isfinite(f0):
                 break
         if method == "anneal":
-            pts = _anneal(g, m, pts, weights, scale, rng)
-            raw0 = min(raw0, _objectives(g, m, pts, weights)[0])
-        best_raw, best_pts, iters = _descend(
-            g, m, pts, weights, scale, max_iters, tol_obj
-        )
+            pts = _anneal(score, m, pts, scale, rng)
+            raw0 = min(raw0, score(pts[None])[0, 0])
+        best_raw, best_pts, iters = _descend(score, m, pts, scale, max_iters, tol_obj)
         if raw0 < best_raw:
             best_raw, best_pts = raw0, pts
         return best_raw, best_pts, iters
 
-    indices = range(restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_restart, indices))
-    else:
-        outcomes = [run_restart(i) for i in indices]
-
     best_raw, best_pts, total_iters = math.inf, None, 0
-    for raw, pts, iters in outcomes:
+    for raw, pts, iters in map(run_restart, range(restarts)):
         total_iters += iters
         if raw < best_raw:
             best_raw, best_pts = raw, pts
@@ -390,7 +377,7 @@ def minimize_ratio_variance(
         raise GraphError("search produced no finite objective value")
     return EmbedResult(
         config=Configuration(m, best_pts),
-        objective=best_raw,
+        objective=float(best_raw),
         iterations=total_iters,
         restarts=restarts,
         seed=seed,

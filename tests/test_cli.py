@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sigman
 from sigman import cli, configspace, geometry, graphembed, mesh
 
 
@@ -176,6 +181,31 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     assert "'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, field", [
+    ({"n": 3, "edges": [[0, 1], [1, 2]]}, "edges[0]"),   # edge without a weight
+    ([[0, 1, 1.0]], "object"),                           # top level is not an object
+])
+def test_bad_graph_json_names_file_and_field(tmp_path, capsys, content, field):
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(content))
+    manifold = tmp_path / "m.json"
+    manifold.write_text(json.dumps({"kind": "euclidean", "dim": 2}))
+    assert cli.run(["embed", "--graph", str(bad), "--manifold", str(manifold)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+
+
+def test_run_module_without_runpy_warning():
+    src = str(Path(sigman.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sigman.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unconfirmed_check_exits_1(tmp_path, capsys):
     # a zigzag path fails the monotonicity hypothesis, so asking for the
     # lower-bound check alone cannot be confirmed and exits 1
@@ -201,17 +231,6 @@ def test_unconfirmed_check_exits_1(tmp_path, capsys):
         "config", "bounds", "--path", str(path_file), "--check", "all", "--no-timing",
     ]) == 0
     capsys.readouterr()
-
-
-def test_threads_env_var_does_not_change_results(tmp_path, k3_files, monkeypatch):
-    graph, manifold = k3_files
-    argv = ["embed", "--graph", graph, "--manifold", manifold,
-            "--seed", "5", "--restarts", "4", "--no-timing"]
-    out1, out2 = tmp_path / "seq.json", tmp_path / "par.json"
-    assert cli.run(argv + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("SIGMAN_THREADS", "4")
-    assert cli.run(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_verify_all_quick(tmp_path, capsys):

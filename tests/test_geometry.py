@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigman import geometry
 from sigman.geometry import (
@@ -160,6 +162,8 @@ def _random_point(m, rng):
     if m.kind == "spd":
         a = rng.normal(size=(m.n, m.n))
         return geometry.spd_chart_from_matrix(a @ a.T + np.eye(m.n))
+    if m.kind == "product":
+        return np.concatenate([_random_point(f, rng) for f in m.factors])
     raise AssertionError(m.kind)
 
 
@@ -196,6 +200,54 @@ def test_triangle_inequality(kind):
     for _ in range(300):
         x, y, z = (_random_point(m, rng) for _ in range(3))
         assert distance(m, x, z) <= distance(m, x, y) + distance(m, y, z) + 1e-12
+
+
+ROW_KINDS = {
+    "euclidean": euclidean(3),
+    "unit_sphere": unit_sphere(),
+    "shell": spherical_shell(1.0, 4.0),
+    "product": product_manifold([euclidean(2), spherical_shell(1.0, 4.0)]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(ROW_KINDS)), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 40))
+def test_distances_match_per_row_distance(kind, seed, rows):
+    m = ROW_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    xs = np.array([_random_point(m, rng) for _ in range(rows)])
+    ys = np.array([_random_point(m, rng) for _ in range(rows)])
+    ys[0] = xs[0]                        # one coincident pair per batch
+    batch = geometry.distances(m, xs, ys)
+    assert batch.shape == (rows,)
+    assert np.array_equal(batch, geometry.distances(m, ys, xs))   # bitwise
+    for x, y, d in zip(xs, ys, batch):
+        try:
+            ref = distance(m, x, y)
+        except ChordObstructed:
+            assert d == math.inf
+            continue
+        assert abs(d - ref) <= 1e-15 * ref
+
+
+def test_distances_shell_batch_marks_only_obstructed_rows():
+    m = spherical_shell(1.0, 4.0)
+    xs = np.array([[1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.2, 0.0], [1.9, 0.0, 0.0]])
+    ys = np.array([[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [0.0, -1.2, 0.1], [1.1, 0.0, 0.0]])
+    d = geometry.distances(m, xs, ys)
+    assert np.isinf(d).tolist() == [False, True, True, False]
+    assert d[0] == pytest.approx(1.5 * math.sqrt(2.0))
+    assert d[3] == pytest.approx(0.8)
+    stack = geometry.distances(m, np.stack([xs, xs[::-1]]), np.stack([ys, ys[::-1]]))
+    assert np.array_equal(stack[0], d) and np.array_equal(stack[1], d[::-1])
+
+
+def test_distances_rejects_bad_rows():
+    with pytest.raises(DimensionMismatch):
+        geometry.distances(euclidean(2), np.zeros((4, 3)), np.zeros((4, 3)))
+    with pytest.raises(NormUnsupported):
+        geometry.distances(fisher_half_plane(), [[0.0, 1.0]], [[1.0, 2.0]])
 
 
 def test_lp_monotonicity_in_p():

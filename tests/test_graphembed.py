@@ -93,6 +93,8 @@ def test_graph_validation():
         WeightedGraph(2, [(0, 1, 0.0)])
     with pytest.raises(GraphError, match="i < j"):
         WeightedGraph(2, [(1, 1, 1.0)])
+    with pytest.raises(GraphError, match=r"edges\[1\]"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 2)])
 
 
 def test_isometric_embedding_single_edge():
@@ -234,11 +236,58 @@ def test_minimize_deterministic_for_fixed_seed():
     assert np.array_equal(a.config.points, b.config.points)
 
 
-def test_minimize_workers_do_not_change_result():
-    a = minimize_ratio_variance(C4, R2, seed=13, restarts=4, workers=1)
-    b = minimize_ratio_variance(C4, R2, seed=13, restarts=4, workers=4)
-    assert a.objective == b.objective
-    assert np.array_equal(a.config.points, b.config.points)
+def _reference_search_objective(g, m, pts):
+    """Barrier-augmented objective from scalar distances, one edge at a time."""
+    ratios = [geometry.distance(m, pts[i], pts[j]) / w for i, j, w in g.edges]
+    gaps_sq = [float(np.sum((pts[i] - pts[j]) ** 2))
+               for i, j in itertools.combinations(range(g.n), 2)]
+    return ratio_variance(ratios) + graphembed.BARRIER_BETA * sum(1.0 / x for x in gaps_sq)
+
+
+@pytest.mark.parametrize("g, m, scale", [
+    (C4, R2, 2.0),
+    (K4, geometry.unit_sphere(), 0.5),
+])
+def test_batched_gradient_matches_coordinate_loop(g, m, scale):
+    rng = np.random.default_rng(29)
+    h = 1e-6 * scale
+    score = graphembed._objectives(g, m)
+
+    def search(pts):
+        return float(score(pts[None])[1, 0])
+
+    for _ in range(5):
+        pts = graphembed._project(m, rng.normal(size=(g.n, geometry.chart_dim(m))))
+        assert search(pts) == pytest.approx(_reference_search_objective(g, m, pts),
+                                            rel=1e-12)
+        ref = np.zeros_like(pts)
+        for k in np.ndindex(pts.shape):
+            plus, minus = pts.copy(), pts.copy()
+            plus[k] += h
+            minus[k] -= h
+            ref[k] = (search(plus) - search(minus)) / (2.0 * h)
+        grad = graphembed._central_gradient(score, pts, h)
+        assert np.linalg.norm(grad - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_objectives_score_each_row_independently():
+    shell = geometry.spherical_shell(1.0, 4.0)
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    good = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
+    blocked = np.array([[1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]])
+    score = graphembed._objectives(g, shell)
+    raw, search = score(np.stack([good, blocked, good]))
+    assert np.isinf(raw[1]) and np.isinf(search[1])
+    assert raw[0] == raw[2] == 0.0 and np.isfinite(search[0])
+    # the chord grazes the inner sphere: moving point 0 down by h obstructs it,
+    # so that coordinate's gradient entry is 0 and the others stay finite
+    h = 5e-7
+    grazing = np.array([[1.2, 1.0 + 1e-7, 0.3], [-1.2, 1.0 + 1e-7, -0.3]])
+    lowered = grazing.copy()
+    lowered[0, 1] -= h
+    assert np.isinf(score(lowered[None])[1, 0])
+    grad = graphembed._central_gradient(score, grazing, h)
+    assert grad[0, 1] == 0.0 and np.all(np.isfinite(grad)) and grad[0, 0] != 0.0
 
 
 def test_minimize_never_worse_than_initial_samples():
