@@ -250,6 +250,9 @@ def run(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return 2
     _emit(report, args)
     return status
 

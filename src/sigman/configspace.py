@@ -415,6 +415,10 @@ def config_path_to_json(path: ConfigPath) -> dict:
 
 
 def config_path_from_json(data: dict) -> ConfigPath:
+    if not isinstance(data, dict):
+        raise ConfigError(
+            "configuration path JSON must be an object with 'manifold' and 'configs' fields"
+        )
     try:
         coords = np.asarray(data["configs"], dtype=float)
         path = ConfigPath(

@@ -7,10 +7,13 @@ adjacent faces into the plane and connecting vertex pairs that see each
 other through the strip. Every shortcut length is the length of a
 straight segment in an isometric unfolding, i.e. of a genuine path on
 the mesh surface, so graph distances never undershoot the polyhedral
-geodesic distance and converge to it under refinement (plain edge-graph
-distances do not: their zigzag error has a fixed angular floor).
-Distance field and diameter use the same graph, which keeps the
-surface energy bounds exact at the discrete level.
+geodesic distance (on a planar mesh, the chord). They do not converge
+under refinement: a strip reaches only finitely many directions, so the
+relative overshoot has a floor that depends on STRIP_LIMIT and not on
+resolution (7.5e-3 from a corner of a planar grid at STRIP_LIMIT = 6).
+Plain edge-graph distances have a larger floor of the same kind.
+Distance field and diameter use the same graph, so the field's largest
+value never exceeds the diameter.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from . import geometry
 from .geometry import ManifoldSpec, MembershipError
 
 SUBDIVISION_LIMIT = 7       # memory guard for triangulate_sphere
+GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # same guard for triangulate_rectangle
 STRIP_LIMIT = 6             # faces per unfolded strip in the crossing graph
 DEGENERATE_AREA = 1e-14
 
@@ -127,6 +131,10 @@ def polyline_to_json(path: PolylinePath) -> dict:
 
 
 def polyline_from_json(data: dict) -> PolylinePath:
+    if not isinstance(data, dict):
+        raise MeshError(
+            "polyline JSON must be an object with 'manifold' and 'samples' fields"
+        )
     try:
         return PolylinePath(
             geometry.manifold_from_json(data["manifold"]),
@@ -389,7 +397,8 @@ def geodesic_distance_field(mesh: TriMesh, sources,
     """Multi-source shortest-path distance over the crossing graph.
 
     Exact on the graph; never undershoots the polyhedral geodesic
-    distance to the source set and converges to it under refinement.
+    distance to the source set. The overshoot does not vanish under
+    refinement: its floor is set by STRIP_LIMIT (see the module notes).
     """
     sources = [int(s) for s in sources]
     if not sources:
@@ -547,12 +556,18 @@ def triangulate_rectangle(
 
     ``step`` is rounded to the nearest grid pitch that fits the span.
     ``source_edge`` in {top, bottom, left, right} marks that boundary
-    row/column as the mesh source set.
+    row/column as the mesh source set. Grids of more than
+    GRID_VERTEX_LIMIT vertices are refused before anything is built.
     """
     if step <= 0.0:
         raise MeshError("grid step must be positive")
     nx = max(2, int(round((x1 - x0) / step)) + 1)
     ny = max(2, int(round((y1 - y0) / step)) + 1)
+    if nx * ny > GRID_VERTEX_LIMIT:
+        raise MeshError(
+            f"grid step {step} gives {nx} x {ny} vertices, "
+            f"more than the limit of {GRID_VERTEX_LIMIT}"
+        )
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     gx, gy = np.meshgrid(xs, ys)               # row j is y = ys[j]
@@ -600,6 +615,10 @@ def mesh_to_json(mesh: TriMesh) -> dict:
 
 
 def mesh_from_json(data: dict) -> TriMesh:
+    if not isinstance(data, dict):
+        raise MeshError(
+            "mesh JSON must be an object with 'manifold', 'vertices' and 'faces' fields"
+        )
     try:
         return TriMesh(
             geometry.manifold_from_json(data["manifold"]),

@@ -157,13 +157,24 @@ def check_curve_upper_bounds(seed: int, count: int = 1000) -> CheckResult:
 
 
 def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
-    """Sphere 2-D signal satisfies e1 <= diam*area, e2 <= diam^2*area."""
+    """Sphere 2-D signal satisfies e1 <= diam*area, e2 <= diam^2*area.
+
+    ``region_energy`` certifies its verdicts with the source
+    eccentricity F. This check also computes the exact crossing-graph
+    diameter and checks F <= diam and the paper's bounds as stated.
+    """
     sphere = mesh.triangulate_sphere(subdivisions)
     report = energy.region_energy(energy.SignalRegion(sphere, sources=[sphere.a]))
-    ok = report.satisfied1 and report.satisfied2
+    diam = mesh.mesh_diameter(sphere)
+    area = mesh.mesh_area(sphere)
+    slack = 1.0 + energy.BOUND_RTOL
+    ok = (report.satisfied1 and report.satisfied2
+          and report.discretization["ecc_source"] <= diam
+          and report.e1 <= diam * area * slack
+          and report.e2 <= diam ** 2 * area * slack)
     return CheckResult(
         "surface_upper_bounds", int(ok), 1,
-        detail=f"e1={report.e1:.6f} bound1={report.bound1:.6f}",
+        detail=f"e1={report.e1:.6f} bound1={diam * area:.6f}",
     )
 
 

@@ -69,7 +69,11 @@ def test_energy_region_command(tmp_path):
         "energy", "region", "--mesh", str(mesh_file), "--out", str(out), "--no-timing",
     ])
     assert status == 0
-    assert read_report(out)["outputs"]["satisfied"] == [True, True]
+    outputs = read_report(out)["outputs"]
+    assert outputs["satisfied"] == [True, True]
+    # the bounds are certified with the source eccentricity; vol = 1 here
+    assert outputs["ecc_source"] == pytest.approx(1.0)
+    assert outputs["bound1"] == pytest.approx(outputs["ecc_source"])
 
 
 def test_gaussian_fisher_command(tmp_path):
@@ -193,6 +197,38 @@ def test_bad_graph_json_names_file_and_field(tmp_path, capsys, content, field):
     assert cli.run(["embed", "--graph", str(bad), "--manifold", str(manifold)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and field in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["energy", "region", "--mesh"],
+     "mesh JSON must be an object with 'manifold', 'vertices' and 'faces' fields"),
+    (["energy", "curve", "--path"],
+     "polyline JSON must be an object with 'manifold' and 'samples' fields"),
+    (["config", "energy", "--path"],
+     "configuration path JSON must be an object with 'manifold' and 'configs' fields"),
+])
+def test_non_object_json_names_file_and_fields(tmp_path, capsys, argv, expected):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1, 2]))
+    assert cli.run(argv + [str(bad), "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {expected}" in err
+
+
+def test_oversized_rectangle_grid_exits_2(capsys):
+    assert cli.run(["energy", "rectangle", "--grid", "1e-6", "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert f"more than the limit of {mesh.GRID_VERTEX_LIMIT}" in err
+    assert mesh.GRID_VERTEX_LIMIT == 163_842
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mesh, "triangulate_rectangle", exhausted)
+    assert cli.run(["energy", "rectangle", "--grid", "0.5", "--no-timing"]) == 2
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_run_module_without_runpy_warning():

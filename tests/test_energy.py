@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigman import energy, geometry, mesh, verify
 from sigman.energy import (
@@ -123,6 +126,63 @@ def test_region_energy_sphere_bounds_hold():
     rep = region_energy(SignalRegion(sphere, sources=[sphere.a]))
     assert rep.e1 <= rep.bound1 and rep.e2 <= rep.bound2
     assert rep.satisfied1 and rep.satisfied2
+
+
+def test_region_energy_does_not_compute_the_diameter(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mesh_diameter called on the region path")
+
+    monkeypatch.setattr(mesh, "mesh_diameter", refuse)
+    sphere = triangulate_sphere(2)
+    for sig in (energy.rectangle_region(0.05),
+                SignalRegion(sphere, sources=[sphere.a])):
+        rep = region_energy(sig)
+        assert rep.satisfied1 and rep.satisfied2
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_mesh(name):
+    """A mesh and its exact crossing-graph diameter."""
+    if name == "sphere":
+        m = triangulate_sphere(2)
+    else:
+        # a rectangle grid with jittered interior vertices, so that no
+        # distance is axis-aligned
+        grid = mesh.triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, 0.25)
+        verts = grid.vertices.copy()
+        inner = ((verts[:, 0] > -1.0) & (verts[:, 0] < 1.0)
+                 & (verts[:, 1] > 0.0) & (verts[:, 1] < 1.0))
+        rng = np.random.default_rng(11)
+        verts[inner] += rng.uniform(-0.075, 0.075, size=(int(inner.sum()), 2))
+        m = mesh.TriMesh(R2, verts, grid.faces)
+    return m, mesh.mesh_diameter(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["sphere", "grid"]),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
+def test_region_bounds_certified_by_source_eccentricity(name, picks):
+    m, diam = _certificate_mesh(name)
+    sources = sorted({p % m.n_vertices for p in picks})
+    rep = region_energy(SignalRegion(m, sources=sources))
+    ecc = rep.discretization["ecc_source"]
+    vol = float(np.sum(mesh.face_areas(m)))
+    assert ecc == float(mesh.geodesic_distance_field(m, sources).max())
+    assert ecc <= diam
+    assert rep.bound1 == ecc * vol
+    assert rep.bound2 == ecc ** 2 * vol
+    assert rep.satisfied1 and rep.satisfied2
+
+
+def test_surface_check_reports_the_diameter_bound():
+    sphere = triangulate_sphere(2)
+    diam = mesh.mesh_diameter(sphere)
+    area = mesh.mesh_area(sphere)
+    rep = region_energy(SignalRegion(sphere, sources=[sphere.a]))
+    assert rep.discretization["ecc_source"] < diam   # the two bounds differ here
+    result = verify.check_surface_upper_bounds(subdivisions=2)
+    assert result.ok
+    assert result.detail == f"e1={rep.e1:.6f} bound1={diam * area:.6f}"
 
 
 def test_region_requires_source_set():

@@ -331,6 +331,22 @@ def test_crossing_graph_never_undershoots_chords():
     assert np.all(d >= euclid - 1e-12)
 
 
+def test_corner_field_error_has_a_floor_not_a_limit():
+    # From a corner every direction is generic. The overshoot does not
+    # fall under refinement: it sits at a floor set by STRIP_LIMIT
+    # (7.547e-3 at every step), and the field never undershoots the chord.
+    overshoots = []
+    for step in (0.1, 0.05, 0.025):
+        grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, step)
+        d = geodesic_distance_field(grid, [0])
+        chord = np.linalg.norm(grid.vertices - grid.vertices[0], axis=1)
+        rel = (d[1:] - chord[1:]) / chord[1:]
+        assert rel.min() >= -1e-12
+        overshoots.append(rel.max())
+    assert max(overshoots) < 1e-2
+    assert overshoots[-1] == pytest.approx(overshoots[0], rel=1e-3)
+
+
 def test_refinement_errors_do_not_increase_on_sphere():
     area_err, diam_err, field_err = [], [], []
     for k in range(1, 4):
