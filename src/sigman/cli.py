@@ -30,11 +30,11 @@ def _read(path: str, reader):
             data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:    # RecursionError: deep nesting
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     try:
         return reader(data)
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -126,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--restarts", type=int, default=8)
     p_embed.add_argument("--tol", type=float, default=1e-13,
                          help="objective improvement tolerance")
-    p_embed.add_argument("--method", choices=["descent", "anneal"], default="descent")
 
     p_verify = top.add_parser("verify-all", parents=[common],
                               help="run the full inequality corpus")
@@ -202,8 +201,7 @@ def _cmd_embed(args, started: float) -> tuple[dict, int]:
     g = _read(args.graph, graphembed.graph_from_json)
     m = _read(args.manifold, geometry.manifold_from_json)
     result = graphembed.minimize_ratio_variance(
-        g, m, seed=args.seed, restarts=args.restarts,
-        tol_obj=args.tol, method=args.method,
+        g, m, seed=args.seed, restarts=args.restarts, tol_obj=args.tol,
     )
     ratios = graphembed.ratio_vector(g, result.config)
     outputs = {
@@ -244,10 +242,7 @@ def run(argv=None) -> int:
             report, status = _cmd_embed(args, started)
         else:
             report, status = _cmd_verify_all(args, started)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -11,7 +11,7 @@ at least any single particle's chord).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .mesh import PolylinePath
 COLLISION_EPS = 1e-9        # open-set margin witnessing membership in C_n(M)
 TRANSITION_SAMPLES = 32     # interior probes per chord between configurations
 _MAX_REJECTIONS = 100_000
+_SHELL_MARGIN = 0.05        # share of a shell's thickness sampled points keep from its spheres
 
 
 class ConfigError(ValueError):
@@ -38,13 +39,26 @@ class SamplingExhausted(ConfigError):
     """Rejection sampling failed to produce a valid configuration."""
 
 
-def min_pairwise_gap(points: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Smallest pairwise chart distance and the pair attaining it."""
-    n = points.shape[0]
+def probe(m: ManifoldSpec, configs) -> tuple[np.ndarray, np.ndarray]:
+    """Membership and pairwise gaps of a stack of configurations.
+
+    ``configs`` has shape (..., n, d). Returns ``inside`` of shape
+    (..., n), the membership of every point in ``m``, and ``gaps`` of
+    shape (..., n(n-1)/2), the chart distances of the point pairs in
+    ``np.triu_indices(n, 1)`` order.
+    """
+    configs = np.asarray(configs, dtype=float)
+    n, d = configs.shape[-2:]
+    inside = geometry.validate_points(m, configs.reshape(-1, d)).reshape(configs.shape[:-1])
     iu, ju = np.triu_indices(n, k=1)
-    gaps = np.linalg.norm(points[iu] - points[ju], axis=1)
-    k = int(np.argmin(gaps))
-    return float(gaps[k]), (int(iu[k]), int(ju[k]))
+    gaps = np.linalg.norm(configs[..., iu, :] - configs[..., ju, :], axis=-1)
+    return inside, gaps
+
+
+def _pair(n: int, k: int) -> str:
+    """Names the k-th point pair of :func:`probe`'s gaps."""
+    iu, ju = np.triu_indices(n, k=1)
+    return f"points {iu[k]} and {ju[k]}"
 
 
 @dataclass
@@ -58,15 +72,12 @@ class Configuration:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.shape[0] < 2:
             raise ConfigError("a configuration needs at least 2 points")
-        ok = geometry.validate_points(self.manifold, self.points)
-        if not ok.all():
-            k = int(np.argmax(~ok))
-            raise MembershipError(f"point {k} does not lie in the manifold")
-        gap, pair = min_pairwise_gap(self.points)
-        if not gap > COLLISION_EPS:
-            raise CollisionError(
-                f"points {pair[0]} and {pair[1]} collide (gap {gap})"
-            )
+        inside, gaps = probe(self.manifold, self.points)
+        if not inside.all():
+            raise MembershipError(f"point {np.argmin(inside)} does not lie in the manifold")
+        k = int(np.argmin(gaps))
+        if not gaps[k] > COLLISION_EPS:
+            raise CollisionError(f"{_pair(self.n, k)} collide (gap {gaps[k]})")
 
     @property
     def n(self) -> int:
@@ -117,45 +128,34 @@ class ConfigPath:
         return self.coords.reshape(self.coords.shape[0], -1)
 
 
-def product_spec(path: ConfigPath) -> ManifoldSpec:
-    return geometry.product_manifold([path.manifold] * path.n)
-
-
-def _check_transitions(path: ConfigPath):
-    """Probe each chord between consecutive configurations.
-
-    Membership of every particle and pairwise collision margin are
-    checked at TRANSITION_SAMPLES interior parameters plus the midpoint.
-    """
-    ts = np.append(np.linspace(0.0, 1.0, TRANSITION_SAMPLES + 2)[1:-1], 0.5)
-    m = path.manifold
-    d = path.coords.shape[2]
-    for k in range(path.n_configs - 1):
-        a, b = path.coords[k], path.coords[k + 1]
-        pos = a[None, :, :] + ts[:, None, None] * (b - a)[None, :, :]
-        if not geometry.validate_points(m, pos.reshape(-1, d)).all():
-            raise MembershipError(
-                f"transition {k} -> {k + 1} leaves the manifold between samples"
-            )
-        n = path.n
-        iu, ju = np.triu_indices(n, k=1)
-        gaps = np.linalg.norm(pos[:, iu, :] - pos[:, ju, :], axis=2)
-        if not np.all(gaps > COLLISION_EPS):
-            t_bad, pair_bad = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-            raise CollisionError(
-                f"transition {k} -> {k + 1}: points {int(iu[pair_bad])} and "
-                f"{int(ju[pair_bad])} collide near t = {ts[t_bad]:.3f}"
-            )
-
-
 def to_polyline(path: ConfigPath) -> PolylinePath:
     """Flatten into a polyline over the n-fold product manifold."""
-    return PolylinePath(product_spec(path), path.flattened(), path.params)
+    return PolylinePath(geometry.product_manifold([path.manifold] * path.n),
+                        path.flattened(), path.params)
 
 
 def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
-    """Product-metric curve energies of the path, with rho^2/rho^3 bounds."""
-    _check_transitions(path)
+    """Product-metric curve energies of the path, with rho^2/rho^3 bounds.
+
+    Each chord between consecutive configurations is first probed at
+    TRANSITION_SAMPLES interior parameters plus the midpoint.
+    """
+    ts = np.append(np.linspace(0.0, 1.0, TRANSITION_SAMPLES + 2)[1:-1], 0.5)
+    a, b = path.coords[:-1, None], path.coords[1:, None]
+    inside, gaps = probe(path.manifold, a + ts[:, None, None] * (b - a))
+    left = ~inside.all(axis=(1, 2))
+    bad = left | ~(gaps > COLLISION_EPS).all(axis=(1, 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if left[k]:
+            raise MembershipError(
+                f"transition {k} -> {k + 1} leaves the manifold between samples"
+            )
+        t_bad, pair_bad = np.unravel_index(int(np.argmin(gaps[k])), gaps[k].shape)
+        raise CollisionError(
+            f"transition {k} -> {k + 1}: {_pair(path.n, pair_bad)} collide "
+            f"near t = {ts[t_bad]:.3f}"
+        )
     report = energymod.curve_energy(energymod.SignalCurve(to_polyline(path)))
     report.discretization["n_particles"] = path.n
     return report
@@ -195,21 +195,9 @@ class ConfigBoundReport:
     lower_ok: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "e1": self.e1,
-            "e2": self.e2,
-            "length": self.length,
-            "bound1": self.bound1,
-            "bound2": self.bound2,
-            "upper_ok": [self.upper1_ok, self.upper2_ok],
-            "component_e1": self.component_e1,
-            "component_e2": self.component_e2,
-            "components_ok": self.components_ok,
-            "monotone_ok": self.monotone_ok,
-            "hull_ok": self.hull_ok,
-            "lower_bound": self.lower_bound,
-            "lower_ok": self.lower_ok,
-        }
+        data = asdict(self)
+        data["upper_ok"] = [data.pop("upper1_ok"), data.pop("upper2_ok")]
+        return data
 
 
 COMPONENT_TOL = 1e-12
@@ -233,15 +221,9 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
 
     flat = path.flattened()
     mono_ok = all(gaussmod.coordinate_monotone(flat))
-    probes = gaussmod.hull_samples(flat)
-    n, d = path.n, path.coords.shape[2]
-    probe_pts = probes.reshape(-1, n, d)
-    member_ok = geometry.validate_points(
-        path.manifold, probe_pts.reshape(-1, d)
-    ).all()
-    iu, ju = np.triu_indices(n, k=1)
-    gaps = np.linalg.norm(probe_pts[:, iu, :] - probe_pts[:, ju, :], axis=2)
-    hull_ok = bool(member_ok and np.all(gaps > COLLISION_EPS))
+    hull = gaussmod.hull_samples(flat).reshape(-1, *path.coords.shape[1:])
+    inside, gaps = probe(path.manifold, hull)
+    hull_ok = bool(inside.all() and np.all(gaps > COLLISION_EPS))
 
     lower = gaussmod.lower_bound_l3(flat[0], flat[-1])
     lower_ok = None
@@ -271,18 +253,6 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
 # Random path generation
 # ---------------------------------------------------------------------------
 
-def _shell_radii(m: ManifoldSpec) -> tuple[float, float]:
-    return float(np.sqrt(m.a)), float(np.sqrt(m.b))
-
-
-def _sample_shell_point(m: ManifoldSpec, rng: np.random.Generator,
-                        margin: float) -> np.ndarray:
-    r_lo, r_hi = _shell_radii(m)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    return direction * rng.uniform(r_lo + margin, r_hi - margin)
-
-
 def _box_inside_shell(lo: np.ndarray, hi: np.ndarray, m: ManifoldSpec,
                       margin: float) -> bool:
     """Axis box containment in the shell, in closed form.
@@ -292,7 +262,7 @@ def _box_inside_shell(lo: np.ndarray, hi: np.ndarray, m: ManifoldSpec,
     """
     nearest = np.clip(0.0, lo, hi)
     farthest = np.maximum(np.abs(lo), np.abs(hi))
-    r_lo, r_hi = _shell_radii(m)
+    r_lo, r_hi = geometry.shell_radii(m)
     return (np.linalg.norm(nearest) > r_lo + margin
             and np.linalg.norm(farthest) < r_hi - margin)
 
@@ -320,28 +290,26 @@ def random_config_path(
     Non-monotone mode is a collision-repaired random walk. The collision
     margin is kept far above COLLISION_EPS in both modes.
     """
-    if m.kind not in ("shell", "euclidean"):
+    kind = geometry.KINDS[m.kind]
+    if kind.sample is None:
         raise ConfigError(f"sampling is supported for shell and euclidean, not {m.kind}")
     if n < 2:
         raise ConfigError("need n >= 2 particles")
     rng = np.random.default_rng(seed)
     d = geometry.chart_dim(m)
 
-    if m.kind == "shell":
-        r_lo, r_hi = _shell_radii(m)
-        thickness = r_hi - r_lo
-        margin = 0.05 * thickness
-        separation = max(0.05 * thickness, 10.0 * COLLISION_EPS)
-        span = 0.35 * thickness
-    else:
-        margin = 0.0
+    if kind.flat:                       # euclidean: points start in [-1, 1]^d
         separation = max(0.1, 10.0 * COLLISION_EPS)
         span = 0.8
+    else:                               # shell: scales follow its thickness
+        r_lo, r_hi = geometry.shell_radii(m)
+        thickness = r_hi - r_lo
+        margin = _SHELL_MARGIN * thickness
+        separation = max(0.05 * thickness, 10.0 * COLLISION_EPS)
+        span = 0.35 * thickness
 
-    def sample_point() -> np.ndarray:
-        if m.kind == "shell":
-            return _sample_shell_point(m, rng, margin)
-        return rng.uniform(-1.0, 1.0, size=d)
+    def sample_config() -> np.ndarray:
+        return np.array([kind.sample(m, rng, _SHELL_MARGIN) for _ in range(n)])
 
     rejections = 0
 
@@ -350,38 +318,27 @@ def random_config_path(
             rejections += 1
             if rejections > _MAX_REJECTIONS:
                 raise SamplingExhausted("could not place separated particle boxes")
-            starts = np.array([sample_point() for _ in range(n)])
+            starts = sample_config()
             stops = starts + rng.uniform(-span, span, size=(n, d))
             los = np.minimum(starts, stops)
             his = np.maximum(starts, stops)
-            if m.kind == "shell" and not all(
+            if not kind.flat and not all(
                 _box_inside_shell(los[j], his[j], m, margin=0.25 * margin)
                 for j in range(n)
             ):
                 continue
-            ok = True
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if _box_gap(los[i], his[i], los[j], his[j]) < separation:
-                        ok = False
-            if ok:
+            if all(_box_gap(los[i], his[i], los[j], his[j]) >= separation
+                   for i in range(n) for j in range(i + 1, n)):
                 break
-        weights = rng.exponential(size=(steps, n, d))
-        cum = np.cumsum(weights, axis=0) / weights.sum(axis=0)
-        coords = np.concatenate([
-            starts[None, :, :],
-            starts[None, :, :] + cum * (stops - starts)[None, :, :],
-        ])
-        coords[-1] = stops
-        return ConfigPath(m, coords)
+        return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))
 
     # Random walk mode.
     while True:
         rejections += 1
         if rejections > _MAX_REJECTIONS:
             raise SamplingExhausted("could not place a separated start configuration")
-        start = np.array([sample_point() for _ in range(n)])
-        if min_pairwise_gap(start)[0] > separation:
+        start = sample_config()
+        if probe(m, start)[1].min() > separation:
             break
     coords = [start]
     current = start
@@ -390,13 +347,9 @@ def random_config_path(
         rejections += 1
         if rejections > _MAX_REJECTIONS:
             raise SamplingExhausted("random walk could not keep particles separated")
-        candidate = current + rng.normal(scale=step_scale, size=(n, d))
-        if m.kind == "shell":
-            r_lo, r_hi = _shell_radii(m)
-            norms = np.linalg.norm(candidate, axis=1, keepdims=True)
-            clipped = np.clip(norms, r_lo + margin, r_hi - margin)
-            candidate = candidate / norms * clipped
-        if min_pairwise_gap(candidate)[0] <= separation:
+        candidate = geometry.project(
+            m, current + rng.normal(scale=step_scale, size=(n, d)), _SHELL_MARGIN)
+        if probe(m, candidate)[1].min() <= separation:
             continue
         if np.linalg.norm(candidate - current) == 0.0:
             continue

@@ -17,7 +17,7 @@ rather than asserting either closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .mesh import PolylinePath
 
 MONO_EPS = 1e-12        # slack for per-coordinate monotonicity verdicts
 LOWER_BOUND_TOL = 1e-9  # slack for the cubic lower bound verdict
+QUAD_POINTS_LIMIT = 1_000_000  # largest quadrature grid fisher_metric_numeric builds
 _HULL_COMBOS = 1000
 _HULL_SEED = 20260810   # fixed stream: reports are reproducible
 
@@ -95,6 +96,8 @@ def fisher_metric_numeric(mu: float, sigma: float, quad_points: int = 401) -> Fi
         raise GaussianError(f"sigma must be positive, got {sigma}")
     if quad_points < 200:
         raise GaussianError("quad_points must be at least 200")
+    if quad_points > QUAD_POINTS_LIMIT:
+        raise GaussianError(f"quad_points {quad_points} is over the limit {QUAD_POINTS_LIMIT}")
     xs = np.linspace(mu - 12.0 * sigma, mu + 12.0 * sigma, quad_points)
     pdf = np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     s2 = sigma ** 2
@@ -128,18 +131,6 @@ def fisher_report(mu: float, sigma: float, quad_points: int = 401) -> dict:
     }
 
 
-def product_metric_distance(x: GaussParamPoint, y: GaussParamPoint, p: float = 2.0) -> float:
-    """L^p distance between parameter points in chart coordinates."""
-    if x.n != y.n:
-        raise GaussianError(f"dimension mismatch: n = {x.n} vs {y.n}")
-    if p < 1.0:
-        raise GaussianError(f"norm order must be >= 1, got {p}")
-    diff = x.chart() - y.chart()
-    if p == 2.0:
-        return float(np.linalg.norm(diff))
-    return float(np.sum(np.abs(diff) ** p) ** (1.0 / p))
-
-
 def lower_bound_l3(p, q) -> float:
     """(1/3) * ||q - p||_3^3 over chart coordinates."""
     diff = np.abs(np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
@@ -159,15 +150,7 @@ class GaussianBoundReport:
     n_samples: int
 
     def to_json(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "monotone_ok": self.monotone_ok,
-            "hull_ok": self.hull_ok,
-            "e2": self.e2,
-            "lower_bound": self.lower_bound,
-            "satisfied": self.satisfied,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def coordinate_monotone(samples: np.ndarray, eps: float = MONO_EPS) -> list[bool]:
@@ -204,7 +187,7 @@ def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
     the polyline, so the verdict holds whenever the hypotheses do.
     """
     m = path.manifold
-    if m.kind != "gaussian_param":
+    if m.box is None:
         raise GaussianError(
             f"lower bound check needs a gaussian_param path, got {m.kind}"
         )
@@ -228,6 +211,23 @@ def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
 # ---------------------------------------------------------------------------
 # Corpus generation
 # ---------------------------------------------------------------------------
+
+def staircase(rng: np.random.Generator, start, stop, steps: int) -> np.ndarray:
+    """Seeded monotone path of ``steps`` segments from ``start`` to ``stop``.
+
+    Every coordinate of the (steps+1, *start.shape) result moves from its
+    start to its stop value by independent exponential increments, so it
+    is monotone and the path stays in the per-coordinate bounding box of
+    its endpoints.
+    """
+    start = np.asarray(start, dtype=float)
+    stop = np.asarray(stop, dtype=float)
+    weights = rng.exponential(size=(steps, *start.shape))
+    cum = np.cumsum(weights, axis=0) / weights.sum(axis=0)
+    samples = np.concatenate([start[None], start + cum * (stop - start)])
+    samples[-1] = stop
+    return samples
+
 
 def random_monotone_param_path(
     n: int,
@@ -260,8 +260,4 @@ def random_monotone_param_path(
 
     start = endpoint()
     stop = endpoint()
-    steps = rng.exponential(size=(n_segments, start.shape[0]))
-    cum = np.cumsum(steps, axis=0) / steps.sum(axis=0)
-    samples = np.vstack([start, start + cum * (stop - start)])
-    samples[-1] = stop
-    return PolylinePath(spec, samples)
+    return PolylinePath(spec, staircase(rng, start, stop, n_segments))

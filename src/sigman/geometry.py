@@ -19,6 +19,15 @@ carries a flat coordinate chart (a plain real vector per point):
 - ``product``: finite products with the product metric (squared lengths
   add across factors).
 
+:data:`KINDS`, at the end of this module, is the one place where a kind
+is defined: its JSON fields and their types, its chart dimension, its
+membership constraints, whether its chart is flat, its row-wise
+distance, its projection and its interior sampler. The functions here
+and the other modules look a kind up there instead of testing its name.
+A spec sets exactly the fields its kind lists, so ``box`` is set only on
+``gaussian_param``, ``a`` and ``b`` only on ``shell`` and ``dim`` only on
+``euclidean``.
+
 :func:`distances` is the one p = 2 distance kernel: it measures whole
 stacks of point pairs row by row, and :func:`distance` at p = 2 is a
 one-row call of it. Shell distances are straight chords and are only
@@ -31,7 +40,8 @@ geodesic on a refined mesh (see the mesh module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,17 +71,6 @@ class ChordObstructed(GeometryError):
     """Straight chord between shell points leaves the shell."""
 
 
-_KINDS = (
-    "euclidean",
-    "shell",
-    "unit_sphere",
-    "spd",
-    "gaussian_param",
-    "fisher_half_plane",
-    "product",
-)
-
-
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Tagged description of an ambient manifold.
@@ -89,36 +88,17 @@ class ManifoldSpec:
     factors: tuple["ManifoldSpec", ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise GeometryError(f"unknown manifold kind {self.kind!r}")
-        if self.kind == "euclidean":
-            if not self.dim or self.dim < 1:
-                raise GeometryError("euclidean manifold needs dim >= 1")
-        elif self.kind == "shell":
-            if self.a is None or self.b is None or not (0.0 < self.a < self.b):
-                raise GeometryError(
-                    f"shell requires 0 < a < b, got a={self.a}, b={self.b}"
-                )
-        elif self.kind == "spd":
-            if not self.n or self.n < 1:
-                raise GeometryError("spd manifold needs n >= 1")
-        elif self.kind == "gaussian_param":
-            if not self.box:
-                raise GeometryError("gaussian_param needs a nonempty domain box")
-            for k, (lo, hi) in enumerate(self.box):
-                if not lo < hi:
-                    raise GeometryError(
-                        f"domain box axis {k} is empty: [{lo}, {hi}]"
-                    )
-            if self.n != len(self.box):
-                raise GeometryError("gaussian_param n must equal len(box)")
-        elif self.kind == "product":
-            if not self.factors or len(self.factors) < 2:
-                raise GeometryError("product requires at least 2 factors")
-
-    @property
-    def chart_dim(self) -> int:
-        return chart_dim(self)
+        kind = _lookup(self.kind)
+        named = {f.name for f in kind.fields}
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is None and f.name in named:
+                raise GeometryError(f"{self.kind} manifold needs field {f.name!r}")
+            if value is not None and f.name not in named:
+                raise GeometryError(f"{self.kind} manifold has no field {f.name!r}")
+        problem = kind.invalid(self)
+        if problem:
+            raise GeometryError(problem)
 
 
 def euclidean(dim: int) -> ManifoldSpec:
@@ -152,18 +132,28 @@ def product_manifold(factors) -> ManifoldSpec:
     return ManifoldSpec(kind="product", factors=tuple(factors))
 
 
+def _lookup(name) -> "Kind":
+    if isinstance(name, str) and name in KINDS:
+        return KINDS[name]
+    raise GeometryError(f"unknown manifold kind {name!r}")
+
+
 def chart_dim(m: ManifoldSpec) -> int:
-    if m.kind == "euclidean":
-        return m.dim
-    if m.kind in ("shell", "unit_sphere"):
-        return 3
-    if m.kind == "spd":
-        return m.n * (m.n + 1) // 2
-    if m.kind == "gaussian_param":
-        return m.n + m.n * (m.n + 1) // 2
-    if m.kind == "fisher_half_plane":
-        return 2
-    return sum(chart_dim(f) for f in m.factors)
+    return KINDS[m.kind].chart_dim(m)
+
+
+def shell_radii(m: ManifoldSpec) -> tuple[float, float]:
+    """Inner and outer radius of a shell."""
+    return math.sqrt(m.a), math.sqrt(m.b)
+
+
+def _blocks(m: ManifoldSpec, xs: np.ndarray):
+    """(factor, chart block) pairs of a product's rows, over the last axis."""
+    off = 0
+    for f in m.factors:
+        d = chart_dim(f)
+        yield f, xs[..., off:off + d]
+        off += d
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +184,7 @@ def spd_matrix_from_chart(coords, n: int) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {n * (n + 1) // 2} chart entries for n={n}, got {coords.shape}"
         )
-    iu, ju = np.triu_indices(n)
-    scale = np.where(iu == ju, 1.0, _SQRT2)
-    mat = np.zeros((n, n))
-    mat[iu, ju] = coords / scale
-    mat[ju, iu] = mat[iu, ju]
-    return mat
+    return _spd_matrices(coords[None], n)[0]
 
 
 def gaussian_chart(mu, sigma) -> np.ndarray:
@@ -208,23 +193,18 @@ def gaussian_chart(mu, sigma) -> np.ndarray:
     return np.concatenate([mu, spd_chart_from_matrix(sigma)])
 
 
-def gaussian_unchart(coords, n: int) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (n + n * (n + 1) // 2,):
-        raise DimensionMismatch(
-            f"expected {n + n * (n + 1) // 2} chart entries for n={n}, got {coords.shape}"
-        )
-    return coords[:n].copy(), spd_matrix_from_chart(coords[n:], n)
-
-
-def _spd_matrices_from_charts(coords: np.ndarray, n: int) -> np.ndarray:
-    """Batch version of :func:`spd_matrix_from_chart`; coords is (N, k)."""
+def _spd_matrices(coords: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric matrices of the chart rows ``coords`` (N, n(n+1)/2)."""
     iu, ju = np.triu_indices(n)
     scale = np.where(iu == ju, 1.0, _SQRT2)
     mats = np.zeros((coords.shape[0], n, n))
     mats[:, iu, ju] = coords / scale
     mats[:, ju, iu] = mats[:, iu, ju]
     return mats
+
+
+def _min_eigenvalues(coords: np.ndarray, n: int) -> np.ndarray:
+    return np.linalg.eigvalsh(_spd_matrices(coords, n))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,58 +222,24 @@ def validate_point(m: ManifoldSpec, x) -> None:
     """Raise unless ``x`` lies strictly inside ``m``.
 
     Raises DimensionMismatch on wrong coordinate count and
-    MembershipError naming the violated constraint otherwise.
+    MembershipError naming the violated constraint otherwise. The
+    constraints are those of :func:`validate_points`, on one row.
     """
     x = np.asarray(x, dtype=float)
     _check_dim(m, x)
     if not np.all(np.isfinite(x)):
         raise MembershipError("coordinates must be finite")
-    if m.kind == "euclidean":
-        return
-    if m.kind == "shell":
-        r2 = float(x @ x)
-        if not r2 > m.a:
-            raise MembershipError(f"|x|^2 = {r2} is not > inner bound a = {m.a}")
-        if not r2 < m.b:
-            raise MembershipError(f"|x|^2 = {r2} is not < outer bound b = {m.b}")
-        return
-    if m.kind == "unit_sphere":
-        r = float(np.linalg.norm(x))
-        if abs(r - 1.0) > SPHERE_EPS:
-            raise MembershipError(f"|x| = {r} is not 1 within {SPHERE_EPS}")
-        return
-    if m.kind == "spd":
-        mat = spd_matrix_from_chart(x, m.n)
-        lam = float(np.linalg.eigvalsh(mat)[0])
-        if not lam > SPD_EPS:
-            raise MembershipError(f"minimum eigenvalue {lam} is not > {SPD_EPS}")
-        return
-    if m.kind == "gaussian_param":
-        mu, sigma = gaussian_unchart(x, m.n)
-        for k, (lo, hi) in enumerate(m.box):
-            if not lo < mu[k] < hi:
-                raise MembershipError(
-                    f"mean coordinate {k} = {mu[k]} outside open box ({lo}, {hi})"
-                )
-        lam = float(np.linalg.eigvalsh(sigma)[0])
-        if not lam > SPD_EPS:
-            raise MembershipError(
-                f"covariance minimum eigenvalue {lam} is not > {SPD_EPS}"
-            )
-        return
-    if m.kind == "fisher_half_plane":
-        if not x[1] > SPD_EPS:
-            raise MembershipError(f"sigma = {x[1]} is not > {SPD_EPS}")
-        return
-    # product
-    off = 0
-    for i, f in enumerate(m.factors):
-        d = chart_dim(f)
-        try:
-            validate_point(f, x[off:off + d])
-        except MembershipError as exc:
-            raise MembershipError(f"factor {i}: {exc}") from None
-        off += d
+    why = _failure(m, x[None])
+    if why:
+        raise MembershipError(why)
+
+
+def _failure(m: ManifoldSpec, xs: np.ndarray) -> str | None:
+    """Message of the first constraint of ``m`` that the one row of ``xs`` breaks."""
+    for ok, values, why in KINDS[m.kind].rules(m, xs):
+        if not ok[0]:
+            return why(m, values[0])
+    return None
 
 
 def is_valid_point(m: ManifoldSpec, x) -> bool:
@@ -311,36 +257,18 @@ def validate_points(m: ManifoldSpec, xs) -> np.ndarray:
         raise DimensionMismatch(
             f"expected (N, {chart_dim(m)}) coordinates for {m.kind}, got {xs.shape}"
         )
-    ok = np.all(np.isfinite(xs), axis=1)
-    if m.kind == "euclidean":
-        return ok
-    if m.kind == "shell":
-        r2 = np.einsum("ij,ij->i", xs, xs)
-        return ok & (r2 > m.a) & (r2 < m.b)
-    if m.kind == "unit_sphere":
-        return ok & (np.abs(np.linalg.norm(xs, axis=1) - 1.0) <= SPHERE_EPS)
-    if m.kind == "spd":
-        lam = np.linalg.eigvalsh(_spd_matrices_from_charts(xs, m.n))[:, 0]
-        return ok & (lam > SPD_EPS)
-    if m.kind == "gaussian_param":
-        lo = np.array([lo for lo, _ in m.box])
-        hi = np.array([hi for _, hi in m.box])
-        mu = xs[:, : m.n]
-        in_box = np.all((mu > lo) & (mu < hi), axis=1)
-        lam = np.linalg.eigvalsh(_spd_matrices_from_charts(xs[:, m.n:], m.n))[:, 0]
-        return ok & in_box & (lam > SPD_EPS)
-    if m.kind == "fisher_half_plane":
-        return ok & (xs[:, 1] > SPD_EPS)
-    off = 0
-    for f in m.factors:
-        d = chart_dim(f)
-        ok &= validate_points(f, xs[:, off:off + d])
-        off += d
+    return _satisfied(m, xs, np.all(np.isfinite(xs), axis=1))
+
+
+def _satisfied(m: ManifoldSpec, xs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """AND the membership rules of ``m`` on the rows ``xs`` into ``ok``, in place."""
+    for mask, _, _ in KINDS[m.kind].rules(m, xs):
+        ok &= mask
     return ok
 
 
 # ---------------------------------------------------------------------------
-# Distances and norms
+# Distances, norms and projections
 # ---------------------------------------------------------------------------
 
 def _chord_min_norm_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -368,7 +296,7 @@ def chord_stays_in_shell(m: ManifoldSpec, x, y) -> bool:
     the segment, so its maximum sits at an endpoint and the outer bound
     holds automatically for valid endpoints.
     """
-    if m.kind != "shell":
+    if KINDS[m.kind].distances is not _chord_distances:
         raise GeometryError("chord test is only defined for shell manifolds")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -390,27 +318,7 @@ def distances(m: ManifoldSpec, xs, ys) -> np.ndarray:
     if xs.shape[-1:] != (k,) or ys.shape[-1:] != (k,):
         raise DimensionMismatch(
             f"rows of shapes {xs.shape} and {ys.shape}, chart of {m.kind} needs {k}")
-    if m.kind == "fisher_half_plane":
-        raise NormUnsupported(
-            "no closed-form Fisher distance; tangent_norm gives infinitesimal lengths"
-        )
-    if m.kind == "unit_sphere":
-        cross = np.cross(xs, ys)
-        return np.arctan2(np.sqrt(np.sum(cross * cross, axis=-1)),
-                          np.sum(xs * ys, axis=-1))
-    if m.kind == "product":
-        total = 0.0
-        off = 0
-        for f in m.factors:
-            d = chart_dim(f)
-            total = total + distances(f, xs[..., off:off + d], ys[..., off:off + d]) ** 2
-            off += d
-        return np.sqrt(total)
-    diff = xs - ys
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if m.kind == "shell":
-        dist = np.where(_chord_min_norm_sq(xs, ys) > m.a, dist, np.inf)
-    return dist
+    return KINDS[m.kind].distances(m, xs, ys)
 
 
 def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
@@ -429,14 +337,11 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
     y = np.asarray(y, dtype=float)
     _check_dim(m, x)
     _check_dim(m, y)
-    if p != 2.0 and m.kind not in ("unit_sphere", "fisher_half_plane"):
+    if p != 2.0:
         if _all_flat(m):
             return float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
-        if m.kind == "shell":
-            raise NormUnsupported("shell distances are defined for p = 2 only")
-        raise NormUnsupported(
-            f"L^{p} distance needs every product factor to be flat"
-        )
+        if KINDS[m.kind].lp_error:
+            raise NormUnsupported(KINDS[m.kind].lp_error.format(p=p))
     d = float(distances(m, x[None], y[None])[0])
     if d == math.inf and not _all_flat(m):
         raise ChordObstructed(
@@ -446,11 +351,7 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
 
 
 def _all_flat(m: ManifoldSpec) -> bool:
-    if m.kind in ("euclidean", "spd", "gaussian_param"):
-        return True
-    if m.kind == "product":
-        return all(_all_flat(f) for f in m.factors)
-    return False
+    return KINDS[m.kind].flat and all(_all_flat(f) for f in m.factors or ())
 
 
 def tangent_norm(m: ManifoldSpec, x, v) -> float:
@@ -465,56 +366,284 @@ def tangent_norm(m: ManifoldSpec, x, v) -> float:
     v = np.asarray(v, dtype=float)
     _check_dim(m, x)
     _check_dim(m, v, what="tangent vector")
-    if m.kind == "fisher_half_plane":
-        sigma = x[1]
-        if not sigma > 0.0:
-            raise MembershipError(f"sigma = {sigma} is not positive")
-        return math.sqrt((v[0] ** 2 + FISHER_SIGMA_COEFF * v[1] ** 2) / sigma ** 2)
-    return float(np.linalg.norm(v))
+    norm = KINDS[m.kind].tangent_norm
+    return norm(m, x, v) if norm else float(np.linalg.norm(v))
+
+
+def project(m: ManifoldSpec, pts: np.ndarray, margin: float = 1e-3) -> np.ndarray:
+    """Map points (rows of the last axis) back into ``m``.
+
+    A shell keeps ``margin`` times its thickness away from both spheres.
+    Kinds without a projection (see :data:`KINDS`) raise GeometryError.
+    """
+    projection = KINDS[m.kind].project
+    if projection is None:
+        raise GeometryError(f"no projection onto {m.kind} manifolds")
+    return projection(m, pts, margin)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+class _Field(NamedTuple):
+    """A JSON field of a kind: ``load(name, value)`` checks and converts it."""
+
+    name: str
+    load: Callable
+    default: Callable | None = None   # loaded fields -> value when the JSON omits it
+
+
+def _count(name, value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise GeometryError(f"manifold field {name!r} must be an integer, got {value!r}")
+
+
+def _number(name, value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise GeometryError(f"manifold field {name!r} must be a number, got {value!r}")
+
+
+def _box(name, value):
+    if isinstance(value, list) and all(isinstance(ax, list) and len(ax) == 2 for ax in value):
+        return tuple((_number(name, lo), _number(name, hi)) for lo, hi in value)
+    raise GeometryError(f"manifold field {name!r} must be a list of [lo, hi] pairs, "
+                        f"got {value!r}")
+
+
+def _factors(name, value):
+    if isinstance(value, list):
+        return tuple(manifold_from_json(f) for f in value)
+    raise GeometryError(f"manifold field {name!r} must be a list of manifold objects, "
+                        f"got {value!r}")
+
+
+def _to_json(value):
+    if isinstance(value, ManifoldSpec):
+        return manifold_to_json(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def manifold_to_json(m: ManifoldSpec) -> dict:
-    if m.kind == "euclidean":
-        return {"kind": "euclidean", "dim": m.dim}
-    if m.kind == "shell":
-        return {"kind": "shell", "a": m.a, "b": m.b}
-    if m.kind == "unit_sphere":
-        return {"kind": "unit_sphere"}
-    if m.kind == "spd":
-        return {"kind": "spd", "n": m.n}
-    if m.kind == "gaussian_param":
-        return {"kind": "gaussian_param", "n": m.n, "box": [list(ax) for ax in m.box]}
-    if m.kind == "fisher_half_plane":
-        return {"kind": "fisher_half_plane"}
-    return {"kind": "product", "factors": [manifold_to_json(f) for f in m.factors]}
+    return {"kind": m.kind,
+            **{f.name: _to_json(getattr(m, f.name)) for f in KINDS[m.kind].fields}}
 
 
-def manifold_from_json(data: dict) -> ManifoldSpec:
+def manifold_from_json(data) -> ManifoldSpec:
+    """Parse a manifold object; a missing or mistyped field raises GeometryError."""
     if not isinstance(data, dict) or "kind" not in data:
         raise GeometryError("manifold JSON must be an object with a 'kind' field")
-    kind = data["kind"]
-    try:
-        if kind == "euclidean":
-            return euclidean(data["dim"])
-        if kind == "shell":
-            return spherical_shell(data["a"], data["b"])
-        if kind == "unit_sphere":
-            return unit_sphere()
-        if kind == "spd":
-            return spd(data["n"])
-        if kind == "gaussian_param":
-            spec = gaussian_param(data["box"])
-            if "n" in data and data["n"] != spec.n:
-                raise GeometryError("gaussian_param field 'n' disagrees with 'box'")
-            return spec
-        if kind == "fisher_half_plane":
-            return fisher_half_plane()
-        if kind == "product":
-            return product_manifold(manifold_from_json(f) for f in data["factors"])
-    except KeyError as exc:
-        raise GeometryError(f"manifold JSON missing field {exc}") from None
-    raise GeometryError(f"unknown manifold kind {kind!r}")
+    kind = _lookup(data["kind"])
+    missing = [f.name for f in kind.fields if f.name not in data and f.default is None]
+    if missing:
+        raise GeometryError(f"manifold JSON missing field {missing[0]!r}")
+    values = {f.name: f.load(f.name, data[f.name]) for f in kind.fields if f.name in data}
+    for f in kind.fields:
+        if f.name not in values:
+            values[f.name] = f.default(values)
+    return ManifoldSpec(data["kind"], **values)
+
+
+# ---------------------------------------------------------------------------
+# Per-kind table
+# ---------------------------------------------------------------------------
+# A membership rule is (ok mask over rows, per-row values, why); why(spec,
+# value) formats the failure message and runs only when a row fails.
+
+_WHY_INNER = "|x|^2 = {1} is not > inner bound a = {0.a}".format
+_WHY_OUTER = "|x|^2 = {1} is not < outer bound b = {0.b}".format
+_WHY_SPHERE = f"|x| = {{1}} is not 1 within {SPHERE_EPS}".format
+_WHY_SPD = f"minimum eigenvalue {{1}} is not > {SPD_EPS}".format
+_WHY_COVARIANCE = f"covariance minimum eigenvalue {{1}} is not > {SPD_EPS}".format
+_WHY_SIGMA = f"sigma = {{1}} is not > {SPD_EPS}".format
+
+
+def _why_box(m: ManifoldSpec, mu: np.ndarray) -> str:
+    k = next(k for k, (lo, hi) in enumerate(m.box) if not lo < mu[k] < hi)
+    return f"mean coordinate {k} = {mu[k]} outside open box ({m.box[k][0]}, {m.box[k][1]})"
+
+
+def _why_factor(m: ManifoldSpec, x: np.ndarray) -> str:
+    for i, (f, block) in enumerate(_blocks(m, x)):
+        why = _failure(f, block[None])
+        if why:
+            return f"factor {i}: {why}"
+
+
+def _shell_rules(m, xs):
+    r2 = np.einsum("ij,ij->i", xs, xs)
+    return (r2 > m.a, r2, _WHY_INNER), (r2 < m.b, r2, _WHY_OUTER)
+
+
+def _sphere_rules(m, xs):
+    r = np.linalg.norm(xs, axis=1)
+    return ((np.abs(r - 1.0) <= SPHERE_EPS, r, _WHY_SPHERE),)
+
+
+def _spd_rules(m, xs):
+    lam = _min_eigenvalues(xs, m.n)
+    return ((lam > SPD_EPS, lam, _WHY_SPD),)
+
+
+def _gaussian_rules(m, xs):
+    lo, hi = np.array(m.box).T
+    mu = xs[:, : m.n]
+    lam = _min_eigenvalues(xs[:, m.n:], m.n)
+    return ((np.all((mu > lo) & (mu < hi), axis=1), mu, _why_box),
+            (lam > SPD_EPS, lam, _WHY_COVARIANCE))
+
+
+def _product_rules(m, xs):
+    ok = np.ones(xs.shape[0], dtype=bool)
+    for f, block in _blocks(m, xs):
+        _satisfied(f, block, ok)
+    return ((ok, xs, _why_factor),)
+
+
+def _gaussian_invalid(m):
+    if not m.box:
+        return "gaussian_param needs a nonempty domain box"
+    for k, (lo, hi) in enumerate(m.box):
+        if not lo < hi:
+            return f"domain box axis {k} is empty: [{lo}, {hi}]"
+    if m.n != len(m.box):
+        return "gaussian_param n must equal len(box)"
+    return None
+
+
+def _chart_distances(m, xs, ys):
+    diff = xs - ys
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _chord_distances(m, xs, ys):
+    return np.where(_chord_min_norm_sq(xs, ys) > m.a, _chart_distances(m, xs, ys), np.inf)
+
+
+def _great_circle_distances(m, xs, ys):
+    cross = np.cross(xs, ys)
+    return np.arctan2(np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(xs * ys, axis=-1))
+
+
+def _product_distances(m, xs, ys):
+    total = 0.0
+    for (f, x), (_, y) in zip(_blocks(m, xs), _blocks(m, ys)):
+        total = total + distances(f, x, y) ** 2
+    return np.sqrt(total)
+
+
+def _no_distance(m, xs, ys):
+    raise NormUnsupported(
+        "no closed-form Fisher distance; tangent_norm gives infinitesimal lengths"
+    )
+
+
+def _fisher_norm(m, x, v):
+    sigma = x[1]
+    if not sigma > 0.0:
+        raise MembershipError(f"sigma = {sigma} is not positive")
+    return math.sqrt((v[0] ** 2 + FISHER_SIGMA_COEFF * v[1] ** 2) / sigma ** 2)
+
+
+def _clip_radius(m, pts, margin):
+    r_lo, r_hi = shell_radii(m)
+    pad = margin * (r_hi - r_lo)
+    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+    return pts / norms * np.clip(norms, r_lo + pad, r_hi - pad)
+
+
+def _sample_shell(m, rng, margin):
+    r_lo, r_hi = shell_radii(m)
+    pad = margin * (r_hi - r_lo)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return direction * rng.uniform(r_lo + pad, r_hi - pad)
+
+
+class Kind(NamedTuple):
+    """One row of :data:`KINDS`: everything sigman knows about a manifold kind.
+
+    ``margin`` arguments are fractions of a shell's thickness; the other
+    kinds ignore them.
+    """
+
+    chart_dim: Callable                  # spec -> chart dimension
+    distances: Callable                  # (spec, xs, ys) -> row-wise p = 2 distances
+    fields: tuple[_Field, ...] = ()      # JSON fields, in wire order
+    invalid: Callable = lambda m: None   # spec -> message naming a broken field constraint
+    rules: Callable = lambda m, xs: ()   # (spec, rows) -> membership rules (see above)
+    flat: bool = False                   # chart L^p norms are the distances
+    lp_error: str | None = None          # NormUnsupported text for p != 2; None ignores p
+    tangent_norm: Callable | None = None  # (spec, x, v) -> norm; None: orthonormal chart
+    project: Callable | None = None      # (spec, rows, margin) -> rows inside the manifold
+    sample: Callable | None = None       # (spec, rng, margin) -> a random interior point
+
+
+KINDS: dict[str, Kind] = {
+    "euclidean": Kind(
+        fields=(_Field("dim", _count),),
+        invalid=lambda m: None if m.dim >= 1 else "euclidean manifold needs dim >= 1",
+        chart_dim=lambda m: m.dim,
+        flat=True,
+        distances=_chart_distances,
+        project=lambda m, pts, margin: pts,
+        sample=lambda m, rng, margin: rng.uniform(-1.0, 1.0, size=m.dim),
+    ),
+    "shell": Kind(
+        fields=(_Field("a", _number), _Field("b", _number)),
+        invalid=lambda m: (None if 0.0 < m.a < m.b
+                           else f"shell requires 0 < a < b, got a={m.a}, b={m.b}"),
+        chart_dim=lambda m: 3,
+        rules=_shell_rules,
+        distances=_chord_distances,
+        lp_error="shell distances are defined for p = 2 only",
+        project=_clip_radius,
+        sample=_sample_shell,
+    ),
+    "unit_sphere": Kind(
+        chart_dim=lambda m: 3,
+        rules=_sphere_rules,
+        distances=_great_circle_distances,
+        project=lambda m, pts, margin: pts / np.linalg.norm(pts, axis=-1, keepdims=True),
+    ),
+    "spd": Kind(
+        fields=(_Field("n", _count),),
+        invalid=lambda m: None if m.n >= 1 else "spd manifold needs n >= 1",
+        chart_dim=lambda m: m.n * (m.n + 1) // 2,
+        rules=_spd_rules,
+        flat=True,
+        distances=_chart_distances,
+    ),
+    "gaussian_param": Kind(
+        fields=(_Field("n", _count, default=lambda values: len(values["box"])),
+                _Field("box", _box)),
+        invalid=_gaussian_invalid,
+        chart_dim=lambda m: m.n + m.n * (m.n + 1) // 2,
+        rules=_gaussian_rules,
+        flat=True,
+        distances=_chart_distances,
+    ),
+    "fisher_half_plane": Kind(
+        chart_dim=lambda m: 2,
+        rules=lambda m, xs: ((xs[:, 1] > SPD_EPS, xs[:, 1], _WHY_SIGMA),),
+        distances=_no_distance,
+        tangent_norm=_fisher_norm,
+    ),
+    "product": Kind(
+        fields=(_Field("factors", _factors),),
+        invalid=lambda m: (None if len(m.factors) >= 2
+                           else "product requires at least 2 factors"),
+        chart_dim=lambda m: sum(chart_dim(f) for f in m.factors),
+        rules=_product_rules,
+        flat=True,                       # when every factor is flat, see _all_flat
+        distances=_product_distances,
+        lp_error="L^{p} distance needs every product factor to be flat",
+    ),
+}

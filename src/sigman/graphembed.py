@@ -106,12 +106,15 @@ def graph_metric(g: WeightedGraph, unit_weights: bool = True) -> np.ndarray:
     return np.asarray(dist)
 
 
-def _placement_array(g: WeightedGraph, placement) -> np.ndarray:
+def _placement_array(g: WeightedGraph, placement, m: ManifoldSpec) -> np.ndarray:
+    """Points of a placement, each checked to lie in ``m``."""
     if isinstance(placement, dict):
         placement = [placement[i] for i in range(g.n)]
     pts = np.atleast_2d(np.asarray(placement, dtype=float))
     if pts.shape[0] != g.n:
         raise GraphError(f"placement must map all {g.n} vertices")
+    for x in pts:
+        geometry.validate_point(m, x)
     return pts
 
 
@@ -126,9 +129,7 @@ def _pair_distances(m: ManifoldSpec, pts: np.ndarray, i, j) -> np.ndarray:
 def is_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
                            tol: float = 1e-9) -> bool:
     """True iff manifold distances match hop distances for ALL pairs."""
-    pts = _placement_array(g, placement)
-    for k in range(g.n):
-        geometry.validate_point(m, pts[k])
+    pts = _placement_array(g, placement, m)
     iu, ju = np.triu_indices(g.n, k=1)
     d_graph = graph_metric(g, unit_weights=True)
     return not np.any(np.abs(_pair_distances(m, pts, iu, ju) - d_graph[iu, ju]) > tol)
@@ -137,9 +138,7 @@ def is_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
 def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
                                  tol: float = 1e-9) -> bool:
     """True iff every EDGE maps to a unit-distance pair (non-edges free)."""
-    pts = _placement_array(g, placement)
-    for k in range(g.n):
-        geometry.validate_point(m, pts[k])
+    pts = _placement_array(g, placement, m)
     i, j, _ = g._arrays()
     return not np.any(np.abs(_pair_distances(m, pts, i, j) - 1.0) > tol)
 
@@ -181,7 +180,7 @@ def relative_ratio_variance(g: WeightedGraph, config: Configuration) -> float:
 
 def scale_configuration(config: Configuration, alpha: float) -> Configuration:
     """Dilate a Euclidean configuration by alpha > 0."""
-    if config.manifold.kind != "euclidean":
+    if config.manifold.dim is None:
         raise GraphError("dilations are only supported for euclidean manifolds")
     if not alpha > 0.0:
         raise GraphError(f"scale factor must be positive, got {alpha}")
@@ -203,20 +202,6 @@ class EmbedResult:
     def __post_init__(self):
         if self.objective < 0.0:
             raise GraphError("objective must be nonnegative")
-
-
-def _project(m: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
-    """Map points (rows of the last axis) back into the manifold."""
-    if m.kind == "euclidean":
-        return pts
-    if m.kind == "unit_sphere":
-        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-    if m.kind == "shell":
-        r_lo, r_hi = math.sqrt(m.a), math.sqrt(m.b)
-        pad = 1e-3 * (r_hi - r_lo)
-        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        return pts / norms * np.clip(norms, r_lo + pad, r_hi - pad)
-    raise GraphError(f"manifold kind {m.kind!r} is not supported for embedding")
 
 
 def _objectives(g: WeightedGraph, m: ManifoldSpec):
@@ -260,7 +245,7 @@ def _central_gradient(score, pts: np.ndarray, h: float) -> np.ndarray:
 
 
 def _descend(score, m, pts, scale, max_iters, tol_obj):
-    """Numeric-gradient descent with backtracking; returns local best."""
+    """Numeric-gradient descent with backtracking; returns the best iterate, start included."""
     h = 1e-6 * scale
     step = 0.1 * scale
     raw, f = score(pts[None])[:, 0]
@@ -276,7 +261,7 @@ def _descend(score, m, pts, scale, max_iters, tol_obj):
         t = step
         improved = False
         while t > 1e-14 * scale:
-            cand = _project(m, pts - (t / gnorm) * grad)
+            cand = geometry.project(m, pts - (t / gnorm) * grad)
             raw_c, f_c = score(cand[None])[:, 0]
             if f_c < f:
                 pts = cand
@@ -294,25 +279,6 @@ def _descend(score, m, pts, scale, max_iters, tol_obj):
     return best_raw, best_pts, iterations
 
 
-def _anneal(score, m, pts, scale, rng, iters=400):
-    """Coarse simulated-annealing sweep; returns the best point visited."""
-    raw, f = score(pts[None])[:, 0]
-    best_raw, best_pts = raw, pts.copy()
-    temperature = max(f, 1.0) if math.isfinite(f) else 1.0
-    for it in range(iters):
-        temp = temperature * (1.0 - it / iters) + 1e-12
-        cand = _project(m, pts + rng.normal(scale=0.3 * scale * temp / temperature,
-                                            size=pts.shape))
-        raw_c, f_c = score(cand[None])[:, 0]
-        if not math.isfinite(f_c):
-            continue
-        if f_c <= f or rng.random() < math.exp(-(f_c - f) / temp):
-            pts, f = cand, f_c
-            if raw_c < best_raw:
-                best_raw, best_pts = raw_c, cand.copy()
-    return best_pts
-
-
 def minimize_ratio_variance(
     g: WeightedGraph,
     m: ManifoldSpec,
@@ -321,7 +287,6 @@ def minimize_ratio_variance(
     max_iters: int = 250,
     step_init: float | None = None,
     tol_obj: float = 1e-13,
-    method: str = "descent",
 ) -> EmbedResult:
     """Best-of-restarts minimization of the relative ratio variance.
 
@@ -332,18 +297,16 @@ def minimize_ratio_variance(
     """
     if g.n < 2:
         raise GraphError("embedding needs at least 2 vertices")
-    if method not in ("descent", "anneal"):
-        raise GraphError(f"unknown method {method!r}")
-    dim = geometry.chart_dim(m)
-    mean_w = float(g._arrays()[2].mean())
-    if m.kind == "euclidean":
-        radius = mean_w * g.n ** (1.0 / dim)
-        scale = step_init if step_init is not None else radius
-    elif m.kind in ("unit_sphere", "shell"):
-        radius = 1.0 if m.kind == "unit_sphere" else math.sqrt(m.b)
-        scale = step_init if step_init is not None else 0.5
-    else:
+    kind = geometry.KINDS[m.kind]
+    if kind.project is None:
         raise GraphError(f"manifold kind {m.kind!r} is not supported for embedding")
+    dim = geometry.chart_dim(m)
+    if kind.flat:                       # euclidean: spread n points at the mean weight
+        radius = float(g._arrays()[2].mean()) * g.n ** (1.0 / dim)
+        scale = step_init if step_init is not None else radius
+    else:                               # unit sphere, or the shell's outer radius
+        radius = 1.0 if m.b is None else math.sqrt(m.b)
+        scale = step_init if step_init is not None else 0.5
     score = _objectives(g, m)
 
     def run_restart(idx: int):
@@ -356,17 +319,10 @@ def minimize_ratio_variance(
             direction = rng.normal(size=(g.n, dim))
             direction /= np.linalg.norm(direction, axis=1, keepdims=True)
             radii = radius * rng.random(size=(g.n, 1)) ** (1.0 / dim)
-            pts = _project(m, direction * radii)
-            raw0, f0 = score(pts[None])[:, 0]
-            if math.isfinite(f0):
+            pts = geometry.project(m, direction * radii)
+            if math.isfinite(score(pts[None])[1, 0]):
                 break
-        if method == "anneal":
-            pts = _anneal(score, m, pts, scale, rng)
-            raw0 = min(raw0, score(pts[None])[0, 0])
-        best_raw, best_pts, iters = _descend(score, m, pts, scale, max_iters, tol_obj)
-        if raw0 < best_raw:
-            best_raw, best_pts = raw0, pts
-        return best_raw, best_pts, iters
+        return _descend(score, m, pts, scale, max_iters, tol_obj)
 
     best_raw, best_pts, total_iters = math.inf, None, 0
     for raw, pts, iters in map(run_restart, range(restarts)):

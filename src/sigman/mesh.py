@@ -18,6 +18,7 @@ value never exceeds the diameter.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -559,8 +560,8 @@ def triangulate_rectangle(
     row/column as the mesh source set. Grids of more than
     GRID_VERTEX_LIMIT vertices are refused before anything is built.
     """
-    if step <= 0.0:
-        raise MeshError("grid step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise MeshError(f"grid step must be a positive finite number, got {step}")
     nx = max(2, int(round((x1 - x0) / step)) + 1)
     ny = max(2, int(round((y1 - y0) / step)) + 1)
     if nx * ny > GRID_VERTEX_LIMIT:

@@ -9,7 +9,7 @@ user-facing evidence that the inequalities hold on this installation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,64 +33,51 @@ class CheckResult:
         return self.passed == self.total
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "total": self.total,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 # ---------------------------------------------------------------------------
 # Random inputs
 # ---------------------------------------------------------------------------
 
+_POLYLINE_SPECS = {
+    "r2": geometry.euclidean(2),
+    "r3": geometry.euclidean(3),
+    "shell": geometry.spherical_shell(1.0, 4.0),
+}
+
+
 def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48,
                     monotone: bool = False) -> mesh.PolylinePath:
     """Seeded random polyline in R^2, R^3, or the reference shell.
 
     Monotone mode (independent per-coordinate staircases) is available
-    for the euclidean kinds only.
+    for the euclidean kinds only; the shell path is a clipped random walk.
     """
-    if kind == "r2":
-        spec, dim = geometry.euclidean(2), 2
-    elif kind == "r3":
-        spec, dim = geometry.euclidean(3), 3
-    elif kind == "shell":
-        spec, dim = geometry.spherical_shell(1.0, 4.0), 3
-    else:
+    if kind not in _POLYLINE_SPECS:
         raise ValueError(f"unknown polyline kind {kind!r}")
-
-    if kind == "shell":
+    spec = _POLYLINE_SPECS[kind]
+    if not geometry.KINDS[spec.kind].flat:
         if monotone:
             raise ValueError("monotone polylines are generated in euclidean kinds only")
-        r_lo, r_hi = 1.0, 2.0
-        margin = 0.05
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        current = direction * rng.uniform(r_lo + margin, r_hi - margin)
+        current = geometry.KINDS[spec.kind].sample(spec, rng, 0.05)
         pts = [current]
         while len(pts) < n_samples:
             cand = current + rng.normal(scale=0.08, size=3)
-            norm = np.linalg.norm(cand)
-            clipped = min(max(norm, r_lo + margin), r_hi - margin)
-            cand = cand / norm * clipped
+            norm = np.linalg.norm(cand)     # radii 1 and 2, less the 0.05 margin
+            cand = cand / norm * min(max(norm, 1.05), 1.95)
             if np.linalg.norm(cand - current) == 0.0:
                 continue
             pts.append(cand)
             current = cand
         return mesh.PolylinePath(spec, np.array(pts))
 
-    start = rng.uniform(-1.0, 1.0, size=dim)
+    start = rng.uniform(-1.0, 1.0, size=spec.dim)
     if monotone:
-        stop = start + rng.uniform(-1.5, 1.5, size=dim)
-        weights = rng.exponential(size=(n_samples - 1, dim))
-        cum = np.cumsum(weights, axis=0) / weights.sum(axis=0)
-        samples = np.vstack([start, start + cum * (stop - start)])
-        samples[-1] = stop
+        stop = start + rng.uniform(-1.5, 1.5, size=spec.dim)
+        samples = gaussian.staircase(rng, start, stop, n_samples - 1)
     else:
-        steps = rng.normal(scale=0.2, size=(n_samples - 1, dim))
+        steps = rng.normal(scale=0.2, size=(n_samples - 1, spec.dim))
         samples = np.vstack([start, start + np.cumsum(steps, axis=0)])
     return mesh.PolylinePath(spec, samples)
 
@@ -215,43 +202,30 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
     return CheckResult("config_bounds", passed, count)
 
 
+_R2 = geometry.euclidean(2)
+_K3 = graphembed.WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+_C4 = graphembed.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+
+
 def check_ratio_variance_props(seed: int) -> CheckResult:
     """Zero exactly at equal ratios; positive after a one-edge nudge."""
     rng = np.random.default_rng([seed, 4])
-    r2 = geometry.euclidean(2)
-    cases = 0
-    passed = 0
-
-    k3 = graphembed.WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    variance = graphembed.relative_ratio_variance
     tri = configspace.Configuration(
-        r2, [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]
-    )
-    cases += 1
-    passed += int(graphembed.relative_ratio_variance(k3, tri) <= RATIO_ZERO_TOL)
-
-    c4 = graphembed.WeightedGraph(
-        4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
+        _R2, [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]
     )
     rhombus = configspace.Configuration(
-        r2, [[0.0, 0.0], [1.0, 0.0], [1.3, math.sqrt(1.0 - 0.09)], [0.3, math.sqrt(1.0 - 0.09)]]
+        _R2, [[0.0, 0.0], [1.0, 0.0], [1.3, math.sqrt(1.0 - 0.09)], [0.3, math.sqrt(1.0 - 0.09)]]
     )
-    cases += 1
-    passed += int(graphembed.relative_ratio_variance(c4, rhombus) <= RATIO_ZERO_TOL)
-
+    verdicts = [variance(_K3, tri) <= RATIO_ZERO_TOL, variance(_C4, rhombus) <= RATIO_ZERO_TOL]
     for _ in range(50):
         scale = float(rng.uniform(0.2, 5.0))
-        cfg = configspace.Configuration(r2, np.asarray(tri.points) * scale)
-        cases += 1
-        passed += int(graphembed.relative_ratio_variance(k3, cfg) <= RATIO_ZERO_TOL)
+        cfg = configspace.Configuration(_R2, np.asarray(tri.points) * scale)
+        verdicts.append(variance(_K3, cfg) <= RATIO_ZERO_TOL)
         nudged = np.asarray(cfg.points).copy()
         nudged[2] = nudged[2] * (1.0 + rng.uniform(0.05, 0.5))
-        cases += 1
-        passed += int(
-            graphembed.relative_ratio_variance(
-                k3, configspace.Configuration(r2, nudged)
-            ) > 0.0
-        )
-    return CheckResult("ratio_variance_zero", passed, cases)
+        verdicts.append(variance(_K3, configspace.Configuration(_R2, nudged)) > 0.0)
+    return CheckResult("ratio_variance_zero", sum(verdicts), len(verdicts))
 
 
 def _random_graph_and_config(rng: np.random.Generator):
@@ -262,12 +236,12 @@ def _random_graph_and_config(rng: np.random.Generator):
             if rng.random() < 0.3:
                 edges.append((i, j, float(rng.uniform(0.5, 2.0))))
     g = graphembed.WeightedGraph(n, edges)
-    dim = int(rng.integers(2, 4))
+    m = geometry.euclidean(int(rng.integers(2, 4)))
     while True:
-        pts = rng.uniform(-2.0, 2.0, size=(n, dim))
-        if configspace.min_pairwise_gap(pts)[0] > 1e-3:
+        pts = rng.uniform(-2.0, 2.0, size=(n, m.dim))
+        if configspace.probe(m, pts)[1].min() > 1e-3:
             break
-    return g, configspace.Configuration(geometry.euclidean(dim), pts)
+    return g, configspace.Configuration(m, pts)
 
 
 def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
@@ -288,17 +262,10 @@ def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
 
 def check_embedding_minima(seed: int, restarts: int = 20) -> CheckResult:
     """K3 and the 4-cycle reach their exact-zero minima in the plane."""
-    r2 = geometry.euclidean(2)
-    k3 = graphembed.WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-    c4 = graphembed.WeightedGraph(
-        4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
-    )
     passed = 0
     details = []
-    for name, g in (("k3", k3), ("c4", c4)):
-        result = graphembed.minimize_ratio_variance(
-            g, r2, seed=seed, restarts=restarts
-        )
+    for name, g in (("k3", _K3), ("c4", _C4)):
+        result = graphembed.minimize_ratio_variance(g, _R2, seed=seed, restarts=restarts)
         details.append(f"{name}={result.objective:.2e}")
         passed += int(result.objective < EMBED_TARGET)
     return CheckResult("embedding_minima", passed, 2, detail=" ".join(details))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sigman
-from sigman import cli, configspace, geometry, graphembed, mesh
+from sigman import cli, configspace, gaussian, geometry, graphembed, mesh
 
 
 @pytest.fixture
@@ -220,6 +220,56 @@ def test_oversized_rectangle_grid_exits_2(capsys):
     err = capsys.readouterr().err
     assert f"more than the limit of {mesh.GRID_VERTEX_LIMIT}" in err
     assert mesh.GRID_VERTEX_LIMIT == 163_842
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_non_finite_rectangle_grid_exits_2(capsys, step):
+    assert cli.run(["energy", "rectangle", f"--grid={step}", "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert f"grid step must be a positive finite number, got {step}" in err
+
+
+def test_fisher_quadrature_over_the_limit_exits_2(capsys):
+    quad = gaussian.QUAD_POINTS_LIMIT + 1
+    assert cli.run(["gaussian", "fisher", "--quad", str(quad), "--no-timing"]) == 2
+    assert f"over the limit {gaussian.QUAD_POINTS_LIMIT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifold, field", [
+    ({"kind": "euclidean", "dim": 2.7}, "'dim'"),
+    ({"kind": "euclidean", "dim": True}, "'dim'"),
+    ({"kind": "shell", "a": "1", "b": 4}, "'a'"),
+    ({"kind": "product", "factors": 7}, "'factors'"),
+    ({"kind": "gaussian_param", "box": [[0]]}, "'box'"),
+])
+def test_bad_manifold_field_type_names_file_and_field(k3_files, tmp_path, capsys,
+                                                      manifold, field):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(manifold))
+    assert cli.run(["embed", "--graph", k3_files[0], "--manifold", str(bad),
+                    "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: manifold field {field}" in err
+
+
+@pytest.mark.parametrize("depth", [400, 2000])
+def test_deeply_nested_manifold_json_exits_2(k3_files, tmp_path, capsys, depth):
+    text = '{"kind": "euclidean", "dim": 2}'
+    for _ in range(depth):
+        text = '{"kind": "product", "factors": [' + text + ', {"kind": "unit_sphere"}]}'
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    assert cli.run(["embed", "--graph", k3_files[0], "--manifold", str(bad),
+                    "--no-timing"]) == 2
+    assert "recursion" in capsys.readouterr().err
+
+
+def test_embed_has_no_method_option(k3_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["embed", "--graph", k3_files[0], "--manifold", k3_files[1],
+                 "--method", "descent"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):

@@ -197,9 +197,8 @@ def test_random_config_path_shell_membership():
 
 def test_random_config_path_collision_margin():
     path = random_config_path(SHELL, 3, seed=103, steps=8)
-    for k in range(path.n_configs):
-        gap, _ = configspace.min_pairwise_gap(path.coords[k])
-        assert gap > 10.0 * COLLISION_EPS
+    _, gaps = configspace.probe(SHELL, path.coords)
+    assert gaps.min() > 10.0 * COLLISION_EPS
 
 
 def test_random_config_path_euclidean_mode():

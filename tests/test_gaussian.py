@@ -11,7 +11,6 @@ from sigman.gaussian import (
     check_gaussian_lower_bound,
     fisher_metric_numeric,
     g22_closed_forms,
-    product_metric_distance,
     random_monotone_param_path,
 )
 from sigman.mesh import PolylinePath
@@ -70,43 +69,57 @@ def test_fisher_rejects_bad_inputs():
         fisher_metric_numeric(0.0, 1.0, quad_points=50)
 
 
+def test_fisher_quadrature_is_capped(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid must not be built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(GaussianError, match=f"limit {gaussian.QUAD_POINTS_LIMIT}"):
+        fisher_metric_numeric(0.0, 1.0, quad_points=gaussian.QUAD_POINTS_LIMIT + 1)
+
+
 def test_fisher_tensor_validates_positive_definiteness():
     with pytest.raises(GaussianError):
         FisherTensor(g11=1.0, g12=2.0, g22=1.0)
 
 
 # ---------------------------------------------------------------------------
-# Product metric distance
+# Product metric distance (geometry.distance on the parameter chart)
 # ---------------------------------------------------------------------------
+
+PARAM_LINE = geometry.gaussian_param([(-5.0, 5.0)])
+
 
 def test_product_distance_identical_points():
     p = GaussParamPoint([0.0], [[1.0]])
-    assert product_metric_distance(p, p) == 0.0
+    assert geometry.distance(PARAM_LINE, p.chart(), p.chart()) == 0.0
 
 
 def test_product_distance_mean_shift():
     p = GaussParamPoint([0.0], [[1.0]])
     q = GaussParamPoint([3.0], [[1.0]])
-    assert product_metric_distance(p, q) == pytest.approx(3.0)
+    assert geometry.distance(PARAM_LINE, p.chart(), q.chart()) == pytest.approx(3.0)
 
 
 def test_product_distance_l3():
     p = GaussParamPoint([0.0], [[1.0]])
     q = GaussParamPoint([1.0], [[2.0]])
-    assert product_metric_distance(p, q, p=3.0) == pytest.approx(2.0 ** (1.0 / 3.0))
+    d = geometry.distance(PARAM_LINE, p.chart(), q.chart(), p=3.0)
+    assert d == pytest.approx(2.0 ** (1.0 / 3.0))
 
 
 def test_product_distance_matches_geometry_product_spec():
     rng = np.random.default_rng(53)
+    plane = geometry.gaussian_param([(-5.0, 5.0)] * 2)
     spec = geometry.product_manifold([geometry.euclidean(2), geometry.spd(2)])
     for _ in range(100):
         pts = []
         for _ in range(2):
             a = rng.normal(size=(2, 2))
             pts.append(GaussParamPoint(rng.normal(size=2), a @ a.T + np.eye(2)))
-        d_direct = product_metric_distance(pts[0], pts[1])
+        d_param = geometry.distance(plane, pts[0].chart(), pts[1].chart())
         d_geom = geometry.distance(spec, pts[0].chart(), pts[1].chart())
-        assert abs(d_direct - d_geom) <= 1e-12
+        assert abs(d_param - d_geom) <= 1e-12
 
 
 def test_gauss_param_point_validation():

@@ -1,0 +1,57 @@
+"""Bitwise pins of the seeded monotone path generators.
+
+The three generators share one staircase helper; these digests were
+recorded before they did, so any change to the order in which the
+helper draws from the generator shows here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sigman import configspace, gaussian, geometry, verify
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def test_monotone_polyline_pinned():
+    path = verify.random_polyline("r3", np.random.default_rng(2024), n_samples=12,
+                                  monotone=True)
+    assert path.samples.shape == (12, 3)
+    assert path.samples[5].tolist() == [
+        0.5222549038341169, 0.36849295144852945, -0.8143858264874356]
+    assert digest(path.samples) == (
+        "705a7f982156ea32f6bc516c7488f8779dec4f5b6017d845d3b300dd4f1734ec")
+
+
+def test_monotone_param_path_pinned():
+    path = gaussian.random_monotone_param_path(2, np.random.default_rng(2025), n_segments=10)
+    assert path.samples.shape == (11, 5)
+    assert path.samples[3].tolist() == [
+        3.208845984387762, -1.3123746485973558, 2.842739331348478,
+        0.32726204869156383, 2.757936528169104]
+    assert digest(path.samples) == (
+        "29bf7e12b6cdd26f57da291fd28b4b532281232af10dc6da38901019cb68a715")
+
+
+def test_monotone_config_path_pinned():
+    path = configspace.random_config_path(geometry.euclidean(2), 2, seed=2027, steps=4,
+                                          monotone=True)
+    assert path.coords.shape == (5, 2, 2)
+    assert path.coords[2, 1].tolist() == [-0.7805500748115106, 0.09257477776468698]
+    assert digest(path.coords) == (
+        "8a013221645258097ce3601e8bdd1934d63e897e1d9fabcecca0f5e507f248bf")
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 2)])
+def test_staircase_is_monotone_between_its_endpoints(shape):
+    rng = np.random.default_rng(5)
+    start, stop = rng.normal(size=shape), rng.normal(size=shape)
+    path = gaussian.staircase(rng, start, stop, 9)
+    assert path.shape == (10, *shape)
+    assert np.array_equal(path[0], start) and np.array_equal(path[-1], stop)
+    steps = np.diff(path, axis=0) * np.sign(stop - start)
+    assert np.all(steps >= -1e-15)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigman import geometry
@@ -10,6 +10,7 @@ from sigman.geometry import (
     ChordObstructed,
     DimensionMismatch,
     GeometryError,
+    ManifoldSpec,
     MembershipError,
     NormUnsupported,
     distance,
@@ -322,3 +323,93 @@ def test_invalid_specs_rejected():
         spd(0)
     with pytest.raises(GeometryError):
         gaussian_param([])
+
+
+@pytest.mark.parametrize("m, x, message", [
+    (spherical_shell(1.0, 4.0), [1.0, 0.0, 0.0], "|x|^2 = 1.0 is not > inner bound a = 1.0"),
+    (spherical_shell(1.0, 4.0), [3.0, 0.0, 0.0], "|x|^2 = 9.0 is not < outer bound b = 4.0"),
+    (unit_sphere(), [2.0, 0.0, 0.0], "|x| = 2.0 is not 1 within 1e-09"),
+    (spd(1), [-1.0], "minimum eigenvalue -1.0 is not > 1e-10"),
+    (gaussian_param([(-1.0, 1.0), (0.0, 1.0)]), [0.5, 1.5, 2.0, 0.0, 2.0],
+     "mean coordinate 1 = 1.5 outside open box (0.0, 1.0)"),
+    (gaussian_param([(-1.0, 1.0)]), [0.5, -2.0],
+     "covariance minimum eigenvalue -2.0 is not > 1e-10"),
+    (fisher_half_plane(), [0.0, -1.0], "sigma = -1.0 is not > 1e-10"),
+    (product_manifold([euclidean(2), spherical_shell(1.0, 4.0)]), [0.0, 0.0, 3.0, 0.0, 0.0],
+     "factor 1: |x|^2 = 9.0 is not < outer bound b = 4.0"),
+    (product_manifold([unit_sphere(), product_manifold([euclidean(1), spd(1)])]),
+     [1.0, 0.0, 0.0, 5.0, -1.0], "factor 1: factor 1: minimum eigenvalue -1.0 is not > 1e-10"),
+    (euclidean(2), [math.inf, 0.0], "coordinates must be finite"),
+])
+def test_validate_point_names_the_broken_constraint(m, x, message):
+    with pytest.raises(MembershipError) as exc:
+        validate_point(m, x)
+    assert str(exc.value) == message
+    assert not validate_points(m, [x])[0]
+
+
+@pytest.mark.parametrize("m", [
+    spherical_shell(1.0, 4.0),
+    unit_sphere(),
+    spd(2),
+    fisher_half_plane(),
+    product_manifold([spherical_shell(1.0, 4.0), gaussian_param([(-1.0, 1.0)])]),
+])
+def test_validate_points_matches_scalar_validation_on_every_kind(m):
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(300, geometry.chart_dim(m))) * rng.uniform(0.3, 2.0, size=(300, 1))
+    pts[::3] /= np.linalg.norm(pts[::3], axis=1, keepdims=True)   # unit rows
+    mask = validate_points(m, pts)
+    assert mask.any() and not mask.all()
+    assert mask.tolist() == [geometry.is_valid_point(m, x) for x in pts]
+
+
+def test_spec_sets_exactly_its_kinds_fields():
+    with pytest.raises(GeometryError, match="euclidean manifold has no field 'a'"):
+        ManifoldSpec("euclidean", dim=2, a=1.0)
+    with pytest.raises(GeometryError, match="shell manifold needs field 'b'"):
+        ManifoldSpec("shell", a=1.0)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"kind": "gaussian_param", "n": 2, "box": [[0, 1]]}, "n"),
+    ({"kind": "gaussian_param", "box": [[0, "1"]]}, "'box'"),
+    ({"kind": "spd"}, "'n'"),
+])
+def test_manifold_json_fields_are_checked(data, field):
+    with pytest.raises(GeometryError, match=field):
+        geometry.manifold_from_json(data)
+
+
+def test_manifold_json_gaussian_n_is_optional():
+    spec = geometry.manifold_from_json({"kind": "gaussian_param", "box": [[0, 1], [2, 3]]})
+    assert spec == gaussian_param([(0.0, 1.0), (2.0, 3.0)])
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=3) | st.sampled_from(sorted(geometry.KINDS)))
+
+
+def _json_containers(children):
+    manifold_like = st.fixed_dictionaries(
+        {"kind": st.sampled_from(sorted(geometry.KINDS)) | children},
+        optional={name: children for name in ("dim", "a", "b", "n", "box", "factors")},
+    )
+    return (st.lists(children, max_size=3)
+            | st.dictionaries(st.text(max_size=3), children, max_size=3)
+            | manifold_like)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.recursive(_JSON_SCALARS, _json_containers, max_leaves=12))
+@example(data={"kind": "product", "factors": 7})
+@example(data={"kind": "gaussian_param", "box": [[0]]})
+@example(data={"kind": "shell", "a": 10 ** 400, "b": 1})
+@example(data={"kind": ["shell"]})
+def test_manifold_json_gives_a_spec_or_a_geometry_error(data):
+    try:
+        spec = geometry.manifold_from_json(data)
+    except GeometryError:
+        return
+    assert isinstance(spec, ManifoldSpec)
+    assert geometry.manifold_from_json(geometry.manifold_to_json(spec)) == spec

@@ -294,6 +294,12 @@ def test_rectangle_grid_counts_and_sources():
     assert all(grid.vertices[s, 1] == 1.0 for s in grid.sources)
 
 
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.1])
+def test_rectangle_grid_step_must_be_positive_and_finite(step):
+    with pytest.raises(MeshError, match="positive finite number"):
+        triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, step)
+
+
 def test_mesh_rejects_disconnected():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]
     with pytest.raises(DisconnectedMesh):
