@@ -34,7 +34,7 @@ def _read(path: str, reader):
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     try:
         return reader(data)
-    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+    except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -135,29 +135,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _energy_report(command: str, args, inputs: dict, report, started: float,
+                   **extra) -> tuple[dict, int]:
+    """Run report of an energy with its bounds; status 1 when a bound fails."""
+    outputs = {**energy.report_to_json(report), **extra}
+    status = 0 if (report.satisfied1 and report.satisfied2) else 1
+    return _report(command, args, inputs, outputs, started), status
+
+
 def _cmd_energy(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "curve":
         path = _read(args.path, mesh.polyline_from_json)
         if args.samples:
             path = mesh.resample_polyline(path, args.samples)
         report = energy.curve_energy(energy.SignalCurve(path))
-        inputs = {args.path: _digest(args.path)}
-        status = 0 if (report.satisfied1 and report.satisfied2) else 1
-        return _report("energy curve", args, inputs,
-                       energy.report_to_json(report), started), status
+        return _energy_report("energy curve", args, {args.path: _digest(args.path)},
+                              report, started)
     if args.subcommand == "region":
         grid = _read(args.mesh, mesh.mesh_from_json)
         report = energy.region_energy(energy.SignalRegion(grid))
-        inputs = {args.mesh: _digest(args.mesh)}
-        status = 0 if (report.satisfied1 and report.satisfied2) else 1
-        return _report("energy region", args, inputs,
-                       energy.report_to_json(report), started), status
-    # rectangle benchmark
+        return _energy_report("energy region", args, {args.mesh: _digest(args.mesh)},
+                              report, started)
     report = energy.region_energy(energy.rectangle_region(args.grid))
-    outputs = energy.report_to_json(report)
-    outputs["grid"] = args.grid
-    status = 0 if (report.satisfied1 and report.satisfied2) else 1
-    return _report("energy rectangle", args, {}, outputs, started), status
+    return _energy_report("energy rectangle", args, {}, report, started, grid=args.grid)
 
 
 def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
@@ -177,24 +177,15 @@ def _cmd_config(args, started: float) -> tuple[dict, int]:
     path = _read(args.path, configspace.config_path_from_json)
     inputs = {args.path: _digest(args.path)}
     if args.subcommand == "energy":
-        report = configspace.config_path_energy(path)
-        status = 0 if (report.satisfied1 and report.satisfied2) else 1
-        return _report("config energy", args, inputs,
-                       energy.report_to_json(report), started), status
+        return _energy_report("config energy", args, inputs,
+                              configspace.config_path_energy(path), started)
     report = configspace.check_config_bounds(path)
-    if args.check == "all":
-        # an inapplicable lower bound (hypotheses unmet) does not fail "all"
-        ok = (report.upper1_ok and report.upper2_ok and report.components_ok
-              and report.lower_ok is not False)
-    else:
-        gates = {
-            "i": report.upper1_ok and report.upper2_ok,
-            "ii": report.components_ok,
-            "iii": report.lower_ok is True,
-        }
-        ok = gates[args.check]
+    gates = {"i": report.upper1_ok and report.upper2_ok, "ii": report.components_ok,
+             "iii": report.lower_ok is True}
+    # an inapplicable lower bound (hypotheses unmet) does not fail "all"
+    gates["all"] = gates["i"] and gates["ii"] and report.lower_ok is not False
     return _report("config bounds", args, inputs,
-                   report.to_json(), started), 0 if ok else 1
+                   report.to_json(), started), 0 if gates[args.check] else 1
 
 
 def _cmd_embed(args, started: float) -> tuple[dict, int]:
@@ -227,21 +218,16 @@ def _cmd_verify_all(args, started: float) -> tuple[dict, int]:
     return _report("verify-all", args, {}, summary, started, seed=args.seed), status
 
 
+_COMMANDS = {"energy": _cmd_energy, "gaussian": _cmd_gaussian, "config": _cmd_config,
+             "embed": _cmd_embed, "verify-all": _cmd_verify_all}
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "energy":
-            report, status = _cmd_energy(args, started)
-        elif args.command == "gaussian":
-            report, status = _cmd_gaussian(args, started)
-        elif args.command == "config":
-            report, status = _cmd_config(args, started)
-        elif args.command == "embed":
-            report, status = _cmd_embed(args, started)
-        else:
-            report, status = _cmd_verify_all(args, started)
+        report, status = _COMMANDS[args.command](args, started)
     except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,13 @@
 """Configuration spaces C_n(M): collision-checked tuples and path energies.
 
 A configuration is an ordered tuple of pairwise-distinct points of a
-factor manifold M; a configuration path is a polyline in the n-fold
-product. Path energies flatten the configurations into the product
-chart and reuse the 1-D signal machinery, so the product upper bounds
-hold exactly at the discrete level, and each particle's component
-energies are dominated term by term (the product chord of a segment is
-at least any single particle's chord).
+factor manifold M; a configuration path is a sequence of configurations
+joined by straight chords. One :func:`probe` over the whole stack
+validates a path. Path energies score the chord lengths of the
+flattened configurations with the curve-energy kernel, so the product
+upper bounds hold exactly at the discrete level, and each particle's
+component energies are dominated term by term (the product chord of a
+segment is at least any single particle's chord).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from . import energy as energymod
 from . import gaussian as gaussmod
 from . import geometry
+from . import mesh as meshmod
 from .geometry import ManifoldSpec, MembershipError
-from .mesh import PolylinePath
 
 COLLISION_EPS = 1e-9        # open-set margin witnessing membership in C_n(M)
 TRANSITION_SAMPLES = 32     # interior probes per chord between configurations
@@ -61,6 +62,24 @@ def _pair(n: int, k: int) -> str:
     return f"points {iu[k]} and {ju[k]}"
 
 
+def _first_fault(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
+    """Raise for the first configuration of a (K, n, d) stack not in C_n(M), with one probe.
+
+    The message names the point outside ``m`` or the colliding pair,
+    after ``label`` and the configuration's index when ``label`` is set.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite points are outside
+        inside, gaps = probe(m, stack)
+    ok = inside.all(axis=-1) & (gaps > COLLISION_EPS).all(axis=-1)
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    where = f"{label} {k}: " if label else ""
+    meshmod.chart_points(m, stack[k], f"{where}point", inside[k])   # raises if one is outside
+    j = int(np.argmin(gaps[k]))
+    raise CollisionError(f"{where}{_pair(stack.shape[1], j)} collide (gap {gaps[k, j]})")
+
+
 @dataclass
 class Configuration:
     """Ordered tuple of n >= 2 pairwise-distinct points of a manifold."""
@@ -72,25 +91,20 @@ class Configuration:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.shape[0] < 2:
             raise ConfigError("a configuration needs at least 2 points")
-        inside, gaps = probe(self.manifold, self.points)
-        if not inside.all():
-            raise MembershipError(f"point {np.argmin(inside)} does not lie in the manifold")
-        k = int(np.argmin(gaps))
-        if not gaps[k] > COLLISION_EPS:
-            raise CollisionError(f"{_pair(self.n, k)} collide (gap {gaps[k]})")
+        _first_fault(self.manifold, self.points[None])
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
 
-def make_configuration(m: ManifoldSpec, pts) -> Configuration:
-    return Configuration(m, np.asarray(pts, dtype=float))
-
-
 @dataclass
 class ConfigPath:
-    """Polyline in C_n(M): stacked coordinates of shape (K+1, n, d)."""
+    """Path in C_n(M): stacked coordinates of shape (K+1, n, d).
+
+    ``params`` and consecutive configurations follow the polyline rules,
+    and the endpoints A and B must differ.
+    """
 
     manifold: ManifoldSpec
     coords: np.ndarray
@@ -98,46 +112,29 @@ class ConfigPath:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.ndim != 3:
-            raise ConfigError("coords must have shape (steps+1, n, chart_dim)")
+        d = geometry.chart_dim(self.manifold)
+        if self.coords.ndim != 3 or self.coords.shape[1] < 2 or self.coords.shape[2] != d:
+            raise ConfigError(
+                f"coords must have shape (steps+1, n >= 2, {d}), got {self.coords.shape}")
         if self.coords.shape[0] < 2:
             raise ConfigError("a configuration path needs at least 2 configurations")
-        for k in range(self.coords.shape[0]):
-            try:
-                Configuration(self.manifold, self.coords[k])
-            except (ConfigError, MembershipError) as exc:
-                raise type(exc)(f"configuration {k}: {exc}") from None
-        if self.params is None:
-            self.params = np.linspace(0.0, 1.0, self.coords.shape[0])
-        else:
-            self.params = np.asarray(self.params, dtype=float)
-            if self.params.shape != (self.coords.shape[0],):
-                raise ConfigError("params length must match the configuration count")
-        if not np.linalg.norm(self.coords[-1] - self.coords[0]) > 0.0:
+        _first_fault(self.manifold, self.coords, "configuration")
+        if np.array_equal(self.coords[-1], self.coords[0]):
             raise ConfigError("path endpoints A and B must differ")
+        self.params = meshmod.path_params(self.params, self.flattened(), "configuration")
 
     @property
     def n(self) -> int:
         return self.coords.shape[1]
 
-    @property
-    def n_configs(self) -> int:
-        return self.coords.shape[0]
-
     def flattened(self) -> np.ndarray:
         return self.coords.reshape(self.coords.shape[0], -1)
 
 
-def to_polyline(path: ConfigPath) -> PolylinePath:
-    """Flatten into a polyline over the n-fold product manifold."""
-    return PolylinePath(geometry.product_manifold([path.manifold] * path.n),
-                        path.flattened(), path.params)
+def _chords(path: ConfigPath) -> np.ndarray:
+    """Product chord lengths of the path's segments, after probing every transition.
 
-
-def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
-    """Product-metric curve energies of the path, with rho^2/rho^3 bounds.
-
-    Each chord between consecutive configurations is first probed at
+    Each chord between consecutive configurations is probed at
     TRANSITION_SAMPLES interior parameters plus the midpoint.
     """
     ts = np.append(np.linspace(0.0, 1.0, TRANSITION_SAMPLES + 2)[1:-1], 0.5)
@@ -156,9 +153,13 @@ def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
             f"transition {k} -> {k + 1}: {_pair(path.n, pair_bad)} collide "
             f"near t = {ts[t_bad]:.3f}"
         )
-    report = energymod.curve_energy(energymod.SignalCurve(to_polyline(path)))
-    report.discretization["n_particles"] = path.n
-    return report
+    return np.linalg.norm(np.diff(path.flattened(), axis=0), axis=1)
+
+
+def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
+    """Product-metric curve energies of the path, with rho^2/rho^3 bounds."""
+    return energymod.chord_energy(
+        _chords(path), {"n_samples": len(path.coords), "n_particles": path.n})
 
 
 def component_energies(path: ConfigPath, j: int) -> tuple[float, float]:
@@ -210,7 +211,8 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
     coordinate is monotone and the sampled hull stays inside C_n(M);
     otherwise it is reported as None.
     """
-    report = config_path_energy(path)
+    seg = _chords(path)
+    report = energymod.chord_energy(seg, {})
     comp = [component_energies(path, j) for j in range(path.n)]
     comp_e1 = [c[0] for c in comp]
     comp_e2 = [c[1] for c in comp]
@@ -230,7 +232,6 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
     if mono_ok and hull_ok:
         lower_ok = report.e2 >= lower - gaussmod.LOWER_BOUND_TOL
 
-    seg = np.linalg.norm(np.diff(flat, axis=0), axis=1)
     return ConfigBoundReport(
         e1=report.e1,
         e2=report.e2,
@@ -367,20 +368,10 @@ def config_path_to_json(path: ConfigPath) -> dict:
     }
 
 
-def config_path_from_json(data: dict) -> ConfigPath:
-    if not isinstance(data, dict):
-        raise ConfigError(
-            "configuration path JSON must be an object with 'manifold' and 'configs' fields"
-        )
-    try:
-        coords = np.asarray(data["configs"], dtype=float)
-        path = ConfigPath(
-            geometry.manifold_from_json(data["manifold"]),
-            coords,
-            np.asarray(data["params"], dtype=float) if "params" in data else None,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"configuration path JSON missing field {exc}") from None
+def config_path_from_json(data) -> ConfigPath:
+    data = meshmod.json_object(data, "configuration path", "manifold", "configs")
+    path = ConfigPath(geometry.manifold_from_json(data["manifold"]), data["configs"],
+                      data.get("params"))
     if "n" in data and data["n"] != path.n:
         raise ConfigError("configuration path field 'n' disagrees with 'configs'")
     return path

@@ -86,15 +86,13 @@ class SignalRegion:
 
     def __post_init__(self):
         if self.sources is None:
-            self.sources = list(self.mesh.sources or [])
-        self.sources = [int(s) for s in self.sources]
-        if not self.sources:
+            self.sources = self.mesh.sources or []
+        if np.size(self.sources) == 0:
             raise EnergyError("region signal needs a nonempty source set")
-        for s in self.sources:
-            if not 0 <= s < self.mesh.n_vertices:
-                raise EnergyError(f"source vertex {s} out of range")
+        nv = self.mesh.n_vertices
+        self.sources = meshmod.vertex_indices(self.sources, nv, "sources").tolist()
         if self.targets is not None:
-            self.targets = [int(t) for t in self.targets]
+            self.targets = meshmod.vertex_indices(self.targets, nv, "targets").tolist()
             if set(self.targets) & set(self.sources):
                 raise EnergyError("source and target sets must be disjoint")
 
@@ -127,16 +125,17 @@ def _bounded_report(e1, e2, bound1, bound2, discretization) -> EnergyReport:
     )
 
 
-def curve_energy(sig: SignalCurve) -> EnergyReport:
-    """Energies of a 1-D signal with bounds rho^2 and rho^3, rho = length."""
-    seg = meshmod.segment_lengths(sig.path)
-    e1, e2, length = segment_sums(seg)
+def chord_energy(seg_lengths: np.ndarray, discretization: dict) -> EnergyReport:
+    """Energies of a chord chain with bounds rho^2 and rho^3, rho = its length."""
+    e1, e2, length = segment_sums(seg_lengths)
     if length == 0.0:
         raise EnergyError("degenerate path of zero length")
-    return _bounded_report(
-        e1, e2, length ** 2, length ** 3,
-        {"n_samples": sig.path.n_samples},
-    )
+    return _bounded_report(e1, e2, length ** 2, length ** 3, discretization)
+
+
+def curve_energy(sig: SignalCurve) -> EnergyReport:
+    """Energies of a 1-D signal with bounds rho^2 and rho^3, rho = length."""
+    return chord_energy(meshmod.segment_lengths(sig.path), {"n_samples": sig.path.n_samples})
 
 
 def region_energy(sig: SignalRegion) -> EnergyReport:

@@ -20,6 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from . import energy as energymod
 from . import geometry
@@ -101,9 +102,9 @@ def fisher_metric_numeric(mu: float, sigma: float, quad_points: int = 401) -> Fi
     xs = np.linspace(mu - 12.0 * sigma, mu + 12.0 * sigma, quad_points)
     pdf = np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     s2 = sigma ** 2
-    g11 = float(np.trapezoid(pdf / s2, xs))
-    g12 = float(np.trapezoid(pdf * 2.0 * (xs - mu) / sigma ** 3, xs))
-    g22 = float(np.trapezoid(pdf * (3.0 * (xs - mu) ** 2 / s2 ** 2 - 1.0 / s2), xs))
+    g11 = float(trapezoid(pdf / s2, xs))
+    g12 = float(trapezoid(pdf * 2.0 * (xs - mu) / sigma ** 3, xs))
+    g22 = float(trapezoid(pdf * (3.0 * (xs - mu) ** 2 / s2 ** 2 - 1.0 / s2), xs))
     return FisherTensor(g11=g11, g12=g12, g22=g22)
 
 

@@ -27,6 +27,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
+from .mesh import chart_points, json_object, vertex_indices
 from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
@@ -48,20 +49,21 @@ class WeightedGraph:
     edges: list[tuple[int, int, float]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphError("graph needs at least one vertex")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise GraphError(f"graph needs an integer vertex count n >= 1, got {self.n!r}")
         seen = set()
         norm_edges = []
         for k, e in enumerate(self.edges):
             if not isinstance(e, (tuple, list)) or len(e) != 3:
                 raise GraphError(f"edges[{k}] must be [i, j, weight], got {e!r}")
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
-            if not 0 <= i < j < self.n:
+            i, j = vertex_indices(e[:2], self.n, f"edges[{k}]").tolist()
+            w = float(e[2])
+            if not i < j:
                 raise GraphError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
             if (i, j) in seen:
                 raise GraphError(f"duplicate edge ({i}, {j})")
-            if not w > 0.0:
-                raise GraphError(f"edge ({i}, {j}) weight {w} must be positive")
+            if not 0.0 < w < math.inf:
+                raise GraphError(f"edge ({i}, {j}) weight {w} must be positive and finite")
             seen.add((i, j))
             norm_edges.append((i, j, w))
         self.edges = norm_edges
@@ -90,13 +92,9 @@ def graph_to_json(g: WeightedGraph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
 
 
-def graph_from_json(data: dict) -> WeightedGraph:
-    if not isinstance(data, dict):
-        raise GraphError("graph JSON must be an object with 'n' and 'edges' fields")
-    try:
-        return WeightedGraph(int(data["n"]), list(data["edges"]))
-    except KeyError as exc:
-        raise GraphError(f"graph JSON missing field {exc}") from None
+def graph_from_json(data) -> WeightedGraph:
+    data = json_object(data, "graph", "n", "edges")
+    return WeightedGraph(data["n"], list(data["edges"]))
 
 
 def graph_metric(g: WeightedGraph, unit_weights: bool = True) -> np.ndarray:
@@ -110,11 +108,9 @@ def _placement_array(g: WeightedGraph, placement, m: ManifoldSpec) -> np.ndarray
     """Points of a placement, each checked to lie in ``m``."""
     if isinstance(placement, dict):
         placement = [placement[i] for i in range(g.n)]
-    pts = np.atleast_2d(np.asarray(placement, dtype=float))
+    pts = chart_points(m, placement, "vertex")
     if pts.shape[0] != g.n:
         raise GraphError(f"placement must map all {g.n} vertices")
-    for x in pts:
-        geometry.validate_point(m, x)
     return pts
 
 

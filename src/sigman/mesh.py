@@ -44,6 +44,94 @@ class DisconnectedMesh(MeshError):
 
 
 # ---------------------------------------------------------------------------
+# Input checks shared by polylines, meshes and configuration paths
+# ---------------------------------------------------------------------------
+
+def path_params(params, points: np.ndarray, row: str) -> np.ndarray:
+    """Parameters t_0 < ... < t_K of a path through the rows of ``points``.
+
+    Uniform when ``params`` is None; otherwise one finite value per row,
+    t_0 = 0 and t_K = 1 within 1e-12, strictly increasing. Consecutive
+    rows must differ; ``row`` names them in the message.
+    """
+    count = points.shape[0]
+    t = np.linspace(0.0, 1.0, count) if params is None else np.asarray(params, dtype=float)
+    if t.shape != (count,):
+        raise MeshError(f"params length must match the {count} {row}s, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        k = int(np.argmin(np.isfinite(t)))
+        raise MeshError(f"params must be finite, got params[{k}] = {t[k]}")
+    if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
+        raise MeshError("params must start at 0 and end at 1")
+    if np.any(np.diff(t) <= 0.0):
+        raise MeshError("params must be strictly increasing")
+    same = np.all(points[1:] == points[:-1], axis=1)
+    if same.any():
+        k = int(np.argmax(same))
+        raise MeshError(f"consecutive {row}s {k} and {k + 1} coincide")
+    return t
+
+
+def chart_points(m: ManifoldSpec, points, row: str, inside=None) -> np.ndarray:
+    """``points`` as an (N, chart_dim) float array of points of ``m``.
+
+    Raises MeshError on a wrong shape and MembershipError naming the
+    first ``row`` that is not finite or not in ``m``, with the reason.
+    ``inside`` is the membership mask when the caller has probed it.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = geometry.chart_dim(m)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise MeshError(f"{row} coordinates have shape {pts.shape}; {m.kind} needs (N, {d})")
+    with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
+        if inside is None:
+            inside = geometry.validate_points(m, pts)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            try:
+                geometry.validate_point(m, pts[k])    # raises with the broken constraint
+            except geometry.GeometryError as exc:
+                raise MembershipError(f"{row} {k} does not lie in the manifold: {exc}") from None
+    return pts
+
+
+def vertex_indices(values, nv: int, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a nonempty ``ndim``-D int64 array of indices in [0, nv).
+
+    Only Python and numpy integers pass: a float, a bool or a string is
+    refused, never truncated. ``name`` is the field named in messages.
+    """
+    idx = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        idx = np.asarray(values, dtype=object)
+        wrong = [t for t in set(map(type, idx.flat))
+                 if t is bool or not issubclass(t, (int, np.integer))]
+        if wrong:
+            v = next(v for v in idx.flat if type(v) in wrong)
+            raise MeshError(f"{name} must hold integer vertex indices, got {v!r}")
+    if idx.ndim != ndim or idx.size == 0:
+        shape = ("one vertex index", "a nonempty list of vertex indices", "a list of index lists")
+        raise MeshError(f"{name} must be {shape[ndim]}, got shape {idx.shape}")
+    out = (idx < 0) | (idx >= nv)
+    if out.any():
+        raise MeshError(f"{name} holds vertex index {idx[out].flat[0]}, "
+                        f"out of range for {nv} vertices")
+    return idx.astype(np.int64)
+
+
+def json_object(data, what: str, *fields: str) -> dict:
+    """``data`` if it is a JSON object holding ``fields``; ``what`` names the format."""
+    names = [repr(f) for f in fields]
+    if not isinstance(data, dict):
+        raise MeshError(f"{what} JSON must be an object with "
+                        f"{', '.join(names[:-1])} and {names[-1]} fields")
+    missing = [name for f, name in zip(fields, names) if f not in data]
+    if missing:
+        raise MeshError(f"{what} JSON missing field {missing[0]}")
+    return data
+
+
+# ---------------------------------------------------------------------------
 # Polylines
 # ---------------------------------------------------------------------------
 
@@ -62,32 +150,10 @@ class PolylinePath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        self.samples = chart_points(self.manifold, self.samples, "sample")
         if self.samples.shape[0] < 2:
             raise MeshError("a polyline needs at least 2 samples")
-        if self.samples.shape[1] != geometry.chart_dim(self.manifold):
-            raise MeshError(
-                f"samples have {self.samples.shape[1]} coordinates, chart of "
-                f"{self.manifold.kind} needs {geometry.chart_dim(self.manifold)}"
-            )
-        if self.params is None:
-            self.params = np.linspace(0.0, 1.0, self.samples.shape[0])
-        else:
-            self.params = np.asarray(self.params, dtype=float)
-        if self.params.shape != (self.samples.shape[0],):
-            raise MeshError("params length must match the sample count")
-        if abs(self.params[0]) > 1e-12 or abs(self.params[-1] - 1.0) > 1e-12:
-            raise MeshError("params must start at 0 and end at 1")
-        if np.any(np.diff(self.params) <= 0.0):
-            raise MeshError("params must be strictly increasing")
-        seg = np.linalg.norm(np.diff(self.samples, axis=0), axis=1)
-        if np.any(seg == 0.0):
-            k = int(np.argmax(seg == 0.0))
-            raise MeshError(f"consecutive samples {k} and {k + 1} coincide")
-        ok = geometry.validate_points(self.manifold, self.samples)
-        if not ok.all():
-            k = int(np.argmax(~ok))
-            raise MembershipError(f"sample {k} does not lie in the manifold")
+        self.params = path_params(self.params, self.samples, "sample")
 
     @property
     def n_samples(self) -> int:
@@ -131,19 +197,10 @@ def polyline_to_json(path: PolylinePath) -> dict:
     }
 
 
-def polyline_from_json(data: dict) -> PolylinePath:
-    if not isinstance(data, dict):
-        raise MeshError(
-            "polyline JSON must be an object with 'manifold' and 'samples' fields"
-        )
-    try:
-        return PolylinePath(
-            geometry.manifold_from_json(data["manifold"]),
-            np.asarray(data["samples"], dtype=float),
-            np.asarray(data["params"], dtype=float) if "params" in data else None,
-        )
-    except KeyError as exc:
-        raise MeshError(f"polyline JSON missing field {exc}") from None
+def polyline_from_json(data) -> PolylinePath:
+    data = json_object(data, "polyline", "manifold", "samples")
+    return PolylinePath(geometry.manifold_from_json(data["manifold"]), data["samples"],
+                        data.get("params"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +212,10 @@ class TriMesh:
     """Triangulated 2-D signal with optional marked points a, b.
 
     ``sources`` is an optional list of vertex indices playing the role
-    of the source submanifold for distance fields. The edge graph must
-    be connected and free of zero-length edges.
+    of the source submanifold for distance fields. Every vertex must lie
+    in the manifold, every index (faces, a, b, sources) must be an
+    integer in range, and the edge graph must be connected and free of
+    zero-length edges.
     """
 
     manifold: ManifoldSpec
@@ -165,32 +224,24 @@ class TriMesh:
     a: int | None = None
     b: int | None = None
     sources: list[int] | None = None
-    _metric_graph: dict = field(init=False, repr=False, default_factory=dict)
+    _graph: csr_matrix | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        self.faces = np.atleast_2d(np.asarray(self.faces, dtype=np.int64))
+        self.vertices = chart_points(self.manifold, self.vertices, "vertex")
         nv = self.vertices.shape[0]
+        self.faces = vertex_indices(self.faces, nv, "faces", ndim=2)
         if self.faces.shape[1] != 3:
             raise MeshError("faces must be vertex index triples")
-        if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= nv:
-            raise MeshError("face references a vertex index out of range")
-        if np.any(
-            (self.faces[:, 0] == self.faces[:, 1])
-            | (self.faces[:, 1] == self.faces[:, 2])
-            | (self.faces[:, 0] == self.faces[:, 2])
-        ):
+        f = self.faces
+        if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
             raise MeshError("face repeats a vertex")
-        if self.a is not None and self.b is not None and self.a == self.b:
+        for name in ("a", "b"):
+            if getattr(self, name) is not None:
+                setattr(self, name, int(vertex_indices(getattr(self, name), nv, name, ndim=0)))
+        if self.a is not None and self.a == self.b:
             raise MeshError("marked points a and b must differ")
-        for mark in (self.a, self.b):
-            if mark is not None and not 0 <= mark < nv:
-                raise MeshError(f"marked vertex {mark} out of range")
         if self.sources is not None:
-            self.sources = [int(s) for s in self.sources]
-            for s in self.sources:
-                if not 0 <= s < nv:
-                    raise MeshError(f"source vertex {s} out of range")
+            self.sources = vertex_indices(self.sources, nv, "sources").tolist()
         edges, weights = _edge_weights(self.vertices, self.faces)
         if np.any(weights == 0.0):
             raise MeshError("mesh contains a zero-length edge")
@@ -213,7 +264,8 @@ def _edge_weights(vertices: np.ndarray, faces: np.ndarray):
     pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     pairs.sort(axis=1)
     edges = np.unique(pairs, axis=0)
-    weights = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
+    with np.errstate(over="ignore"):   # an overflowing edge length is inf, still nonzero
+        weights = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
     return edges, weights
 
 
@@ -248,11 +300,10 @@ def _dedup_min(nv, i, j, w):
     return key_s[first] // nv, key_s[first] % nv, w_s[first]
 
 
-def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray,
-                         max_strip: int = STRIP_LIMIT) -> csr_matrix:
+def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
     """Mesh edges plus shortcuts through unfolded face strips.
 
-    Strips of up to ``max_strip`` faces are unfolded isometrically into
+    Strips of up to STRIP_LIMIT faces are unfolded isometrically into
     the plane; the strip's seed vertex is connected to a later face's
     apex whenever the straight planar segment between them crosses every
     shared edge (portal) of the strip. Crossing all portals means the
@@ -329,7 +380,7 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray,
     ref = np.zeros_like(Pa)
 
     sc_i, sc_j, sc_w = [], [], []
-    for _depth in range(1, max_strip):
+    for _depth in range(1, STRIP_LIMIT):
         e = Pb - Pa
         plen = np.linalg.norm(e, axis=1)
         e = e / plen[:, None]
@@ -346,7 +397,7 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray,
             sc_i.append(w0[visible])
             sc_j.append(apex[visible])
             sc_w.append(np.linalg.norm(C[visible], axis=1))
-        if _depth == max_strip - 1:
+        if _depth == STRIP_LIMIT - 1:
             break
 
         child_states = []
@@ -384,31 +435,21 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray,
     return _pairs_to_csr(nv, iu, ju, wu)
 
 
-def _metric_graph(mesh: TriMesh, max_strip: int | None = None) -> csr_matrix:
-    key = STRIP_LIMIT if max_strip is None else int(max_strip)
-    graph = mesh._metric_graph.get(key)
-    if graph is None:
-        graph = strip_shortcut_graph(mesh.vertices, mesh.faces, key)
-        mesh._metric_graph[key] = graph
-    return graph
+def _metric_graph(mesh: TriMesh) -> csr_matrix:
+    if mesh._graph is None:
+        mesh._graph = strip_shortcut_graph(mesh.vertices, mesh.faces)
+    return mesh._graph
 
 
-def geodesic_distance_field(mesh: TriMesh, sources,
-                            max_strip: int | None = None) -> np.ndarray:
+def geodesic_distance_field(mesh: TriMesh, sources) -> np.ndarray:
     """Multi-source shortest-path distance over the crossing graph.
 
     Exact on the graph; never undershoots the polyhedral geodesic
     distance to the source set. The overshoot does not vanish under
     refinement: its floor is set by STRIP_LIMIT (see the module notes).
     """
-    sources = [int(s) for s in sources]
-    if not sources:
-        raise MeshError("sources must be nonempty")
-    for s in sources:
-        if not 0 <= s < mesh.n_vertices:
-            raise MeshError(f"source vertex {s} out of range")
-    graph = _metric_graph(mesh, max_strip)
-    return dijkstra(graph, directed=False, indices=sources, min_only=True)
+    sources = vertex_indices(sources, mesh.n_vertices, "sources")
+    return dijkstra(_metric_graph(mesh), directed=False, indices=sources, min_only=True)
 
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
@@ -439,20 +480,16 @@ def mesh_area(mesh: TriMesh) -> float:
     return float(np.sum(areas))
 
 
-def mesh_diameter(mesh: TriMesh, max_strip: int | None = None) -> float:
+def mesh_diameter(mesh: TriMesh) -> float:
     """Exact diameter (max pairwise distance) of the crossing graph.
 
-    Small meshes use all-pairs shortest paths. Larger meshes scan
-    vertices in decreasing distance from a central root: once the best
-    eccentricity reaches twice the root distance of the remaining
-    vertices, no unscanned pair can beat it (triangle inequality through
-    the root), so the scan stops with the exact diameter.
+    Vertices are scanned in decreasing distance from a central root:
+    once the best eccentricity reaches twice the root distance of the
+    remaining vertices, no unscanned pair can beat it (triangle
+    inequality through the root), so the scan stops with the exact
+    diameter.
     """
-    graph = _metric_graph(mesh, max_strip)
-    nv = mesh.n_vertices
-    if nv <= 512:
-        return float(dijkstra(graph, directed=False).max())
-
+    graph = _metric_graph(mesh)
     d0 = dijkstra(graph, directed=False, indices=0, min_only=True)
     u = int(np.argmax(d0))
     du = dijkstra(graph, directed=False, indices=u, min_only=True)
@@ -465,7 +502,7 @@ def mesh_diameter(mesh: TriMesh, max_strip: int | None = None) -> float:
     order = np.argsort(-dr)
     pos = 0
     batch = 64
-    while pos < nv and 2.0 * dr[order[pos]] > best:
+    while pos < mesh.n_vertices and 2.0 * dr[order[pos]] > best:
         chunk = order[pos:pos + batch]
         sweep = dijkstra(graph, directed=False, indices=chunk, min_only=False)
         best = max(best, float(sweep.max()))
@@ -615,19 +652,7 @@ def mesh_to_json(mesh: TriMesh) -> dict:
     return data
 
 
-def mesh_from_json(data: dict) -> TriMesh:
-    if not isinstance(data, dict):
-        raise MeshError(
-            "mesh JSON must be an object with 'manifold', 'vertices' and 'faces' fields"
-        )
-    try:
-        return TriMesh(
-            geometry.manifold_from_json(data["manifold"]),
-            np.asarray(data["vertices"], dtype=float),
-            np.asarray(data["faces"], dtype=np.int64),
-            a=data.get("a"),
-            b=data.get("b"),
-            sources=data.get("sources"),
-        )
-    except KeyError as exc:
-        raise MeshError(f"mesh JSON missing field {exc}") from None
+def mesh_from_json(data) -> TriMesh:
+    data = json_object(data, "mesh", "manifold", "vertices", "faces")
+    return TriMesh(geometry.manifold_from_json(data["manifold"]), data["vertices"],
+                   data["faces"], a=data.get("a"), b=data.get("b"), sources=data.get("sources"))

@@ -215,6 +215,80 @@ def test_non_object_json_names_file_and_fields(tmp_path, capsys, argv, expected)
     assert f"{bad}: {expected}" in err
 
 
+def _sphere_doc():
+    sphere = mesh.triangulate_sphere(1)
+    return {**mesh.mesh_to_json(sphere), "sources": [sphere.a]}
+
+
+def _set(doc, *path_and_value):
+    *path, key, value = path_and_value
+    for step in path:
+        doc = doc[step]
+    doc[key] = value
+
+
+def _scaled(doc):
+    doc["vertices"] = (2.0 * np.array(doc["vertices"])).tolist()
+
+
+def _polyline_doc():
+    return mesh.polyline_to_json(
+        mesh.PolylinePath(geometry.euclidean(2), [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+
+
+def _config_doc():
+    shell = geometry.spherical_shell(1.0, 4.0)
+    return configspace.config_path_to_json(
+        configspace.random_config_path(shell, 2, seed=5, steps=2))
+
+
+@pytest.mark.parametrize("argv, make, change, message", [
+    (["energy", "region", "--mesh"], _sphere_doc,
+     lambda d: _set(d, "vertices", 5, 0, "HUGE"),
+     "vertex 5 does not lie in the manifold: coordinates must be finite"),
+    (["energy", "region", "--mesh"], _sphere_doc, _scaled,
+     "vertex 0 does not lie in the manifold: |x| = 2"),
+    (["energy", "region", "--mesh"], _sphere_doc,
+     lambda d: _set(d, "manifold", {"kind": "euclidean", "dim": 2}),
+     "vertex coordinates have shape (42, 3)"),
+    (["energy", "region", "--mesh"], _sphere_doc, lambda d: _set(d, "faces", 3, 1, 4.9),
+     "faces must hold integer vertex indices, got 4.9"),
+    (["energy", "region", "--mesh"], _sphere_doc, lambda d: _set(d, "sources", [6.7, 7.2]),
+     "sources must hold integer vertex indices, got 6.7"),
+    (["energy", "region", "--mesh"], _sphere_doc, lambda d: _set(d, "sources", [True, 1]),
+     "sources must hold integer vertex indices, got True"),
+    (["energy", "region", "--mesh"], _sphere_doc, lambda d: _set(d, "a", 1.5),
+     "a must hold integer vertex indices, got 1.5"),
+    (["energy", "curve", "--path"], _polyline_doc,
+     lambda d: _set(d, "params", [math.nan, 0.5, 1.0]), "params must be finite, got params[0]"),
+    (["config", "energy", "--path"], _config_doc,
+     lambda d: _set(d, "params", [0, math.nan, 1]), "params must be finite, got params[1]"),
+])
+def test_bad_signal_json_names_file_and_field(tmp_path, capsys, argv, make, change, message):
+    doc = make()
+    change(doc)
+    bad = tmp_path / "signal.json"
+    bad.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+    assert cli.run(argv + [str(bad), "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err
+    assert "Warning" not in err
+
+
+def test_graph_json_indices_must_be_integers(tmp_path, capsys, k3_files):
+    _, manifold = k3_files
+    bad = tmp_path / "graph.json"
+    for doc, message in [
+        ({"n": 3.9, "edges": [[0.7, 1, 1.0], [1, 2.2, 1.0], [0, 2, 1.0]]}, "n >= 1, got 3.9"),
+        ({"n": 3, "edges": [[0.7, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]},
+         "edges[0] must hold integer vertex indices, got 0.7"),
+    ]:
+        bad.write_text(json.dumps(doc))
+        assert cli.run(["embed", "--graph", str(bad), "--manifold", manifold]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and message in err
+
+
 def test_oversized_rectangle_grid_exits_2(capsys):
     assert cli.run(["energy", "rectangle", "--grid", "1e-6", "--no-timing"]) == 2
     err = capsys.readouterr().err

@@ -13,7 +13,6 @@ from sigman.configspace import (
     check_config_bounds,
     component_energies,
     config_path_energy,
-    make_configuration,
     random_config_path,
 )
 from sigman.geometry import MembershipError
@@ -35,29 +34,29 @@ def two_particle_translation(n_samples=1000):
 # ---------------------------------------------------------------------------
 
 def test_make_configuration_accepts_separated_shell_points():
-    cfg = make_configuration(SHELL, [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
+    cfg = Configuration(SHELL, [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
     assert cfg.n == 2
 
 
 def test_make_configuration_rejects_duplicates():
     with pytest.raises(CollisionError, match="gap 0"):
-        make_configuration(SHELL, [[1.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
+        Configuration(SHELL, [[1.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
 
 
 def test_make_configuration_rejects_near_collision():
     pts = [[1.5, 0.0, 0.0], [1.5 + 1e-12, 0.0, 0.0]]
     with pytest.raises(CollisionError):
-        make_configuration(SHELL, pts)
+        Configuration(SHELL, pts)
 
 
 def test_make_configuration_rejects_outside_point():
     with pytest.raises(MembershipError, match="point 1"):
-        make_configuration(SHELL, [[1.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        Configuration(SHELL, [[1.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
 
 
 def test_configuration_needs_two_points():
     with pytest.raises(ConfigError, match="at least 2"):
-        make_configuration(SHELL, [[1.5, 0.0, 0.0]])
+        Configuration(SHELL, [[1.5, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +223,89 @@ def test_sampling_exhausted_raised(monkeypatch):
     monkeypatch.setattr(configspace, "_MAX_REJECTIONS", 50)
     with pytest.raises(configspace.SamplingExhausted):
         random_config_path(geometry.euclidean(1), 60, seed=1, steps=3)
+
+
+# ---------------------------------------------------------------------------
+# One probe per path, no product polyline
+# ---------------------------------------------------------------------------
+
+A_CFG = [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]]
+B_CFG = [[1.5, 0.0, 0.2], [0.0, 1.5, 0.2]]
+C_CFG = [[1.5, 0.0, 0.4], [0.0, 1.5, 0.4]]
+
+
+def test_config_path_construction_probes_once(monkeypatch):
+    calls = []
+
+    def counting_probe(m, configs):
+        calls.append(np.shape(configs))
+        return probe(m, configs)
+
+    probe = configspace.probe
+    monkeypatch.setattr(configspace, "probe", counting_probe)
+    path = random_config_path(SHELL, 3, seed=5, steps=6, monotone=True)
+    calls.clear()
+    ConfigPath(SHELL, path.coords, path.params)
+    assert calls == [path.coords.shape]
+
+
+def test_config_path_energy_matches_the_product_polyline(monkeypatch):
+    from sigman import energy, mesh
+
+    path = random_config_path(SHELL, 3, seed=71, steps=6)
+    product = geometry.product_manifold([SHELL] * 3)
+    want = energy.curve_energy(energy.SignalCurve(
+        mesh.PolylinePath(product, path.flattened(), path.params)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("configuration path energies build no product polyline")
+
+    monkeypatch.setattr(geometry, "product_manifold", refuse)
+    monkeypatch.setattr(mesh.PolylinePath, "__post_init__", refuse)
+    assert not hasattr(configspace, "to_polyline")
+    rep = config_path_energy(path)
+    assert (rep.e1, rep.e2, rep.bound1, rep.bound2) == (want.e1, want.e2, want.bound1,
+                                                        want.bound2)
+    assert rep.discretization == {"n_samples": 7, "n_particles": 3}
+    bounds = check_config_bounds(path)
+    assert (bounds.e1, bounds.e2) == (want.e1, want.e2)
+
+
+@pytest.mark.parametrize("params, message", [
+    ([0.0, 0.7, 0.2], "end at 1"),
+    ([0.0, 0.7, 0.5, 1.0], "length must match the 3 configurations"),
+    ([0.0, math.nan, 1.0], r"params\[1\] = nan"),
+])
+def test_config_path_params_checked_at_construction(params, message):
+    from sigman.mesh import MeshError
+
+    with pytest.raises(MeshError, match=message):
+        ConfigPath(SHELL, [A_CFG, B_CFG, C_CFG], params)
+
+
+def test_config_path_params_must_increase():
+    from sigman.mesh import MeshError
+
+    with pytest.raises(MeshError, match="increasing"):
+        ConfigPath(SHELL, [A_CFG, B_CFG, C_CFG, A_CFG[::-1]], [0.0, 0.7, 0.2, 1.0])
+
+
+def test_config_path_names_the_faulty_configuration():
+    outside = [[0.5, 0.0, 0.0], [0.0, 1.5, 0.0]]
+    with pytest.raises(MembershipError, match="configuration 2: point 0 does not lie"):
+        ConfigPath(SHELL, [A_CFG, B_CFG, outside])
+    with pytest.raises(CollisionError, match=r"configuration 1: points 0 and 1 collide \(gap 0"):
+        ConfigPath(SHELL, [A_CFG, [A_CFG[0], A_CFG[0]], C_CFG])
+    with pytest.raises(MembershipError, match="configuration 1: point 1 .*finite"):
+        ConfigPath(SHELL, [A_CFG, [A_CFG[0], [math.nan, 1.5, 0.0]], C_CFG])
+    with pytest.raises(ConfigError, match=r"shape \(steps\+1, n >= 2, 3\), got \(2, 2, 2\)"):
+        ConfigPath(SHELL, [[[1.5, 0.0], [0.0, 1.5]]] * 2)
+    with pytest.raises(ConfigError, match=r"got \(2, 1, 3\)"):
+        ConfigPath(SHELL, [[A_CFG[0]], [B_CFG[0]]])
+
+
+def test_config_path_consecutive_configurations_differ():
+    from sigman.mesh import MeshError
+
+    with pytest.raises(MeshError, match="consecutive configurations 1 and 2 coincide"):
+        ConfigPath(SHELL, [A_CFG, B_CFG, B_CFG, C_CFG])

@@ -330,3 +330,13 @@ def test_report_json_shape():
     data = energy.report_to_json(rep)
     assert set(data) >= {"e1", "e2", "bound1", "bound2", "satisfied", "n_samples"}
     assert data["satisfied"] == [True, True]
+
+
+def test_region_sources_and_targets_are_integers_in_range():
+    sq = mesh.triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    with pytest.raises(mesh.MeshError, match="sources must hold integer vertex indices, got 1.5"):
+        SignalRegion(sq, sources=[1.5])
+    with pytest.raises(mesh.MeshError, match="targets holds vertex index 9, out of range"):
+        SignalRegion(sq, sources=[0], targets=[9])
+    with pytest.raises(mesh.MeshError, match="targets must hold integer vertex indices, got True"):
+        SignalRegion(sq, sources=[0], targets=[True])

@@ -204,3 +204,10 @@ def test_degenerate_endpoints_rejected():
     path = PolylinePath(spec, samples)
     with pytest.raises(EnergyError, match="distinct"):
         check_gaussian_lower_bound(path)
+
+
+def test_fisher_quadrature_needs_no_numpy_2(monkeypatch):
+    # np.trapezoid arrived in NumPy 2.0; the package supports numpy>=1.24
+    want = gaussian.fisher_metric_numeric(0.3, 1.7)
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    assert gaussian.fisher_metric_numeric(0.3, 1.7) == want

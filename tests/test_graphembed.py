@@ -311,3 +311,18 @@ def test_embed_result_objective_nonnegative():
 def test_graph_json_round_trip():
     back = graphembed.graph_from_json(graphembed.graph_to_json(C4))
     assert back.n == C4.n and back.edges == C4.edges
+
+
+def test_graph_indices_are_integers():
+    from sigman.mesh import MeshError
+
+    with pytest.raises(GraphError, match="integer vertex count n >= 1, got 3.9"):
+        graphembed.graph_from_json({"n": 3.9, "edges": [[0, 1, 1.0], [1, 2, 1.0]]})
+    with pytest.raises(GraphError, match="got True"):
+        WeightedGraph(True, [])
+    with pytest.raises(MeshError, match=r"edges\[0\] must hold integer vertex indices, got 0.7"):
+        WeightedGraph(3, [(0.7, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    with pytest.raises(MeshError, match=r"edges\[1\] holds vertex index 3, out of range"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 3, 1.0)])
+    with pytest.raises(GraphError, match="positive and finite"):
+        WeightedGraph(2, [(0, 1, math.inf)])

@@ -234,19 +234,20 @@ def test_mesh_diameter_icosphere_near_pi():
 
 
 def test_mesh_diameter_scan_matches_all_pairs():
-    # force the scanning branch by lowering the all-pairs cutoff indirectly:
-    # compare a 642-vertex sphere (all-pairs branch) against the scan on
-    # the same graph run through the public function of a larger mesh.
-    sphere = triangulate_sphere(3)
-    graph = mesh._metric_graph(sphere)
+    # mesh_diameter has one algorithm, the root-pruned scan, at every
+    # size; it must give bitwise the all-pairs maximum on small meshes.
     from scipy.sparse.csgraph import dijkstra
 
-    dist = dijkstra(graph, directed=False)
-    assert mesh_diameter(sphere) == pytest.approx(float(dist.max()), abs=0.0)
+    meshes = [triangulate_sphere(k) for k in range(4)] + [
+        triangulate_rectangle(0.0, 1.0, 0.0, 1.0, step) for step in (0.5, 0.25, 0.1)
+    ]
+    assert [m.n_vertices for m in meshes] == [12, 42, 162, 642, 9, 25, 121]
+    for m in meshes:
+        dist = dijkstra(mesh._metric_graph(m), directed=False)
+        assert mesh_diameter(m) == float(dist.max())
 
 
 def test_mesh_diameter_scan_branch_exactness():
-    # rectangle big enough to trigger the eccentricity scan (> 512 vertices)
     grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.04)
     assert grid.n_vertices > 512
     from scipy.sparse.csgraph import dijkstra
@@ -317,6 +318,101 @@ def test_mesh_json_round_trip():
     assert np.allclose(back.vertices, sphere.vertices)
     assert np.array_equal(back.faces, sphere.faces)
     assert (back.a, back.b) == (sphere.a, sphere.b)
+
+
+# ---------------------------------------------------------------------------
+# Shared input checks
+# ---------------------------------------------------------------------------
+
+def test_mesh_vertices_must_lie_in_the_manifold():
+    sphere = triangulate_sphere(1)
+    with pytest.raises(geometry.MembershipError, match=r"vertex 0 does not lie .*\|x\| = 2"):
+        TriMesh(sphere.manifold, 2.0 * sphere.vertices, sphere.faces)
+    with pytest.raises(MeshError, match=r"vertex coordinates have shape \(42, 3\)"):
+        TriMesh(R2, sphere.vertices, sphere.faces)
+    verts = sphere.vertices.copy()
+    verts[5, 0] = math.inf
+    with pytest.raises(geometry.MembershipError, match="vertex 5 .*finite"):
+        TriMesh(sphere.manifold, verts, sphere.faces)
+
+
+SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+SQUARE_FACES = [[0, 1, 2], [0, 2, 3]]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"faces": [[0, 1, 2], [0, 4.9, 3]]}, "faces must hold integer vertex indices, got 4.9"),
+    ({"faces": np.array(SQUARE_FACES, dtype=float)}, "faces must hold integer"),
+    ({"faces": [[0, 1, 2], [0, 2, 4]]}, "faces holds vertex index 4, out of range"),
+    ({"faces": [0, 1, 2]}, "faces must be a list of index lists"),
+    ({"faces": [[0, 1, 2, 3]]}, "triples"),
+    ({"a": 1.5}, "a must hold integer vertex indices, got 1.5"),
+    ({"a": True}, "a must hold integer vertex indices, got True"),
+    ({"b": [1]}, "b must be one vertex index"),
+    ({"a": -1}, "a holds vertex index -1, out of range"),
+    ({"sources": [6.7, 7.2]}, "sources must hold integer vertex indices, got 6.7"),
+    ({"sources": [True, 1]}, "sources must hold integer vertex indices, got True"),
+    ({"sources": []}, "sources must be a nonempty list"),
+    ({"sources": 2}, "sources must be a nonempty list"),
+])
+def test_mesh_vertex_indices_are_integers_in_range(change, message):
+    fields = {"faces": SQUARE_FACES, **change}
+    with pytest.raises(MeshError, match=message):
+        TriMesh(R2, SQUARE_VERTS, **fields)
+
+
+def test_mesh_vertex_indices_accept_numpy_integers():
+    m = TriMesh(R2, SQUARE_VERTS, np.array(SQUARE_FACES, dtype=np.int32),
+                a=np.int64(0), b=2, sources=np.array([0, 1], dtype=np.uint8))
+    assert m.faces.dtype == np.int64
+    assert (m.a, m.b, m.sources) == (0, 2, [0, 1])
+    assert type(m.a) is int and all(type(s) is int for s in m.sources)
+
+
+def test_distance_field_sources_are_integers_in_range():
+    sq = unit_square()
+    with pytest.raises(MeshError, match="sources must hold integer"):
+        geodesic_distance_field(sq, [0.5])
+    with pytest.raises(MeshError, match="out of range"):
+        geodesic_distance_field(sq, [4])
+
+
+@pytest.mark.parametrize("params, message", [
+    ([math.nan, 0.5, 1.0], r"params must be finite, got params\[0\] = nan"),
+    ([0.0, math.inf, 1.0], "finite"),
+    ([0.0, 1.0], "params length must match the 3 samples"),
+    ([0.0, 0.7, 0.5], "end at 1"),
+])
+def test_polyline_params_rules(params, message):
+    with pytest.raises(MeshError, match=message):
+        PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], params)
+
+
+def test_containers_share_the_input_checks(monkeypatch):
+    from sigman import configspace
+
+    calls = []
+    for name in ("path_params", "chart_points", "vertex_indices"):
+        def spy(*args, _check=getattr(mesh, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(mesh, name, spy)
+
+    PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0]])
+    assert calls == ["chart_points", "path_params"]
+    calls.clear()
+    TriMesh(R2, SQUARE_VERTS, SQUARE_FACES, a=0, sources=[1])
+    assert calls == ["chart_points", "vertex_indices", "vertex_indices", "vertex_indices"]
+    calls.clear()
+    shell = geometry.spherical_shell(1.0, 4.0)
+    a = [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]]
+    b = [[1.5, 0.0, 0.1], [0.0, 1.5, 0.1]]
+    configspace.ConfigPath(shell, [a, b])
+    assert calls == ["path_params"]
+    calls.clear()
+    with pytest.raises(geometry.MembershipError, match="configuration 1: point 0"):
+        configspace.ConfigPath(shell, [a, [[0.5, 0.0, 0.0], [0.0, 1.5, 0.0]]])
+    assert calls == ["chart_points"]
 
 
 # ---------------------------------------------------------------------------
