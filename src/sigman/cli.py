@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 a check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -32,8 +33,15 @@ def _read(path: str, reader):
         raise InputError(f"input file not found: {path}") from None
     except (json.JSONDecodeError, RecursionError) as exc:    # RecursionError: deep nesting
         raise InputError(f"invalid JSON in {path}: {exc}") from None
-    try:
+    with _blame(path):
         return reader(data)
+
+
+@contextlib.contextmanager
+def _blame(path: str):
+    """Name the input file ``path`` in an error the block raises from its content."""
+    try:
+        yield
     except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -44,7 +52,7 @@ def _digest(path: str) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -148,12 +156,14 @@ def _cmd_energy(args, started: float) -> tuple[dict, int]:
         path = _read(args.path, mesh.polyline_from_json)
         if args.samples:
             path = mesh.resample_polyline(path, args.samples)
-        report = energy.curve_energy(energy.SignalCurve(path))
+        with _blame(args.path):
+            report = energy.curve_energy(energy.SignalCurve(path))
         return _energy_report("energy curve", args, {args.path: _digest(args.path)},
                               report, started)
     if args.subcommand == "region":
         grid = _read(args.mesh, mesh.mesh_from_json)
-        report = energy.region_energy(energy.SignalRegion(grid))
+        with _blame(args.mesh):
+            report = energy.region_energy(energy.SignalRegion(grid))
         return _energy_report("energy region", args, {args.mesh: _digest(args.mesh)},
                               report, started)
     report = energy.region_energy(energy.rectangle_region(args.grid))
@@ -228,13 +238,13 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, status = _COMMANDS[args.command](args, started)
+        _emit(report, args)             # a non-finite output raises ValueError here
     except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
-    _emit(report, args)
     return status
 
 

@@ -111,7 +111,7 @@ class ConfigPath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
+        self.coords = meshmod.number_array(self.coords, "coords")
         d = geometry.chart_dim(self.manifold)
         if self.coords.ndim != 3 or self.coords.shape[1] < 2 or self.coords.shape[2] != d:
             raise ConfigError(

@@ -114,6 +114,9 @@ def segment_sums(seg_lengths: np.ndarray) -> tuple[float, float, float]:
 
 
 def _bounded_report(e1, e2, bound1, bound2, discretization) -> EnergyReport:
+    if not all(map(math.isfinite, (e1, e2, bound1, bound2))):
+        raise EnergyError(f"energies and bounds must be finite, got e1 = {e1}, e2 = {e2}, "
+                          f"bound1 = {bound1}, bound2 = {bound2}")
     return EnergyReport(
         e1=e1,
         e2=e2,
@@ -127,10 +130,15 @@ def _bounded_report(e1, e2, bound1, bound2, discretization) -> EnergyReport:
 
 def chord_energy(seg_lengths: np.ndarray, discretization: dict) -> EnergyReport:
     """Energies of a chord chain with bounds rho^2 and rho^3, rho = its length."""
-    e1, e2, length = segment_sums(seg_lengths)
+    with np.errstate(over="ignore"):    # an overflow is inf, which _bounded_report refuses
+        e1, e2, length = segment_sums(seg_lengths)
     if length == 0.0:
         raise EnergyError("degenerate path of zero length")
-    return _bounded_report(e1, e2, length ** 2, length ** 3, discretization)
+    try:
+        bounds = length ** 2, length ** 3
+    except OverflowError:               # rho^3 overflows first
+        bounds = length * length, math.inf
+    return _bounded_report(e1, e2, *bounds, discretization)
 
 
 def curve_energy(sig: SignalCurve) -> EnergyReport:

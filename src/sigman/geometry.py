@@ -532,6 +532,16 @@ def _great_circle_distances(m, xs, ys):
     return np.arctan2(np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(xs * ys, axis=-1))
 
 
+def _chart_gradient(m, xs, ys, d):
+    return (xs - ys) / d[..., None]
+
+
+def _great_circle_gradient(m, xs, ys, d):
+    # at unit vectors, d(theta)/dx = (cos(theta) x - y) / sin(theta), tangent to the sphere
+    dot = np.sum(xs * ys, axis=-1, keepdims=True)
+    return (dot * xs - ys) / np.linalg.norm(np.cross(xs, ys), axis=-1, keepdims=True)
+
+
 def _product_distances(m, xs, ys):
     total = 0.0
     for (f, x), (_, y) in zip(_blocks(m, xs), _blocks(m, ys)):
@@ -576,6 +586,7 @@ class Kind(NamedTuple):
 
     chart_dim: Callable                  # spec -> chart dimension
     distances: Callable                  # (spec, xs, ys) -> row-wise p = 2 distances
+    gradient: Callable | None = None     # (spec, xs, ys, distances) -> d(distances)/dxs
     fields: tuple[_Field, ...] = ()      # JSON fields, in wire order
     invalid: Callable = lambda m: None   # spec -> message naming a broken field constraint
     rules: Callable = lambda m, xs: ()   # (spec, rows) -> membership rules (see above)
@@ -593,6 +604,7 @@ KINDS: dict[str, Kind] = {
         chart_dim=lambda m: m.dim,
         flat=True,
         distances=_chart_distances,
+        gradient=_chart_gradient,
         project=lambda m, pts, margin: pts,
         sample=lambda m, rng, margin: rng.uniform(-1.0, 1.0, size=m.dim),
     ),
@@ -603,6 +615,7 @@ KINDS: dict[str, Kind] = {
         chart_dim=lambda m: 3,
         rules=_shell_rules,
         distances=_chord_distances,
+        gradient=_chart_gradient,
         lp_error="shell distances are defined for p = 2 only",
         project=_clip_radius,
         sample=_sample_shell,
@@ -611,6 +624,7 @@ KINDS: dict[str, Kind] = {
         chart_dim=lambda m: 3,
         rules=_sphere_rules,
         distances=_great_circle_distances,
+        gradient=_great_circle_gradient,
         project=lambda m, pts, margin: pts / np.linalg.norm(pts, axis=-1, keepdims=True),
     ),
     "spd": Kind(

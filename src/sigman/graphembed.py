@@ -6,18 +6,20 @@ the dispersion of edge-distance-to-weight ratios and is zero exactly
 when all ratios agree; it is invariant under global metric dilations,
 so minimizers are only defined up to scale in Euclidean targets. The
 objective surface is smooth away from collisions and multimodal, hence
-the optimizer is a seeded multi-start local search: numeric-gradient
-descent with backtracking, feasibility projection after every step, and
-a small collision barrier that is active during the search only (the
-reported objective is always barrier-free).
+the optimizer is a seeded multi-start local search: descent along the
+closed-form gradient with backtracking, feasibility projection after
+every step, and a small collision barrier that is active during the
+search only (the reported objective is always barrier-free).
 
-The objective scores a (B, n, dim) stack of configurations with one
-row-wise :func:`geometry.distances` call; a descent step stacks its
-2·n·dim central-difference perturbations, so a gradient costs one call.
+The objective and its gradient score a (B, n, dim) stack of
+configurations with one row-wise :func:`geometry.distances` call. The
+restarts run in lock step as one stack, so a descent round makes one
+gradient call and scores the line searches of all restarts together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +33,7 @@ from .mesh import chart_points, json_object, vertex_indices
 from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
+LADDER_CHUNK = 4      # line-search rungs scored per call and row
 
 
 class GraphError(ValueError):
@@ -201,77 +204,103 @@ class EmbedResult:
 
 
 def _objectives(g: WeightedGraph, m: ManifoldSpec):
-    """Return ``score``: a (B, n, dim) stack of configurations of g in m -> (2, B).
+    """Return ``score`` and ``gradient`` of (B, n, dim) stacks of configurations of g in m.
 
-    Row 0 is the raw ratio variance, row 1 the barrier-augmented search
-    objective. A configuration with a zero or obstructed edge or a
-    collision scores ``inf``; the others are unaffected.
+    ``score`` gives a (2, B) array: row 0 is the raw ratio variance, row 1
+    the barrier-augmented search objective. A configuration with a zero
+    or obstructed edge or a collision scores ``inf``; the others are
+    unaffected. ``gradient`` gives the search objective's closed-form
+    (B, n, dim) gradient at feasible configurations.
     """
     ei, ej, weights = g._arrays()
     iu, ju = np.triu_indices(g.n, k=1)
+    eye = np.eye(g.n)                   # incidence: column k is the vertex at edge k's end
+    at_i, at_j, pair_ends = eye[:, ei], eye[:, ej], eye[:, iu] - eye[:, ju]
+    dist_gradient = geometry.KINDS[m.kind].gradient
 
-    def score(stack: np.ndarray) -> np.ndarray:
-        dists = geometry.distances(m, stack[:, ei], stack[:, ej])
-        gaps_sq = np.sum((stack[:, iu] - stack[:, ju]) ** 2, axis=2)
-        ok = (np.all(np.isfinite(dists) & (dists > 0.0), axis=1)
-              & np.all(gaps_sq > COLLISION_EPS ** 2, axis=1))
+    def evaluate(stack: np.ndarray, grad: bool = False) -> np.ndarray:
+        x, y = stack[:, ei], stack[:, ej]
+        dists = geometry.distances(m, x, y)
+        gaps = stack[:, iu] - stack[:, ju]
+        gaps_sq = np.sum(gaps ** 2, axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = dists / weights
-            mean = r.mean(axis=1)
-            raw = np.sum((r - mean[:, None]) ** 2, axis=1) / mean ** 2
+            mean = r.mean(axis=1, keepdims=True)
+            raw = np.sum((r - mean) ** 2, axis=1) / mean[:, 0] ** 2
+            if grad:    # dR/dr_k = 2 (r_k - mean) / mean^2 - 2 R / (m mean), r_k = d_k / w_k
+                slope = (2.0 * (r - mean) / mean ** 2
+                         - 2.0 * raw[:, None] / (g.m * mean)) / weights
+                dx, dy = dist_gradient(m, x, y, dists), dist_gradient(m, y, x, dists)
+                push = -2.0 * BARRIER_BETA * gaps / gaps_sq[..., None] ** 2
+                return (at_i @ (slope[..., None] * dx) + at_j @ (slope[..., None] * dy)
+                        + pair_ends @ push)
             search = raw + BARRIER_BETA * np.sum(1.0 / gaps_sq, axis=1)
+        ok = (np.all(np.isfinite(dists) & (dists > 0.0), axis=1)
+              & np.all(gaps_sq > COLLISION_EPS ** 2, axis=1))
         return np.where(ok, [raw, search], math.inf)
 
-    return score
+    return evaluate, functools.partial(evaluate, grad=True)
 
 
-def _central_gradient(score, pts: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient from one call on all 2·n·dim perturbations.
+def _line_search(score, m, pts, grad, gnorm, f, step, floor):
+    """Backtrack each row along -grad over the ladder t = step, step/2, ... > floor.
 
-    A coordinate whose perturbation leaves the feasible set gets 0.
+    Returns each row's first rung whose projected candidate lowers its
+    search objective ``f`` (t = 0 where none does), that candidate and
+    its raw and search scores. A call scores LADDER_CHUNK rungs of every
+    row still without a hit.
     """
-    size = pts.size
-    unit = np.eye(size)
-    fs = score(pts + (h * np.concatenate([unit, -unit])).reshape(2 * size, *pts.shape))[1]
-    f_plus, f_minus = fs[:size], fs[size:]
-    with np.errstate(invalid="ignore"):
-        grad = np.where(np.isfinite(f_plus) & np.isfinite(f_minus),
-                        (f_plus - f_minus) / (2.0 * h), 0.0)
-    return grad.reshape(pts.shape)
+    t_hit, raw_hit, f_hit = np.zeros((3, len(pts)))
+    cand_hit = pts.copy()
+    rows = np.arange(len(pts))
+    rungs = 0.5 ** np.arange(LADDER_CHUNK)
+    while rows.size:
+        t = step[rows, None] * rungs
+        cand = geometry.project(m, pts[rows, None]
+                                - (t / gnorm[rows, None])[..., None, None] * grad[rows, None])
+        raw_c, f_c = score(cand.reshape(-1, *pts.shape[1:])).reshape(2, *t.shape)
+        better = (t > floor) & (f_c < f[rows, None])
+        found = better.any(axis=1)
+        at = (found.nonzero()[0], better.argmax(axis=1)[found])
+        hit = rows[found]
+        t_hit[hit], cand_hit[hit], raw_hit[hit], f_hit[hit] = t[at], cand[at], raw_c[at], f_c[at]
+        rows = rows[~found & (0.5 * t[:, -1] > floor)]
+        rungs = rungs * 0.5 ** LADDER_CHUNK
+    return t_hit, cand_hit, raw_hit, f_hit
 
 
-def _descend(score, m, pts, scale, max_iters, tol_obj):
-    """Numeric-gradient descent with backtracking; returns the best iterate, start included."""
-    h = 1e-6 * scale
-    step = 0.1 * scale
-    raw, f = score(pts[None])[:, 0]
-    best_raw, best_pts = raw, pts.copy()
-    iterations = 0
-    stall = 0
+def _descend(score, gradient, m, pts, scale, max_iters, tol_obj):
+    """Backtracking gradient descent of a (R, n, dim) stack of restarts in lock step.
+
+    Each round makes one gradient call and its line-search calls for all
+    running restarts. A restart stops when its line search finds no lower
+    objective, after five steps in a row that gain at most ``tol_obj``,
+    or after ``max_iters`` rounds. Returns each restart's lowest raw
+    objective, the iterate with it (start included) and its iteration count.
+    """
+    pts = pts.copy()
+    raw, f = score(pts)
+    best_raw, best_pts = raw.copy(), pts.copy()
+    step = np.full(len(pts), 0.1 * scale)
+    stall, iterations = np.zeros((2, len(pts)), dtype=int)
+    live = np.arange(len(pts))
     for _ in range(max_iters):
-        iterations += 1
-        grad = _central_gradient(score, pts, h)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
+        if not live.size:
             break
-        t = step
-        improved = False
-        while t > 1e-14 * scale:
-            cand = geometry.project(m, pts - (t / gnorm) * grad)
-            raw_c, f_c = score(cand[None])[:, 0]
-            if f_c < f:
-                pts = cand
-                gain = f - f_c
-                f = f_c
-                if raw_c < best_raw:
-                    best_raw, best_pts = raw_c, cand.copy()
-                step = min(t * 2.0, scale)
-                improved = True
-                stall = 0 if gain > tol_obj else stall + 1
-                break
-            t *= 0.5
-        if not improved or stall >= 5:
-            break
+        iterations[live] += 1
+        grad = gradient(pts[live])
+        gnorm = np.linalg.norm(grad.reshape(len(live), -1), axis=1)
+        t, cand, raw_c, f_c = _line_search(score, m, pts[live], grad, gnorm, f[live],
+                                           step[live], 1e-14 * scale)
+        hit = t > 0.0
+        live, cand, raw_c, f_c = live[hit], cand[hit], raw_c[hit], f_c[hit]
+        gain = f[live] - f_c
+        pts[live], f[live] = cand, f_c
+        lower = raw_c < best_raw[live]
+        best_raw[live[lower]], best_pts[live[lower]] = raw_c[lower], cand[lower]
+        step[live] = np.minimum(t[hit] * 2.0, scale)
+        stall[live] = np.where(gain > tol_obj, 0, stall[live] + 1)
+        live = live[stall[live] < 5]
     return best_raw, best_pts, iterations
 
 
@@ -293,6 +322,8 @@ def minimize_ratio_variance(
     """
     if g.n < 2:
         raise GraphError("embedding needs at least 2 vertices")
+    if restarts < 1:
+        raise GraphError(f"embedding needs restarts >= 1, got {restarts}")
     kind = geometry.KINDS[m.kind]
     if kind.project is None:
         raise GraphError(f"manifold kind {m.kind!r} is not supported for embedding")
@@ -303,34 +334,26 @@ def minimize_ratio_variance(
     else:                               # unit sphere, or the shell's outer radius
         radius = 1.0 if m.b is None else math.sqrt(m.b)
         scale = step_init if step_init is not None else 0.5
-    score = _objectives(g, m)
+    score, gradient = _objectives(g, m)
 
-    def run_restart(idx: int):
+    def draw_start(idx: int) -> np.ndarray:
         rng = np.random.default_rng([seed, idx])
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > 1000:
-                raise GraphError("could not draw a feasible start configuration")
+        for _ in range(1000):
             direction = rng.normal(size=(g.n, dim))
             direction /= np.linalg.norm(direction, axis=1, keepdims=True)
             radii = radius * rng.random(size=(g.n, 1)) ** (1.0 / dim)
             pts = geometry.project(m, direction * radii)
             if math.isfinite(score(pts[None])[1, 0]):
-                break
-        return _descend(score, m, pts, scale, max_iters, tol_obj)
+                return pts
+        raise GraphError("could not draw a feasible start configuration")
 
-    best_raw, best_pts, total_iters = math.inf, None, 0
-    for raw, pts, iters in map(run_restart, range(restarts)):
-        total_iters += iters
-        if raw < best_raw:
-            best_raw, best_pts = raw, pts
-    if not math.isfinite(best_raw):
-        raise GraphError("search produced no finite objective value")
+    starts = np.stack([draw_start(idx) for idx in range(restarts)])
+    raws, pts, iterations = _descend(score, gradient, m, starts, scale, max_iters, tol_obj)
+    best = int(np.argmin(raws))
     return EmbedResult(
-        config=Configuration(m, best_pts),
-        objective=float(best_raw),
-        iterations=total_iters,
+        config=Configuration(m, pts[best]),
+        objective=float(raws[best]),
+        iterations=int(iterations.sum()),
         restarts=restarts,
         seed=seed,
     )

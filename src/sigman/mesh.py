@@ -55,7 +55,7 @@ def path_params(params, points: np.ndarray, row: str) -> np.ndarray:
     rows must differ; ``row`` names them in the message.
     """
     count = points.shape[0]
-    t = np.linspace(0.0, 1.0, count) if params is None else np.asarray(params, dtype=float)
+    t = np.linspace(0.0, 1.0, count) if params is None else number_array(params, "params")
     if t.shape != (count,):
         raise MeshError(f"params length must match the {count} {row}s, got shape {t.shape}")
     if not np.isfinite(t).all():
@@ -79,7 +79,7 @@ def chart_points(m: ManifoldSpec, points, row: str, inside=None) -> np.ndarray:
     first ``row`` that is not finite or not in ``m``, with the reason.
     ``inside`` is the membership mask when the caller has probed it.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(number_array(points, f"{row} coordinates"))
     d = geometry.chart_dim(m)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise MeshError(f"{row} coordinates have shape {pts.shape}; {m.kind} needs (N, {d})")
@@ -95,20 +95,32 @@ def chart_points(m: ManifoldSpec, points, row: str, inside=None) -> np.ndarray:
     return pts
 
 
+def _entries(values, types: tuple, name: str, what: str):
+    """``values`` as an array of ``types`` entries, never bool; a numpy array
+    of such a dtype passes unscanned, else MeshError names the first other."""
+    if isinstance(values, np.ndarray) and issubclass(values.dtype.type, types):
+        return values
+    arr = np.asarray(values, dtype=object)
+    wrong = [t for t in set(map(type, arr.flat)) if t is bool or not issubclass(t, types)]
+    if wrong:
+        v = next(v for v in arr.flat if type(v) in wrong)
+        raise MeshError(f"{name} must hold {what}, got {v!r}")
+    return arr
+
+
+def number_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; only Python and numpy numbers pass, not strings or bools."""
+    return np.asarray(_entries(values, (int, float, np.integer, np.floating), name, "numbers"),
+                      dtype=float)
+
+
 def vertex_indices(values, nv: int, name: str, ndim: int = 1) -> np.ndarray:
     """``values`` as a nonempty ``ndim``-D int64 array of indices in [0, nv).
 
     Only Python and numpy integers pass: a float, a bool or a string is
     refused, never truncated. ``name`` is the field named in messages.
     """
-    idx = values
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-        idx = np.asarray(values, dtype=object)
-        wrong = [t for t in set(map(type, idx.flat))
-                 if t is bool or not issubclass(t, (int, np.integer))]
-        if wrong:
-            v = next(v for v in idx.flat if type(v) in wrong)
-            raise MeshError(f"{name} must hold integer vertex indices, got {v!r}")
+    idx = _entries(values, (int, np.integer), name, "integer vertex indices")
     if idx.ndim != ndim or idx.size == 0:
         shape = ("one vertex index", "a nonempty list of vertex indices", "a list of index lists")
         raise MeshError(f"{name} must be {shape[ndim]}, got shape {idx.shape}")
@@ -161,8 +173,9 @@ class PolylinePath:
 
 
 def segment_lengths(path: PolylinePath) -> np.ndarray:
-    """Chord length of every segment, in chart coordinates."""
-    return np.linalg.norm(np.diff(path.samples, axis=0), axis=1)
+    """Chord length of every segment, in chart coordinates; an overflow is inf."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(np.diff(path.samples, axis=0), axis=1)
 
 
 def cumulative_arclength(path: PolylinePath) -> np.ndarray:
@@ -260,10 +273,22 @@ class TriMesh:
         return self.faces.shape[0]
 
 
+def _pair_keys(nv, i, j) -> np.ndarray:
+    """Keys lo * nv + hi of undirected pairs; their order is the (lo, hi) row order."""
+    return np.minimum(i, j).astype(np.int64) * nv + np.maximum(i, j)
+
+
+def _face_sides(nv, faces):
+    """Unique (lo, hi) face sides in row order, and each side's row: the
+    (0, 1) sides of all faces first, then the (1, 2) sides, then (2, 0)."""
+    ends = np.roll(faces, -1, axis=1)
+    keys, inverse = np.unique(_pair_keys(nv, faces.T.ravel(), ends.T.ravel()),
+                              return_inverse=True)
+    return np.column_stack(np.divmod(keys, nv)), inverse
+
+
 def _edge_weights(vertices: np.ndarray, faces: np.ndarray):
-    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    pairs.sort(axis=1)
-    edges = np.unique(pairs, axis=0)
+    edges = _face_sides(len(vertices), faces)[0]
     with np.errstate(over="ignore"):   # an overflowing edge length is inf, still nonzero
         weights = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
     return edges, weights
@@ -290,14 +315,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dedup_min(nv, i, j, w):
-    a = np.minimum(i, j)
-    b = np.maximum(i, j)
-    key = a.astype(np.int64) * nv + b
+    key = _pair_keys(nv, i, j)
     order = np.lexsort((w, key))
     key_s, w_s = key[order], w[order]
     first = np.ones(len(key_s), dtype=bool)
     first[1:] = key_s[1:] != key_s[:-1]
-    return key_s[first] // nv, key_s[first] % nv, w_s[first]
+    return *np.divmod(key_s[first], nv), w_s[first]
 
 
 def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
@@ -557,16 +580,10 @@ def triangulate_sphere(subdivisions: int) -> TriMesh:
 
     for _ in range(subdivisions):
         nv = verts.shape[0]
-        pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-        pairs.sort(axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        edges, inverse = _face_sides(nv, faces)
         mids = verts[edges[:, 0]] + verts[edges[:, 1]]
         mids /= np.linalg.norm(mids, axis=1, keepdims=True)
-        mid_idx = nv + np.arange(edges.shape[0])
-        n_f = faces.shape[0]
-        m01 = mid_idx[inverse[:n_f]]
-        m12 = mid_idx[inverse[n_f:2 * n_f]]
-        m20 = mid_idx[inverse[2 * n_f:]]
+        m01, m12, m20 = (nv + inverse).reshape(3, -1)    # the midpoint of each face side
         f0, f1, f2 = faces[:, 0], faces[:, 1], faces[:, 2]
         faces = np.vstack([
             np.column_stack([f0, m01, m20]),

@@ -263,6 +263,19 @@ def _config_doc():
      lambda d: _set(d, "params", [math.nan, 0.5, 1.0]), "params must be finite, got params[0]"),
     (["config", "energy", "--path"], _config_doc,
      lambda d: _set(d, "params", [0, math.nan, 1]), "params must be finite, got params[1]"),
+    (["energy", "curve", "--path"], _polyline_doc,
+     lambda d: _set(d, "samples", [[0, 0], [1e300, 0], [1e300, 1e300]]),
+     "energies and bounds must be finite, got e1 = inf"),
+    (["energy", "curve", "--path"], _polyline_doc,
+     lambda d: d.update(samples=[[0, 0], [1e150, 0]], params=[0, 1]),
+     "energies and bounds must be finite, got e1 = 4.99"),
+    (["energy", "curve", "--path"], _polyline_doc,
+     lambda d: d.update(samples=[["0", True], ["1e0", "0"]], params=["0", "1"]),
+     "sample coordinates must hold numbers, got '0'"),
+    (["energy", "curve", "--path"], _polyline_doc, lambda d: _set(d, "params", [0, "0.5", 1]),
+     "params must hold numbers, got '0.5'"),
+    (["config", "energy", "--path"], _config_doc, lambda d: _set(d, "configs", 1, 0, 2, True),
+     "coords must hold numbers, got True"),
 ])
 def test_bad_signal_json_names_file_and_field(tmp_path, capsys, argv, make, change, message):
     doc = make()
@@ -353,6 +366,23 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(mesh, "triangulate_rectangle", exhausted)
     assert cli.run(["energy", "rectangle", "--grid", "0.5", "--no-timing"]) == 2
     assert "out of memory" in capsys.readouterr().err
+
+
+def test_huge_mesh_coordinates_exit_2(tmp_path, capsys):
+    doc = {"manifold": {"kind": "euclidean", "dim": 2}, "faces": [[0, 1, 2], [1, 3, 2]],
+           "vertices": [[0, 0], [1e200, 0], [0, 1e200], [1e200, 1e200]], "sources": [0]}
+    bad = tmp_path / "mesh.json"
+    bad.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert cli.run(["energy", "region", "--mesh", str(bad), "--no-timing"]) == 2
+    assert f"{bad}: energies and bounds must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_report_exits_2_without_output(monkeypatch, capsys):
+    monkeypatch.setattr(gaussian, "fisher_report", lambda *args: {"g": math.nan})
+    assert cli.run(["gaussian", "fisher", "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not JSON compliant" in err
 
 
 def test_run_module_without_runpy_warning():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sigman import configspace, geometry, graphembed
 from sigman.configspace import Configuration
@@ -230,10 +232,11 @@ def test_minimize_k4_floor_regression():
 
 
 def test_minimize_deterministic_for_fixed_seed():
-    a = minimize_ratio_variance(K3, R2, seed=11, restarts=3)
-    b = minimize_ratio_variance(K3, R2, seed=11, restarts=3)
-    assert a.objective == b.objective
-    assert np.array_equal(a.config.points, b.config.points)
+    for m in (R2, geometry.unit_sphere()):
+        a = minimize_ratio_variance(K3, m, seed=11, restarts=3)
+        b = minimize_ratio_variance(K3, m, seed=11, restarts=3)
+        assert a.objective == b.objective and a.iterations == b.iterations
+        assert np.array_equal(a.config.points, b.config.points)
 
 
 def _reference_search_objective(g, m, pts):
@@ -244,30 +247,46 @@ def _reference_search_objective(g, m, pts):
     return ratio_variance(ratios) + graphembed.BARRIER_BETA * sum(1.0 / x for x in gaps_sq)
 
 
-@pytest.mark.parametrize("g, m, scale", [
-    (C4, R2, 2.0),
-    (K4, geometry.unit_sphere(), 0.5),
-])
-def test_batched_gradient_matches_coordinate_loop(g, m, scale):
-    rng = np.random.default_rng(29)
+GRADIENT_CASES = {
+    "euclidean1": (geometry.euclidean(1), 2.0),
+    "euclidean2": (R2, 2.0),
+    "euclidean3": (geometry.euclidean(3), 2.0),
+    "unit_sphere": (geometry.unit_sphere(), 0.5),
+    "shell": (geometry.spherical_shell(1.0, 4.0), 0.5),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(GRADIENT_CASES)), seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_gradient_matches_coordinate_loop(case, seed):
+    m, scale = GRADIENT_CASES[case]
+    rng = np.random.default_rng(seed)
+    g = WeightedGraph(4, [(i, j, float(rng.uniform(0.5, 2.0)))
+                          for i, j in itertools.combinations(range(4), 2)])
+    shift = 2.0 if case == "shell" else 0.0     # points in a cap, chords clear of the core
+    pts = geometry.project(m, shift + 1.5 * rng.normal(size=(g.n, geometry.chart_dim(m))))
+    i, j, _ = g._arrays()
+    assume(configspace.probe(m, pts)[1].min() > 0.1)
+    if case == "unit_sphere":                   # sin(theta) stays away from 0
+        assume(np.all(geometry.distances(m, pts[i], pts[j]) < 3.0))
+    if case == "shell":                         # each chord clears the inner sphere by > h
+        assume(np.all(np.isfinite(geometry.distances(geometry.spherical_shell(1.1, 4.0),
+                                                     pts[i], pts[j]))))
     h = 1e-6 * scale
-    score = graphembed._objectives(g, m)
+    score, gradient = graphembed._objectives(g, m)
 
-    def search(pts):
-        return float(score(pts[None])[1, 0])
+    def search(x):
+        return float(score(x[None])[1, 0])
 
-    for _ in range(5):
-        pts = geometry.project(m, rng.normal(size=(g.n, geometry.chart_dim(m))))
-        assert search(pts) == pytest.approx(_reference_search_objective(g, m, pts),
-                                            rel=1e-12)
-        ref = np.zeros_like(pts)
-        for k in np.ndindex(pts.shape):
-            plus, minus = pts.copy(), pts.copy()
-            plus[k] += h
-            minus[k] -= h
-            ref[k] = (search(plus) - search(minus)) / (2.0 * h)
-        grad = graphembed._central_gradient(score, pts, h)
-        assert np.linalg.norm(grad - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert search(pts) == pytest.approx(_reference_search_objective(g, m, pts), rel=1e-12)
+    ref = np.zeros_like(pts)
+    for k in np.ndindex(pts.shape):
+        plus, minus = pts.copy(), pts.copy()
+        plus[k] += h
+        minus[k] -= h
+        ref[k] = (search(plus) - search(minus)) / (2.0 * h)
+    grad = gradient(pts[None])[0]
+    assert np.linalg.norm(grad - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 def test_objectives_score_each_row_independently():
@@ -275,19 +294,114 @@ def test_objectives_score_each_row_independently():
     g = WeightedGraph(2, [(0, 1, 1.0)])
     good = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
     blocked = np.array([[1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]])
-    score = graphembed._objectives(g, shell)
+    score, _ = graphembed._objectives(g, shell)
     raw, search = score(np.stack([good, blocked, good]))
     assert np.isinf(raw[1]) and np.isinf(search[1])
     assert raw[0] == raw[2] == 0.0 and np.isfinite(search[0])
-    # the chord grazes the inner sphere: moving point 0 down by h obstructs it,
-    # so that coordinate's gradient entry is 0 and the others stay finite
-    h = 5e-7
+
+
+def test_line_search_never_accepts_an_obstructed_candidate():
+    # the chord grazes the inner sphere and the descent direction lowers it:
+    # every rung down to about 1e-7 obstructs the chord while the barrier falls
+    shell = geometry.spherical_shell(1.0, 4.0)
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    score, _ = graphembed._objectives(g, shell)
     grazing = np.array([[1.2, 1.0 + 1e-7, 0.3], [-1.2, 1.0 + 1e-7, -0.3]])
-    lowered = grazing.copy()
-    lowered[0, 1] -= h
-    assert np.isinf(score(lowered[None])[1, 0])
-    grad = graphembed._central_gradient(score, grazing, h)
-    assert grad[0, 1] == 0.0 and np.all(np.isfinite(grad)) and grad[0, 0] != 0.0
+    grad = np.array([[-1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    gnorm = np.linalg.norm(grad)
+    f = score(grazing[None])[1]
+    t, cand, raw, f_c = graphembed._line_search(
+        score, shell, grazing[None], grad[None], np.array([gnorm]), f, np.array([0.5]), 5e-15)
+    assert 0.0 < t[0] < 1e-6 and np.all(np.isfinite(score(cand)))
+    assert f_c[0] < f[0] and raw[0] == 0.0
+    steeper = geometry.project(shell, grazing - (2.0 * t[0] / gnorm) * grad)
+    assert np.isinf(score(steeper[None])[1, 0])
+
+
+def _start_stack(m, count, seed):
+    rng = np.random.default_rng(seed)
+    return geometry.project(m, rng.normal(size=(count, 4, geometry.chart_dim(m))))
+
+
+def test_line_search_takes_the_sequential_backtracking_step():
+    m, floor = R2, 5e-15
+    score, gradient = graphembed._objectives(K4, m)
+    pts = _start_stack(m, 5, 43)
+    grad = gradient(pts)
+    gnorm = np.linalg.norm(grad.reshape(len(pts), -1), axis=1)
+    f = score(pts)[1]
+    f[-1] = 0.0                                  # no candidate is lower: the ladder runs out
+    step = np.array([40.0, 0.5, 1e-3, 1e-9, 3e-14])
+    t, cand, _, _ = graphembed._line_search(score, m, pts, grad, gnorm, f, step, floor)
+    for r in range(len(pts)):
+        t_ref, hit = step[r], 0.0                # the one-row loop the ladder replaces
+        while t_ref > floor:
+            c = geometry.project(m, pts[r] - (t_ref / gnorm[r]) * grad[r])
+            if score(c[None])[1, 0] < f[r]:
+                hit = t_ref
+                break
+            t_ref *= 0.5
+        assert t[r] == hit and (hit == 0.0 or np.array_equal(cand[r], c))
+    assert t[0] < step[0] / 2 ** graphembed.LADDER_CHUNK and t[1] > 0.0 and t[-1] == 0.0
+
+
+@pytest.mark.parametrize("m, scale", [(R2, 2.0), (geometry.unit_sphere(), 0.5)])
+def test_lock_step_rows_match_single_restarts_in_any_order(m, scale):
+    score, gradient = graphembed._objectives(K4, m)
+    starts = _start_stack(m, 6, 37)
+    raw, pts, iters = graphembed._descend(score, gradient, m, starts, scale, 250, 1e-13)
+    assert len(set(iters.tolist())) > 1          # restarts drop out at different rounds
+    for r in range(len(starts)):
+        one = graphembed._descend(score, gradient, m, starts[r:r + 1], scale, 250, 1e-13)
+        assert one[0][0] == raw[r] and np.array_equal(one[1][0], pts[r]) and one[2][0] == iters[r]
+    perm = np.random.default_rng(41).permutation(len(starts))
+    raw_p, pts_p, iters_p = graphembed._descend(score, gradient, m, starts[perm], scale,
+                                                250, 1e-13)
+    assert np.array_equal(raw_p, raw[perm]) and np.array_equal(iters_p, iters[perm])
+    assert raw_p.min() == raw.min()
+    assert np.array_equal(pts_p[np.argmin(raw_p)], pts[np.argmin(raw)])
+
+
+def test_each_round_scores_all_active_restarts_together(monkeypatch):
+    score, gradient = graphembed._objectives(C4, R2)
+    calls = []
+
+    def counted_score(stack):
+        calls.append(("score", stack))
+        return score(stack)
+
+    def counted_gradient(stack):
+        calls.append(("gradient", stack))
+        return gradient(stack)
+
+    monkeypatch.setattr(graphembed, "_objectives", lambda g, m: (counted_score, counted_gradient))
+    restarts = 8
+    res = minimize_ratio_variance(C4, R2, seed=7, restarts=restarts)
+    first = next(k for k, (kind, _) in enumerate(calls) if kind == "gradient")
+    assert len(calls[first - 1][1]) == restarts       # the starts, scored together
+    rounds = []
+    for kind, stack in calls[first:]:
+        if kind == "gradient":
+            rounds.append((stack, []))
+        else:
+            rounds[-1][1].append(stack)
+    sizes = [len(stack) for stack, _ in rounds]
+    assert sizes[0] == restarts and sizes == sorted(sizes, reverse=True)
+    assert sum(sizes) == res.iterations
+    chunk = graphembed.LADDER_CHUNK
+    for stack, searches in rounds:
+        rows = [len(s) // chunk for s in searches]
+        assert all(len(s) % chunk == 0 for s in searches)
+        assert rows[0] == len(stack) and rows == sorted(rows, reverse=True)
+        if len(rows) > 1:                             # later calls skip rows with a hit
+            f = score(stack)[1]
+            f_c = score(searches[0])[1].reshape(len(stack), chunk)
+            assert rows[1] <= np.sum(~np.any(f_c < f[:, None], axis=1))
+
+
+def test_minimize_needs_a_restart():
+    with pytest.raises(GraphError, match="restarts >= 1, got 0"):
+        minimize_ratio_variance(K3, R2, restarts=0)
 
 
 def test_minimize_never_worse_than_initial_samples():

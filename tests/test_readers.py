@@ -4,9 +4,11 @@ Each property feeds a reader arbitrary JSON-like values (inf and nan
 included) and near-valid documents with one field or one entry
 replaced or removed, through ``cli._read`` as the command line does.
 The reader either returns an object whose coordinates are finite and
-lie in its manifold and whose indices are the document's integers
-(none truncated), or ``cli._read`` raises InputError, which the command
-line turns into exit status 2.
+lie in its manifold, read from JSON numbers only (no string or boolean
+parsed), and whose indices are the document's integers (none
+truncated), or ``cli._read`` raises InputError, which the command line
+turns into exit status 2. A polyline the reader accepts also gets a
+strict-JSON energy report or exit 2, however large its coordinates.
 """
 
 import json
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from sigman import cli, configspace, geometry, graphembed, mesh
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-                | st.text(max_size=4))
+                | st.text(max_size=4) | st.sampled_from(["0", "1e0", 1e300, -1e300]))
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
@@ -96,6 +98,13 @@ def _check_points(m, points):
     assert geometry.validate_points(m, points.reshape(-1, geometry.chart_dim(m))).all()
 
 
+def _only_numbers(value):
+    """True when every leaf of ``value`` is a JSON number, not a string or boolean."""
+    if isinstance(value, list):
+        return all(map(_only_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -105,6 +114,10 @@ def _same(a, b):
     if isinstance(a, list):
         return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
     return type(a) is type(b) and a == b
+
+
+def _refuse(constant):
+    raise AssertionError(f"report holds {constant}, which is not JSON")
 
 
 def _check_params(params):
@@ -118,6 +131,7 @@ def test_any_json_to_mesh_reader(json_file, doc):
     m = _read(json_file, doc, mesh.mesh_from_json)
     if m is not None:
         _check_points(m.manifold, m.vertices)
+        assert _only_numbers(doc["vertices"])
         assert m.faces.dtype == np.int64 and m.faces.shape[1] == 3
         assert 0 <= m.faces.min() and m.faces.max() < m.n_vertices
         for mark in (m.a, m.b, *(m.sources or ())):
@@ -134,6 +148,15 @@ def test_any_json_to_polyline_reader(json_file, doc):
     if path is not None:
         _check_points(path.manifold, path.samples)
         _check_params(path.params)
+        assert _only_numbers([doc["samples"], doc.get("params") or []])
+        out = json_file.with_suffix(".out")
+        out.unlink(missing_ok=True)
+        status = cli.run(["energy", "curve", "--path", str(json_file), "--out", str(out),
+                          "--no-timing"])
+        assert status in (0, 1, 2) and (status == 2) != out.exists()
+        if status != 2:
+            report = json.loads(out.read_text(), parse_constant=_refuse)
+            assert report["outputs"]["satisfied"] == [True, True]
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,6 +166,7 @@ def test_any_json_to_config_path_reader(json_file, doc):
     if path is not None:
         _check_points(path.manifold, path.coords)
         _check_params(path.params)
+        assert _only_numbers([doc["configs"], doc.get("params") or []])
         _, gaps = configspace.probe(path.manifold, path.coords)
         assert gaps.min() > configspace.COLLISION_EPS
 
