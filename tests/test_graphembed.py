@@ -247,6 +247,32 @@ def _reference_search_objective(g, m, pts):
     return ratio_variance(ratios) + graphembed.BARRIER_BETA * sum(1.0 / x for x in gaps_sq)
 
 
+@pytest.mark.parametrize("g, m, scale", [
+    (C4, R2, 2.0),
+    (K4, geometry.unit_sphere(), 0.5),
+])
+def test_batched_gradient_matches_coordinate_loop(g, m, scale):
+    rng = np.random.default_rng(29)
+    h = 1e-6 * scale
+    score, gradient = graphembed._objectives(g, m)
+
+    def search(pts):
+        return float(score(pts[None])[1, 0])
+
+    for _ in range(5):
+        pts = geometry.project(m, rng.normal(size=(g.n, geometry.chart_dim(m))))
+        assert search(pts) == pytest.approx(_reference_search_objective(g, m, pts),
+                                            rel=1e-12)
+        ref = np.zeros_like(pts)
+        for k in np.ndindex(pts.shape):
+            plus, minus = pts.copy(), pts.copy()
+            plus[k] += h
+            minus[k] -= h
+            ref[k] = (search(plus) - search(minus)) / (2.0 * h)
+        grad = gradient(pts[None])[0]
+        assert np.linalg.norm(grad - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
 GRADIENT_CASES = {
     "euclidean1": (geometry.euclidean(1), 2.0),
     "euclidean2": (R2, 2.0),
