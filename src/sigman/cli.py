@@ -186,10 +186,11 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
 def _cmd_config(args, started: float) -> tuple[dict, int]:
     path = _read(args.path, configspace.config_path_from_json)
     inputs = {args.path: _digest(args.path)}
-    if args.subcommand == "energy":
-        return _energy_report("config energy", args, inputs,
-                              configspace.config_path_energy(path), started)
-    report = configspace.check_config_bounds(path)
+    with _blame(args.path):
+        if args.subcommand == "energy":
+            return _energy_report("config energy", args, inputs,
+                                  configspace.config_path_energy(path), started)
+        report = configspace.check_config_bounds(path)
     gates = {"i": report.upper1_ok and report.upper2_ok, "ii": report.components_ok,
              "iii": report.lower_ok is True}
     # an inapplicable lower bound (hypotheses unmet) does not fail "all"

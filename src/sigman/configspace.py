@@ -2,12 +2,13 @@
 
 A configuration is an ordered tuple of pairwise-distinct points of a
 factor manifold M; a configuration path is a sequence of configurations
-joined by straight chords. One :func:`probe` over the whole stack
-validates a path. Path energies score the chord lengths of the
-flattened configurations with the curve-energy kernel, so the product
-upper bounds hold exactly at the discrete level, and each particle's
-component energies are dominated term by term (the product chord of a
-segment is at least any single particle's chord).
+joined by straight chords. One :func:`probe` validates its
+configurations and one exact :func:`hull_probe` its chords. Path
+energies score the chord lengths of the flattened configurations with
+the curve-energy kernel, so the product upper bounds hold exactly at the
+discrete level, and each particle's component energies are dominated
+term by term (the product chord of a segment is at least any single
+particle's chord).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import mesh as meshmod
 from .geometry import ManifoldSpec, MembershipError
 
 COLLISION_EPS = 1e-9        # open-set margin witnessing membership in C_n(M)
-TRANSITION_SAMPLES = 32     # interior probes per chord between configurations
 _MAX_REJECTIONS = 100_000
 _SHELL_MARGIN = 0.05        # share of a shell's thickness sampled points keep from its spheres
 
@@ -54,6 +54,22 @@ def probe(m: ManifoldSpec, configs) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, k=1)
     gaps = np.linalg.norm(configs[..., iu, :] - configs[..., ju, :], axis=-1)
     return inside, gaps
+
+
+def hull_probe(m: ManifoldSpec, stack) -> tuple[np.ndarray, np.ndarray]:
+    """Exact verdicts on the hulls of the k configurations of a (..., k, n, d) stack.
+
+    ``inside`` (..., n) says whether the hull of each particle's positions
+    lies in ``m``; ``clear`` (..., n(n-1)/2) whether the hull of each pair's
+    differences keeps more than COLLISION_EPS from 0, pairs in
+    :func:`probe`'s order. The hull lies in C_n(M) exactly when all hold,
+    because it projects onto the hulls of those positions and differences.
+    """
+    tracks = np.swapaxes(np.asarray(stack, dtype=float), -3, -2)     # (..., n, k, d)
+    iu, ju = np.triu_indices(tracks.shape[-3], k=1)
+    inside = geometry.KINDS[m.kind].hull(m, tracks)
+    gap_sq = geometry.min_norm_sq(tracks[..., iu, :, :] - tracks[..., ju, :, :])
+    return inside, gap_sq > COLLISION_EPS ** 2
 
 
 def _pair(n: int, k: int) -> str:
@@ -132,27 +148,15 @@ class ConfigPath:
 
 
 def _chords(path: ConfigPath) -> np.ndarray:
-    """Product chord lengths of the path's segments, after probing every transition.
-
-    Each chord between consecutive configurations is probed at
-    TRANSITION_SAMPLES interior parameters plus the midpoint.
-    """
-    ts = np.append(np.linspace(0.0, 1.0, TRANSITION_SAMPLES + 2)[1:-1], 0.5)
-    a, b = path.coords[:-1, None], path.coords[1:, None]
-    inside, gaps = probe(path.manifold, a + ts[:, None, None] * (b - a))
-    left = ~inside.all(axis=(1, 2))
-    bad = left | ~(gaps > COLLISION_EPS).all(axis=(1, 2))
+    """Product chord lengths of the path's segments, after an exact probe of each transition."""
+    inside, clear = hull_probe(path.manifold, np.stack([path.coords[:-1], path.coords[1:]], 1))
+    bad = ~(inside.all(axis=1) & clear.all(axis=1))
     if bad.any():
         k = int(np.argmax(bad))
-        if left[k]:
-            raise MembershipError(
-                f"transition {k} -> {k + 1} leaves the manifold between samples"
-            )
-        t_bad, pair_bad = np.unravel_index(int(np.argmin(gaps[k])), gaps[k].shape)
-        raise CollisionError(
-            f"transition {k} -> {k + 1}: {_pair(path.n, pair_bad)} collide "
-            f"near t = {ts[t_bad]:.3f}"
-        )
+        where = f"transition {k} -> {k + 1}: "
+        if not inside[k].all():
+            raise MembershipError(f"{where}point {np.argmin(inside[k])} leaves the manifold")
+        raise CollisionError(f"{where}{_pair(path.n, int(np.argmin(clear[k])))} collide")
     return np.linalg.norm(np.diff(path.flattened(), axis=0), axis=1)
 
 
@@ -208,7 +212,7 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
     """Verify the upper, per-component, and (when applicable) lower bounds.
 
     The lower-bound verdict is evaluated only when every flattened
-    coordinate is monotone and the sampled hull stays inside C_n(M);
+    coordinate is monotone and the hull of the path lies in C_n(M);
     otherwise it is reported as None.
     """
     seg = _chords(path)
@@ -223,9 +227,8 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
 
     flat = path.flattened()
     mono_ok = all(gaussmod.coordinate_monotone(flat))
-    hull = gaussmod.hull_samples(flat).reshape(-1, *path.coords.shape[1:])
-    inside, gaps = probe(path.manifold, hull)
-    hull_ok = bool(inside.all() and np.all(gaps > COLLISION_EPS))
+    inside, clear = hull_probe(path.manifold, path.coords)
+    hull_ok = bool(inside.all() and clear.all())
 
     lower = gaussmod.lower_bound_l3(flat[0], flat[-1])
     lower_ok = None
@@ -254,24 +257,9 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
 # Random path generation
 # ---------------------------------------------------------------------------
 
-def _box_inside_shell(lo: np.ndarray, hi: np.ndarray, m: ManifoldSpec,
-                      margin: float) -> bool:
-    """Axis box containment in the shell, in closed form.
-
-    Nearest box point to the origin must clear the inner sphere and the
-    farthest corner must stay under the outer sphere.
-    """
-    nearest = np.clip(0.0, lo, hi)
-    farthest = np.maximum(np.abs(lo), np.abs(hi))
-    r_lo, r_hi = geometry.shell_radii(m)
-    return (np.linalg.norm(nearest) > r_lo + margin
-            and np.linalg.norm(farthest) < r_hi - margin)
-
-
-def _box_gap(lo1, hi1, lo2, hi2) -> float:
-    """Distance between two axis-aligned boxes."""
-    gap = np.maximum(0.0, np.maximum(lo1 - hi2, lo2 - hi1))
-    return float(np.linalg.norm(gap))
+def _box_min_norm(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Least norm over the axis box [lo, hi]."""
+    return float(np.linalg.norm(np.clip(0.0, lo, hi)))
 
 
 def random_config_path(
@@ -323,12 +311,16 @@ def random_config_path(
             stops = starts + rng.uniform(-span, span, size=(n, d))
             los = np.minimum(starts, stops)
             his = np.maximum(starts, stops)
+            # the box is in the shell if its nearest point and farthest corner are
             if not kind.flat and not all(
-                _box_inside_shell(los[j], his[j], m, margin=0.25 * margin)
+                _box_min_norm(los[j], his[j]) > r_lo + 0.25 * margin
+                and np.linalg.norm(np.maximum(np.abs(los[j]), np.abs(his[j])))
+                < r_hi - 0.25 * margin
                 for j in range(n)
             ):
                 continue
-            if all(_box_gap(los[i], his[i], los[j], his[j]) >= separation
+            # the gap between boxes i and j is the least norm of their difference box
+            if all(_box_min_norm(los[i] - his[j], his[i] - los[j]) >= separation
                    for i in range(n) for j in range(i + 1, n)):
                 break
         return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))

@@ -30,8 +30,6 @@ from .mesh import PolylinePath
 MONO_EPS = 1e-12        # slack for per-coordinate monotonicity verdicts
 LOWER_BOUND_TOL = 1e-9  # slack for the cubic lower bound verdict
 QUAD_POINTS_LIMIT = 1_000_000  # largest quadrature grid fisher_metric_numeric builds
-_HULL_COMBOS = 1000
-_HULL_SEED = 20260810   # fixed stream: reports are reproducible
 
 
 class GaussianError(ValueError):
@@ -162,28 +160,11 @@ def coordinate_monotone(samples: np.ndarray, eps: float = MONO_EPS) -> list[bool
     return [bool(u or d) for u, d in zip(up, down)]
 
 
-def hull_samples(samples: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Probe points of the convex hull of the path samples.
-
-    All pairwise midpoints plus seeded random convex combinations. The
-    SPD cone is convex and the mean box is convex, so membership can
-    only fail on the box; the sampling doubles as a defensive check of
-    exactly that.
-    """
-    if rng is None:
-        rng = np.random.default_rng(_HULL_SEED)
-    n = samples.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    mids = 0.5 * (samples[iu] + samples[ju])
-    weights = rng.exponential(size=(_HULL_COMBOS, n))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return np.vstack([mids, weights @ samples])
-
-
 def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
     """Check E2 >= (1/3)||q - p||_3^3 for a path in the parameter chart.
 
-    Reports per-coordinate monotonicity, sampled hull containment, E2,
+    Reports per-coordinate monotonicity, whether the convex hull of the
+    samples lies in the manifold (exact, by the kind's hull rule), E2,
     and the bound verdict. The discrete E2 integrates s^2 exactly along
     the polyline, so the verdict holds whenever the hypotheses do.
     """
@@ -194,8 +175,7 @@ def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
         )
     samples = path.samples
     mono = coordinate_monotone(samples)
-    probes = hull_samples(samples)
-    hull_ok = bool(geometry.validate_points(m, probes).all())
+    hull_ok = bool(geometry.KINDS[m.kind].hull(m, samples))
     report = energymod.curve_energy(energymod.SignalCurve(path))
     lower = lower_bound_l3(samples[0], samples[-1])
     return GaussianBoundReport(

@@ -22,11 +22,11 @@ carries a flat coordinate chart (a plain real vector per point):
 :data:`KINDS`, at the end of this module, is the one place where a kind
 is defined: its JSON fields and their types, its chart dimension, its
 membership constraints, whether its chart is flat, its row-wise
-distance, its projection and its interior sampler. The functions here
-and the other modules look a kind up there instead of testing its name.
-A spec sets exactly the fields its kind lists, so ``box`` is set only on
-``gaussian_param``, ``a`` and ``b`` only on ``shell`` and ``dim`` only on
-``euclidean``.
+distance, its projection, its interior sampler and its exact hull rule
+(see :func:`min_norm_sq`). The functions here and the other modules look
+a kind up there instead of testing its name. A spec sets exactly the
+fields its kind lists, so ``box`` is set only on ``gaussian_param``,
+``a`` and ``b`` only on ``shell`` and ``dim`` only on ``euclidean``.
 
 :func:`distances` is the one p = 2 distance kernel: it measures whole
 stacks of point pairs row by row, and :func:`distance` at p = 2 is a
@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.optimize import nnls
 
 SPD_EPS = 1e-10        # strict positivity margin for minimum eigenvalues
 SPHERE_EPS = 1e-9      # |x| tolerance for unit-sphere membership
@@ -271,36 +272,40 @@ def _satisfied(m: ManifoldSpec, xs: np.ndarray, ok: np.ndarray) -> np.ndarray:
 # Distances, norms and projections
 # ---------------------------------------------------------------------------
 
-def _chord_min_norm_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise min over t in [0,1] of |x + t (y - x)|^2.
+def min_norm_point(pts) -> np.ndarray:
+    """Point of least norm in the convex hull of the rows of each (k, d) stack.
 
-    Each row's arguments are canonically ordered first (lexicographically
-    smaller endpoint as x), so the answer, and hence any accept/refuse
-    decision built on it, is exactly symmetric in (x, y).
+    ``pts`` has shape (..., k, d); the result has shape (..., d). A segment
+    has a closed form, exactly symmetric in its ends (taken in
+    lexicographic order). A larger hull is one NNLS problem (Lawson &
+    Hanson 1974, ch. 23; Wolfe 1976): with v = s w for weights w,
+    |[P^T; 1^T] v - [0; 1]|^2 is least at s = 1 / (1 + q), where it is
+    q / (1 + q), q = |P^T w|^2; so the v >= 0 that minimizes it gives
+    the least-norm weights v / sum(v).
     """
-    x, y = np.broadcast_arrays(x, y)
-    first = np.argmax(x != y, axis=-1)[..., None]
-    swap = np.take_along_axis(x, first, -1) > np.take_along_axis(y, first, -1)
-    x, y = np.where(swap, y, x), np.where(swap, x, y)
-    d = y - x
-    dd = np.sum(d * d, axis=-1)
-    t = np.divide(-np.sum(x * d, axis=-1), dd, out=np.zeros_like(dd), where=dd > 0.0)
-    z = x + np.clip(t, 0.0, 1.0)[..., None] * d
-    return np.sum(z * z, axis=-1)
+    pts = np.asarray(pts, dtype=float)
+    *lead, k, d = pts.shape
+    if k == 2:
+        x, y = pts[..., 0, :], pts[..., 1, :]
+        first = np.argmax(x != y, axis=-1)[..., None]
+        swap = np.take_along_axis(x, first, -1) > np.take_along_axis(y, first, -1)
+        x, y = np.where(swap, y, x), np.where(swap, x, y)
+        step = y - x
+        ss = np.sum(step * step, axis=-1)
+        t = np.divide(-np.sum(x * step, axis=-1), ss, out=np.zeros_like(ss), where=ss > 0.0)
+        return x + np.clip(t, 0.0, 1.0)[..., None] * step
+    target = np.append(np.zeros(d), 1.0)
+    out = np.empty((math.prod(lead), d))
+    for i, p in enumerate(pts.reshape(-1, k, d)):
+        v = nnls(np.vstack([p.T, np.ones(k)]), target)[0]
+        out[i] = v @ p / v.sum()
+    return out.reshape(*lead, d)
 
 
-def chord_stays_in_shell(m: ManifoldSpec, x, y) -> bool:
-    """True when the straight chord between two shell points stays in S.
-
-    Only the inner sphere can obstruct the chord: |.|^2 is convex along
-    the segment, so its maximum sits at an endpoint and the outer bound
-    holds automatically for valid endpoints.
-    """
-    if KINDS[m.kind].distances is not _chord_distances:
-        raise GeometryError("chord test is only defined for shell manifolds")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return bool(_chord_min_norm_sq(x, y) > m.a)
+def min_norm_sq(pts) -> np.ndarray:
+    """Squared norm of :func:`min_norm_point`: the squared least norm over each hull."""
+    x = min_norm_point(pts)
+    return np.sum(x * x, axis=-1)
 
 
 def distances(m: ManifoldSpec, xs, ys) -> np.ndarray:
@@ -518,13 +523,20 @@ def _gaussian_invalid(m):
     return None
 
 
+def _points_inside(m, pts):
+    """All k rows of each (..., k, d) stack in ``m``: the hull rule of a convex domain."""
+    *lead, k, d = pts.shape
+    return validate_points(m, pts.reshape(-1, d)).reshape(*lead, k).all(axis=-1)
+
+
 def _chart_distances(m, xs, ys):
     diff = xs - ys
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def _chord_distances(m, xs, ys):
-    return np.where(_chord_min_norm_sq(xs, ys) > m.a, _chart_distances(m, xs, ys), np.inf)
+    ends = np.stack(np.broadcast_arrays(xs, ys), axis=-2)
+    return np.where(min_norm_sq(ends) > m.a, _chart_distances(m, xs, ys), np.inf)
 
 
 def _great_circle_distances(m, xs, ys):
@@ -595,6 +607,7 @@ class Kind(NamedTuple):
     tangent_norm: Callable | None = None  # (spec, x, v) -> norm; None: orthonormal chart
     project: Callable | None = None      # (spec, rows, margin) -> rows inside the manifold
     sample: Callable | None = None       # (spec, rng, margin) -> a random interior point
+    hull: Callable = _points_inside      # (spec, (..., k, d) rows) -> hull of each k inside
 
 
 KINDS: dict[str, Kind] = {
@@ -616,6 +629,8 @@ KINDS: dict[str, Kind] = {
         rules=_shell_rules,
         distances=_chord_distances,
         gradient=_chart_gradient,
+        # |x| is convex, so a hull of valid points can only meet the inner ball
+        hull=lambda m, pts: _points_inside(m, pts) & (min_norm_sq(pts) > m.a),
         lp_error="shell distances are defined for p = 2 only",
         project=_clip_radius,
         sample=_sample_shell,
@@ -625,6 +640,9 @@ KINDS: dict[str, Kind] = {
         rules=_sphere_rules,
         distances=_great_circle_distances,
         gradient=_great_circle_gradient,
+        # every hull point within SPHERE_EPS of the sphere, as validate_points asks
+        hull=lambda m, pts: (_points_inside(m, pts)
+                             & (min_norm_sq(pts) >= (1.0 - SPHERE_EPS) ** 2)),
         project=lambda m, pts, margin: pts / np.linalg.norm(pts, axis=-1, keepdims=True),
     ),
     "spd": Kind(
@@ -658,6 +676,8 @@ KINDS: dict[str, Kind] = {
         rules=_product_rules,
         flat=True,                       # when every factor is flat, see _all_flat
         distances=_product_distances,
+        hull=lambda m, pts: np.logical_and.reduce(
+            [KINDS[f.kind].hull(f, block) for f, block in _blocks(m, pts)]),
         lp_error="L^{p} distance needs every product factor to be flat",
     ),
 }

@@ -258,6 +258,8 @@ class TriMesh:
         edges, weights = _edge_weights(self.vertices, self.faces)
         if np.any(weights == 0.0):
             raise MeshError("mesh contains a zero-length edge")
+        if not np.all(np.isfinite(weights)):
+            raise MeshError("mesh contains an edge whose length overflows")
         ncomp, _ = connected_components(
             _pairs_to_csr(nv, edges[:, 0], edges[:, 1], weights), directed=False
         )
@@ -289,7 +291,7 @@ def _face_sides(nv, faces):
 
 def _edge_weights(vertices: np.ndarray, faces: np.ndarray):
     edges = _face_sides(len(vertices), faces)[0]
-    with np.errstate(over="ignore"):   # an overflowing edge length is inf, still nonzero
+    with np.errstate(over="ignore"):   # an overflowing edge length is inf; TriMesh refuses it
         weights = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
     return edges, weights
 

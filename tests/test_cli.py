@@ -127,6 +127,22 @@ def test_config_commands(tmp_path):
     assert outputs["monotone_ok"] and outputs["hull_ok"]
 
 
+@pytest.mark.parametrize("subcommand", ["energy", "bounds"])
+@pytest.mark.parametrize("manifold, configs, message", [
+    ({"kind": "euclidean", "dim": 2}, [[[0, 0], [0.6, 0]], [[1, 0], [0, 0]]],
+     "transition 0 -> 1: points 0 and 1 collide"),
+    ({"kind": "shell", "a": 1, "b": 16},
+     [[[-2, 0.99995, 0], [0, 0, 3]], [[2.06, 0.99995, 0], [0, 0, 3]]],
+     "transition 0 -> 1: point 0 leaves the manifold"),
+])
+def test_config_transition_fault_names_the_file(tmp_path, capsys, subcommand, manifold,
+                                                configs, message):
+    bad = tmp_path / "cpath.json"
+    bad.write_text(json.dumps({"manifold": manifold, "configs": configs}))
+    assert cli.run(["config", subcommand, "--path", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_embed_command(tmp_path, k3_files):
     graph, manifold = k3_files
     out = tmp_path / "embed.json"
@@ -373,9 +389,8 @@ def test_huge_mesh_coordinates_exit_2(tmp_path, capsys):
            "vertices": [[0, 0], [1e200, 0], [0, 1e200], [1e200, 1e200]], "sources": [0]}
     bad = tmp_path / "mesh.json"
     bad.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
-        assert cli.run(["energy", "region", "--mesh", str(bad), "--no-timing"]) == 2
-    assert f"{bad}: energies and bounds must be finite" in capsys.readouterr().err
+    assert cli.run(["energy", "region", "--mesh", str(bad), "--no-timing"]) == 2
+    assert f"{bad}: mesh contains an edge whose length overflows" in capsys.readouterr().err
 
 
 def test_non_finite_report_exits_2_without_output(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from sigman import configspace, geometry
 from sigman.configspace import (
@@ -130,6 +131,23 @@ def test_permuting_particles_permutes_components():
         assert comp_p[j] == comp[perm[j]]
 
 
+def test_crossing_between_configurations_collides():
+    # the particles meet at t = 3/8 of the one transition
+    path = ConfigPath(geometry.euclidean(2), [[[0.0, 0.0], [0.6, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(CollisionError, match="^transition 0 -> 1: points 0 and 1 collide$"):
+        config_path_energy(path)
+
+
+def test_transition_dip_into_the_inner_ball_leaves():
+    # the chord of point 0 reaches |z|^2 = 0.9999 near t = 0.493
+    m = geometry.spherical_shell(1.0, 16.0)
+    x, y, fixed = [-2.0, 0.99995, 0.0], [2.06, 0.99995, 0.0], [0.0, 0.0, 3.0]
+    assert geometry.distances(m, np.array(x), np.array(y)) == math.inf
+    path = ConfigPath(m, [[x, fixed], [y, fixed]])
+    with pytest.raises(MembershipError, match="^transition 0 -> 1: point 0 leaves the manifold$"):
+        config_path_energy(path)
+
+
 # ---------------------------------------------------------------------------
 # Bound reports
 # ---------------------------------------------------------------------------
@@ -149,6 +167,28 @@ def test_check_config_bounds_nonmonotone_skips_lower():
     assert rep.upper1_ok and rep.upper2_ok and rep.components_ok
     if not (rep.monotone_ok and rep.hull_ok):
         assert rep.lower_ok is None
+
+
+def _triangle_path(h):
+    # point 0 visits a triangle in the plane x = h around the x axis: each
+    # chord keeps |x|^2 >= h^2 + 0.36, but the hull passes (h, 0, 0)
+    tri = [[h, 1.2, 0.0], [h, -0.6, 1.04], [h, -0.6, -1.04]]
+    return ConfigPath(SHELL, [[p, [-1.5, 0.0, 0.0]] for p in tri])
+
+
+@pytest.mark.parametrize("h, inside", [(0.99, False), (0.9999, False), (1.0001, True)])
+def test_hull_verdict_is_exact_near_the_inner_sphere(h, inside):
+    assert check_config_bounds(_triangle_path(h)).hull_ok is inside
+
+
+def test_hull_of_random_euclidean_path_collides():
+    coords = np.random.default_rng(1).uniform(size=(9, 5, 2))
+    for i, j in zip(*np.triu_indices(5, k=1)):
+        diffs = coords[:, i] - coords[:, j]
+        lp = linprog(np.zeros(9), A_eq=np.vstack([diffs.T, np.ones(9)]), b_eq=[0.0, 0.0, 1.0])
+        assert lp.status == 0      # the origin is in every pair's difference hull
+    rep = check_config_bounds(ConfigPath(geometry.euclidean(2), coords))
+    assert rep.hull_ok is False and rep.lower_ok is None
 
 
 def test_check_config_bounds_component_dominance():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from sigman import geometry
 from sigman.geometry import (
@@ -75,7 +76,7 @@ def test_unit_sphere_antipodal_distance():
 def test_shell_chord_distance_and_refusal():
     m = spherical_shell(1.0, 4.0)
     x, y = np.array([1.5, 0.0, 0.0]), np.array([0.0, 1.5, 0.0])
-    assert geometry.chord_stays_in_shell(m, x, y)
+    assert geometry.KINDS["shell"].hull(m, np.stack([x, y]))
     assert distance(m, x, y) == pytest.approx(1.5 * math.sqrt(2.0))
     # antipodal chord passes through the inner ball
     with pytest.raises(ChordObstructed):
@@ -249,6 +250,47 @@ def test_distances_rejects_bad_rows():
         geometry.distances(euclidean(2), np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(NormUnsupported):
         geometry.distances(fisher_half_plane(), [[0.0, 1.0]], [[1.0, 2.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 9), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_min_norm_point_is_the_least_norm_point_of_the_hull(k, d, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(k, d)) + rng.normal(size=d)
+    x = geometry.min_norm_point(pts)
+    value = geometry.min_norm_sq(pts)
+    assert value == np.sum(x * x)
+    tol = 1e-12 * np.max(np.sum(pts * pts, axis=1))
+    # no row and no random convex combination of rows is nearer the origin
+    weights = rng.exponential(size=(500, k))
+    combos = np.vstack([pts, weights @ pts / weights.sum(axis=1, keepdims=True)])
+    assert value <= np.min(np.sum(combos * combos, axis=1)) + tol
+    # the plane through x* normal to x* keeps every row on the far side
+    assert np.min(pts @ x) >= value - tol
+    # about zero exactly when the origin is in the hull
+    lp = linprog(np.zeros(k), A_eq=np.vstack([pts.T, np.ones(k)]), b_eq=np.append(np.zeros(d), 1))
+    assert (value <= tol) == (lp.status == 0)
+    # a segment given as three rows takes the NNLS path and meets the closed form
+    segment = geometry.min_norm_sq(pts[:2])
+    assert geometry.min_norm_sq(pts[[0, 1, 1]]) == pytest.approx(segment, rel=1e-12, abs=tol)
+
+
+def test_hull_rules_of_each_kind():
+    shell = spherical_shell(1.0, 4.0)
+    tri = np.array([[1.2, 1.2, 0.0], [1.2, -0.6, 1.04], [1.2, -0.6, -1.04]])
+    hulls = np.stack([tri, tri * [0.8, 1.0, 1.0]])       # the second passes (0.96, 0, 0)
+    assert geometry.KINDS["shell"].hull(shell, hulls).tolist() == [True, False]
+    sphere = unit_sphere()
+    pole = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    assert geometry.KINDS["unit_sphere"].hull(sphere, pole)
+    assert not geometry.KINDS["unit_sphere"].hull(sphere, np.eye(3)[:2])
+    both = product_manifold([euclidean(1), shell])
+    rows = np.column_stack([[0.0, 5.0, 1.0], tri])
+    assert geometry.KINDS["product"].hull(both, rows)
+    assert not geometry.KINDS["product"].hull(both, np.column_stack([[0.0] * 3, hulls[1]]))
+    box = gaussian_param([(0.0, 1.0)])
+    assert geometry.KINDS["gaussian_param"].hull(box, np.array([[0.1, 1.0], [0.9, 2.0]]))
+    assert not geometry.KINDS["gaussian_param"].hull(box, np.array([[0.1, 1.0], [1.5, 2.0]]))
 
 
 def test_lp_monotonicity_in_p():
