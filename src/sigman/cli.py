@@ -154,9 +154,9 @@ def _energy_report(command: str, args, inputs: dict, report, started: float,
 def _cmd_energy(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "curve":
         path = _read(args.path, mesh.polyline_from_json)
-        if args.samples:
-            path = mesh.resample_polyline(path, args.samples)
         with _blame(args.path):
+            if args.samples:
+                path = mesh.resample_polyline(path, args.samples)
             report = energy.curve_energy(energy.SignalCurve(path))
         return _energy_report("energy curve", args, {args.path: _digest(args.path)},
                               report, started)
@@ -176,7 +176,8 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
         return _report("gaussian fisher", args, {}, outputs, started), 0
     path = _read(args.path, mesh.polyline_from_json)
     if args.samples:
-        path = mesh.resample_polyline(path, args.samples)
+        with _blame(args.path):
+            path = mesh.resample_polyline(path, args.samples)
     report = gaussian.check_gaussian_lower_bound(path)
     inputs = {args.path: _digest(args.path)}
     status = 0 if report.satisfied else 1

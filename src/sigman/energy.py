@@ -174,9 +174,7 @@ def rectangle_region(step: float) -> SignalRegion:
     (1 - y)^2 to 2/3.
     """
     grid = meshmod.triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, step, source_edge="top")
-    targets = [int(i) for i in np.arange(grid.n_vertices)
-               if grid.vertices[i, 1] == 0.0]
-    return SignalRegion(grid, targets=targets)
+    return SignalRegion(grid, targets=np.flatnonzero(grid.vertices[:, 1] == 0.0).tolist())
 
 
 # ---------------------------------------------------------------------------

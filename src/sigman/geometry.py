@@ -539,8 +539,16 @@ def _chord_distances(m, xs, ys):
     return np.where(min_norm_sq(ends) > m.a, _chart_distances(m, xs, ys), np.inf)
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of broadcastable 3-vector stacks: the same
+    products and differences as np.cross, without its per-call overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _great_circle_distances(m, xs, ys):
-    cross = np.cross(xs, ys)
+    cross = _cross3(xs, ys)
     return np.arctan2(np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(xs * ys, axis=-1))
 
 
@@ -551,7 +559,7 @@ def _chart_gradient(m, xs, ys, d):
 def _great_circle_gradient(m, xs, ys, d):
     # at unit vectors, d(theta)/dx = (cos(theta) x - y) / sin(theta), tangent to the sphere
     dot = np.sum(xs * ys, axis=-1, keepdims=True)
-    return (dot * xs - ys) / np.linalg.norm(np.cross(xs, ys), axis=-1, keepdims=True)
+    return (dot * xs - ys) / np.linalg.norm(_cross3(xs, ys), axis=-1, keepdims=True)
 
 
 def _product_distances(m, xs, ys):

@@ -32,6 +32,7 @@ from .geometry import ManifoldSpec, MembershipError
 SUBDIVISION_LIMIT = 7       # memory guard for triangulate_sphere
 GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # same guard for triangulate_rectangle
 STRIP_LIMIT = 6             # faces per unfolded strip in the crossing graph
+SEED_BLOCK = 8192           # strips walked together, so their columns stay in cache
 DEGENERATE_AREA = 1e-14
 
 
@@ -312,17 +313,53 @@ def mesh_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 # Crossing graph (mesh edges + unfolded-strip shortcuts)
 # ---------------------------------------------------------------------------
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-
 def _dedup_min(nv, i, j, w):
     key = _pair_keys(nv, i, j)
-    order = np.lexsort((w, key))
-    key_s, w_s = key[order], w[order]
-    first = np.ones(len(key_s), dtype=bool)
-    first[1:] = key_s[1:] != key_s[:-1]
-    return *np.divmod(key_s[first], nv), w_s[first]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return *np.divmod(key[first], nv), np.minimum.reduceat(w[order], first)
+
+
+def _strip_step(state, apex, dist_a, dist_b, next_a, next_b, last: bool):
+    """Unfold the next face of every strip in ``state``: the shortcuts it
+    sees, and the strips that go on through the face's two other sides
+    (none when ``last``).
+
+    A strip's columns are its seed vertex w0, its portal code q, the
+    unfolded portal ends a and b, the right and left rays r and l of its
+    visibility cone, and ref, the previous face's third vertex. The
+    tables are indexed by q (see strip_shortcut_graph).
+    """
+    w0, q, pax, pay, pbx, pby, rx, ry, lx, ly, refx, refy = state
+    ex, ey = pbx - pax, pby - pay
+    plen = np.sqrt(ex * ex + ey * ey)
+    ex, ey = ex / plen, ey / plen                 # portal direction; its normal is (-ey, ex)
+    s_ref = np.sign((refx - pax) * -ey + (refy - pay) * ex)
+    s_ref[s_ref == 0.0] = 1.0
+    da, db = dist_a[q], dist_b[q]
+    x = (da ** 2 - db ** 2 + plen ** 2) / (2.0 * plen)
+    sy = s_ref * np.sqrt(np.maximum(da ** 2 - x ** 2, 0.0))
+    cx = pax + x * ex - sy * -ey                  # the apex, across the portal from ref
+    cy = pay + x * ey - sy * ex
+    ap = apex[q]
+    visible = (rx * cy - ry * cx > 0.0) & (cx * ly - cy * lx > 0.0) & (ap != w0)
+    shortcuts = (w0[visible], ap[visible], np.sqrt(cx[visible] ** 2 + cy[visible] ** 2))
+    if last:
+        return shortcuts, []
+    children = []
+    for nxt, (ax, ay, bx, by, fx, fy) in ((next_a[q], (pax, pay, cx, cy, pbx, pby)),
+                                         (next_b[q], (cx, cy, pbx, pby, pax, pay))):
+        swap = ax * by - ay * bx > 0.0
+        prx, pry = np.where(swap, ax, bx), np.where(swap, ay, by)
+        plx, ply = np.where(swap, bx, ax), np.where(swap, by, ay)
+        right = rx * pry - ry * prx > 0.0
+        rnx, rny = np.where(right, prx, rx), np.where(right, pry, ry)
+        left = plx * ly - ply * lx > 0.0
+        lnx, lny = np.where(left, plx, lx), np.where(left, ply, ly)
+        ok = (nxt >= 0) & (rnx * lny - rny * lnx > 0.0)
+        children.append([c[ok] for c in (w0, nxt, ax, ay, bx, by, rnx, rny, lnx, lny, fx, fy)])
+    return shortcuts, children
 
 
 def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
@@ -336,128 +373,68 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
     each shortcut realizes an actual path on the surface. Visibility is
     tracked per strip as a direction cone; a chain of faces dies as soon
     as its cone closes, which keeps the enumeration near-linear.
+
+    The walk runs on half-edges h = side * n_f + face, where side 0 runs
+    from faces[:, 0] to faces[:, 1], side 1 from 1 to 2 and side 2 from
+    2 to 0, so h + n_f and h + 2 n_f (mod 3 n_f) are the next sides of
+    the same face. twin[h] is the half-edge of the same edge in the far
+    face. A portal is a code q = 2 h + flip: half-edge h with its end
+    "a" at the start of h (flip 0) or at its end (flip 1). Tables over
+    the codes give each face's apex, the lengths from a and from b to
+    it, and the codes of the two child portals (a, apex) and (apex, b)
+    as seen from their far faces, so one depth of all strips is a few
+    table lookups plus the planar arithmetic. Strips advance one depth
+    at a time, SEED_BLOCK seeds' strips together, with their planar
+    state (portal ends, cone rays and the previous face's third vertex)
+    in flat x and y columns.
     """
-    nv = vertices.shape[0]
-    n_f = faces.shape[0]
-    edges, base_w = _edge_weights(vertices, faces)
-
-    # half-edge -> (edge id, face, apex); then per edge the 1-2 incident faces
-    he_lo = np.concatenate([np.minimum(faces[:, 0], faces[:, 1]),
-                            np.minimum(faces[:, 1], faces[:, 2]),
-                            np.minimum(faces[:, 2], faces[:, 0])])
-    he_hi = np.concatenate([np.maximum(faces[:, 0], faces[:, 1]),
-                            np.maximum(faces[:, 1], faces[:, 2]),
-                            np.maximum(faces[:, 2], faces[:, 0])])
-    he_apex = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
-    he_face = np.tile(np.arange(n_f, dtype=np.int64), 3)
-    he_key = he_lo.astype(np.int64) * nv + he_hi
-    edge_key = edges[:, 0].astype(np.int64) * nv + edges[:, 1]
-    he_edge = np.searchsorted(edge_key, he_key)
-
-    order = np.argsort(he_edge, kind="stable")
-    counts = np.bincount(he_edge, minlength=len(edges))
-    if counts.max(initial=0) > 2:
+    nv, n_f = vertices.shape[0], faces.shape[0]
+    n_h = 3 * n_f
+    edges, inverse = _face_sides(nv, faces)
+    if np.bincount(inverse).max(initial=0) > 2:
         raise MeshError("non-manifold edge (more than 2 incident faces)")
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    face1 = np.full(len(edges), -1, dtype=np.int64)
-    apex1 = np.full(len(edges), -1, dtype=np.int64)
-    face2 = np.full(len(edges), -1, dtype=np.int64)
-    apex2 = np.full(len(edges), -1, dtype=np.int64)
-    first_he = order[starts[:-1][counts > 0]]
-    face1[counts > 0] = he_face[first_he]
-    apex1[counts > 0] = he_apex[first_he]
-    second_he = order[starts[:-1][counts == 2] + 1]
-    face2[counts == 2] = he_face[second_he]
-    apex2[counts == 2] = he_apex[second_he]
+    start, end = faces.T.ravel(), np.roll(faces, -1, axis=1).T.ravel()
+    order = np.argsort(inverse, kind="stable")
+    pair = np.flatnonzero(np.diff(inverse[order]) == 0)
+    twin = np.full(n_h, -1)
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    hlen = np.linalg.norm(vertices[start] - vertices[end], axis=1)
+    edge_w = np.empty(len(edges))
+    edge_w[inverse] = hlen
 
-    def edge_id(u, v):
-        key = np.minimum(u, v).astype(np.int64) * nv + np.maximum(u, v)
-        return np.searchsorted(edge_key, key)
+    h = np.arange(n_h)
+    n1, n2 = (h + n_f) % n_h, (h + 2 * n_f) % n_h     # end -> apex and apex -> start
+    t, a_end = np.repeat(twin, 2), np.column_stack([start, end]).ravel()   # a of each code
+    across = np.where(t >= 0, 2 * t + (start[t] != a_end), -1)
+    side_a = np.column_stack([n2, n1]).ravel()         # joins a and the apex
+    side_b = np.column_stack([n1, n2]).ravel()         # joins the apex and b
+    flip = np.tile([1, 0], n_h)                        # a child's flip negates its parent's
+    tables = (np.repeat(start[n2], 2), hlen[side_a], hlen[side_b],
+              across[2 * side_a + flip], across[2 * side_b + flip])
 
-    def next_face(u, v, current):
-        eid = edge_id(u, v)
-        other = np.where(face1[eid] == current, face2[eid], face1[eid])
-        apex = np.where(face1[eid] == current, apex2[eid], apex1[eid])
-        return other, apex
-
-    def dist3(u, v):
-        return np.linalg.norm(vertices[u] - vertices[v], axis=1)
-
-    # Seeds: one strip per (face, portal edge) with a neighbor across it.
-    w0 = he_apex.copy()
-    sa, sb = he_lo.copy(), he_hi.copy()
-    cur, apex = next_face(sa, sb, he_face)
-    alive = cur >= 0
-    w0, sa, sb, cur, apex = w0[alive], sa[alive], sb[alive], cur[alive], apex[alive]
-
-    la, lb, lab = dist3(w0, sa), dist3(w0, sb), dist3(sa, sb)
+    # Seeds: one strip per half-edge with a far face, from its apex w0 at
+    # the origin, with a at the lower vertex index.
+    code = 2 * h + (start > end)
+    code = code[across[code] >= 0]
+    w0, la, lb, lab = tables[0][code], tables[1][code], tables[2][code], hlen[code >> 1]
     cosg = np.clip((la ** 2 + lb ** 2 - lab ** 2) / (2.0 * la * lb), -1.0, 1.0)
     half = 0.5 * np.arccos(cosg)
-    Pa = np.column_stack([la * np.cos(0.5 * np.pi + half),
-                          la * np.sin(0.5 * np.pi + half)])
-    Pb = np.column_stack([lb * np.cos(0.5 * np.pi - half),
-                          lb * np.sin(0.5 * np.pi - half)])
-    swap = _cross(Pa, Pb) > 0.0
-    R = np.where(swap[:, None], Pa, Pb)
-    L = np.where(swap[:, None], Pb, Pa)
-    # ref is the previous face's third vertex; the next apex unfolds to
-    # the other side of the portal (the seed face's third vertex is w0).
-    ref = np.zeros_like(Pa)
+    pax, pay = la * np.cos(0.5 * np.pi + half), la * np.sin(0.5 * np.pi + half)
+    pbx, pby = lb * np.cos(0.5 * np.pi - half), lb * np.sin(0.5 * np.pi - half)
+    swap = pax * pby - pay * pbx > 0.0
+    seeds = [w0, across[code], pax, pay, pbx, pby, np.where(swap, pax, pbx),
+             np.where(swap, pay, pby), np.where(swap, pbx, pax), np.where(swap, pby, pay),
+             np.zeros_like(pax), np.zeros_like(pax)]
 
-    sc_i, sc_j, sc_w = [], [], []
-    for _depth in range(1, STRIP_LIMIT):
-        e = Pb - Pa
-        plen = np.linalg.norm(e, axis=1)
-        e = e / plen[:, None]
-        nrm = np.column_stack([-e[:, 1], e[:, 0]])
-        s_ref = np.sign(np.einsum("ij,ij->i", ref - Pa, nrm))
-        s_ref[s_ref == 0.0] = 1.0
-        da, db = dist3(apex, sa), dist3(apex, sb)
-        x = (da ** 2 - db ** 2 + plen ** 2) / (2.0 * plen)
-        y = np.sqrt(np.maximum(da ** 2 - x ** 2, 0.0))
-        C = Pa + x[:, None] * e - (s_ref * y)[:, None] * nrm
-
-        visible = (_cross(R, C) > 0.0) & (_cross(C, L) > 0.0) & (apex != w0)
-        if np.any(visible):
-            sc_i.append(w0[visible])
-            sc_j.append(apex[visible])
-            sc_w.append(np.linalg.norm(C[visible], axis=1))
-        if _depth == STRIP_LIMIT - 1:
-            break
-
-        child_states = []
-        for pa_v, pb_v, Pa_c, Pb_c, ref_c in (
-            (sa, apex, Pa, C, Pb), (apex, sb, C, Pb, Pa)
-        ):
-            nxt, napex = next_face(pa_v, pb_v, cur)
-            swap_c = _cross(Pa_c, Pb_c) > 0.0
-            pr = np.where(swap_c[:, None], Pa_c, Pb_c)
-            pl = np.where(swap_c[:, None], Pb_c, Pa_c)
-            Rn = np.where((_cross(R, pr) > 0.0)[:, None], pr, R)
-            Ln = np.where((_cross(pl, L) > 0.0)[:, None], pl, L)
-            ok = (nxt >= 0) & (_cross(Rn, Ln) > 0.0)
-            child_states.append(
-                (w0[ok], pa_v[ok], pb_v[ok], nxt[ok], napex[ok],
-                 Pa_c[ok], Pb_c[ok], Rn[ok], Ln[ok], ref_c[ok])
-            )
-        w0 = np.concatenate([c[0] for c in child_states])
-        if w0.size == 0:
-            break
-        sa = np.concatenate([c[1] for c in child_states])
-        sb = np.concatenate([c[2] for c in child_states])
-        cur = np.concatenate([c[3] for c in child_states])
-        apex = np.concatenate([c[4] for c in child_states])
-        Pa = np.vstack([c[5] for c in child_states])
-        Pb = np.vstack([c[6] for c in child_states])
-        R = np.vstack([c[7] for c in child_states])
-        L = np.vstack([c[8] for c in child_states])
-        ref = np.vstack([c[9] for c in child_states])
-
-    i = np.concatenate([edges[:, 0]] + sc_i)
-    j = np.concatenate([edges[:, 1]] + sc_j)
-    w = np.concatenate([base_w] + sc_w)
-    iu, ju, wu = _dedup_min(nv, i, j, w)
-    return _pairs_to_csr(nv, iu, ju, wu)
+    found = [(edges[:, 0], edges[:, 1], edge_w)]
+    for lo in range(0, len(code), SEED_BLOCK):
+        state = [col[lo:lo + SEED_BLOCK] for col in seeds]
+        for depth in range(1, STRIP_LIMIT):
+            shortcuts, children = _strip_step(state, *tables, last=depth == STRIP_LIMIT - 1)
+            found.append(shortcuts)
+            state = [np.concatenate(cols) for cols in zip(*children)]
+    i, j, w = (np.concatenate(cols) for cols in zip(*found))
+    return _pairs_to_csr(nv, *_dedup_min(nv, i, j, w))
 
 
 def _metric_graph(mesh: TriMesh) -> csr_matrix:

@@ -393,6 +393,30 @@ def test_huge_mesh_coordinates_exit_2(tmp_path, capsys):
     assert f"{bad}: mesh contains an edge whose length overflows" in capsys.readouterr().err
 
 
+def test_non_manifold_mesh_exits_2(tmp_path, capsys):
+    doc = {"manifold": {"kind": "euclidean", "dim": 2},
+           "vertices": [[0, 0], [1, 0], [0, 1], [1, -1], [0.5, 2]],
+           "faces": [[0, 1, 2], [1, 0, 3], [0, 1, 4]], "sources": [2]}
+    bad = tmp_path / "mesh.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(["energy", "region", "--mesh", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: non-manifold edge (more than 2 incident faces)\n")
+
+
+@pytest.mark.parametrize("command", [["energy", "curve"], ["gaussian", "bound"]])
+def test_resampled_point_outside_the_manifold_names_the_file(tmp_path, capsys, command):
+    # the chord from (1.5, 0, 0) to (-1.5, 0, 0) passes the origin, inside the inner sphere
+    doc = {"manifold": {"kind": "shell", "a": 1, "b": 4},
+           "samples": [[1.5, 0, 0], [-1.5, 0, 0]]}
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(command + ["--path", str(bad), "--samples", "3", "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: sample 1 does not lie in the manifold: "
+        "|x|^2 = 0.0 is not > inner bound a = 1.0\n")
+
+
 def test_non_finite_report_exits_2_without_output(monkeypatch, capsys):
     monkeypatch.setattr(gaussian, "fisher_report", lambda *args: {"g": math.nan})
     assert cli.run(["gaussian", "fisher", "--no-timing"]) == 2

@@ -73,6 +73,20 @@ def test_unit_sphere_antipodal_distance():
     assert d == pytest.approx(math.pi, abs=1e-14)
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((8, 6, 3), (8, 6, 3)), ((8, 6, 3), (6, 3)), ((4, 1, 3), (1, 7, 3)), ((3,), (5, 3)),
+    ((3,), (3,)),
+])
+def test_cross3_is_bitwise_np_cross(shape_a, shape_b):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = rng.normal(size=shape_a) * 10.0 ** rng.integers(-8, 8)
+        b = rng.normal(size=shape_b) * 10.0 ** rng.integers(-8, 8)
+        got, want = geometry._cross3(a, b), np.cross(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_shell_chord_distance_and_refusal():
     m = spherical_shell(1.0, 4.0)
     x, y = np.array([1.5, 0.0, 0.0]), np.array([0.0, 1.5, 0.0])

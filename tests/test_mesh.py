@@ -416,6 +416,122 @@ def test_containers_share_the_input_checks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Crossing graph
+# ---------------------------------------------------------------------------
+
+def reference_crossing_graph(vertices, faces):
+    """{(i, j): weight} for i < j, by one recursive walk per strip.
+
+    Each strip starts at a face and one of its sides, with the face's
+    third vertex w0 at the origin. A face is unfolded across its portal
+    by the angle at the portal's first end, and its apex is joined to w0
+    when it lies strictly inside the cone of directions that pass every
+    portal so far.
+    """
+    v = np.asarray(vertices, dtype=float)
+    faces = [tuple(int(i) for i in f) for f in faces]
+    sides = {}
+    for f, tri in enumerate(faces):
+        for k in range(3):
+            sides.setdefault(frozenset((tri[k], tri[k - 1])), []).append(f)
+    best = {}
+
+    def dist(i, j):
+        return float(np.linalg.norm(v[i] - v[j]))
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def add(i, j, w):
+        key = (min(i, j), max(i, j))
+        best[key] = min(best.get(key, math.inf), w)
+
+    def angle(i, j, k):                 # the angle at i in triangle (i, j, k)
+        a, b, c = dist(i, j), dist(i, k), dist(j, k)
+        return math.acos(max(-1.0, min(1.0, (a * a + b * b - c * c) / (2 * a * b))))
+
+    def walk(w0, p, q, P, Q, ref, face, right, left, depth):
+        r = next(i for i in faces[face] if i not in (p, q))
+        turn = angle(p, q, r) * (-1.0 if cross(Q - P, ref - P) > 0 else 1.0)
+        u = (Q - P) / np.linalg.norm(Q - P)
+        C = P + dist(p, r) * np.array([u[0] * math.cos(turn) - u[1] * math.sin(turn),
+                                       u[0] * math.sin(turn) + u[1] * math.cos(turn)])
+        if r != w0 and cross(right, C) > 0 and cross(C, left) > 0:
+            add(w0, r, float(np.linalg.norm(C)))
+        if depth == mesh.STRIP_LIMIT - 1:
+            return
+        for p2, q2, P2, Q2, ref2 in ((p, r, P, C, Q), (r, q, C, Q, P)):
+            far = [g for g in sides[frozenset((p2, q2))] if g != face]
+            lo, hi = (P2, Q2) if cross(P2, Q2) > 0 else (Q2, P2)
+            right2 = lo if cross(right, lo) > 0 else right
+            left2 = hi if cross(hi, left) > 0 else left
+            if far and cross(right2, left2) > 0:
+                walk(w0, p2, q2, P2, Q2, ref2, far[0], right2, left2, depth + 1)
+
+    for f, tri in enumerate(faces):
+        for k in range(3):
+            p, q, w0 = tri[k], tri[k - 1], tri[k - 2]
+            add(p, q, dist(p, q))
+            far = [g for g in sides[frozenset((p, q))] if g != f]
+            if far:
+                P = np.array([dist(w0, p), 0.0])
+                Q = dist(w0, q) * np.array([math.cos(angle(w0, p, q)), math.sin(angle(w0, p, q))])
+                right, left = (P, Q) if cross(P, Q) > 0 else (Q, P)
+                walk(w0, p, q, P, Q, np.zeros(2), far[0], right, left, 1)
+    return best
+
+
+def graph_pairs(graph):
+    coo = graph.tocoo()
+    upper = coo.row < coo.col
+    return dict(zip(zip(coo.row[upper].tolist(), coo.col[upper].tolist()),
+                    coo.data[upper].tolist()))
+
+
+def jittered_grid():
+    grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.1)
+    rng = np.random.default_rng(3)
+    return grid.vertices + rng.uniform(-0.02, 0.02, grid.vertices.shape), grid.faces
+
+
+def bumped_icosphere():
+    sphere = triangulate_sphere(2)
+    rng = np.random.default_rng(4)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v = sphere.vertices @ rotation.T
+    bump = 1.0 + 0.1 * np.sin(3.0 * v[:, :1]) + rng.uniform(0.0, 0.05, (len(v), 1))
+    return v * bump, sphere.faces
+
+
+@pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere])
+def test_crossing_graph_matches_per_strip_reference(make):
+    vertices, faces = make()
+    got = graph_pairs(mesh.strip_shortcut_graph(vertices, faces))
+    want = reference_crossing_graph(vertices, faces)
+    assert got.keys() == want.keys()
+    assert len(got) > 5 * len(faces)          # about 1.5 edges a face, the rest shortcuts
+    keys = sorted(want)
+    np.testing.assert_allclose([got[k] for k in keys], [want[k] for k in keys],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_planar_crossing_graph_weights_are_chords():
+    # unfolding a planar mesh is isometric, so every shortcut is its chord
+    vertices, faces = jittered_grid()
+    coo = mesh.strip_shortcut_graph(vertices, faces).tocoo()
+    chords = np.linalg.norm(vertices[coo.row] - vertices[coo.col], axis=1)
+    np.testing.assert_allclose(coo.data, chords, rtol=1e-12, atol=0.0)
+
+
+def test_non_manifold_edge_is_refused():
+    # edge (0, 1) borders three faces
+    grid = TriMesh(R2, [[0, 0], [1, 0], [0, 1], [1, -1], [0.5, 2]],
+                   [[0, 1, 2], [1, 0, 3], [0, 1, 4]], sources=[2])
+    with pytest.raises(MeshError, match=r"^non-manifold edge \(more than 2 incident faces\)$"):
+        geodesic_distance_field(grid, grid.sources)
+
+
+# ---------------------------------------------------------------------------
 # Refinement convergence
 # ---------------------------------------------------------------------------
 
