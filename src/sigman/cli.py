@@ -175,10 +175,10 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
         outputs = gaussian.fisher_report(args.mu, args.sigma, args.quad)
         return _report("gaussian fisher", args, {}, outputs, started), 0
     path = _read(args.path, mesh.polyline_from_json)
-    if args.samples:
-        with _blame(args.path):
+    with _blame(args.path):
+        if args.samples:
             path = mesh.resample_polyline(path, args.samples)
-    report = gaussian.check_gaussian_lower_bound(path)
+        report = gaussian.check_gaussian_lower_bound(path)
     inputs = {args.path: _digest(args.path)}
     status = 0 if report.satisfied else 1
     return _report("gaussian bound", args, inputs, report.to_json(), started), status

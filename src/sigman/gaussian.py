@@ -91,6 +91,9 @@ def fisher_metric_numeric(mu: float, sigma: float, quad_points: int = 401) -> Fi
     expectation is numerical, so g11 lands on 1/sigma^2 and g12 on 0 to
     near machine precision.
     """
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise GaussianError(f"{name} must be finite, got {value}")
     if sigma <= 0.0:
         raise GaussianError(f"sigma must be positive, got {sigma}")
     if quad_points < 200:

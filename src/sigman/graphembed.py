@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
-from .mesh import chart_points, json_object, vertex_indices
+from .mesh import _pairs_to_csr, chart_points, json_object, vertex_indices
 from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
@@ -84,11 +84,7 @@ class WeightedGraph:
 
     def _matrix(self, unit: bool) -> csr_matrix:
         i, j, w = self._arrays()
-        w = np.ones(self.m) if unit else w
-        return csr_matrix(
-            (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(self.n, self.n),
-        )
+        return _pairs_to_csr(self.n, i, j, np.ones(self.m) if unit else w)
 
 
 def graph_to_json(g: WeightedGraph) -> dict:
@@ -324,6 +320,8 @@ def minimize_ratio_variance(
         raise GraphError("embedding needs at least 2 vertices")
     if restarts < 1:
         raise GraphError(f"embedding needs restarts >= 1, got {restarts}")
+    if not math.isfinite(tol_obj):
+        raise GraphError(f"objective tolerance must be finite, got {tol_obj}")
     kind = geometry.KINDS[m.kind]
     if kind.project is None:
         raise GraphError(f"manifold kind {m.kind!r} is not supported for embedding")

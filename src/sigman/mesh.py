@@ -228,8 +228,12 @@ class TriMesh:
     ``sources`` is an optional list of vertex indices playing the role
     of the source submanifold for distance fields. Every vertex must lie
     in the manifold, every index (faces, a, b, sources) must be an
-    integer in range, and the edge graph must be connected and free of
-    zero-length edges.
+    integer in range, every edge must border at most two faces, and the
+    edge graph must be connected and free of zero-length edges.
+
+    Construction builds the topology once: the unique (lo, hi) ``edges``,
+    their chord ``edge_lengths``, and ``side_edge``, the edge of each
+    face side h = side * n_faces + face (see _face_sides).
     """
 
     manifold: ManifoldSpec
@@ -238,6 +242,9 @@ class TriMesh:
     a: int | None = None
     b: int | None = None
     sources: list[int] | None = None
+    edges: np.ndarray = field(init=False, repr=False)
+    edge_lengths: np.ndarray = field(init=False, repr=False)
+    side_edge: np.ndarray = field(init=False, repr=False)
     _graph: csr_matrix | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -256,13 +263,20 @@ class TriMesh:
             raise MeshError("marked points a and b must differ")
         if self.sources is not None:
             self.sources = vertex_indices(self.sources, nv, "sources").tolist()
-        edges, weights = _edge_weights(self.vertices, self.faces)
-        if np.any(weights == 0.0):
+        self.edges, self.side_edge = _face_sides(nv, f)
+        if np.bincount(self.side_edge).max() > 2:
+            raise MeshError("non-manifold edge (more than 2 incident faces)")
+        v, ends = self.vertices, np.roll(f, -1, axis=1)
+        with np.errstate(over="ignore"):   # an overflowing edge length is inf, refused below
+            side_len = np.linalg.norm(v[f.T.ravel()] - v[ends.T.ravel()], axis=1)
+        self.edge_lengths = np.empty(len(self.edges))
+        self.edge_lengths[self.side_edge] = side_len   # both sides of an edge agree bitwise
+        if np.any(self.edge_lengths == 0.0):
             raise MeshError("mesh contains a zero-length edge")
-        if not np.all(np.isfinite(weights)):
+        if not np.all(np.isfinite(self.edge_lengths)):
             raise MeshError("mesh contains an edge whose length overflows")
         ncomp, _ = connected_components(
-            _pairs_to_csr(nv, edges[:, 0], edges[:, 1], weights), directed=False
+            _pairs_to_csr(nv, *self.edges.T, self.edge_lengths), directed=False
         )
         if ncomp != 1:
             raise DisconnectedMesh(f"mesh edge graph has {ncomp} components")
@@ -290,23 +304,11 @@ def _face_sides(nv, faces):
     return np.column_stack(np.divmod(keys, nv)), inverse
 
 
-def _edge_weights(vertices: np.ndarray, faces: np.ndarray):
-    edges = _face_sides(len(vertices), faces)[0]
-    with np.errstate(over="ignore"):   # an overflowing edge length is inf; TriMesh refuses it
-        weights = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
-    return edges, weights
-
-
 def _pairs_to_csr(nv, i, j, w) -> csr_matrix:
     return csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
         shape=(nv, nv),
     )
-
-
-def mesh_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected mesh edges and their chord lengths."""
-    return _edge_weights(mesh.vertices, mesh.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,7 @@ def _strip_step(state, apex, dist_a, dist_b, next_a, next_b, last: bool):
     return shortcuts, children
 
 
-def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
+def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     """Mesh edges plus shortcuts through unfolded face strips.
 
     Strips of up to STRIP_LIMIT faces are unfolded isometrically into
@@ -377,30 +379,25 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
     The walk runs on half-edges h = side * n_f + face, where side 0 runs
     from faces[:, 0] to faces[:, 1], side 1 from 1 to 2 and side 2 from
     2 to 0, so h + n_f and h + 2 n_f (mod 3 n_f) are the next sides of
-    the same face. twin[h] is the half-edge of the same edge in the far
-    face. A portal is a code q = 2 h + flip: half-edge h with its end
-    "a" at the start of h (flip 0) or at its end (flip 1). Tables over
-    the codes give each face's apex, the lengths from a and from b to
-    it, and the codes of the two child portals (a, apex) and (apex, b)
-    as seen from their far faces, so one depth of all strips is a few
-    table lookups plus the planar arithmetic. Strips advance one depth
-    at a time, SEED_BLOCK seeds' strips together, with their planar
-    state (portal ends, cone rays and the previous face's third vertex)
-    in flat x and y columns.
+    the same face; mesh.side_edge[h] is its edge. twin[h] is the
+    half-edge of the same edge in the far face. A portal is a code
+    q = 2 h + flip: half-edge h with its end "a" at the start of h
+    (flip 0) or at its end (flip 1). Tables over the codes give each
+    face's apex, the lengths from a and from b to it, and the codes of
+    the two child portals (a, apex) and (apex, b) as seen from their far
+    faces, so one depth of all strips is a few table lookups plus the
+    planar arithmetic. Strips advance one depth at a time, SEED_BLOCK
+    seeds' strips together, with their planar state (portal ends, cone
+    rays and the previous face's third vertex) in flat x and y columns.
     """
-    nv, n_f = vertices.shape[0], faces.shape[0]
+    faces, inverse, n_f = mesh.faces, mesh.side_edge, mesh.n_faces
     n_h = 3 * n_f
-    edges, inverse = _face_sides(nv, faces)
-    if np.bincount(inverse).max(initial=0) > 2:
-        raise MeshError("non-manifold edge (more than 2 incident faces)")
     start, end = faces.T.ravel(), np.roll(faces, -1, axis=1).T.ravel()
     order = np.argsort(inverse, kind="stable")
     pair = np.flatnonzero(np.diff(inverse[order]) == 0)
     twin = np.full(n_h, -1)
     twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
-    hlen = np.linalg.norm(vertices[start] - vertices[end], axis=1)
-    edge_w = np.empty(len(edges))
-    edge_w[inverse] = hlen
+    hlen = mesh.edge_lengths[inverse]
 
     h = np.arange(n_h)
     n1, n2 = (h + n_f) % n_h, (h + 2 * n_f) % n_h     # end -> apex and apex -> start
@@ -426,7 +423,7 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
              np.where(swap, pay, pby), np.where(swap, pbx, pax), np.where(swap, pby, pay),
              np.zeros_like(pax), np.zeros_like(pax)]
 
-    found = [(edges[:, 0], edges[:, 1], edge_w)]
+    found = [(mesh.edges[:, 0], mesh.edges[:, 1], mesh.edge_lengths)]
     for lo in range(0, len(code), SEED_BLOCK):
         state = [col[lo:lo + SEED_BLOCK] for col in seeds]
         for depth in range(1, STRIP_LIMIT):
@@ -434,12 +431,12 @@ def strip_shortcut_graph(vertices: np.ndarray, faces: np.ndarray) -> csr_matrix:
             found.append(shortcuts)
             state = [np.concatenate(cols) for cols in zip(*children)]
     i, j, w = (np.concatenate(cols) for cols in zip(*found))
-    return _pairs_to_csr(nv, *_dedup_min(nv, i, j, w))
+    return _pairs_to_csr(mesh.n_vertices, *_dedup_min(mesh.n_vertices, i, j, w))
 
 
 def _metric_graph(mesh: TriMesh) -> csr_matrix:
     if mesh._graph is None:
-        mesh._graph = strip_shortcut_graph(mesh.vertices, mesh.faces)
+        mesh._graph = strip_shortcut_graph(mesh)
     return mesh._graph
 
 
@@ -456,13 +453,7 @@ def geodesic_distance_field(mesh: TriMesh, sources) -> np.ndarray:
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
     """Per-face areas from chord edge lengths (stable Heron form)."""
-    v = mesh.vertices
-    f = mesh.faces
-    e = np.stack([
-        np.linalg.norm(v[f[:, 1]] - v[f[:, 0]], axis=1),
-        np.linalg.norm(v[f[:, 2]] - v[f[:, 1]], axis=1),
-        np.linalg.norm(v[f[:, 0]] - v[f[:, 2]], axis=1),
-    ], axis=1)
+    e = mesh.edge_lengths[mesh.side_edge].reshape(3, -1).T
     e.sort(axis=1)
     c, b, a = e[:, 0], e[:, 1], e[:, 2]   # a >= b >= c
     prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))

@@ -63,9 +63,7 @@ def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48,
         current = geometry.KINDS[spec.kind].sample(spec, rng, 0.05)
         pts = [current]
         while len(pts) < n_samples:
-            cand = current + rng.normal(scale=0.08, size=3)
-            norm = np.linalg.norm(cand)     # radii 1 and 2, less the 0.05 margin
-            cand = cand / norm * min(max(norm, 1.05), 1.95)
+            cand = geometry.project(spec, current + rng.normal(scale=0.08, size=3), 0.05)
             if np.linalg.norm(cand - current) == 0.0:
                 continue
             pts.append(cand)

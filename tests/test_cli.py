@@ -338,6 +338,28 @@ def test_fisher_quadrature_over_the_limit_exits_2(capsys):
     assert f"over the limit {gaussian.QUAD_POINTS_LIMIT}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [("sigma", "nan"), ("mu", "inf")])
+def test_non_finite_fisher_option_exits_2(capsys, name, value):
+    assert cli.run(["gaussian", "fisher", f"--{name}={value}", "--no-timing"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
+
+def test_non_finite_embed_tolerance_exits_2(k3_files, capsys):
+    graph, manifold = k3_files
+    assert cli.run(["embed", "--graph", graph, "--manifold", manifold, "--tol=nan",
+                    "--no-timing"]) == 2
+    assert capsys.readouterr().err == "error: objective tolerance must be finite, got nan\n"
+
+
+def test_gaussian_bound_on_a_euclidean_path_names_the_file(tmp_path, capsys):
+    doc = {"manifold": {"kind": "euclidean", "dim": 2}, "samples": [[0, 0], [1, 1]]}
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(["gaussian", "bound", "--path", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: lower bound check needs a gaussian_param path, got euclidean\n")
+
+
 @pytest.mark.parametrize("manifold, field", [
     ({"kind": "euclidean", "dim": 2.7}, "'dim'"),
     ({"kind": "euclidean", "dim": True}, "'dim'"),

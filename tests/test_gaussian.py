@@ -67,6 +67,12 @@ def test_fisher_rejects_bad_inputs():
         fisher_metric_numeric(0.0, -1.0)
     with pytest.raises(GaussianError, match="200"):
         fisher_metric_numeric(0.0, 1.0, quad_points=50)
+    for mu, sigma, message in ((math.nan, 1.0, "mu must be finite, got nan"),
+                               (-math.inf, 1.0, "mu must be finite, got -inf"),
+                               (0.0, math.nan, "sigma must be finite, got nan"),
+                               (0.0, math.inf, "sigma must be finite, got inf")):
+        with pytest.raises(GaussianError, match=f"^{message}$"):
+            fisher_metric_numeric(mu, sigma)
 
 
 def test_fisher_quadrature_is_capped(monkeypatch):

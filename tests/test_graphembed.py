@@ -430,6 +430,12 @@ def test_minimize_needs_a_restart():
         minimize_ratio_variance(K3, R2, restarts=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_minimize_needs_a_finite_tolerance(tol):
+    with pytest.raises(GraphError, match=f"^objective tolerance must be finite, got {tol}$"):
+        minimize_ratio_variance(K3, R2, tol_obj=tol)
+
+
 def test_minimize_never_worse_than_initial_samples():
     base = minimize_ratio_variance(K4, R2, seed=17, restarts=6, max_iters=0)
     tuned = minimize_ratio_variance(K4, R2, seed=17, restarts=6, max_iters=300)

@@ -177,8 +177,8 @@ def test_distance_field_zero_iff_source_and_lipschitz():
     sphere = triangulate_sphere(2)
     d = geodesic_distance_field(sphere, [0, 5])
     assert set(np.flatnonzero(d == 0.0)) == {0, 5}
-    edges, weights = mesh.mesh_edges(sphere)
-    assert np.all(np.abs(d[edges[:, 0]] - d[edges[:, 1]]) <= weights + 1e-12)
+    edges = sphere.edges
+    assert np.all(np.abs(d[edges[:, 0]] - d[edges[:, 1]]) <= sphere.edge_lengths + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +503,14 @@ def bumped_icosphere():
     return v * bump, sphere.faces
 
 
+def euclidean_mesh(vertices, faces):
+    return TriMesh(geometry.euclidean(vertices.shape[1]), vertices, faces)
+
+
 @pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere])
 def test_crossing_graph_matches_per_strip_reference(make):
     vertices, faces = make()
-    got = graph_pairs(mesh.strip_shortcut_graph(vertices, faces))
+    got = graph_pairs(mesh.strip_shortcut_graph(euclidean_mesh(vertices, faces)))
     want = reference_crossing_graph(vertices, faces)
     assert got.keys() == want.keys()
     assert len(got) > 5 * len(faces)          # about 1.5 edges a face, the rest shortcuts
@@ -518,17 +522,38 @@ def test_crossing_graph_matches_per_strip_reference(make):
 def test_planar_crossing_graph_weights_are_chords():
     # unfolding a planar mesh is isometric, so every shortcut is its chord
     vertices, faces = jittered_grid()
-    coo = mesh.strip_shortcut_graph(vertices, faces).tocoo()
+    coo = mesh.strip_shortcut_graph(euclidean_mesh(vertices, faces)).tocoo()
     chords = np.linalg.norm(vertices[coo.row] - vertices[coo.col], axis=1)
     np.testing.assert_allclose(coo.data, chords, rtol=1e-12, atol=0.0)
 
 
+NON_MANIFOLD = {"vertices": [[0, 0], [1, 0], [0, 1], [1, -1], [0.5, 2]],
+                "faces": [[0, 1, 2], [1, 0, 3], [0, 1, 4]]}      # edge (0, 1) borders three faces
+
+
 def test_non_manifold_edge_is_refused():
-    # edge (0, 1) borders three faces
-    grid = TriMesh(R2, [[0, 0], [1, 0], [0, 1], [1, -1], [0.5, 2]],
-                   [[0, 1, 2], [1, 0, 3], [0, 1, 4]], sources=[2])
-    with pytest.raises(MeshError, match=r"^non-manifold edge \(more than 2 incident faces\)$"):
-        geodesic_distance_field(grid, grid.sources)
+    # refused on construction, so no area or distance is ever computed on it
+    message = r"^non-manifold edge \(more than 2 incident faces\)$"
+    with pytest.raises(MeshError, match=message):
+        TriMesh(R2, NON_MANIFOLD["vertices"], NON_MANIFOLD["faces"], sources=[2])
+    with pytest.raises(MeshError, match=message):
+        mesh.mesh_from_json({"manifold": geometry.manifold_to_json(R2), **NON_MANIFOLD})
+
+
+@pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere])
+def test_face_areas_match_three_norm_heron_bitwise(make):
+    # the stored edge lengths are the per-face side norms, bit for bit
+    vertices, faces = make()
+    v, f = vertices, faces
+    e = np.stack([np.linalg.norm(v[f[:, 1]] - v[f[:, 0]], axis=1),
+                  np.linalg.norm(v[f[:, 2]] - v[f[:, 1]], axis=1),
+                  np.linalg.norm(v[f[:, 0]] - v[f[:, 2]], axis=1)], axis=1)
+    e.sort(axis=1)
+    c, b, a = e[:, 0], e[:, 1], e[:, 2]
+    prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    want = 0.25 * np.sqrt(np.maximum(prod, 0.0))
+    got = mesh.face_areas(euclidean_mesh(vertices, faces))
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
