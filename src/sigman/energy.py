@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
+from . import geometry
 from . import mesh as meshmod
 from .mesh import PolylinePath, TriMesh
 
@@ -72,8 +72,17 @@ class SignalCurve:
     path: PolylinePath
 
     def __post_init__(self):
-        if np.array_equal(self.path.samples[0], self.path.samples[-1]):
+        s = self.path.samples
+        if np.array_equal(s[0], s[-1]):
             raise EnergyError("signal endpoints must be distinct")
+        try:    # an obstructed shell chord is inf; an overflow is inf in both measures
+            with np.errstate(over="ignore", invalid="ignore"):
+                chords = geometry.distances(self.path.manifold, s[:-1], s[1:])
+        except geometry.NormUnsupported:    # a kind with no distances has no obstruction
+            return
+        cut = np.isinf(chords) & np.isfinite(meshmod.segment_lengths(self.path))
+        if cut.any():
+            raise EnergyError(f"the chord from sample {cut.argmax()} leaves the manifold")
 
 
 @dataclass
@@ -181,6 +190,16 @@ def rectangle_region(step: float) -> SignalRegion:
 # Function-table energies on a uniform grid
 # ---------------------------------------------------------------------------
 
+def trapezoid(ys, xs) -> float:
+    """``scipy.integrate.trapezoid(ys, xs)``, term for term."""
+    return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
+
+
+def cumulative_trapezoid(ys, xs) -> np.ndarray:
+    """``scipy.integrate.cumulative_trapezoid(ys, xs, initial=0.0)``, term for term."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)))
+
+
 def _check_table(xs, fs, min_samples: int):
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -198,13 +217,13 @@ def riemannian_energy(xs, fs) -> float:
     """(1/2) integral of (1 + f'^2) with central-difference f'."""
     xs, fs, h = _check_table(xs, fs, 3)
     deriv = np.gradient(fs, h, edge_order=2)
-    return float(trapezoid(0.5 * (1.0 + deriv ** 2), xs))
+    return trapezoid(0.5 * (1.0 + deriv ** 2), xs)
 
 
 def sp_energy(xs, fs) -> float:
     """Integral of f^2 (trapezoid rule)."""
     xs, fs, _ = _check_table(xs, fs, 2)
-    return float(trapezoid(fs ** 2, xs))
+    return trapezoid(fs ** 2, xs)
 
 
 def antiderivative_transform(xs, fs) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +231,7 @@ def antiderivative_transform(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     xs, fs, _ = _check_table(xs, fs, 2)
     if abs(xs[0]) > 1e-12:
         raise EnergyError(f"grid must start at 0, got x0 = {xs[0]}")
-    return xs, cumulative_trapezoid(fs, xs, initial=0.0)
+    return xs, cumulative_trapezoid(fs, xs)
 
 
 def sqrt_arclength_transform(xs, fs) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +246,7 @@ def sqrt_arclength_transform(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     """
     xs, fs, h = _check_table(xs, fs, 3)
     deriv = np.gradient(fs, h, edge_order=2)
-    variation = cumulative_trapezoid(np.abs(deriv), xs, initial=0.0)
+    variation = cumulative_trapezoid(np.abs(deriv), xs)
     return xs, np.sqrt(variation)
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import energy as energymod
 from . import geometry
@@ -30,6 +29,7 @@ from .mesh import PolylinePath
 MONO_EPS = 1e-12        # slack for per-coordinate monotonicity verdicts
 LOWER_BOUND_TOL = 1e-9  # slack for the cubic lower bound verdict
 QUAD_POINTS_LIMIT = 1_000_000  # largest quadrature grid fisher_metric_numeric builds
+SIGMA_RANGE = (1e-77, 1e77)    # where sigma^2, sigma^3 and 1/sigma^4 are finite and nonzero
 
 
 class GaussianError(ValueError):
@@ -94,18 +94,21 @@ def fisher_metric_numeric(mu: float, sigma: float, quad_points: int = 401) -> Fi
     for name, value in (("mu", mu), ("sigma", sigma)):
         if not math.isfinite(value):
             raise GaussianError(f"{name} must be finite, got {value}")
-    if sigma <= 0.0:
-        raise GaussianError(f"sigma must be positive, got {sigma}")
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        raise GaussianError(f"sigma must be positive and in {list(SIGMA_RANGE)}, got {sigma}")
     if quad_points < 200:
         raise GaussianError("quad_points must be at least 200")
     if quad_points > QUAD_POINTS_LIMIT:
         raise GaussianError(f"quad_points {quad_points} is over the limit {QUAD_POINTS_LIMIT}")
     xs = np.linspace(mu - 12.0 * sigma, mu + 12.0 * sigma, quad_points)
+    if not np.all(np.diff(xs) > 0.0):   # |mu| too large for sigma: the floats run out
+        raise GaussianError(f"quadrature grid collapsed: mu +- 12 sigma = [{xs[0]}, {xs[-1]}] "
+                            f"holds fewer than {quad_points} distinct floats")
     pdf = np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     s2 = sigma ** 2
-    g11 = float(trapezoid(pdf / s2, xs))
-    g12 = float(trapezoid(pdf * 2.0 * (xs - mu) / sigma ** 3, xs))
-    g22 = float(trapezoid(pdf * (3.0 * (xs - mu) ** 2 / s2 ** 2 - 1.0 / s2), xs))
+    g11 = energymod.trapezoid(pdf / s2, xs)
+    g12 = energymod.trapezoid(pdf * 2.0 * (xs - mu) / sigma ** 3, xs)
+    g22 = energymod.trapezoid(pdf * (3.0 * (xs - mu) ** 2 / s2 ** 2 - 1.0 / s2), xs)
     return FisherTensor(g11=g11, g12=g12, g22=g22)
 
 

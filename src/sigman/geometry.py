@@ -44,7 +44,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 SPD_EPS = 1e-10        # strict positivity margin for minimum eigenvalues
 SPHERE_EPS = 1e-9      # |x| tolerance for unit-sphere membership
@@ -294,6 +293,7 @@ def min_norm_point(pts) -> np.ndarray:
         ss = np.sum(step * step, axis=-1)
         t = np.divide(-np.sum(x * step, axis=-1), ss, out=np.zeros_like(ss), where=ss > 0.0)
         return x + np.clip(t, 0.0, 1.0)[..., None] * step
+    from scipy.optimize import nnls  # imported here: ~0.2 s, and only 3+ point hulls need it
     target = np.append(np.zeros(d), 1.0)
     out = np.empty((math.prod(lead), d))
     for i, p in enumerate(pts.reshape(-1, k, d)):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,20 @@ def test_non_finite_fisher_option_exits_2(capsys, name, value):
     assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--sigma=1e300", "sigma must be positive and in [1e-77, 1e+77], got 1e+300"),
+    ("--sigma=1e-300", "sigma must be positive and in [1e-77, 1e+77], got 1e-300"),
+    ("--sigma=1e-170", "sigma must be positive and in [1e-77, 1e+77], got 1e-170"),
+    ("--mu=1e308", "quadrature grid collapsed: mu +- 12 sigma = [1e+308, 1e+308] holds "
+                   "fewer than 401 distinct floats"),
+])
+def test_extreme_fisher_option_exits_2(capsys, option, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(["gaussian", "fisher", option, "--no-timing"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_non_finite_embed_tolerance_exits_2(k3_files, capsys):
     graph, manifold = k3_files
     assert cli.run(["embed", "--graph", graph, "--manifold", manifold, "--tol=nan",
@@ -439,6 +454,17 @@ def test_resampled_point_outside_the_manifold_names_the_file(tmp_path, capsys, c
         "|x|^2 = 0.0 is not > inner bound a = 1.0\n")
 
 
+def test_obstructed_shell_chord_names_the_file(tmp_path, capsys):
+    # the same chord as above, now read without resampling
+    doc = {"manifold": {"kind": "shell", "a": 1, "b": 4},
+           "samples": [[1.5, 0, 0], [-1.5, 0, 0]]}
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(["energy", "curve", "--path", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: the chord from sample 0 leaves the manifold\n")
+
+
 def test_non_finite_report_exits_2_without_output(monkeypatch, capsys):
     monkeypatch.setattr(gaussian, "fisher_report", lambda *args: {"g": math.nan})
     assert cli.run(["gaussian", "fisher", "--no-timing"]) == 2
@@ -455,6 +481,47 @@ def test_run_module_without_runpy_warning():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_IMPORT_SET = """
+import io, json, sys
+from contextlib import redirect_stdout
+from sigman import cli, configspace, geometry, mesh
+LAZY = ("scipy.integrate", "scipy.optimize")
+print([m for m in LAZY if m in sys.modules])
+sphere = mesh.triangulate_sphere(1)
+with open(sys.argv[1] + "/sphere.json", "w") as fh:
+    json.dump({**mesh.mesh_to_json(sphere), "sources": [sphere.a]}, fh)
+with open(sys.argv[1] + "/k4.json", "w") as fh:
+    json.dump({"n": 4, "edges": [[i, j, 1.0] for i in range(4) for j in range(i + 1, 4)]}, fh)
+with open(sys.argv[1] + "/r2.json", "w") as fh:
+    json.dump({"kind": "euclidean", "dim": 2}, fh)
+with redirect_stdout(io.StringIO()):
+    status = [cli.run(argv + ["--no-timing"]) for argv in (
+        ["energy", "rectangle", "--grid", "0.1"],
+        ["energy", "region", "--mesh", sys.argv[1] + "/sphere.json"],
+        ["embed", "--graph", sys.argv[1] + "/k4.json", "--manifold", sys.argv[1] + "/r2.json"])]
+print(status, [m for m in LAZY if m in sys.modules])
+# two particles in the plane; the hull of their three differences holds 0 only in the first
+stack = [[[[0, 0], [1, 0]], [[0, 0], [-1, 1]], [[0, 0], [-1, -1]]],
+         [[[0, 0], [1, 0]], [[0, 0], [2, 1]], [[0, 0], [2, -1]]]]
+inside, clear = configspace.hull_probe(geometry.euclidean(2), stack)
+print(inside.tolist(), clear.tolist(), [m for m in LAZY if m in sys.modules])
+"""
+
+
+def test_cli_imports_scipy_optimize_only_for_hulls_of_three_points(tmp_path):
+    src = str(Path(sigman.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[0, 0, 0] []",
+        "[[True, True], [True, True]] [[False], [True]] ['scipy.optimize']",
+    ]
 
 
 def test_unconfirmed_check_exits_1(tmp_path, capsys):

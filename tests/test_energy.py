@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sigman import energy, geometry, mesh, verify
 from sigman.energy import (
@@ -75,6 +77,26 @@ def test_signal_curve_rejects_closed_loop():
     loop = PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(EnergyError, match="distinct"):
         SignalCurve(loop)
+
+
+def test_signal_curve_rejects_an_obstructed_shell_chord():
+    # the chord from (1.5, 0, 0) to (-1.5, 0, 0) passes the origin, inside the inner sphere
+    shell = geometry.spherical_shell(1.0, 4.0)
+    path = PolylinePath(shell, [[1.5, 0.0, 0.0], [1.5, 0.5, 0.0], [-1.5, 0.5, 0.0]])
+    with pytest.raises(EnergyError, match="^the chord from sample 1 leaves the manifold$"):
+        SignalCurve(path)
+    product = geometry.product_manifold([geometry.euclidean(1), shell])
+    with pytest.raises(EnergyError, match="sample 0"):
+        SignalCurve(PolylinePath(product, [[0.0, 1.5, 0.0, 0.0], [1.0, -1.5, 0.0, 0.0]]))
+
+
+def test_signal_curve_keeps_chords_that_stay_or_have_no_distance():
+    shell = geometry.spherical_shell(1.0, 4.0)
+    arc = PolylinePath(shell, [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [-1.5, 0.0, 0.0]])
+    assert curve_energy(SignalCurve(arc)).satisfied1
+    # the half plane has no closed-form distance, and its straight chords never leave it
+    half_plane = PolylinePath(geometry.fisher_half_plane(), [[0.0, 1.0], [1.0, 2.0]])
+    assert curve_energy(SignalCurve(half_plane)).e1 == pytest.approx(1.0)
 
 
 def test_curve_energy_concatenation_additivity():
@@ -290,6 +312,19 @@ def test_sqrt_arclength_monotone_variation_identity():
         _, L = sqrt_arclength_transform(xs, fs)
         want = fn.cumulative_variation_integral(3.0)
         assert sp_energy(xs, L) == pytest.approx(want, abs=1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 500), x0=st.floats(-1e3, 1e3))
+def test_quadrature_matches_scipy_bit_for_bit(data, n, x0):
+    steps = data.draw(arrays(float, n - 1, elements=st.floats(1e-3, 10.0)))
+    xs = x0 + np.concatenate(([0.0], np.cumsum(steps)))
+    ys = data.draw(arrays(float, n, elements=st.floats(-1e6, 1e6)))
+    assert np.all(np.diff(xs) > 0.0)
+    bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
+    assert bits(energy.trapezoid(ys, xs)) == bits(scipy.integrate.trapezoid(ys, xs))
+    assert np.array_equal(bits(energy.cumulative_trapezoid(ys, xs)),
+                          bits(scipy.integrate.cumulative_trapezoid(ys, xs, initial=0.0)))
 
 
 def test_function_tables_require_uniform_grid():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def test_fisher_rejects_bad_inputs():
                                (0.0, math.inf, "sigma must be finite, got inf")):
         with pytest.raises(GaussianError, match=f"^{message}$"):
             fisher_metric_numeric(mu, sigma)
+
+
+def test_fisher_sigma_range_ends_are_safe():
+    lo, hi = gaussian.SIGMA_RANGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma in (lo, hi):
+            t = fisher_metric_numeric(0.0, sigma)
+            assert t.g11 == pytest.approx(1.0 / sigma ** 2, rel=1e-8)
+    for sigma in (float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, math.inf)), 1e300):
+        with pytest.raises(GaussianError) as info:
+            fisher_metric_numeric(0.0, sigma)
+        assert str(info.value) == f"sigma must be positive and in [1e-77, 1e+77], got {sigma}"
+
+
+def test_fisher_refuses_a_collapsed_grid():
+    # near 1e15 the floats are 0.125 apart, more than the 0.06 grid step at sigma = 1
+    with pytest.raises(GaussianError, match="^quadrature grid collapsed: "):
+        fisher_metric_numeric(1e15, 1.0)
+    fisher_metric_numeric(1e13, 1.0)
 
 
 def test_fisher_quadrature_is_capped(monkeypatch):
