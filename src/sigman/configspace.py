@@ -51,7 +51,7 @@ def probe(m: ManifoldSpec, configs) -> tuple[np.ndarray, np.ndarray]:
     configs = np.asarray(configs, dtype=float)
     n, d = configs.shape[-2:]
     inside = geometry.validate_points(m, configs.reshape(-1, d)).reshape(configs.shape[:-1])
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = geometry.pair_index(n)
     gaps = np.linalg.norm(configs[..., iu, :] - configs[..., ju, :], axis=-1)
     return inside, gaps
 
@@ -66,7 +66,7 @@ def hull_probe(m: ManifoldSpec, stack) -> tuple[np.ndarray, np.ndarray]:
     because it projects onto the hulls of those positions and differences.
     """
     tracks = np.swapaxes(np.asarray(stack, dtype=float), -3, -2)     # (..., n, k, d)
-    iu, ju = np.triu_indices(tracks.shape[-3], k=1)
+    iu, ju = geometry.pair_index(tracks.shape[-3])
     inside = geometry.KINDS[m.kind].hull(m, tracks)
     gap_sq = geometry.min_norm_sq(tracks[..., iu, :, :] - tracks[..., ju, :, :])
     return inside, gap_sq > COLLISION_EPS ** 2
@@ -74,7 +74,7 @@ def hull_probe(m: ManifoldSpec, stack) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair(n: int, k: int) -> str:
     """Names the k-th point pair of :func:`probe`'s gaps."""
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = geometry.pair_index(n)
     return f"points {iu[k]} and {ju[k]}"
 
 

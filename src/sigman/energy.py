@@ -75,6 +75,8 @@ class SignalCurve:
         s = self.path.samples
         if np.array_equal(s[0], s[-1]):
             raise EnergyError("signal endpoints must be distinct")
+        if geometry._all_flat(self.path.manifold):   # a convex chart; its chord is the segment
+            return
         try:    # an obstructed shell chord is inf; an overflow is inf in both measures
             with np.errstate(over="ignore", invalid="ignore"):
                 chords = geometry.distances(self.path.manifold, s[:-1], s[1:])

@@ -239,7 +239,7 @@ def random_monotone_param_path(
         mu = rng.uniform(lo, hi)
         diag = rng.uniform(2.0, 3.0, size=n)
         sigma = np.diag(diag)
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = geometry.pair_index(n)
         off = rng.uniform(-0.3, 0.3, size=iu.shape[0])
         sigma[iu, ju] = off
         sigma[ju, iu] = off

@@ -39,6 +39,7 @@ geodesic on a refined mesh (see the mesh module).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -156,6 +157,14 @@ def _blocks(m: ManifoldSpec, xs: np.ndarray):
         off += d
 
 
+@functools.lru_cache(maxsize=64)
+def pair_index(n: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, built once per (n, k); the arrays are read-only."""
+    iu, ju = np.triu_indices(n, k)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 # ---------------------------------------------------------------------------
 # SPD / Gaussian chart flattening
 # ---------------------------------------------------------------------------
@@ -172,7 +181,7 @@ def spd_chart_from_matrix(mat) -> np.ndarray:
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max())):
         raise GeometryError("matrix is not symmetric")
     n = mat.shape[0]
-    iu, ju = np.triu_indices(n)
+    iu, ju = pair_index(n, 0)
     scale = np.where(iu == ju, 1.0, _SQRT2)
     return mat[iu, ju] * scale
 
@@ -195,7 +204,7 @@ def gaussian_chart(mu, sigma) -> np.ndarray:
 
 def _spd_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     """Symmetric matrices of the chart rows ``coords`` (N, n(n+1)/2)."""
-    iu, ju = np.triu_indices(n)
+    iu, ju = pair_index(n, 0)
     scale = np.where(iu == ju, 1.0, _SQRT2)
     mats = np.zeros((coords.shape[0], n, n))
     mats[:, iu, ju] = coords / scale
@@ -342,12 +351,12 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
     y = np.asarray(y, dtype=float)
     _check_dim(m, x)
     _check_dim(m, y)
-    if p != 2.0:
-        if _all_flat(m):
+    with np.errstate(over="ignore"):    # a distance that overflows is inf
+        if p != 2.0 and _all_flat(m):
             return float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
-        if KINDS[m.kind].lp_error:
+        if p != 2.0 and KINDS[m.kind].lp_error:
             raise NormUnsupported(KINDS[m.kind].lp_error.format(p=p))
-    d = float(distances(m, x[None], y[None])[0])
+        d = float(distances(m, x[None], y[None])[0])
     if d == math.inf and not _all_flat(m):
         raise ChordObstructed(
             "straight chord leaves the shell; use a refined mesh geodesic"

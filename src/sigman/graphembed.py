@@ -98,7 +98,7 @@ def graph_from_json(data) -> WeightedGraph:
 
 def graph_metric(g: WeightedGraph, unit_weights: bool = True) -> np.ndarray:
     """All-pairs shortest-path table; hop counts when unit_weights."""
-    dist = shortest_path(g._matrix(unit=unit_weights), directed=False,
+    dist = shortest_path(g._matrix(unit=unit_weights), directed=True,   # stored both ways
                          unweighted=unit_weights)
     return np.asarray(dist)
 
@@ -125,7 +125,7 @@ def is_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
                            tol: float = 1e-9) -> bool:
     """True iff manifold distances match hop distances for ALL pairs."""
     pts = _placement_array(g, placement, m)
-    iu, ju = np.triu_indices(g.n, k=1)
+    iu, ju = geometry.pair_index(g.n)
     d_graph = graph_metric(g, unit_weights=True)
     return not np.any(np.abs(_pair_distances(m, pts, iu, ju) - d_graph[iu, ju]) > tol)
 
@@ -209,7 +209,7 @@ def _objectives(g: WeightedGraph, m: ManifoldSpec):
     (B, n, dim) gradient at feasible configurations.
     """
     ei, ej, weights = g._arrays()
-    iu, ju = np.triu_indices(g.n, k=1)
+    iu, ju = geometry.pair_index(g.n)
     eye = np.eye(g.n)                   # incidence: column k is the vertex at edge k's end
     at_i, at_j, pair_ends = eye[:, ei], eye[:, ej], eye[:, iu] - eye[:, ju]
     dist_gradient = geometry.KINDS[m.kind].gradient

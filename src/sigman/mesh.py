@@ -446,9 +446,10 @@ def geodesic_distance_field(mesh: TriMesh, sources) -> np.ndarray:
     Exact on the graph; never undershoots the polyhedral geodesic
     distance to the source set. The overshoot does not vanish under
     refinement: its floor is set by STRIP_LIMIT (see the module notes).
+    Directed search is exact: the graph stores each edge both ways, one weight.
     """
     sources = vertex_indices(sources, mesh.n_vertices, "sources")
-    return dijkstra(_metric_graph(mesh), directed=False, indices=sources, min_only=True)
+    return dijkstra(_metric_graph(mesh), directed=True, indices=sources, min_only=True)
 
 
 def face_areas(mesh: TriMesh) -> np.ndarray:
@@ -480,24 +481,24 @@ def mesh_diameter(mesh: TriMesh) -> float:
     once the best eccentricity reaches twice the root distance of the
     remaining vertices, no unscanned pair can beat it (triangle
     inequality through the root), so the scan stops with the exact
-    diameter.
+    diameter. Each search is directed, exact as every edge is stored both ways.
     """
     graph = _metric_graph(mesh)
-    d0 = dijkstra(graph, directed=False, indices=0, min_only=True)
+    d0 = dijkstra(graph, directed=True, indices=0, min_only=True)
     u = int(np.argmax(d0))
-    du = dijkstra(graph, directed=False, indices=u, min_only=True)
+    du = dijkstra(graph, directed=True, indices=u, min_only=True)
     v = int(np.argmax(du))
-    dv = dijkstra(graph, directed=False, indices=v, min_only=True)
+    dv = dijkstra(graph, directed=True, indices=v, min_only=True)
     best = float(du[v])
     root = int(np.argmin(np.maximum(du, dv)))
-    dr = dijkstra(graph, directed=False, indices=root, min_only=True)
+    dr = dijkstra(graph, directed=True, indices=root, min_only=True)
     best = max(best, float(dr.max()))
     order = np.argsort(-dr)
     pos = 0
     batch = 64
     while pos < mesh.n_vertices and 2.0 * dr[order[pos]] > best:
         chunk = order[pos:pos + batch]
-        sweep = dijkstra(graph, directed=False, indices=chunk, min_only=False)
+        sweep = dijkstra(graph, directed=True, indices=chunk, min_only=False)
         best = max(best, float(sweep.max()))
         pos += len(chunk)
     return best

@@ -79,6 +79,19 @@ def test_signal_curve_rejects_closed_loop():
         SignalCurve(loop)
 
 
+def test_flat_signal_curve_skips_the_chord_check(monkeypatch):
+    # a convex chart cannot obstruct a chord, so flat kinds never measure one
+    def refuse(*args):
+        raise AssertionError("geometry.distances called on a flat curve")
+
+    monkeypatch.setattr(geometry, "distances", refuse)
+    gauss = geometry.gaussian_param([(-5.0, 5.0)])
+    for m, samples in ((R2, [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300]]),
+                       (gauss, [[0.0, 1.0], [1.0, 2.0]]),
+                       (geometry.product_manifold([R2, gauss]), [[0, 0, 0, 1], [1, 1, 1, 2]])):
+        SignalCurve(PolylinePath(m, samples))
+
+
 def test_signal_curve_rejects_an_obstructed_shell_chord():
     # the chord from (1.5, 0, 0) to (-1.5, 0, 0) passes the origin, inside the inner sphere
     shell = geometry.spherical_shell(1.0, 4.0)

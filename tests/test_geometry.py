@@ -469,3 +469,20 @@ def test_manifold_json_gives_a_spec_or_a_geometry_error(data):
         return
     assert isinstance(spec, ManifoldSpec)
     assert geometry.manifold_from_json(geometry.manifold_to_json(spec)) == spec
+
+
+def test_pair_index_is_a_read_only_triu_table():
+    for n in range(1, 9):
+        for k in (0, 1):
+            got, want = geometry.pair_index(n, k), np.triu_indices(n, k)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+                with pytest.raises(ValueError, match="read-only"):
+                    g[...] = 0
+    assert geometry.pair_index(5) is geometry.pair_index(5)
+
+
+def test_distance_overflow_is_inf_without_a_warning():
+    # the suite turns RuntimeWarning into an error, so a warning fails here
+    assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0]) == math.inf
+    assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0], p=3.0) == math.inf

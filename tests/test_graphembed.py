@@ -86,6 +86,19 @@ def test_graph_metric_properties():
         assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
 
 
+def test_graph_metric_directed_search_is_exact():
+    # _matrix stores each edge both ways, so the directed table is the undirected one
+    from scipy.sparse.csgraph import shortest_path
+
+    rng = np.random.default_rng(8)
+    edges = [(i, j, float(rng.uniform(0.1, 2.0)))
+             for i, j in itertools.combinations(range(9), 2) if rng.uniform() < 0.4 or j == i + 1]
+    g = WeightedGraph(9, edges)
+    for unit in (True, False):
+        want = shortest_path(g._matrix(unit=unit), directed=False, unweighted=unit)
+        assert graph_metric(g, unit_weights=unit).tobytes() == want.tobytes()
+
+
 def test_graph_validation():
     with pytest.raises(GraphError, match="connected"):
         WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])

@@ -240,11 +240,37 @@ def test_mesh_diameter_scan_matches_all_pairs():
 
     meshes = [triangulate_sphere(k) for k in range(4)] + [
         triangulate_rectangle(0.0, 1.0, 0.0, 1.0, step) for step in (0.5, 0.25, 0.1)
-    ]
-    assert [m.n_vertices for m in meshes] == [12, 42, 162, 642, 9, 25, 121]
+    ] + [fine_jittered_grid()]
+    assert [m.n_vertices for m in meshes] == [12, 42, 162, 642, 9, 25, 121, 441]
     for m in meshes:
         dist = dijkstra(mesh._metric_graph(m), directed=False)
         assert mesh_diameter(m) == float(dist.max())
+
+
+def fine_jittered_grid():
+    grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.05)
+    rng = np.random.default_rng(5)
+    return TriMesh(R2, grid.vertices + rng.uniform(-0.015, 0.015, grid.vertices.shape), grid.faces)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda k=k: triangulate_sphere(k) for k in range(4)),
+    lambda: triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, 0.03),
+    fine_jittered_grid,
+], ids=["sphere0", "sphere1", "sphere2", "sphere3", "rectangle0.03", "jittered0.05"])
+def test_directed_search_on_the_crossing_graph_is_exact(make):
+    # every edge is stored both ways with one weight, so a directed search
+    # relaxes the same min(d[u] + w) as an undirected one, bit for bit
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = mesh._metric_graph(make())
+    assert (graph != graph.T).nnz == 0
+    nv = graph.shape[0]
+    rows = np.random.default_rng(6).choice(nv, size=min(nv, 48), replace=False)
+    for indices, min_only in ((rows, True), (rows[:1], True), (rows, False)):
+        directed = dijkstra(graph, directed=True, indices=indices, min_only=min_only)
+        undirected = dijkstra(graph, directed=False, indices=indices, min_only=min_only)
+        assert directed.tobytes() == undirected.tobytes()
 
 
 def test_mesh_diameter_scan_branch_exactness():
