@@ -276,8 +276,10 @@ def random_config_path(
     then runs independent monotone staircases inside those boxes; that
     construction makes the convex hull of the whole path collision-free
     and inside C_n(M), so the lower-bound hypotheses verifiably hold.
-    Non-monotone mode is a collision-repaired random walk. The collision
-    margin is kept far above COLLISION_EPS in both modes.
+    Non-monotone mode is a random walk that redraws a step until every
+    pair keeps the collision margin; chords between steps are not probed,
+    so particles may cross or leave M there, and ``config_path_energy``
+    then refuses the path. The margin is far above COLLISION_EPS in both modes.
     """
     kind = geometry.KINDS[m.kind]
     if kind.sample is None:

@@ -343,7 +343,7 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
     sphere returns the great-circle distance and ignores p. The shell
     returns the straight-chord length for p = 2 provided the chord stays
     inside the shell, else raises ChordObstructed. At p = 2 this is a
-    one-row call of :func:`distances`.
+    one-row call of :func:`distances`. An overflow is inf, silently.
     """
     if p < 1.0:
         raise GeometryError(f"norm order must be >= 1, got {p}")
@@ -357,11 +357,16 @@ def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
         if p != 2.0 and KINDS[m.kind].lp_error:
             raise NormUnsupported(KINDS[m.kind].lp_error.format(p=p))
         d = float(distances(m, x[None], y[None])[0])
-    if d == math.inf and not _all_flat(m):
-        raise ChordObstructed(
-            "straight chord leaves the shell; use a refined mesh geodesic"
-        )
+        if d == math.inf and _chord_blocked(m, x, y):
+            raise ChordObstructed("straight chord leaves the shell; use a refined mesh geodesic")
     return d
+
+
+def _chord_blocked(m: ManifoldSpec, x: np.ndarray, y: np.ndarray) -> bool:
+    """A shell factor's chord from x to y meets its inner ball; any other inf is an overflow."""
+    if m.kind == "product":
+        return any(_chord_blocked(f, a, b) for (f, a), (_, b) in zip(_blocks(m, x), _blocks(m, y)))
+    return m.kind == "shell" and not min_norm_sq(np.stack([x, y])) > m.a
 
 
 def _all_flat(m: ManifoldSpec) -> bool:

@@ -34,6 +34,9 @@ GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # same guard for triangula
 STRIP_LIMIT = 6             # faces per unfolded strip in the crossing graph
 SEED_BLOCK = 8192           # strips walked together, so their columns stay in cache
 DEGENERATE_AREA = 1e-14
+CERTIFY_MARGIN = 1e-9       # relative slack of a diameter pair certificate
+CERTIFY_BUFFER = 1 << 16    # floats in each of the two certificate block buffers
+SCAN_BATCH = 16             # diameter sources scanned per greedy step
 
 
 class MeshError(ValueError):
@@ -475,13 +478,16 @@ def mesh_area(mesh: TriMesh) -> float:
 
 
 def mesh_diameter(mesh: TriMesh) -> float:
-    """Exact diameter (max pairwise distance) of the crossing graph.
+    """Exact diameter of the crossing graph, the bitwise all-pairs maximum.
 
-    Vertices are scanned in decreasing distance from a central root:
-    once the best eccentricity reaches twice the root distance of the
-    remaining vertices, no unscanned pair can beat it (triangle
-    inequality through the root), so the scan stops with the exact
-    diameter. Each search is directed, exact as every edge is stored both ways.
+    A scanned row H[h] certifies the pairs (v, w) with H[h, v] + H[h, w] <=
+    limit = best * (1 - CERTIFY_MARGIN), best the largest scanned entry: by
+    the triangle inequality neither orientation beats best, and the margin
+    is far above a path sum's rounding. After vertex 0, a double sweep u, v
+    and a central root, the SCAN_BATCH vertices in the most uncertified
+    pairs are scanned until none is left, then every unscanned far end of
+    an entry above limit (rows are not bitwise symmetric). Searches are
+    directed: every edge is stored both ways.
     """
     graph = _metric_graph(mesh)
     d0 = dijkstra(graph, directed=True, indices=0, min_only=True)
@@ -489,19 +495,37 @@ def mesh_diameter(mesh: TriMesh) -> float:
     du = dijkstra(graph, directed=True, indices=u, min_only=True)
     v = int(np.argmax(du))
     dv = dijkstra(graph, directed=True, indices=v, min_only=True)
-    best = float(du[v])
     root = int(np.argmin(np.maximum(du, dv)))
     dr = dijkstra(graph, directed=True, indices=root, min_only=True)
-    best = max(best, float(dr.max()))
-    order = np.argsort(-dr)
-    pos = 0
-    batch = 64
-    while pos < mesh.n_vertices and 2.0 * dr[order[pos]] > best:
-        chunk = order[pos:pos + batch]
-        sweep = dijkstra(graph, directed=True, indices=chunk, min_only=False)
-        best = max(best, float(sweep.max()))
-        pos += len(chunk)
-    return best
+    scanned = np.isin(np.arange(mesh.n_vertices), [0, u, v, root])
+    far = np.max([d0, du, dv, dr], axis=0)      # column maxima of the scanned rows
+    limit = far.max() * (1.0 - CERTIFY_MARGIN)
+    cand = np.flatnonzero((dr + dr.max() > limit) & ~scanned)    # the rest: certified by root
+    hubs, m = np.stack([d0, du, dv, dr])[:, cand], cand.size
+    step = max(1, CERTIFY_BUFFER // max(m, 1))
+    acc, tmp = np.empty((2, step * m))
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    for a in range(0, m, step):     # the candidate pairs i < j that no first row certifies
+        b = min(a + step, m)
+        s, t = (buf[:(b - a) * (m - a)].reshape(b - a, m - a) for buf in (acc, tmp))
+        s.fill(np.inf)
+        for row in hubs:
+            np.minimum(s, np.add.outer(row[a:b], row[a:], out=t), out=s)
+        pairs.append(cand[a + np.array(np.nonzero(np.triu(s > limit, 1)))])
+    pairs = np.concatenate(pairs, axis=1)
+    while True:
+        count = np.bincount(pairs.ravel(), minlength=mesh.n_vertices)
+        src = np.argsort(-count, kind="stable")[:SCAN_BATCH]
+        src = src[count[src] > 0] if pairs.size else np.flatnonzero((far > limit) & ~scanned)
+        if not src.size:
+            return float(far.max())
+        hubs = dijkstra(graph, directed=True, indices=src, min_only=False)
+        scanned[src] = True
+        far = np.maximum(far, hubs.max(axis=0))
+        limit = far.max() * (1.0 - CERTIFY_MARGIN)
+        pairs = pairs[:, ~scanned[pairs].any(axis=0)]
+        for row in hubs:
+            pairs = pairs[:, row[pairs].sum(axis=0) > limit]
 
 
 # ---------------------------------------------------------------------------

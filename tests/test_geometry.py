@@ -486,3 +486,15 @@ def test_distance_overflow_is_inf_without_a_warning():
     # the suite turns RuntimeWarning into an error, so a warning fails here
     assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0]) == math.inf
     assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0], p=3.0) == math.inf
+
+
+def test_overflow_is_inf_and_only_a_shell_chord_is_obstructed():
+    # a flat factor's overflow is inf, silently, also next to a curved factor
+    sphere_product = product_manifold([euclidean(1), unit_sphere()])
+    assert distance(sphere_product, [0.0, 0.0, 0.0, 1.0], [1e300, 0.0, 0.0, 1.0]) == math.inf
+    shell_product = product_manifold([euclidean(1), spherical_shell(1.0, 4.0)])
+    assert distance(shell_product, [0.0, 1.5, 0.0, 0.0], [1e300, 1.5, 0.0, 0.0]) == math.inf
+    # the shell factor's chord through its inner ball still raises, with or without overflow
+    for far in (0.0, 1e300):
+        with pytest.raises(ChordObstructed, match="leaves the shell"):
+            distance(shell_product, [0.0, 1.5, 0.0, 0.0], [far, -1.5, 0.0, 0.0])

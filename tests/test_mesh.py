@@ -234,7 +234,7 @@ def test_mesh_diameter_icosphere_near_pi():
 
 
 def test_mesh_diameter_scan_matches_all_pairs():
-    # mesh_diameter has one algorithm, the root-pruned scan, at every
+    # mesh_diameter has one algorithm, the pair-certified scan, at every
     # size; it must give bitwise the all-pairs maximum on small meshes.
     from scipy.sparse.csgraph import dijkstra
 
@@ -245,6 +245,41 @@ def test_mesh_diameter_scan_matches_all_pairs():
     for m in meshes:
         dist = dijkstra(mesh._metric_graph(m), directed=False)
         assert mesh_diameter(m) == float(dist.max())
+
+
+def rotated_bumped_icosphere(k, seed):
+    s = triangulate_sphere(k)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    vertices = s.vertices @ q.T * (1 + rng.uniform(-0.05, 0.05, (s.n_vertices, 1)))
+    return TriMesh(R3, vertices, s.faces)
+
+
+def test_mesh_diameter_is_the_bitwise_all_pairs_maximum():
+    # Dijkstra rows are not bitwise symmetric, so the scan must also read
+    # the larger orientation of the maximal pair. A scan that stops at the
+    # root bound alone returns the smaller one, one ulp low, at (2, 1),
+    # (3, 3), (3, 9) and (3, 11); at (2, 11) and (3, 28) the pair scan
+    # leaves it to the final scan of far ends.
+    from scipy.sparse.csgraph import dijkstra
+
+    for k, seed in [(2, 1), (2, 11), (3, 3), (3, 9), (3, 11), (3, 28)]:
+        m = rotated_bumped_icosphere(k, seed)
+        want = float(dijkstra(mesh._metric_graph(m), directed=False).max())
+        assert mesh_diameter(m) == want, (k, seed)
+
+
+def test_mesh_diameter_scans_at_most_a_quarter_of_icosphere_4(monkeypatch):
+    m = triangulate_sphere(4)
+    search, sources = mesh.dijkstra, []
+
+    def counting(graph, directed, indices, min_only):
+        sources.append(np.size(indices))
+        return search(graph, directed=directed, indices=indices, min_only=min_only)
+
+    monkeypatch.setattr(mesh, "dijkstra", counting)
+    assert mesh_diameter(m) == 3.1416556600120216
+    assert sum(sources) <= 640     # of 2,562 vertices
 
 
 def fine_jittered_grid():
