@@ -257,9 +257,9 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
 # Random path generation
 # ---------------------------------------------------------------------------
 
-def _box_min_norm(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Least norm over the axis box [lo, hi]."""
-    return float(np.linalg.norm(np.clip(0.0, lo, hi)))
+def _box_min_norm(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Least norm over each axis box [lo, hi], the box's axes being the last axis."""
+    return np.linalg.norm(np.clip(0.0, lo, hi), axis=-1)
 
 
 def random_config_path(
@@ -292,64 +292,51 @@ def random_config_path(
     if kind.flat:                       # euclidean: points start in [-1, 1]^d
         separation = max(0.1, 10.0 * COLLISION_EPS)
         span = 0.8
+        near, far = -np.inf, np.inf     # every box lies in R^d
     else:                               # shell: scales follow its thickness
         r_lo, r_hi = geometry.shell_radii(m)
         thickness = r_hi - r_lo
         margin = _SHELL_MARGIN * thickness
         separation = max(0.05 * thickness, 10.0 * COLLISION_EPS)
         span = 0.35 * thickness
+        near, far = r_lo + 0.25 * margin, r_hi - 0.25 * margin
+    budget = iter(range(_MAX_REJECTIONS))     # shared by every draw below
+
+    def attempts(failure: str):
+        """Yield once per draw; raise SamplingExhausted once the shared budget is spent."""
+        yield from budget
+        raise SamplingExhausted(failure)
 
     def sample_config() -> np.ndarray:
         return np.array([kind.sample(m, rng, _SHELL_MARGIN) for _ in range(n)])
 
-    rejections = 0
-
     if monotone:
-        while True:
-            rejections += 1
-            if rejections > _MAX_REJECTIONS:
-                raise SamplingExhausted("could not place separated particle boxes")
+        iu, ju = geometry.pair_index(n)
+        for _ in attempts("could not place separated particle boxes"):
             starts = sample_config()
             stops = starts + rng.uniform(-span, span, size=(n, d))
             los = np.minimum(starts, stops)
             his = np.maximum(starts, stops)
-            # the box is in the shell if its nearest point and farthest corner are
-            if not kind.flat and not all(
-                _box_min_norm(los[j], his[j]) > r_lo + 0.25 * margin
-                and np.linalg.norm(np.maximum(np.abs(los[j]), np.abs(his[j])))
-                < r_hi - 0.25 * margin
-                for j in range(n)
-            ):
-                continue
-            # the gap between boxes i and j is the least norm of their difference box
-            if all(_box_min_norm(los[i] - his[j], his[i] - los[j]) >= separation
-                   for i in range(n) for j in range(i + 1, n)):
-                break
-        return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))
+            corner = np.linalg.norm(np.maximum(np.abs(los), np.abs(his)), axis=-1)
+            # each box's nearest point and farthest corner lie in M, and the gap of boxes
+            # i and j, the least norm of their difference box, is at least the separation
+            if (np.all((_box_min_norm(los, his) > near) & (corner < far))
+                    and np.all(_box_min_norm(los[iu] - his[ju], his[iu] - los[ju]) >= separation)):
+                return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))
 
     # Random walk mode.
-    while True:
-        rejections += 1
-        if rejections > _MAX_REJECTIONS:
-            raise SamplingExhausted("could not place a separated start configuration")
-        start = sample_config()
-        if probe(m, start)[1].min() > separation:
+    for _ in attempts("could not place a separated start configuration"):
+        coords = [sample_config()]
+        if probe(m, coords[0])[1].min() > separation:
             break
-    coords = [start]
-    current = start
-    step_scale = 0.2 * span
     while len(coords) < steps + 1:
-        rejections += 1
-        if rejections > _MAX_REJECTIONS:
-            raise SamplingExhausted("random walk could not keep particles separated")
-        candidate = geometry.project(
-            m, current + rng.normal(scale=step_scale, size=(n, d)), _SHELL_MARGIN)
-        if probe(m, candidate)[1].min() <= separation:
-            continue
-        if np.linalg.norm(candidate - current) == 0.0:
-            continue
-        coords.append(candidate)
-        current = candidate
+        for _ in attempts("random walk could not keep particles separated"):
+            candidate = geometry.project(
+                m, coords[-1] + rng.normal(scale=0.2 * span, size=(n, d)), _SHELL_MARGIN)
+            if (probe(m, candidate)[1].min() > separation
+                    and np.linalg.norm(candidate - coords[-1]) != 0.0):
+                coords.append(candidate)
+                break
     return ConfigPath(m, np.array(coords))
 
 

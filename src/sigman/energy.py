@@ -77,14 +77,12 @@ class SignalCurve:
             raise EnergyError("signal endpoints must be distinct")
         if geometry._all_flat(self.path.manifold):   # a convex chart; its chord is the segment
             return
-        try:    # an obstructed shell chord is inf; an overflow is inf in both measures
-            with np.errstate(over="ignore", invalid="ignore"):
-                chords = geometry.distances(self.path.manifold, s[:-1], s[1:])
+        try:
+            geometry.distance(self.path.manifold, s[:-1], s[1:])
         except geometry.NormUnsupported:    # a kind with no distances has no obstruction
-            return
-        cut = np.isinf(chords) & np.isfinite(meshmod.segment_lengths(self.path))
-        if cut.any():
-            raise EnergyError(f"the chord from sample {cut.argmax()} leaves the manifold")
+            pass
+        except geometry.ChordObstructed as exc:
+            raise EnergyError(f"the chord from sample {exc.row} leaves the manifold") from None
 
 
 @dataclass

@@ -158,11 +158,11 @@ class GaussianBoundReport:
         return asdict(self)
 
 
-def coordinate_monotone(samples: np.ndarray, eps: float = MONO_EPS) -> list[bool]:
-    """Per-coordinate verdicts: nondecreasing or nonincreasing within eps."""
+def coordinate_monotone(samples: np.ndarray) -> list[bool]:
+    """Per-coordinate verdicts: nondecreasing or nonincreasing within MONO_EPS."""
     diffs = np.diff(samples, axis=0)
-    up = np.all(diffs >= -eps, axis=0)
-    down = np.all(diffs <= eps, axis=0)
+    up = np.all(diffs >= -MONO_EPS, axis=0)
+    down = np.all(diffs <= MONO_EPS, axis=0)
     return [bool(u or d) for u, d in zip(up, down)]
 
 
@@ -220,7 +220,6 @@ def random_monotone_param_path(
     n: int,
     rng: np.random.Generator,
     n_segments: int = 64,
-    box_margin: float = 0.1,
 ) -> PolylinePath:
     """Seeded monotone staircase between two random parameter points.
 
@@ -228,15 +227,12 @@ def random_monotone_param_path(
     [2, 3], off-diagonal in [-0.3, 0.3]) so every point of the
     per-coordinate bounding box is PD by Gershgorin, which makes the
     hull check pass by construction. Means stay inside the default box
-    [-5, 5]^n shrunk by ``box_margin``.
+    [-5, 5]^n shrunk by 0.1.
     """
-    box = [(-5.0, 5.0)] * n
-    spec = geometry.gaussian_param(box)
-    lo = np.array([lo for lo, _ in box]) + box_margin
-    hi = np.array([hi for _, hi in box]) - box_margin
+    spec = geometry.gaussian_param([(-5.0, 5.0)] * n)
 
     def endpoint() -> np.ndarray:
-        mu = rng.uniform(lo, hi)
+        mu = rng.uniform(-5.0 + 0.1, 5.0 - 0.1, size=n)
         diag = rng.uniform(2.0, 3.0, size=n)
         sigma = np.diag(diag)
         iu, ju = geometry.pair_index(n)

@@ -29,12 +29,12 @@ fields its kind lists, so ``box`` is set only on ``gaussian_param``,
 ``a`` and ``b`` only on ``shell`` and ``dim`` only on ``euclidean``.
 
 :func:`distances` is the one p = 2 distance kernel: it measures whole
-stacks of point pairs row by row, and :func:`distance` at p = 2 is a
-one-row call of it. Shell distances are straight chords and are only
-defined when the chord stays inside the shell; otherwise
-:func:`distances` returns ``inf`` for that row, :func:`distance` raises
-:class:`ChordObstructed`, and callers should fall back to a discrete
-geodesic on a refined mesh (see the mesh module).
+stacks of point pairs row by row, and :func:`distance` at p = 2 calls
+it. Shell distances are straight chords and are only defined when the
+chord stays inside the shell; otherwise :func:`distances` returns ``inf``
+for that row, :func:`distance` raises :class:`ChordObstructed` (an
+overflow is ``inf`` in both, not an obstruction), and callers should
+fall back to a discrete geodesic on a refined mesh (see the mesh module).
 """
 
 from __future__ import annotations
@@ -69,7 +69,11 @@ class NormUnsupported(GeometryError):
 
 
 class ChordObstructed(GeometryError):
-    """Straight chord between shell points leaves the shell."""
+    """Straight chord between shell points leaves the shell; ``row`` is its flat row index."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -335,38 +339,40 @@ def distances(m: ManifoldSpec, xs, ys) -> np.ndarray:
     return KINDS[m.kind].distances(m, xs, ys)
 
 
-def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float:
-    """Distance between chart points ``x`` and ``y``.
+def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float | np.ndarray:
+    """Distance between chart points ``x`` and ``y``: a float, or an array for stacks of rows.
 
     Flat kinds (euclidean, spd, gaussian_param, product of flat) support
     every p >= 1 as the L^p norm of the chart difference. The unit
     sphere returns the great-circle distance and ignores p. The shell
     returns the straight-chord length for p = 2 provided the chord stays
-    inside the shell, else raises ChordObstructed. At p = 2 this is a
-    one-row call of :func:`distances`. An overflow is inf, silently.
+    inside the shell, else raises ChordObstructed with the first such
+    ``row``. At p = 2 this calls :func:`distances`. An overflow is inf.
     """
     if p < 1.0:
         raise GeometryError(f"norm order must be >= 1, got {p}")
+    if p != 2.0 and not _all_flat(m) and KINDS[m.kind].lp_error:
+        raise NormUnsupported(KINDS[m.kind].lp_error.format(p=p))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_dim(m, x)
-    _check_dim(m, y)
-    with np.errstate(over="ignore"):    # a distance that overflows is inf
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is inf, not a fault
+        d = distances(m, x, y)                            # this checks the rows, too
         if p != 2.0 and _all_flat(m):
-            return float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
-        if p != 2.0 and KINDS[m.kind].lp_error:
-            raise NormUnsupported(KINDS[m.kind].lp_error.format(p=p))
-        d = float(distances(m, x[None], y[None])[0])
-        if d == math.inf and _chord_blocked(m, x, y):
-            raise ChordObstructed("straight chord leaves the shell; use a refined mesh geodesic")
-    return d
+            d = np.sum(np.abs(x - y) ** p, axis=-1) ** (1.0 / p)
+        blocked = np.any(d == math.inf) and (d == math.inf) & _chord_blocked(m, x, y)
+    if blocked.any():
+        raise ChordObstructed("straight chord leaves the shell; use a refined mesh geodesic",
+                              int(np.argmax(blocked)))
+    return float(d) if d.ndim == 0 else d
 
 
-def _chord_blocked(m: ManifoldSpec, x: np.ndarray, y: np.ndarray) -> bool:
-    """A shell factor's chord from x to y meets its inner ball; any other inf is an overflow."""
+def _chord_blocked(m: ManifoldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Rows whose chord meets a shell factor's inner ball; any other inf is an overflow,
+    and so is a segment whose least norm overflows to nan."""
     if m.kind == "product":
-        return any(_chord_blocked(f, a, b) for (f, a), (_, b) in zip(_blocks(m, x), _blocks(m, y)))
-    return m.kind == "shell" and not min_norm_sq(np.stack([x, y])) > m.a
+        return functools.reduce(np.logical_or, (_chord_blocked(f, a, b) for (f, a), (_, b)
+                                                in zip(_blocks(m, xs), _blocks(m, ys))))
+    return m.kind == "shell" and min_norm_sq(np.stack(np.broadcast_arrays(xs, ys), -2)) <= m.a
 
 
 def _all_flat(m: ManifoldSpec) -> bool:

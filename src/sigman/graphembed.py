@@ -113,21 +113,13 @@ def _placement_array(g: WeightedGraph, placement, m: ManifoldSpec) -> np.ndarray
     return pts
 
 
-def _pair_distances(m: ManifoldSpec, pts: np.ndarray, i, j) -> np.ndarray:
-    """Distances of the point pairs (pts[i[k]], pts[j[k]]); an obstructed chord raises."""
-    d = geometry.distances(m, pts[i], pts[j])
-    if np.isinf(d).any():
-        raise geometry.ChordObstructed("straight chord leaves the shell; use a mesh geodesic")
-    return d
-
-
 def is_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
                            tol: float = 1e-9) -> bool:
     """True iff manifold distances match hop distances for ALL pairs."""
     pts = _placement_array(g, placement, m)
     iu, ju = geometry.pair_index(g.n)
     d_graph = graph_metric(g, unit_weights=True)
-    return not np.any(np.abs(_pair_distances(m, pts, iu, ju) - d_graph[iu, ju]) > tol)
+    return not np.any(np.abs(geometry.distance(m, pts[iu], pts[ju]) - d_graph[iu, ju]) > tol)
 
 
 def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
@@ -135,7 +127,7 @@ def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
     """True iff every EDGE maps to a unit-distance pair (non-edges free)."""
     pts = _placement_array(g, placement, m)
     i, j, _ = g._arrays()
-    return not np.any(np.abs(_pair_distances(m, pts, i, j) - 1.0) > tol)
+    return not np.any(np.abs(geometry.distance(m, pts[i], pts[j]) - 1.0) > tol)
 
 
 def ratio_vector(g: WeightedGraph, config: Configuration) -> np.ndarray:
@@ -145,11 +137,12 @@ def ratio_vector(g: WeightedGraph, config: Configuration) -> np.ndarray:
             f"configuration has {config.n} points, graph has {g.n} vertices"
         )
     i, j, w = g._arrays()
-    d = _pair_distances(config.manifold, config.points, i, j)
-    zero = ~(d > 0.0)
-    if zero.any():
-        k = int(np.argmax(zero))
-        raise GraphError(f"edge ({i[k]}, {j[k]}) has zero manifold distance")
+    d = geometry.distance(config.manifold, config.points[i], config.points[j])
+    bad = ~(d > 0.0) | (d == math.inf)
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "zero" if d[k] == 0.0 else "an overflowing"
+        raise GraphError(f"edge ({i[k]}, {j[k]}) has {what} manifold distance")
     return d / w
 
 
@@ -306,7 +299,6 @@ def minimize_ratio_variance(
     seed: int = 0,
     restarts: int = 8,
     max_iters: int = 250,
-    step_init: float | None = None,
     tol_obj: float = 1e-13,
 ) -> EmbedResult:
     """Best-of-restarts minimization of the relative ratio variance.
@@ -328,10 +320,9 @@ def minimize_ratio_variance(
     dim = geometry.chart_dim(m)
     if kind.flat:                       # euclidean: spread n points at the mean weight
         radius = float(g._arrays()[2].mean()) * g.n ** (1.0 / dim)
-        scale = step_init if step_init is not None else radius
     else:                               # unit sphere, or the shell's outer radius
         radius = 1.0 if m.b is None else math.sqrt(m.b)
-        scale = step_init if step_init is not None else 0.5
+    scale = radius if kind.flat else 0.5    # steps start at a tenth of it, never exceed it
     score, gradient = _objectives(g, m)
 
     def draw_start(idx: int) -> np.ndarray:

@@ -547,8 +547,6 @@ _ICO_FACES = np.array([
     (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
 ], dtype=np.int64)
 
-MARK_SNAP = 1e-9
-
 
 def triangulate_sphere(subdivisions: int) -> TriMesh:
     """Icosphere with marked antipodal vertices a = (-1,0,0), b = (1,0,0).
@@ -589,13 +587,10 @@ def triangulate_sphere(subdivisions: int) -> TriMesh:
         verts = np.vstack([verts, mids])
 
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    a = int(np.argmin(np.linalg.norm(verts - np.array([-1.0, 0.0, 0.0]), axis=1)))
-    b = int(np.argmin(np.linalg.norm(verts - np.array([1.0, 0.0, 0.0]), axis=1)))
-    for idx, target in ((a, (-1.0, 0.0, 0.0)), (b, (1.0, 0.0, 0.0))):
-        if np.linalg.norm(verts[idx] - np.array(target)) > MARK_SNAP:
-            raise MeshError("pole vertex missing after subdivision")
-        verts[idx] = target
-    return TriMesh(geometry.unit_sphere(), verts, faces, a=a, b=b)
+    # subdivision appends vertices, so corners 2 and 1, rotated onto -x and +x, keep their rows
+    verts[2] = (-1.0, 0.0, 0.0)
+    verts[1] = (1.0, 0.0, 0.0)
+    return TriMesh(geometry.unit_sphere(), verts, faces, a=2, b=1)
 
 
 def triangulate_rectangle(

@@ -1,9 +1,12 @@
 """Seeded verification corpora for every inequality the library enforces.
 
 Each check runs a reproducible corpus and reports a passed/total count;
-`verify_all` aggregates them into the summary used by the CLI. The
-checks are deliberately redundant with the unit tests: they are the
-user-facing evidence that the inequalities hold on this installation.
+`verify_all` aggregates them into the summary used by the CLI. Case i
+of a random corpus, check c, draws from its own stream
+``np.random.default_rng([seed, c, i])`` (see :func:`_corpus`), so it
+replays alone. The checks are deliberately redundant with the unit
+tests: they are the user-facing evidence that the inequalities hold on
+this installation.
 """
 
 from __future__ import annotations
@@ -128,17 +131,22 @@ class SmoothMonotone:
 # Checks
 # ---------------------------------------------------------------------------
 
+def _corpus(name: str, seed: int, check: int, count: int, case) -> CheckResult:
+    """Count the cases i < count for which ``case(np.random.default_rng([seed, check, i]), i)``
+    holds; ``detail`` names the first failing case and its stream, if one fails."""
+    failed = [i for i in range(count) if not case(np.random.default_rng([seed, check, i]), i)]
+    detail = (f"first failure: case {failed[0]}, stream [{seed}, {check}, {failed[0]}]"
+              if failed else "")
+    return CheckResult(name, count - len(failed), count, detail)
+
+
 def check_curve_upper_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Random 1-D signals satisfy e1 <= rho^2 and e2 <= rho^3."""
-    rng = np.random.default_rng([seed, 1])
-    kinds = ["r2", "r3", "shell"]
-    passed = 0
-    for i in range(count):
-        path = random_polyline(kinds[i % 3], rng)
+    def case(rng, i):
+        path = random_polyline(("r2", "r3", "shell")[i % 3], rng)
         report = energy.curve_energy(energy.SignalCurve(path))
-        if report.satisfied1 and report.satisfied2:
-            passed += 1
-    return CheckResult("curve_upper_bounds", passed, count)
+        return report.satisfied1 and report.satisfied2
+    return _corpus("curve_upper_bounds", seed, 1, count, case)
 
 
 def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
@@ -165,15 +173,11 @@ def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
 
 def check_gaussian_lower_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Monotone hull-checked parameter paths satisfy the cubic lower bound."""
-    rng = np.random.default_rng([seed, 2])
-    passed = 0
-    for i in range(count):
-        n = 1 if i % 2 == 0 else 2
-        path = gaussian.random_monotone_param_path(n, rng)
+    def case(rng, i):
+        path = gaussian.random_monotone_param_path(1 if i % 2 == 0 else 2, rng)
         report = gaussian.check_gaussian_lower_bound(path)
-        if report.monotone_ok and report.hull_ok and report.satisfied:
-            passed += 1
-    return CheckResult("gaussian_lower_bounds", passed, count)
+        return report.monotone_ok and report.hull_ok and report.satisfied
+    return _corpus("gaussian_lower_bounds", seed, 2, count, case)
 
 
 def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
@@ -184,20 +188,18 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
     checks and the cubic lower bound.
     """
     shell = geometry.spherical_shell(1.0, 4.0)
-    sizes = [2, 3, 5]
-    passed = 0
-    for i in range(count):
+
+    def case(rng, i):
         monotone = i % 2 == 0
         path = configspace.random_config_path(
-            shell, sizes[i % 3], seed=(seed, 3, i), steps=8, monotone=monotone
+            shell, (2, 3, 5)[i % 3], seed=rng, steps=8, monotone=monotone
         )
         report = configspace.check_config_bounds(path)
         ok = report.upper1_ok and report.upper2_ok and report.components_ok
         if monotone:
             ok = ok and report.monotone_ok and report.hull_ok and bool(report.lower_ok)
-        if ok:
-            passed += 1
-    return CheckResult("config_bounds", passed, count)
+        return ok
+    return _corpus("config_bounds", seed, 3, count, case)
 
 
 _R2 = geometry.euclidean(2)
@@ -244,18 +246,15 @@ def _random_graph_and_config(rng: np.random.Generator):
 
 def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
     """Dilations leave the objective unchanged to SCALE_INV_TOL."""
-    rng = np.random.default_rng([seed, 5])
-    passed = 0
-    for _ in range(count):
+    def case(rng, i):
         g, cfg = _random_graph_and_config(rng)
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
         v0 = graphembed.relative_ratio_variance(g, cfg)
         v1 = graphembed.relative_ratio_variance(
             g, graphembed.scale_configuration(cfg, alpha)
         )
-        if abs(v1 - v0) <= SCALE_INV_TOL * max(1.0, v0):
-            passed += 1
-    return CheckResult("scale_invariance", passed, count)
+        return abs(v1 - v0) <= SCALE_INV_TOL * max(1.0, v0)
+    return _corpus("scale_invariance", seed, 5, count, case)
 
 
 def check_embedding_minima(seed: int, restarts: int = 20) -> CheckResult:
@@ -278,10 +277,9 @@ def check_function_identities(seed: int, count: int = 100,
     cumulative-variation transform satisfies
     sp_energy(L) = integral of (f - f(0)), both within IDENTITY_TOL.
     """
-    rng = np.random.default_rng([seed, 6])
     xs = np.linspace(0.0, 3.0, n_samples)
-    passed = 0
-    for _ in range(count):
+
+    def case(rng, i):
         fn = SmoothMonotone.draw(rng)
         fs = fn(xs)
         _, F = energy.antiderivative_transform(xs, fs)
@@ -292,9 +290,8 @@ def check_function_identities(seed: int, count: int = 100,
         ok_b = abs(
             energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)
         ) <= IDENTITY_TOL
-        if ok_a and ok_b:
-            passed += 1
-    return CheckResult("function_energy_identities", passed, count)
+        return ok_a and ok_b
+    return _corpus("function_energy_identities", seed, 6, count, case)
 
 
 def check_mesh_convergence(max_subdivisions: int = 4) -> CheckResult:

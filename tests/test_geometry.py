@@ -498,3 +498,23 @@ def test_overflow_is_inf_and_only_a_shell_chord_is_obstructed():
     for far in (0.0, 1e300):
         with pytest.raises(ChordObstructed, match="leaves the shell"):
             distance(shell_product, [0.0, 1.5, 0.0, 0.0], [far, -1.5, 0.0, 0.0])
+
+
+def test_overflowing_shell_segment_is_inf_without_a_warning():
+    # the segment's squared length overflows, so its least-norm quotient is inf / inf
+    shell = spherical_shell(1.0, 4.0)
+    assert distance(shell, [1e300, 0.0, 0.0], [-1e300, 1e300, 0.0]) == math.inf
+
+
+def test_distance_measures_stacks_row_by_row():
+    shell = spherical_shell(1.0, 4.0)
+    xs = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [1.5, 0.0, 0.0]])
+    ys = np.array([[0.0, 1.5, 0.0], [0.0, 1.6, 0.0], [1.5, 0.2, 0.0]])
+    d = distance(shell, xs, ys)
+    assert isinstance(distance(shell, xs[0], ys[0]), float)
+    assert d.shape == (3,) and np.array_equal(d, geometry.distances(shell, xs, ys))
+    assert distance(euclidean(3), xs, ys, p=1.0) == pytest.approx([3.0, 0.1, 0.2])
+    # the broadcast row 1 runs from (1.5, 0, 0) through the inner ball to (-1.5, 0, 0)
+    with pytest.raises(ChordObstructed) as blocked:
+        distance(shell, xs[0], [[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]])
+    assert blocked.value.row == 1

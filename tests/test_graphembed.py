@@ -485,3 +485,15 @@ def test_graph_indices_are_integers():
         WeightedGraph(3, [(0, 1, 1.0), (1, 3, 1.0)])
     with pytest.raises(GraphError, match="positive and finite"):
         WeightedGraph(2, [(0, 1, math.inf)])
+
+
+@pytest.mark.parametrize("predicate", [is_isometric_embedding, is_quasi_isometric_embedding])
+def test_an_overflowing_distance_is_no_embedding_and_no_obstruction(predicate):
+    # euclidean space has no shell, so the inf distance is an overflow; without a warning
+    assert not predicate(WeightedGraph(2, [(0, 1, 1.0)]), [[0.0, 0.0], [1e300, 1e300]], R2)
+
+
+def test_ratio_vector_names_an_overflowing_edge():
+    config = Configuration(R2, [[0.0, 0.0], [1.0, 0.0], [1e300, 1e300]])
+    with pytest.raises(GraphError, match=r"^edge \(1, 2\) has an overflowing manifold distance$"):
+        ratio_vector(PATH3, config)

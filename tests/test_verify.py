@@ -1,0 +1,50 @@
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sigman import verify
+
+SEED = 42
+
+# (check, its stream number, the owner and name of the generator its cases start with)
+CORPORA = [
+    (verify.check_curve_upper_bounds, 1, verify, "random_polyline"),
+    (verify.check_gaussian_lower_bounds, 2, verify.gaussian, "random_monotone_param_path"),
+    (verify.check_config_bounds, 3, verify.configspace, "random_config_path"),
+    (verify.check_scale_invariance, 5, verify, "_random_graph_and_config"),
+    (verify.check_function_identities, 6, verify.SmoothMonotone, "draw"),
+]
+
+
+@pytest.mark.parametrize("check, number, owner, name", CORPORA,
+                         ids=[c[0].__name__ for c in CORPORA])
+def test_every_corpus_case_draws_from_its_own_stream(monkeypatch, check, number, owner, name):
+    generator = getattr(owner, name)
+    first_draws = []
+
+    def recording(*args, **kwargs):
+        rng = next(a for a in (*args, *kwargs.values()) if isinstance(a, np.random.Generator))
+        first_draws.append(copy.deepcopy(rng).random())
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    assert check(SEED, 4).ok
+    # so case i is rebuilt from default_rng([seed, check, i]) alone, without cases 0..i-1
+    assert first_draws == [np.random.default_rng([SEED, number, i]).random() for i in range(4)]
+
+
+def test_a_failing_case_is_named_with_its_stream(monkeypatch):
+    assert verify.check_curve_upper_bounds(SEED, 6).detail == ""
+    curve_energy = verify.energy.curve_energy
+    reports = []
+
+    def failing_at_case_3(signal):
+        reports.append(curve_energy(signal))
+        return dataclasses.replace(reports[-1], satisfied2=len(reports) != 4)
+
+    monkeypatch.setattr(verify.energy, "curve_energy", failing_at_case_3)
+    result = verify.check_curve_upper_bounds(SEED, 6)
+    assert (result.passed, result.total, result.ok) == (5, 6, False)
+    assert result.detail == "first failure: case 3, stream [42, 1, 3]"
