@@ -77,6 +77,12 @@ def _report(command: str, args, inputs: dict, outputs: dict, started: float,
     return report
 
 
+def _seed(text: str) -> int:
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigman",
@@ -87,14 +93,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", help="also write scalar outputs as CSV")
     common.add_argument("--no-timing", action="store_true",
                         help="omit wall-clock timing (byte-stable reports)")
+    polyline = argparse.ArgumentParser(add_help=False, parents=[common])
+    polyline.add_argument("--path", required=True, help="polyline JSON file")
+    polyline.add_argument("--samples", type=int,
+                          help="resample the polyline to this many uniform samples")
     top = parser.add_subparsers(dest="command", required=True)
 
     p_energy = top.add_parser("energy", help="curve and region energies")
     sub = p_energy.add_subparsers(dest="subcommand", required=True)
-    p_curve = sub.add_parser("curve", parents=[common], help="polyline signal energies")
-    p_curve.add_argument("--path", required=True, help="polyline JSON file")
-    p_curve.add_argument("--samples", type=int,
-                         help="resample the polyline to this many uniform samples")
+    sub.add_parser("curve", parents=[polyline], help="polyline signal energies")
     p_region = sub.add_parser("region", parents=[common], help="mesh signal energies")
     p_region.add_argument("--mesh", required=True, help="mesh JSON file")
     p_rect = sub.add_parser(
@@ -109,11 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fisher.add_argument("--mu", type=float, default=0.0)
     p_fisher.add_argument("--sigma", type=float, default=1.0)
     p_fisher.add_argument("--quad", type=int, default=401, help="quadrature points")
-    p_bound = sub.add_parser("bound", parents=[common],
-                             help="cubic lower bound check for a parameter path")
-    p_bound.add_argument("--path", required=True, help="polyline JSON file")
-    p_bound.add_argument("--samples", type=int,
-                         help="resample the polyline to this many uniform samples")
+    sub.add_parser("bound", parents=[polyline],
+                   help="cubic lower bound check for a parameter path")
 
     p_config = top.add_parser("config", help="configuration space tools")
     sub = p_config.add_subparsers(dest="subcommand", required=True)
@@ -130,14 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="minimize the relative ratio variance")
     p_embed.add_argument("--graph", required=True, help="weighted graph JSON file")
     p_embed.add_argument("--manifold", required=True, help="manifold JSON file")
-    p_embed.add_argument("--seed", type=int, default=0)
+    p_embed.add_argument("--seed", type=_seed, default=0)
     p_embed.add_argument("--restarts", type=int, default=8)
     p_embed.add_argument("--tol", type=float, default=1e-13,
                          help="objective improvement tolerance")
 
     p_verify = top.add_parser("verify-all", parents=[common],
                               help="run the full inequality corpus")
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=_seed, default=42)
     p_verify.add_argument("--quick", action="store_true",
                           help="reduced corpus for smoke testing")
     return parser
@@ -155,7 +159,7 @@ def _cmd_energy(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "curve":
         path = _read(args.path, mesh.polyline_from_json)
         with _blame(args.path):
-            if args.samples:
+            if args.samples is not None:
                 path = mesh.resample_polyline(path, args.samples)
             report = energy.curve_energy(energy.SignalCurve(path))
         return _energy_report("energy curve", args, {args.path: _digest(args.path)},
@@ -176,7 +180,7 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
         return _report("gaussian fisher", args, {}, outputs, started), 0
     path = _read(args.path, mesh.polyline_from_json)
     with _blame(args.path):
-        if args.samples:
+        if args.samples is not None:
             path = mesh.resample_polyline(path, args.samples)
         report = gaussian.check_gaussian_lower_bound(path)
     inputs = {args.path: _digest(args.path)}

@@ -28,13 +28,12 @@ a kind up there instead of testing its name. A spec sets exactly the
 fields its kind lists, so ``box`` is set only on ``gaussian_param``,
 ``a`` and ``b`` only on ``shell`` and ``dim`` only on ``euclidean``.
 
-:func:`distances` is the one p = 2 distance kernel: it measures whole
-stacks of point pairs row by row, and :func:`distance` at p = 2 calls
-it. Shell distances are straight chords and are only defined when the
-chord stays inside the shell; otherwise :func:`distances` returns ``inf``
-for that row, :func:`distance` raises :class:`ChordObstructed` (an
-overflow is ``inf`` in both, not an obstruction), and callers should
-fall back to a discrete geodesic on a refined mesh (see the mesh module).
+:func:`distance` is the one distance function: it measures stacks of
+point pairs row by row. Shell distances are straight chords, defined
+only when the chord stays inside the shell; otherwise the shell kernel
+marks that row ``nan``, :func:`distance` raises :class:`ChordObstructed`
+(an overflow is ``inf``, not an obstruction), and callers should fall
+back to a discrete geodesic on a refined mesh (see the mesh module).
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class MembershipError(GeometryError):
 
 
 class NormUnsupported(GeometryError):
-    """Requested norm order is not defined for this manifold kind."""
+    """The manifold kind has no closed-form distance."""
 
 
 class ChordObstructed(GeometryError):
@@ -321,14 +320,15 @@ def min_norm_sq(pts) -> np.ndarray:
     return np.sum(x * x, axis=-1)
 
 
-def distances(m: ManifoldSpec, xs, ys) -> np.ndarray:
-    """Row-wise p = 2 distances between chart points over the last axis.
+def distance(m: ManifoldSpec, xs, ys) -> float | np.ndarray:
+    """Distances between chart points ``xs`` and ``ys``, row by row over the last axis.
 
-    ``xs`` and ``ys`` broadcast against each other; the result drops the
-    last axis. Flat kinds give the chart 2-norm, the unit sphere the
+    The rows broadcast; the result drops the last axis, and one pair
+    gives a float. Flat kinds give the chart 2-norm, the unit sphere the
     great-circle distance, the shell the straight-chord length, and a
-    product the root sum of squared factor distances. A shell row whose
-    chord leaves the shell is ``inf``; the other rows are unaffected.
+    product the root sum of squared factor distances. An overflow is
+    ``inf``. ChordObstructed names the first ``row`` whose shell chord
+    leaves the shell; a nan row from non-finite input is a MembershipError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -336,43 +336,14 @@ def distances(m: ManifoldSpec, xs, ys) -> np.ndarray:
     if xs.shape[-1:] != (k,) or ys.shape[-1:] != (k,):
         raise DimensionMismatch(
             f"rows of shapes {xs.shape} and {ys.shape}, chart of {m.kind} needs {k}")
-    return KINDS[m.kind].distances(m, xs, ys)
-
-
-def distance(m: ManifoldSpec, x, y, p: float = 2.0) -> float | np.ndarray:
-    """Distance between chart points ``x`` and ``y``: a float, or an array for stacks of rows.
-
-    Flat kinds (euclidean, spd, gaussian_param, product of flat) support
-    every p >= 1 as the L^p norm of the chart difference. The unit
-    sphere returns the great-circle distance and ignores p. The shell
-    returns the straight-chord length for p = 2 provided the chord stays
-    inside the shell, else raises ChordObstructed with the first such
-    ``row``. At p = 2 this calls :func:`distances`. An overflow is inf.
-    """
-    if p < 1.0:
-        raise GeometryError(f"norm order must be >= 1, got {p}")
-    if p != 2.0 and not _all_flat(m) and KINDS[m.kind].lp_error:
-        raise NormUnsupported(KINDS[m.kind].lp_error.format(p=p))
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):    # an overflow is inf, not a fault
-        d = distances(m, x, y)                            # this checks the rows, too
-        if p != 2.0 and _all_flat(m):
-            d = np.sum(np.abs(x - y) ** p, axis=-1) ** (1.0 / p)
-        blocked = np.any(d == math.inf) and (d == math.inf) & _chord_blocked(m, x, y)
-    if blocked.any():
+        d = KINDS[m.kind].distances(m, xs, ys)
+    if np.isnan(d).any():
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise MembershipError("coordinates must be finite")
         raise ChordObstructed("straight chord leaves the shell; use a refined mesh geodesic",
-                              int(np.argmax(blocked)))
+                              int(np.argmax(np.isnan(d))))
     return float(d) if d.ndim == 0 else d
-
-
-def _chord_blocked(m: ManifoldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Rows whose chord meets a shell factor's inner ball; any other inf is an overflow,
-    and so is a segment whose least norm overflows to nan."""
-    if m.kind == "product":
-        return functools.reduce(np.logical_or, (_chord_blocked(f, a, b) for (f, a), (_, b)
-                                                in zip(_blocks(m, xs), _blocks(m, ys))))
-    return m.kind == "shell" and min_norm_sq(np.stack(np.broadcast_arrays(xs, ys), -2)) <= m.a
 
 
 def _all_flat(m: ManifoldSpec) -> bool:
@@ -556,7 +527,8 @@ def _chart_distances(m, xs, ys):
 
 def _chord_distances(m, xs, ys):
     ends = np.stack(np.broadcast_arrays(xs, ys), axis=-2)
-    return np.where(min_norm_sq(ends) > m.a, _chart_distances(m, xs, ys), np.inf)
+    # a least norm that overflows to nan fails the test, and its chart length is inf
+    return np.where(min_norm_sq(ends) <= m.a, np.nan, _chart_distances(m, xs, ys))
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -585,7 +557,7 @@ def _great_circle_gradient(m, xs, ys, d):
 def _product_distances(m, xs, ys):
     total = 0.0
     for (f, x), (_, y) in zip(_blocks(m, xs), _blocks(m, ys)):
-        total = total + distances(f, x, y) ** 2
+        total = total + KINDS[f.kind].distances(f, x, y) ** 2
     return np.sqrt(total)
 
 
@@ -625,13 +597,12 @@ class Kind(NamedTuple):
     """
 
     chart_dim: Callable                  # spec -> chart dimension
-    distances: Callable                  # (spec, xs, ys) -> row-wise p = 2 distances
+    distances: Callable                  # (spec, xs, ys) -> row-wise distances, nan if obstructed
     gradient: Callable | None = None     # (spec, xs, ys, distances) -> d(distances)/dxs
     fields: tuple[_Field, ...] = ()      # JSON fields, in wire order
     invalid: Callable = lambda m: None   # spec -> message naming a broken field constraint
     rules: Callable = lambda m, xs: ()   # (spec, rows) -> membership rules (see above)
-    flat: bool = False                   # chart L^p norms are the distances
-    lp_error: str | None = None          # NormUnsupported text for p != 2; None ignores p
+    flat: bool = False                   # a convex chart whose 2-norm is the distance
     tangent_norm: Callable | None = None  # (spec, x, v) -> norm; None: orthonormal chart
     project: Callable | None = None      # (spec, rows, margin) -> rows inside the manifold
     sample: Callable | None = None       # (spec, rng, margin) -> a random interior point
@@ -659,7 +630,6 @@ KINDS: dict[str, Kind] = {
         gradient=_chart_gradient,
         # |x| is convex, so a hull of valid points can only meet the inner ball
         hull=lambda m, pts: _points_inside(m, pts) & (min_norm_sq(pts) > m.a),
-        lp_error="shell distances are defined for p = 2 only",
         project=_clip_radius,
         sample=_sample_shell,
     ),
@@ -706,6 +676,5 @@ KINDS: dict[str, Kind] = {
         distances=_product_distances,
         hull=lambda m, pts: np.logical_and.reduce(
             [KINDS[f.kind].hull(f, block) for f, block in _blocks(m, pts)]),
-        lp_error="L^{p} distance needs every product factor to be flat",
     ),
 }

@@ -12,9 +12,9 @@ every step, and a small collision barrier that is active during the
 search only (the reported objective is always barrier-free).
 
 The objective and its gradient score a (B, n, dim) stack of
-configurations with one row-wise :func:`geometry.distances` call. The
-restarts run in lock step as one stack, so a descent round makes one
-gradient call and scores the line searches of all restarts together.
+configurations with one call of the kind's row-wise distance kernel.
+The restarts run in lock step as one stack, so a descent round makes
+one gradient call and scores the line searches of all restarts together.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
 LADDER_CHUNK = 4      # line-search rungs scored per call and row
+RESTARTS_LIMIT = 1_000  # largest restart stack minimize_ratio_variance descends
 
 
 class GraphError(ValueError):
@@ -205,11 +206,11 @@ def _objectives(g: WeightedGraph, m: ManifoldSpec):
     iu, ju = geometry.pair_index(g.n)
     eye = np.eye(g.n)                   # incidence: column k is the vertex at edge k's end
     at_i, at_j, pair_ends = eye[:, ei], eye[:, ej], eye[:, iu] - eye[:, ju]
-    dist_gradient = geometry.KINDS[m.kind].gradient
+    kind = geometry.KINDS[m.kind]
 
     def evaluate(stack: np.ndarray, grad: bool = False) -> np.ndarray:
         x, y = stack[:, ei], stack[:, ej]
-        dists = geometry.distances(m, x, y)
+        dists = kind.distances(m, x, y)     # nan on an obstructed chord: not finite, not ok
         gaps = stack[:, iu] - stack[:, ju]
         gaps_sq = np.sum(gaps ** 2, axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -219,7 +220,7 @@ def _objectives(g: WeightedGraph, m: ManifoldSpec):
             if grad:    # dR/dr_k = 2 (r_k - mean) / mean^2 - 2 R / (m mean), r_k = d_k / w_k
                 slope = (2.0 * (r - mean) / mean ** 2
                          - 2.0 * raw[:, None] / (g.m * mean)) / weights
-                dx, dy = dist_gradient(m, x, y, dists), dist_gradient(m, y, x, dists)
+                dx, dy = kind.gradient(m, x, y, dists), kind.gradient(m, y, x, dists)
                 push = -2.0 * BARRIER_BETA * gaps / gaps_sq[..., None] ** 2
                 return (at_i @ (slope[..., None] * dx) + at_j @ (slope[..., None] * dy)
                         + pair_ends @ push)
@@ -312,6 +313,8 @@ def minimize_ratio_variance(
         raise GraphError("embedding needs at least 2 vertices")
     if restarts < 1:
         raise GraphError(f"embedding needs restarts >= 1, got {restarts}")
+    if restarts > RESTARTS_LIMIT:
+        raise GraphError(f"restarts {restarts} is over the limit {RESTARTS_LIMIT}")
     if not math.isfinite(tol_obj):
         raise GraphError(f"objective tolerance must be finite, got {tol_obj}")
     kind = geometry.KINDS[m.kind]

@@ -31,6 +31,7 @@ from .geometry import ManifoldSpec, MembershipError
 
 SUBDIVISION_LIMIT = 7       # memory guard for triangulate_sphere
 GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # same guard for triangulate_rectangle
+SAMPLES_LIMIT = 1_000_000   # largest polyline resample_polyline builds
 STRIP_LIMIT = 6             # faces per unfolded strip in the crossing graph
 SEED_BLOCK = 8192           # strips walked together, so their columns stay in cache
 DEGENERATE_AREA = 1e-14
@@ -200,6 +201,8 @@ def resample_polyline(path: PolylinePath, n_samples: int) -> PolylinePath:
     """
     if n_samples < 2:
         raise MeshError("resampling needs at least 2 samples")
+    if n_samples > SAMPLES_LIMIT:
+        raise MeshError(f"n_samples {n_samples} is over the limit {SAMPLES_LIMIT}")
     t = np.linspace(0.0, 1.0, n_samples)
     cols = [np.interp(t, path.params, path.samples[:, j])
             for j in range(path.samples.shape[1])]

@@ -180,6 +180,19 @@ def test_csv_output(tmp_path):
     assert any(line.startswith("g22_numeric,") for line in lines)
 
 
+def test_csv_holds_every_scalar_output(tmp_path):
+    out, csv = tmp_path / "rect.json", tmp_path / "rect.csv"
+    assert cli.run(["energy", "rectangle", "--grid", "0.05", "--out", str(out),
+                    "--csv", str(csv), "--no-timing"]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "field,value"
+    outputs = read_report(out)["outputs"]
+    assert isinstance(outputs["satisfied"], list)
+    scalars = {k: str(v) for k, v in outputs.items() if not isinstance(v, list)}
+    assert [line.split(",", 1)[0] for line in lines[1:]] == sorted(scalars)
+    assert dict(line.split(",", 1) for line in lines[1:]) == scalars
+
+
 def test_missing_input_file_exits_2(capsys):
     assert cli.run(["energy", "curve", "--path", "/nonexistent.json"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -452,6 +465,27 @@ def test_resampled_point_outside_the_manifold_names_the_file(tmp_path, capsys, c
     assert capsys.readouterr().err == (
         f"error: {bad}: sample 1 does not lie in the manifold: "
         "|x|^2 = 0.0 is not > inner bound a = 1.0\n")
+
+
+@pytest.mark.parametrize("command", [["energy", "curve"], ["gaussian", "bound"]])
+def test_zero_samples_is_refused(tmp_path, capsys, command):
+    doc = {"manifold": {"kind": "gaussian_param", "box": [[-5, 5]]},
+           "samples": [[0, 1], [1, 2], [2, 3]]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(command + ["--path", str(path), "--samples", "0", "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: resampling needs at least 2 samples\n")
+
+
+@pytest.mark.parametrize("command", [["embed", "--graph", "g.json", "--manifold", "m.json"],
+                                     ["verify-all"]])
+def test_negative_seed_names_the_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(command + ["--seed", "-1", "--no-timing"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: expected a non-negative integer, got '-1'\n")
 
 
 def test_obstructed_shell_chord_names_the_file(tmp_path, capsys):

@@ -16,7 +16,7 @@ from sigman.configspace import (
     config_path_energy,
     random_config_path,
 )
-from sigman.geometry import MembershipError
+from sigman.geometry import ChordObstructed, MembershipError
 
 SHELL = geometry.spherical_shell(1.0, 4.0)
 R3 = geometry.euclidean(3)
@@ -142,7 +142,8 @@ def test_transition_dip_into_the_inner_ball_leaves():
     # the chord of point 0 reaches |z|^2 = 0.9999 near t = 0.493
     m = geometry.spherical_shell(1.0, 16.0)
     x, y, fixed = [-2.0, 0.99995, 0.0], [2.06, 0.99995, 0.0], [0.0, 0.0, 3.0]
-    assert geometry.distances(m, np.array(x), np.array(y)) == math.inf
+    with pytest.raises(ChordObstructed):
+        geometry.distance(m, x, y)
     path = ConfigPath(m, [[x, fixed], [y, fixed]])
     with pytest.raises(MembershipError, match="^transition 0 -> 1: point 0 leaves the manifold$"):
         config_path_energy(path)

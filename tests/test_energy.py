@@ -82,9 +82,9 @@ def test_signal_curve_rejects_closed_loop():
 def test_flat_signal_curve_skips_the_chord_check(monkeypatch):
     # a convex chart cannot obstruct a chord, so flat kinds never measure one
     def refuse(*args):
-        raise AssertionError("geometry.distances called on a flat curve")
+        raise AssertionError("geometry.distance called on a flat curve")
 
-    monkeypatch.setattr(geometry, "distances", refuse)
+    monkeypatch.setattr(geometry, "distance", refuse)
     gauss = geometry.gaussian_param([(-5.0, 5.0)])
     for m, samples in ((R2, [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300]]),
                        (gauss, [[0.0, 1.0], [1.0, 2.0]]),

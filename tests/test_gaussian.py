@@ -129,10 +129,10 @@ def test_product_distance_mean_shift():
 
 
 def test_product_distance_l3():
+    # the cubic lower bound ||q - p||_3^3 / 3 over the charts (0, 1) and (1, 2)
     p = GaussParamPoint([0.0], [[1.0]])
     q = GaussParamPoint([1.0], [[2.0]])
-    d = geometry.distance(PARAM_LINE, p.chart(), q.chart(), p=3.0)
-    assert d == pytest.approx(2.0 ** (1.0 / 3.0))
+    assert gaussian.lower_bound_l3(p.chart(), q.chart()) == pytest.approx(2.0 / 3.0)
 
 
 def test_product_distance_matches_geometry_product_spec():

@@ -63,11 +63,6 @@ def test_distance_345_triangle():
     assert distance(euclidean(2), [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
 
 
-def test_distance_l3_norm():
-    d = distance(euclidean(3), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], p=3.0)
-    assert d == pytest.approx(3.0 ** (1.0 / 3.0), abs=1e-14)
-
-
 def test_unit_sphere_antipodal_distance():
     d = distance(unit_sphere(), [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
     assert d == pytest.approx(math.pi, abs=1e-14)
@@ -95,8 +90,6 @@ def test_shell_chord_distance_and_refusal():
     # antipodal chord passes through the inner ball
     with pytest.raises(ChordObstructed):
         distance(m, [1.5, 0.0, 0.0], [-1.5, 0.0, 0.0])
-    with pytest.raises(NormUnsupported):
-        distance(m, x, y, p=3.0)
 
 
 def test_fisher_half_plane_distance_unsupported():
@@ -140,8 +133,7 @@ def test_product_of_lines_matches_plane():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        for p in (1.0, 2.0, 3.5):
-            assert distance(line2, x, y, p) == pytest.approx(distance(plane, x, y, p))
+        assert distance(line2, x, y) == pytest.approx(distance(plane, x, y))
 
 
 def test_product_shell_chart_dimension():
@@ -159,10 +151,8 @@ def test_product_lp_requires_flat_factors():
     m = product_manifold([euclidean(3), unit_sphere()])
     x = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     y = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
-    d2 = distance(m, x, y, 2.0)
+    d2 = distance(m, x, y)
     assert d2 == pytest.approx(math.sqrt(1.0 + (math.pi / 2.0) ** 2))
-    with pytest.raises(NormUnsupported):
-        distance(m, x, y, 3.0)
 
 
 def _random_point(m, rng):
@@ -235,15 +225,23 @@ def test_distances_match_per_row_distance(kind, seed, rows):
     xs = np.array([_random_point(m, rng) for _ in range(rows)])
     ys = np.array([_random_point(m, rng) for _ in range(rows)])
     ys[0] = xs[0]                        # one coincident pair per batch
-    batch = geometry.distances(m, xs, ys)
-    assert batch.shape == (rows,)
-    assert np.array_equal(batch, geometry.distances(m, ys, xs))   # bitwise
-    for x, y, d in zip(xs, ys, batch):
+    refs = []
+    for x, y in zip(xs, ys):
         try:
-            ref = distance(m, x, y)
+            refs.append(distance(m, x, y))
         except ChordObstructed:
-            assert d == math.inf
-            continue
+            refs.append(math.nan)
+    blocked = np.isnan(refs)
+    if blocked.any():                    # the stack names its first obstructed row
+        for a, b in ((xs, ys), (ys, xs)):
+            with pytest.raises(ChordObstructed) as exc:
+                distance(m, a, b)
+            assert exc.value.row == np.argmax(blocked)
+    keep = ~blocked
+    batch = distance(m, xs[keep], ys[keep])
+    assert batch.shape == (np.count_nonzero(keep),)
+    assert np.array_equal(batch, distance(m, ys[keep], xs[keep]))   # bitwise
+    for d, ref in zip(batch, np.array(refs)[keep]):
         assert abs(d - ref) <= 1e-15 * ref
 
 
@@ -251,19 +249,39 @@ def test_distances_shell_batch_marks_only_obstructed_rows():
     m = spherical_shell(1.0, 4.0)
     xs = np.array([[1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.2, 0.0], [1.9, 0.0, 0.0]])
     ys = np.array([[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [0.0, -1.2, 0.1], [1.1, 0.0, 0.0]])
-    d = geometry.distances(m, xs, ys)
-    assert np.isinf(d).tolist() == [False, True, True, False]
+    kernel = geometry.KINDS["shell"].distances
+    d = kernel(m, xs, ys)
+    assert np.isnan(d).tolist() == [False, True, True, False]
     assert d[0] == pytest.approx(1.5 * math.sqrt(2.0))
     assert d[3] == pytest.approx(0.8)
-    stack = geometry.distances(m, np.stack([xs, xs[::-1]]), np.stack([ys, ys[::-1]]))
-    assert np.array_equal(stack[0], d) and np.array_equal(stack[1], d[::-1])
+    stack = kernel(m, np.stack([xs, xs[::-1]]), np.stack([ys, ys[::-1]]))
+    assert np.array_equal(stack[0], d, equal_nan=True)
+    assert np.array_equal(stack[1], d[::-1], equal_nan=True)
+    with pytest.raises(ChordObstructed, match="leaves the shell") as blocked:
+        distance(m, xs, ys)
+    assert blocked.value.row == 1
 
 
 def test_distances_rejects_bad_rows():
     with pytest.raises(DimensionMismatch):
-        geometry.distances(euclidean(2), np.zeros((4, 3)), np.zeros((4, 3)))
+        distance(euclidean(2), np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(NormUnsupported):
-        geometry.distances(fisher_half_plane(), [[0.0, 1.0]], [[1.0, 2.0]])
+        distance(fisher_half_plane(), [[0.0, 1.0]], [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("m, x", [
+    (euclidean(2), [math.nan, 0.0]),
+    (spherical_shell(1.0, 4.0), [1.5, math.nan, 0.0]),
+    (unit_sphere(), [math.nan, 0.0, 1.0]),
+    (product_manifold([euclidean(1), spherical_shell(1.0, 4.0)]), [0.0, 1.5, 0.0, math.nan]),
+])
+def test_nan_coordinates_are_no_obstructed_chord(m, x):
+    y = np.zeros(len(x))
+    y[-1] = 1.5
+    with pytest.raises(MembershipError, match="coordinates must be finite"):
+        distance(m, x, y)
+    with pytest.raises(MembershipError, match="coordinates must be finite"):
+        distance(m, np.stack([y, x]), y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,16 +323,6 @@ def test_hull_rules_of_each_kind():
     box = gaussian_param([(0.0, 1.0)])
     assert geometry.KINDS["gaussian_param"].hull(box, np.array([[0.1, 1.0], [0.9, 2.0]]))
     assert not geometry.KINDS["gaussian_param"].hull(box, np.array([[0.1, 1.0], [1.5, 2.0]]))
-
-
-def test_lp_monotonicity_in_p():
-    rng = np.random.default_rng(13)
-    m = euclidean(5)
-    for _ in range(300):
-        x, y = rng.normal(size=5), rng.normal(size=5)
-        ps = sorted(rng.uniform(1.0, 8.0, size=3))
-        ds = [distance(m, x, y, p) for p in ps]
-        assert ds[0] >= ds[1] - 1e-12 >= ds[2] - 2e-12
 
 
 def test_product_consistency_with_factor_aggregation():
@@ -485,7 +493,6 @@ def test_pair_index_is_a_read_only_triu_table():
 def test_distance_overflow_is_inf_without_a_warning():
     # the suite turns RuntimeWarning into an error, so a warning fails here
     assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0]) == math.inf
-    assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0], p=3.0) == math.inf
 
 
 def test_overflow_is_inf_and_only_a_shell_chord_is_obstructed():
@@ -512,8 +519,9 @@ def test_distance_measures_stacks_row_by_row():
     ys = np.array([[0.0, 1.5, 0.0], [0.0, 1.6, 0.0], [1.5, 0.2, 0.0]])
     d = distance(shell, xs, ys)
     assert isinstance(distance(shell, xs[0], ys[0]), float)
-    assert d.shape == (3,) and np.array_equal(d, geometry.distances(shell, xs, ys))
-    assert distance(euclidean(3), xs, ys, p=1.0) == pytest.approx([3.0, 0.1, 0.2])
+    assert d.shape == (3,)
+    assert np.array_equal(d, [distance(shell, x, y) for x, y in zip(xs, ys)])
+    assert distance(euclidean(3), xs, ys) == pytest.approx([1.5 * math.sqrt(2.0), 0.1, 0.2])
     # the broadcast row 1 runs from (1.5, 0, 0) through the inner ball to (-1.5, 0, 0)
     with pytest.raises(ChordObstructed) as blocked:
         distance(shell, xs[0], [[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]])

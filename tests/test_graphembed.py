@@ -307,10 +307,10 @@ def test_closed_form_gradient_matches_coordinate_loop(case, seed):
     i, j, _ = g._arrays()
     assume(configspace.probe(m, pts)[1].min() > 0.1)
     if case == "unit_sphere":                   # sin(theta) stays away from 0
-        assume(np.all(geometry.distances(m, pts[i], pts[j]) < 3.0))
+        assume(np.all(geometry.distance(m, pts[i], pts[j]) < 3.0))
     if case == "shell":                         # each chord clears the inner sphere by > h
-        assume(np.all(np.isfinite(geometry.distances(geometry.spherical_shell(1.1, 4.0),
-                                                     pts[i], pts[j]))))
+        inner = geometry.spherical_shell(1.1, 4.0)
+        assume(np.all(np.isfinite(geometry.KINDS["shell"].distances(inner, pts[i], pts[j]))))
     h = 1e-6 * scale
     score, gradient = graphembed._objectives(g, m)
 
@@ -441,6 +441,11 @@ def test_each_round_scores_all_active_restarts_together(monkeypatch):
 def test_minimize_needs_a_restart():
     with pytest.raises(GraphError, match="restarts >= 1, got 0"):
         minimize_ratio_variance(K3, R2, restarts=0)
+
+
+def test_minimize_refuses_more_restarts_than_the_limit():
+    with pytest.raises(GraphError, match="over the limit"):
+        minimize_ratio_variance(K3, R2, restarts=graphembed.RESTARTS_LIMIT + 1)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])

@@ -128,6 +128,12 @@ def test_resample_polyline_preserves_geometry():
     assert arc_length(fine) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_resample_polyline_refuses_more_than_the_limit():
+    path = PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(mesh.MeshError, match="over the limit"):
+        mesh.resample_polyline(path, mesh.SAMPLES_LIMIT + 1)
+
+
 def test_polyline_json_round_trip():
     path = PolylinePath(R2, [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
     back = mesh.polyline_from_json(mesh.polyline_to_json(path))
