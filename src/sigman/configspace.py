@@ -2,13 +2,13 @@
 
 A configuration is an ordered tuple of pairwise-distinct points of a
 factor manifold M; a configuration path is a sequence of configurations
-joined by straight chords. One :func:`probe` validates its
-configurations and one exact :func:`hull_probe` its chords. Path
-energies score the chord lengths of the flattened configurations with
-the curve-energy kernel, so the product upper bounds hold exactly at the
-discrete level, and each particle's component energies are dominated
-term by term (the product chord of a segment is at least any single
-particle's chord).
+joined by straight chords. One exact :func:`hull_probe` checks its
+configurations, its chords and the hull of the whole path, since a
+configuration is the hull of one configuration. Path energies score the
+chord lengths of the flattened configurations with the curve-energy
+kernel, so the product upper bounds hold exactly at the discrete level,
+and each particle's component energies are dominated term by term (the
+product chord of a segment is at least any single particle's chord).
 """
 
 from __future__ import annotations
@@ -40,60 +40,47 @@ class SamplingExhausted(ConfigError):
     """Rejection sampling failed to produce a valid configuration."""
 
 
-def probe(m: ManifoldSpec, configs) -> tuple[np.ndarray, np.ndarray]:
-    """Membership and pairwise gaps of a stack of configurations.
-
-    ``configs`` has shape (..., n, d). Returns ``inside`` of shape
-    (..., n), the membership of every point in ``m``, and ``gaps`` of
-    shape (..., n(n-1)/2), the chart distances of the point pairs in
-    ``np.triu_indices(n, 1)`` order.
-    """
-    configs = np.asarray(configs, dtype=float)
-    n, d = configs.shape[-2:]
-    inside = geometry.validate_points(m, configs.reshape(-1, d)).reshape(configs.shape[:-1])
-    iu, ju = geometry.pair_index(n)
-    gaps = np.linalg.norm(configs[..., iu, :] - configs[..., ju, :], axis=-1)
-    return inside, gaps
-
-
 def hull_probe(m: ManifoldSpec, stack) -> tuple[np.ndarray, np.ndarray]:
     """Exact verdicts on the hulls of the k configurations of a (..., k, n, d) stack.
 
     ``inside`` (..., n) says whether the hull of each particle's positions
-    lies in ``m``; ``clear`` (..., n(n-1)/2) whether the hull of each pair's
-    differences keeps more than COLLISION_EPS from 0, pairs in
-    :func:`probe`'s order. The hull lies in C_n(M) exactly when all hold,
-    because it projects onto the hulls of those positions and differences.
+    lies in ``m``; ``gap_sq`` (..., n(n-1)/2) is the squared least norm of
+    the hull of each pair's differences, pairs in ``geometry.pair_index``
+    order. The hull lies in C_n(M) exactly when every ``inside`` holds and
+    every ``gap_sq`` exceeds COLLISION_EPS**2, because it projects onto the
+    hulls of those positions and differences. A k = 1 stack is one
+    configuration per hull: plain membership and squared pair distances.
     """
-    tracks = np.swapaxes(np.asarray(stack, dtype=float), -3, -2)     # (..., n, k, d)
+    tracks = np.asarray(stack, dtype=float).swapaxes(-3, -2)     # (..., n, k, d)
     iu, ju = geometry.pair_index(tracks.shape[-3])
-    inside = geometry.KINDS[m.kind].hull(m, tracks)
-    gap_sq = geometry.min_norm_sq(tracks[..., iu, :, :] - tracks[..., ju, :, :])
-    return inside, gap_sq > COLLISION_EPS ** 2
+    hull = geometry._points_inside if tracks.shape[-2] == 1 else geometry.KINDS[m.kind].hull
+    return hull(m, tracks), geometry.min_norm_sq(tracks.take(iu, -3) - tracks.take(ju, -3))
 
 
-def _pair(n: int, k: int) -> str:
-    """Names the k-th point pair of :func:`probe`'s gaps."""
-    iu, ju = geometry.pair_index(n)
-    return f"points {iu[k]} and {ju[k]}"
+def _refuse(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
+    """Raise for the first hull of a (K, k, n, d) stack not in C_n(M), with one probe.
 
-
-def _first_fault(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
-    """Raise for the first configuration of a (K, n, d) stack not in C_n(M), with one probe.
-
-    The message names the point outside ``m`` or the colliding pair,
-    after ``label`` and the configuration's index when ``label`` is set.
+    A configuration (k = 1) is named after ``label`` and its index when
+    ``label`` is set; a point outside ``m`` is named with the constraint
+    it breaks, a colliding pair with its gap. A k = 2 hull is the
+    transition between configurations i and i + 1.
     """
     with np.errstate(invalid="ignore", over="ignore"):   # non-finite points are outside
-        inside, gaps = probe(m, stack)
-    ok = inside.all(axis=-1) & (gaps > COLLISION_EPS).all(axis=-1)
+        inside, gap_sq = hull_probe(m, stack)
+    ok = inside.all(axis=-1) & (gap_sq > COLLISION_EPS ** 2).all(axis=-1)
     if ok.all():
         return
-    k = int(np.argmin(ok))
-    where = f"{label} {k}: " if label else ""
-    meshmod.chart_points(m, stack[k], f"{where}point", inside[k])   # raises if one is outside
-    j = int(np.argmin(gaps[k]))
-    raise CollisionError(f"{where}{_pair(stack.shape[1], j)} collide (gap {gaps[k, j]})")
+    i = int(np.argmin(ok))
+    config = stack.shape[1] == 1
+    where = (f"{label} {i}: " if label else "") if config else f"transition {i} -> {i + 1}: "
+    if not inside[i].all():
+        if config:
+            meshmod.chart_points(m, stack[i, 0], f"{where}point")   # raises with the constraint
+        raise MembershipError(f"{where}point {np.argmin(inside[i])} leaves the manifold")
+    j = int(np.argmin(gap_sq[i]))
+    iu, ju = geometry.pair_index(stack.shape[2])
+    gap = f" (gap {np.sqrt(gap_sq[i, j])})" if config else ""
+    raise CollisionError(f"{where}points {iu[j]} and {ju[j]} collide{gap}")
 
 
 @dataclass
@@ -107,7 +94,7 @@ class Configuration:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.shape[0] < 2:
             raise ConfigError("a configuration needs at least 2 points")
-        _first_fault(self.manifold, self.points[None])
+        _refuse(self.manifold, self.points[None, None])
 
     @property
     def n(self) -> int:
@@ -134,7 +121,7 @@ class ConfigPath:
                 f"coords must have shape (steps+1, n >= 2, {d}), got {self.coords.shape}")
         if self.coords.shape[0] < 2:
             raise ConfigError("a configuration path needs at least 2 configurations")
-        _first_fault(self.manifold, self.coords, "configuration")
+        _refuse(self.manifold, self.coords[:, None], "configuration")
         if np.array_equal(self.coords[-1], self.coords[0]):
             raise ConfigError("path endpoints A and B must differ")
         self.params = meshmod.path_params(self.params, self.flattened(), "configuration")
@@ -149,14 +136,7 @@ class ConfigPath:
 
 def _chords(path: ConfigPath) -> np.ndarray:
     """Product chord lengths of the path's segments, after an exact probe of each transition."""
-    inside, clear = hull_probe(path.manifold, np.stack([path.coords[:-1], path.coords[1:]], 1))
-    bad = ~(inside.all(axis=1) & clear.all(axis=1))
-    if bad.any():
-        k = int(np.argmax(bad))
-        where = f"transition {k} -> {k + 1}: "
-        if not inside[k].all():
-            raise MembershipError(f"{where}point {np.argmin(inside[k])} leaves the manifold")
-        raise CollisionError(f"{where}{_pair(path.n, int(np.argmin(clear[k])))} collide")
+    _refuse(path.manifold, np.stack([path.coords[:-1], path.coords[1:]], 1))
     return np.linalg.norm(np.diff(path.flattened(), axis=0), axis=1)
 
 
@@ -227,8 +207,8 @@ def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
 
     flat = path.flattened()
     mono_ok = all(gaussmod.coordinate_monotone(flat))
-    inside, clear = hull_probe(path.manifold, path.coords)
-    hull_ok = bool(inside.all() and clear.all())
+    inside, gap_sq = hull_probe(path.manifold, path.coords)
+    hull_ok = bool(inside.all() and (gap_sq > COLLISION_EPS ** 2).all())
 
     lower = gaussmod.lower_bound_l3(flat[0], flat[-1])
     lower_ok = None
@@ -327,13 +307,13 @@ def random_config_path(
     # Random walk mode.
     for _ in attempts("could not place a separated start configuration"):
         coords = [sample_config()]
-        if probe(m, coords[0])[1].min() > separation:
+        if hull_probe(m, coords[0][None])[1].min() > separation ** 2:
             break
     while len(coords) < steps + 1:
         for _ in attempts("random walk could not keep particles separated"):
             candidate = geometry.project(
                 m, coords[-1] + rng.normal(scale=0.2 * span, size=(n, d)), _SHELL_MARGIN)
-            if (probe(m, candidate)[1].min() > separation
+            if (hull_probe(m, candidate[None])[1].min() > separation ** 2
                     and np.linalg.norm(candidate - coords[-1]) != 0.0):
                 coords.append(candidate)
                 break
@@ -353,6 +333,9 @@ def config_path_from_json(data) -> ConfigPath:
     data = meshmod.json_object(data, "configuration path", "manifold", "configs")
     path = ConfigPath(geometry.manifold_from_json(data["manifold"]), data["configs"],
                       data.get("params"))
-    if "n" in data and data["n"] != path.n:
+    n = data.get("n", path.n)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ConfigError(f"configuration path field 'n' must be an integer, got {n!r}")
+    if n != path.n:
         raise ConfigError("configuration path field 'n' disagrees with 'configs'")
     return path

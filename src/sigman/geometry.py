@@ -286,16 +286,18 @@ def _satisfied(m: ManifoldSpec, xs: np.ndarray, ok: np.ndarray) -> np.ndarray:
 def min_norm_point(pts) -> np.ndarray:
     """Point of least norm in the convex hull of the rows of each (k, d) stack.
 
-    ``pts`` has shape (..., k, d); the result has shape (..., d). A segment
-    has a closed form, exactly symmetric in its ends (taken in
-    lexicographic order). A larger hull is one NNLS problem (Lawson &
-    Hanson 1974, ch. 23; Wolfe 1976): with v = s w for weights w,
+    ``pts`` has shape (..., k, d); the result has shape (..., d). One row
+    is its own hull. A segment has a closed form, exactly symmetric in its
+    ends (taken in lexicographic order). A larger hull is one NNLS problem
+    (Lawson & Hanson 1974, ch. 23; Wolfe 1976): with v = s w for weights w,
     |[P^T; 1^T] v - [0; 1]|^2 is least at s = 1 / (1 + q), where it is
     q / (1 + q), q = |P^T w|^2; so the v >= 0 that minimizes it gives
     the least-norm weights v / sum(v).
     """
     pts = np.asarray(pts, dtype=float)
     *lead, k, d = pts.shape
+    if k == 1:
+        return pts[..., 0, :]
     if k == 2:
         x, y = pts[..., 0, :], pts[..., 1, :]
         first = np.argmax(x != y, axis=-1)[..., None]
@@ -317,7 +319,7 @@ def min_norm_point(pts) -> np.ndarray:
 def min_norm_sq(pts) -> np.ndarray:
     """Squared norm of :func:`min_norm_point`: the squared least norm over each hull."""
     x = min_norm_point(pts)
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)      # np.sum unwrapped: np.linalg.norm's sum, bitwise
 
 
 def distance(m: ManifoldSpec, xs, ys) -> float | np.ndarray:

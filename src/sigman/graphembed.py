@@ -61,7 +61,10 @@ class WeightedGraph:
             if not isinstance(e, (tuple, list)) or len(e) != 3:
                 raise GraphError(f"edges[{k}] must be [i, j, weight], got {e!r}")
             i, j = vertex_indices(e[:2], self.n, f"edges[{k}]").tolist()
-            w = float(e[2])
+            w = e[2]
+            if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
+                raise GraphError(f"edges[{k}] weight must be a number, got {w!r}")
+            w = float(w)
             if not i < j:
                 raise GraphError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
             if (i, j) in seen:

@@ -77,20 +77,18 @@ def path_params(params, points: np.ndarray, row: str) -> np.ndarray:
     return t
 
 
-def chart_points(m: ManifoldSpec, points, row: str, inside=None) -> np.ndarray:
+def chart_points(m: ManifoldSpec, points, row: str) -> np.ndarray:
     """``points`` as an (N, chart_dim) float array of points of ``m``.
 
     Raises MeshError on a wrong shape and MembershipError naming the
     first ``row`` that is not finite or not in ``m``, with the reason.
-    ``inside`` is the membership mask when the caller has probed it.
     """
     pts = np.atleast_2d(number_array(points, f"{row} coordinates"))
     d = geometry.chart_dim(m)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise MeshError(f"{row} coordinates have shape {pts.shape}; {m.kind} needs (N, {d})")
     with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
-        if inside is None:
-            inside = geometry.validate_points(m, pts)
+        inside = geometry.validate_points(m, pts)
         if not inside.all():
             k = int(np.argmin(inside))
             try:

@@ -239,7 +239,7 @@ def _random_graph_and_config(rng: np.random.Generator):
     m = geometry.euclidean(int(rng.integers(2, 4)))
     while True:
         pts = rng.uniform(-2.0, 2.0, size=(n, m.dim))
-        if configspace.probe(m, pts)[1].min() > 1e-3:
+        if configspace.hull_probe(m, pts[None])[1].min() > 1e-3 ** 2:
             break
     return g, configspace.Configuration(m, pts)
 

@@ -332,6 +332,27 @@ def test_graph_json_indices_must_be_integers(tmp_path, capsys, k3_files):
         assert f"{bad}: " in err and message in err
 
 
+@pytest.mark.parametrize("weight, shown", [("1.5", "'1.5'"), (True, "True"), ([1], "[1]"),
+                                           (None, "None")])
+def test_graph_json_weights_must_be_numbers(tmp_path, capsys, k3_files, weight, shown):
+    _, manifold = k3_files
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 2, weight], [0, 2, 1.0]]}))
+    assert cli.run(["embed", "--graph", str(bad), "--manifold", manifold, "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: edges[1] weight must be a number, got {shown}\n")
+
+
+def test_config_path_json_n_must_be_an_integer(tmp_path, capsys):
+    doc = _config_doc()
+    doc["n"] = 2.0
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(["config", "energy", "--path", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: configuration path field 'n' must be an integer, got 2.0\n")
+
+
 def test_oversized_rectangle_grid_exits_2(capsys):
     assert cli.run(["energy", "rectangle", "--grid", "1e-6", "--no-timing"]) == 2
     err = capsys.readouterr().err
@@ -536,10 +557,14 @@ with redirect_stdout(io.StringIO()):
         ["energy", "region", "--mesh", sys.argv[1] + "/sphere.json"],
         ["embed", "--graph", sys.argv[1] + "/k4.json", "--manifold", sys.argv[1] + "/r2.json"])]
 print(status, [m for m in LAZY if m in sys.modules])
+configspace.Configuration(geometry.euclidean(2), [[0, 0], [1, 0]])
+configspace.ConfigPath(geometry.euclidean(2), [[[0, 0], [1, 0]], [[0, 1], [1, 1]]])
+print([m for m in LAZY if m in sys.modules])
 # two particles in the plane; the hull of their three differences holds 0 only in the first
 stack = [[[[0, 0], [1, 0]], [[0, 0], [-1, 1]], [[0, 0], [-1, -1]]],
          [[[0, 0], [1, 0]], [[0, 0], [2, 1]], [[0, 0], [2, -1]]]]
-inside, clear = configspace.hull_probe(geometry.euclidean(2), stack)
+inside, gap_sq = configspace.hull_probe(geometry.euclidean(2), stack)
+clear = gap_sq > configspace.COLLISION_EPS ** 2
 print(inside.tolist(), clear.tolist(), [m for m in LAZY if m in sys.modules])
 """
 
@@ -554,6 +579,7 @@ def test_cli_imports_scipy_optimize_only_for_hulls_of_three_points(tmp_path):
     assert proc.stdout.splitlines() == [
         "[]",
         "[0, 0, 0] []",
+        "[]",
         "[[True, True], [True, True]] [[False], [True]] ['scipy.optimize']",
     ]
 

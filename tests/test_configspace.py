@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sigman import configspace, geometry
@@ -149,6 +151,41 @@ def test_transition_dip_into_the_inner_ball_leaves():
         config_path_energy(path)
 
 
+PROBE_CASES = {
+    "euclidean": (geometry.euclidean(2), (1.0,)),
+    "shell": (SHELL, geometry.shell_radii(SHELL)),
+    "unit_sphere": (geometry.unit_sphere(), (1.0,)),
+    "shell x euclidean": (geometry.product_manifold([SHELL, geometry.euclidean(1)]),
+                          geometry.shell_radii(SHELL)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(PROBE_CASES)), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(2, 6), lead=st.sampled_from([(), (3,), (2, 2)]))
+def test_one_configuration_hull_is_membership_and_pair_norms(case, seed, n, lead):
+    m, radii = PROBE_CASES[case]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(*lead, n, geometry.chart_dim(m)))
+    if case != "euclidean":     # first three coordinates at a boundary radius, to the last ulps
+        head = x[..., :3] / np.linalg.norm(x[..., :3], axis=-1, keepdims=True)
+        scale = rng.choice(radii, size=(*lead, n, 1))
+        x[..., :3] = head * scale * (1.0 + rng.uniform(-2e-9, 2e-9, size=scale.shape)
+                                     * 10.0 ** rng.integers(-8, 1, size=scale.shape))
+    if rng.random() < 0.3:
+        x[..., 1, :] = x[..., 0, :]                     # a collision
+    if rng.random() < 0.2:
+        x.flat[rng.integers(x.size)] = rng.choice([np.nan, np.inf, 1e300])
+    iu, ju = geometry.pair_index(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        inside, gap_sq = configspace.hull_probe(m, x[..., None, :, :])
+        want = np.linalg.norm(x[..., iu, :] - x[..., ju, :], axis=-1)
+        gaps = np.sqrt(gap_sq)
+        members = geometry.validate_points(m, x.reshape(-1, x.shape[-1]))
+    assert np.array_equal(inside, members.reshape(x.shape[:-1]))
+    assert gaps.shape == want.shape and np.array_equal(gaps, want, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # Bound reports
 # ---------------------------------------------------------------------------
@@ -237,8 +274,8 @@ def test_random_config_path_shell_membership():
 
 def test_random_config_path_collision_margin():
     path = random_config_path(SHELL, 3, seed=103, steps=8)
-    _, gaps = configspace.probe(SHELL, path.coords)
-    assert gaps.min() > 10.0 * COLLISION_EPS
+    _, gap_sq = configspace.hull_probe(SHELL, path.coords[:, None])
+    assert gap_sq.min() > (10.0 * COLLISION_EPS) ** 2
 
 
 def test_random_config_path_euclidean_mode():
@@ -278,16 +315,17 @@ C_CFG = [[1.5, 0.0, 0.4], [0.0, 1.5, 0.4]]
 def test_config_path_construction_probes_once(monkeypatch):
     calls = []
 
-    def counting_probe(m, configs):
-        calls.append(np.shape(configs))
-        return probe(m, configs)
+    def counting_probe(m, stack):
+        calls.append(np.shape(stack))
+        return probe(m, stack)
 
-    probe = configspace.probe
-    monkeypatch.setattr(configspace, "probe", counting_probe)
+    probe = configspace.hull_probe
+    monkeypatch.setattr(configspace, "hull_probe", counting_probe)
     path = random_config_path(SHELL, 3, seed=5, steps=6, monotone=True)
     calls.clear()
     ConfigPath(SHELL, path.coords, path.params)
-    assert calls == [path.coords.shape]
+    count, n, d = path.coords.shape
+    assert calls == [(count, 1, n, d)]
 
 
 def test_config_path_energy_matches_the_product_polyline(monkeypatch):

@@ -1,8 +1,9 @@
-"""Bitwise pins of the seeded monotone path generators.
+"""Bitwise pins of the seeded path generators.
 
-The three generators share one staircase helper; these digests were
-recorded before they did, so any change to the order in which the
-helper draws from the generator shows here.
+The three monotone generators share one staircase helper; these digests
+were recorded before they did, so any change to the order in which the
+helper draws from the generator shows here. The configuration corpus
+and random-walk pins guard the rejection tests of ``random_config_path``.
 """
 
 import hashlib
@@ -55,3 +56,27 @@ def test_staircase_is_monotone_between_its_endpoints(shape):
     assert np.array_equal(path[0], start) and np.array_equal(path[-1], stop)
     steps = np.diff(path, axis=0) * np.sign(stop - start)
     assert np.all(steps >= -1e-15)
+
+
+def test_config_corpus_paths_pinned(monkeypatch):
+    # the first 60 seed-42 paths of verify's configuration corpus, both modes
+    coords = []
+    check = configspace.check_config_bounds
+
+    def recording_check(path):
+        coords.append(path.coords)
+        return check(path)
+
+    monkeypatch.setattr(configspace, "check_config_bounds", recording_check)
+    assert verify.check_config_bounds(42, count=60).passed == 60
+    assert [c.shape[1] for c in coords[:3]] == [2, 3, 5]
+    assert digest(np.concatenate([c.ravel() for c in coords])) == (
+        "d7d67161cfddb56c959714befd90febb9863429576a7948624ee28ba2bb213bd")
+
+
+def test_euclidean_random_walk_pinned():
+    path = configspace.random_config_path(geometry.euclidean(2), 3, seed=11, steps=6)
+    assert path.coords.shape == (7, 3, 2)
+    assert path.coords[3, 1].tolist() == [0.12258814040423802, -1.4063976863133782]
+    assert digest(path.coords) == (
+        "2555c07b9d5d1b5b9a9c7d1f9bcc41f2ba34edfeef236ecf5c829a79ac3a3749")

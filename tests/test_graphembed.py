@@ -181,7 +181,7 @@ def test_variance_invariant_under_config_scaling():
     rng = np.random.default_rng(127)
     for _ in range(200):
         pts = rng.uniform(-2.0, 2.0, size=(3, 2))
-        if configspace.probe(R2, pts)[1].min() < 1e-3:
+        if configspace.hull_probe(R2, pts[None])[1].min() < 1e-3 ** 2:
             continue
         cfg = Configuration(R2, pts)
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
@@ -305,7 +305,7 @@ def test_closed_form_gradient_matches_coordinate_loop(case, seed):
     shift = 2.0 if case == "shell" else 0.0     # points in a cap, chords clear of the core
     pts = geometry.project(m, shift + 1.5 * rng.normal(size=(g.n, geometry.chart_dim(m))))
     i, j, _ = g._arrays()
-    assume(configspace.probe(m, pts)[1].min() > 0.1)
+    assume(configspace.hull_probe(m, pts[None])[1].min() > 0.1 ** 2)
     if case == "unit_sphere":                   # sin(theta) stays away from 0
         assume(np.all(geometry.distance(m, pts[i], pts[j]) < 3.0))
     if case == "shell":                         # each chord clears the inner sphere by > h

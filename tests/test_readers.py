@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigman import cli, configspace, geometry, graphembed, mesh
@@ -161,18 +161,21 @@ def test_any_json_to_polyline_reader(json_file, doc):
 
 @settings(max_examples=150, deadline=None)
 @given(doc=documents("config"))
+@example(doc={**DOCUMENTS["config"][0], "n": 2.0})
 def test_any_json_to_config_path_reader(json_file, doc):
     path = _read(json_file, doc, configspace.config_path_from_json)
     if path is not None:
         _check_points(path.manifold, path.coords)
         _check_params(path.params)
         assert _only_numbers([doc["configs"], doc.get("params") or []])
-        _, gaps = configspace.probe(path.manifold, path.coords)
-        assert gaps.min() > configspace.COLLISION_EPS
+        assert "n" not in doc or _same(path.n, doc["n"])
+        _, gap_sq = configspace.hull_probe(path.manifold, path.coords[:, None])
+        assert gap_sq.min() > configspace.COLLISION_EPS ** 2
 
 
 @settings(max_examples=150, deadline=None)
 @given(doc=documents("graph"))
+@example(doc={"n": 3, "edges": [[0, 1, 1.0], [1, 2, "1.5"], [0, 2, True]]})
 def test_any_json_to_graph_reader(json_file, doc):
     g = _read(json_file, doc, graphembed.graph_from_json)
     if g is not None:
@@ -181,4 +184,4 @@ def test_any_json_to_graph_reader(json_file, doc):
         for (i, j, w), edge in zip(g.edges, doc["edges"], strict=True):
             assert _is_int(i) and _is_int(j) and 0 <= i < j < g.n
             assert _same([i, j], edge[:2])
-            assert 0.0 < w < float("inf")
+            assert _only_numbers(edge[2]) and 0.0 < w < float("inf")
