@@ -195,7 +195,7 @@ def _cmd_config(args, started: float) -> tuple[dict, int]:
         if args.subcommand == "energy":
             return _energy_report("config energy", args, inputs,
                                   configspace.config_path_energy(path), started)
-        report = configspace.check_config_bounds(path)
+        report = configspace.check_config_bounds([path])[0]
     gates = {"i": report.upper1_ok and report.upper2_ok, "ii": report.components_ok,
              "iii": report.lower_ok is True}
     # an inapplicable lower bound (hypotheses unmet) does not fail "all"

@@ -57,6 +57,13 @@ def hull_probe(m: ManifoldSpec, stack) -> tuple[np.ndarray, np.ndarray]:
     return hull(m, tracks), geometry.min_norm_sq(tracks.take(iu, -3) - tracks.take(ju, -3))
 
 
+def _verdicts(m: ManifoldSpec, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`hull_probe` of a (..., k, n, d) stack, and whether each hull lies in C_n(M)."""
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite points are outside
+        inside, gap_sq = hull_probe(m, stack)
+    return inside, gap_sq, inside.all(axis=-1) & (gap_sq > COLLISION_EPS ** 2).all(axis=-1)
+
+
 def _refuse(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
     """Raise for the first hull of a (K, k, n, d) stack not in C_n(M), with one probe.
 
@@ -65,9 +72,7 @@ def _refuse(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
     it breaks, a colliding pair with its gap. A k = 2 hull is the
     transition between configurations i and i + 1.
     """
-    with np.errstate(invalid="ignore", over="ignore"):   # non-finite points are outside
-        inside, gap_sq = hull_probe(m, stack)
-    ok = inside.all(axis=-1) & (gap_sq > COLLISION_EPS ** 2).all(axis=-1)
+    inside, gap_sq, ok = _verdicts(m, stack)
     if ok.all():
         return
     i = int(np.argmin(ok))
@@ -91,7 +96,7 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = np.atleast_2d(meshmod.number_array(self.points, "points"))
         if self.points.shape[0] < 2:
             raise ConfigError("a configuration needs at least 2 points")
         _refuse(self.manifold, self.points[None, None])
@@ -134,10 +139,27 @@ class ConfigPath:
         return self.coords.reshape(self.coords.shape[0], -1)
 
 
+def _transitions(coords: np.ndarray) -> np.ndarray:
+    """The (..., K, 2, n, d) transition hulls of (..., K+1, n, d) path coordinates."""
+    return np.stack([coords[..., :-1, :, :], coords[..., 1:, :, :]], axis=-3)
+
+
+def _chord_lengths(coords: np.ndarray) -> np.ndarray:
+    """Product chord lengths (..., K) of the segments of (..., K+1, n, d) path coordinates."""
+    flat = coords.reshape(*coords.shape[:-2], -1)
+    with np.errstate(over="ignore"):    # an overflow is inf, which the energy report refuses
+        return np.linalg.norm(np.diff(flat, axis=-2), axis=-1)
+
+
+def _track_lengths(coords: np.ndarray) -> np.ndarray:
+    """Chord lengths (..., n, K) of each particle's own track."""
+    return np.linalg.norm(np.diff(coords, axis=-3), axis=-1).swapaxes(-1, -2)
+
+
 def _chords(path: ConfigPath) -> np.ndarray:
     """Product chord lengths of the path's segments, after an exact probe of each transition."""
-    _refuse(path.manifold, np.stack([path.coords[:-1], path.coords[1:]], 1))
-    return np.linalg.norm(np.diff(path.flattened(), axis=0), axis=1)
+    _refuse(path.manifold, _transitions(path.coords))
+    return _chord_lengths(path.coords)
 
 
 def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
@@ -154,10 +176,8 @@ def component_energies(path: ConfigPath, j: int) -> tuple[float, float]:
     """
     if not 0 <= j < path.n:
         raise ConfigError(f"particle index {j} out of range for n = {path.n}")
-    track = path.coords[:, j, :]
-    seg = np.linalg.norm(np.diff(track, axis=0), axis=1)
-    e1, e2, _ = energymod.segment_sums(seg)
-    return e1, e2
+    e1, e2, _ = energymod.segment_sums(_track_lengths(path.coords)[j])
+    return float(e1), float(e2)
 
 
 @dataclass
@@ -188,37 +208,61 @@ class ConfigBoundReport:
 COMPONENT_TOL = 1e-12
 
 
-def check_config_bounds(path: ConfigPath) -> ConfigBoundReport:
-    """Verify the upper, per-component, and (when applicable) lower bounds.
+def check_config_bounds(paths) -> list[ConfigBoundReport]:
+    """Verify the upper, per-component and (when applicable) lower bounds of each path.
 
-    The lower-bound verdict is evaluated only when every flattened
-    coordinate is monotone and the hull of the path lies in C_n(M);
-    otherwise it is reported as None.
+    ``paths`` are ConfigPaths on one manifold, reported in order. Paths of
+    one shape are checked as one stack (one :func:`hull_probe` for all
+    their transitions, one for their whole-path hulls), and a report is
+    the one its path gets alone. A transition that leaves C_n(M) raises as
+    in :func:`config_path_energy`, for the first such path. The lower
+    bound is judged only when every flattened coordinate is monotone and
+    the hull of the path lies in C_n(M); otherwise its verdict is None.
     """
-    seg = _chords(path)
-    report = energymod.chord_energy(seg, {})
-    comp = [component_energies(path, j) for j in range(path.n)]
-    comp_e1 = [c[0] for c in comp]
-    comp_e2 = [c[1] for c in comp]
-    components_ok = all(
-        report.e1 >= e1j - COMPONENT_TOL and report.e2 >= e2j - COMPONENT_TOL
-        for e1j, e2j in zip(comp_e1, comp_e2)
-    )
+    paths = list(paths)
+    m = paths[0].manifold if paths else None
+    if any(path.manifold != m for path in paths):
+        raise ConfigError("paths checked together must share one manifold")
+    groups: dict[tuple, list[int]] = {}
+    for i, path in enumerate(paths):
+        groups.setdefault(path.coords.shape, []).append(i)
+    stacks = [(idx, np.stack([paths[i].coords for i in idx])) for idx in groups.values()]
+    failing = []
+    for idx, coords in stacks:
+        ok = _verdicts(m, _transitions(coords))[2].all(axis=1)
+        failing += [idx[np.argmin(ok)]] if not ok.all() else []
+    if failing:
+        _chords(paths[min(failing)])        # raises with the first failing path's fault
+    rows = {i: row for idx, coords in stacks for i, row in zip(idx, _bound_rows(m, coords))}
+    return [_bound_report(*rows[i]) for i in range(len(paths))]
 
-    flat = path.flattened()
-    mono_ok = all(gaussmod.coordinate_monotone(flat))
-    inside, gap_sq = hull_probe(path.manifold, path.coords)
-    hull_ok = bool(inside.all() and (gap_sq > COLLISION_EPS ** 2).all())
 
-    lower = gaussmod.lower_bound_l3(flat[0], flat[-1])
+def _bound_rows(m: ManifoldSpec, coords: np.ndarray):
+    """Per-path bound values of a (P, K+1, n, d) stack of paths, as Python scalars and lists."""
+    seg = _chord_lengths(coords)
+    flat = coords.reshape(*coords.shape[:2], -1)
+    with np.errstate(over="ignore", invalid="ignore"):   # _bound_report refuses what overflows
+        e1, e2, rho = energymod.segment_sums(seg)
+        comp_e1, comp_e2, _ = energymod.segment_sums(_track_lengths(coords))
+        components_ok = np.all((e1[:, None] >= comp_e1 - COMPONENT_TOL)
+                               & (e2[:, None] >= comp_e2 - COMPONENT_TOL), axis=1)
+        mono_ok = np.all(gaussmod.coordinate_monotone(flat.swapaxes(0, 1)), axis=-1)
+        lower = gaussmod.lower_bound_l3(flat[:, 0], flat[:, -1])
+        values = (e1, e2, rho, np.sum(seg, axis=1), comp_e1, comp_e2, components_ok, mono_ok,
+                  _verdicts(m, coords)[2], lower)
+    return zip(*(v.tolist() for v in values))
+
+
+def _bound_report(e1, e2, rho, length, comp_e1, comp_e2, components_ok, mono_ok, hull_ok,
+                  lower) -> ConfigBoundReport:
+    report = energymod.length_report(e1, e2, rho, {})
     lower_ok = None
     if mono_ok and hull_ok:
         lower_ok = report.e2 >= lower - gaussmod.LOWER_BOUND_TOL
-
     return ConfigBoundReport(
         e1=report.e1,
         e2=report.e2,
-        length=float(np.sum(seg)),
+        length=length,
         bound1=report.bound1,
         bound2=report.bound2,
         upper1_ok=report.satisfied1,

@@ -106,20 +106,22 @@ class SignalRegion:
                 raise EnergyError("source and target sets must be disjoint")
 
 
-def segment_sums(seg_lengths: np.ndarray) -> tuple[float, float, float]:
-    """Exact per-segment energies (e1, e2) and total length of a chord chain.
+def segment_sums(seg_lengths: np.ndarray):
+    """Exact per-segment energies (e1, e2) and total length of chord chains.
 
     Integrates s and s^2 in arc length exactly on each segment:
     the midpoint value mid*ds for s, and (mid^2 + ds^2/12)*ds for s^2.
     Zero-length links are allowed here; this is the shared kernel for
-    curve energies and for per-particle component energies.
+    curve energies and for per-particle component energies. The chains
+    run along the last axis, so (..., K) lengths give (...) arrays, each
+    chain summed as it would be alone.
     """
-    seg = np.asarray(seg_lengths, dtype=float)
-    s = np.concatenate(([0.0], np.cumsum(seg)))
-    mid = 0.5 * (s[:-1] + s[1:])
-    e1 = float(np.sum(mid * seg))
-    e2 = float(np.sum((mid * mid + seg * seg / 12.0) * seg))
-    return e1, e2, float(s[-1])
+    seg = np.ascontiguousarray(seg_lengths, dtype=float)
+    s = np.concatenate((np.zeros((*seg.shape[:-1], 1)), np.cumsum(seg, axis=-1)), axis=-1)
+    mid = 0.5 * (s[..., :-1] + s[..., 1:])
+    e1 = np.sum(mid * seg, axis=-1)
+    e2 = np.sum((mid * mid + seg * seg / 12.0) * seg, axis=-1)
+    return e1, e2, s[..., -1]
 
 
 def _bounded_report(e1, e2, bound1, bound2, discretization) -> EnergyReport:
@@ -141,6 +143,11 @@ def chord_energy(seg_lengths: np.ndarray, discretization: dict) -> EnergyReport:
     """Energies of a chord chain with bounds rho^2 and rho^3, rho = its length."""
     with np.errstate(over="ignore"):    # an overflow is inf, which _bounded_report refuses
         e1, e2, length = segment_sums(seg_lengths)
+    return length_report(float(e1), float(e2), float(length), discretization)
+
+
+def length_report(e1: float, e2: float, length: float, discretization: dict) -> EnergyReport:
+    """Report of a chain's energies (e1, e2) with bounds rho^2 and rho^3, rho = its length."""
     if length == 0.0:
         raise EnergyError("degenerate path of zero length")
     try:

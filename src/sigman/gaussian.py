@@ -136,10 +136,10 @@ def fisher_report(mu: float, sigma: float, quad_points: int = 401) -> dict:
     }
 
 
-def lower_bound_l3(p, q) -> float:
-    """(1/3) * ||q - p||_3^3 over chart coordinates."""
+def lower_bound_l3(p, q):
+    """(1/3) * ||q - p||_3^3 over chart coordinates, the last axis."""
     diff = np.abs(np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
-    return float(np.sum(diff ** 3) / 3.0)
+    return np.sum(diff ** 3, axis=-1) / 3.0
 
 
 @dataclass
@@ -158,12 +158,12 @@ class GaussianBoundReport:
         return asdict(self)
 
 
-def coordinate_monotone(samples: np.ndarray) -> list[bool]:
-    """Per-coordinate verdicts: nondecreasing or nonincreasing within MONO_EPS."""
+def coordinate_monotone(samples: np.ndarray) -> list:
+    """Per-coordinate verdicts along axis 0: nondecreasing or nonincreasing within MONO_EPS."""
     diffs = np.diff(samples, axis=0)
     up = np.all(diffs >= -MONO_EPS, axis=0)
     down = np.all(diffs <= MONO_EPS, axis=0)
-    return [bool(u or d) for u, d in zip(up, down)]
+    return (up | down).tolist()
 
 
 def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
@@ -183,7 +183,7 @@ def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
     mono = coordinate_monotone(samples)
     hull_ok = bool(geometry.KINDS[m.kind].hull(m, samples))
     report = energymod.curve_energy(energymod.SignalCurve(path))
-    lower = lower_bound_l3(samples[0], samples[-1])
+    lower = float(lower_bound_l3(samples[0], samples[-1]))
     return GaussianBoundReport(
         monotone=mono,
         monotone_ok=all(mono),

@@ -47,6 +47,8 @@ import numpy as np
 
 SPD_EPS = 1e-10        # strict positivity margin for minimum eigenvalues
 SPHERE_EPS = 1e-9      # |x| tolerance for unit-sphere membership
+WOLFE_TOL = 1e-12      # Wolfe's optimality slack, a share of a hull's largest squared norm
+HULL_ROUNDS = 1_000    # lock-step rounds after which an uncertified least-norm point raises
 FISHER_SIGMA_COEFF = 2.0  # d sigma^2 coefficient of the Fisher metric, times sigma^2
 _SQRT2 = math.sqrt(2.0)
 
@@ -288,11 +290,8 @@ def min_norm_point(pts) -> np.ndarray:
 
     ``pts`` has shape (..., k, d); the result has shape (..., d). One row
     is its own hull. A segment has a closed form, exactly symmetric in its
-    ends (taken in lexicographic order). A larger hull is one NNLS problem
-    (Lawson & Hanson 1974, ch. 23; Wolfe 1976): with v = s w for weights w,
-    |[P^T; 1^T] v - [0; 1]|^2 is least at s = 1 / (1 + q), where it is
-    q / (1 + q), q = |P^T w|^2; so the v >= 0 that minimizes it gives
-    the least-norm weights v / sum(v).
+    ends (taken in lexicographic order). Larger hulls go to :func:`_wolfe`
+    together; a stack with a non-finite entry gives nan.
     """
     pts = np.asarray(pts, dtype=float)
     *lead, k, d = pts.shape
@@ -307,13 +306,67 @@ def min_norm_point(pts) -> np.ndarray:
         ss = np.sum(step * step, axis=-1)
         t = np.divide(-np.sum(x * step, axis=-1), ss, out=np.zeros_like(ss), where=ss > 0.0)
         return x + np.clip(t, 0.0, 1.0)[..., None] * step
-    from scipy.optimize import nnls  # imported here: ~0.2 s, and only 3+ point hulls need it
-    target = np.append(np.zeros(d), 1.0)
-    out = np.empty((math.prod(lead), d))
-    for i, p in enumerate(pts.reshape(-1, k, d)):
-        v = nnls(np.vstack([p.T, np.ones(k)]), target)[0]
-        out[i] = v @ p / v.sum()
+    flat = pts.reshape(-1, k, d)
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    out = np.full((len(flat), d), np.nan)
+    out[finite] = _wolfe(flat[finite])
     return out.reshape(*lead, d)
+
+
+def _wolfe(pts: np.ndarray) -> np.ndarray:
+    """Least-norm points of the hulls of a finite (R, k, d) stack: Wolfe's method in lock step.
+
+    Wolfe, Math. Programming 11 (1976), whose affine step is the GJK distance
+    subalgorithm (Gilbert, Johnson & Keerthi 1988). Each row keeps a corral of
+    at most d + 1 points; a round solves every running row's affine least-norm
+    problem as one (d + 2)-square KKT system. Where all its weights are
+    positive, x moves there and either no point p has x.p < |x|^2 - WOLFE_TOL
+    * max |p|^2, which certifies the row, or the most violating p joins.
+    Elsewhere the weights step toward it until one reaches 0, and that point
+    leaves. Rows are scaled by their largest entry, so nothing overflows.
+    """
+    rows, k, d = pts.shape
+    scale = np.abs(pts).max(axis=(1, 2), initial=np.finfo(float).tiny)
+    p = pts / scale[:, None, None]
+    sq = np.add.reduce(p * p, axis=-1)
+    slots = np.arange(d + 1)
+    corral = np.zeros((rows, d + 1), dtype=np.intp)
+    corral[:, 0] = sq.argmin(axis=1)
+    on = slots == np.zeros((rows, 1))                   # which corral slots hold a point
+    w, out, live = on.astype(float), np.empty((rows, d)), np.arange(rows)
+    for _ in range(HULL_ROUNDS):
+        if not live.size:
+            return out * scale[:, None]
+        c, o = corral[live], on[live]
+        q = p[live[:, None], c] * o[..., None]
+        kkt = np.zeros((len(live), d + 2, d + 2))
+        kkt[:, :-1, :-1] = np.add.reduce(q[:, :, None] * q[:, None], axis=-1)
+        kkt[:, :-1, -1] = kkt[:, -1, :-1] = o
+        kkt[:, slots, slots] += ~o
+        v = np.linalg.inv(kkt)[:, :-1, -1]              # KKT solution for (0, ..., 0, 1)
+        interior = np.all((v > 0.0) | ~o, axis=1)
+        # minor cycle: step from w toward v until the first weight reaches 0, and drop it
+        rest, vr, wr = live[~interior], v[~interior], w[live[~interior]]
+        neg = o[~interior] & (vr <= 0.0)
+        ratio = np.divide(wr, wr - vr, out=np.where(neg, 0.0, np.inf), where=neg & (wr > vr))
+        theta = ratio.min(axis=1, keepdims=True)
+        wr = theta * vr + (1.0 - theta) * wr
+        on[rest] &= (slots != ratio.argmin(axis=1)[:, None]) & (wr > 0.0)
+        w[rest] = np.where(on[rest], wr, 0.0)
+        # major cycle: x = y; certify, or let the most violating point join
+        head, v, c, o = live[interior], v[interior], c[interior], o[interior]
+        w[head] = v
+        x = np.add.reduce(v[..., None] * q[interior], axis=1)
+        dots = np.add.reduce(p[head] * x[:, None], axis=-1)
+        dots[((c[..., None] == np.arange(k)) & o[..., None]).any(axis=1)] = np.inf
+        j = dots.argmin(axis=1)
+        done = (np.add.reduce(x * x, axis=-1) - dots[np.arange(len(head)), j]
+                <= WOLFE_TOL * sq[head].max(axis=1))
+        out[head[done]] = x[done]
+        grow, slot = head[~done], on[head[~done]].argmin(axis=1)    # slot 0 if full, which
+        corral[grow, slot], on[grow, slot] = j[~done], True         # only rounding can cause
+        live = np.sort(np.concatenate([rest, grow]))
+    raise FloatingPointError(f"least-norm point not certified after {HULL_ROUNDS} rounds")
 
 
 def min_norm_sq(pts) -> np.ndarray:

@@ -64,7 +64,10 @@ class WeightedGraph:
             w = e[2]
             if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
                 raise GraphError(f"edges[{k}] weight must be a number, got {w!r}")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:
+                raise GraphError(f"edges[{k}] weight is too large for a float") from None
             if not i < j:
                 raise GraphError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
             if (i, j) in seen:

@@ -131,10 +131,12 @@ class SmoothMonotone:
 # Checks
 # ---------------------------------------------------------------------------
 
-def _corpus(name: str, seed: int, check: int, count: int, case) -> CheckResult:
+def _corpus(name: str, seed: int, check: int, count: int, case, judge=None) -> CheckResult:
     """Count the cases i < count for which ``case(np.random.default_rng([seed, check, i]), i)``
-    holds; ``detail`` names the first failing case and its stream, if one fails."""
-    failed = [i for i in range(count) if not case(np.random.default_rng([seed, check, i]), i)]
+    holds, or, with ``judge``, for which ``judge`` (given every drawn case) says so;
+    ``detail`` names the first failing case and its stream, if one fails."""
+    cases = [case(np.random.default_rng([seed, check, i]), i) for i in range(count)]
+    failed = [i for i, ok in enumerate(cases if judge is None else judge(cases)) if not ok]
     detail = (f"first failure: case {failed[0]}, stream [{seed}, {check}, {failed[0]}]"
               if failed else "")
     return CheckResult(name, count - len(failed), count, detail)
@@ -184,22 +186,24 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Configuration paths satisfy the upper, component, and lower bounds.
 
     Every path is checked for the upper and per-particle bounds; the
-    monotone half of the corpus must additionally pass the hypothesis
-    checks and the cubic lower bound.
+    monotone half of the corpus (the even cases) must additionally pass
+    the hypothesis checks and the cubic lower bound. One
+    ``configspace.check_config_bounds`` call judges all the paths.
     """
     shell = geometry.spherical_shell(1.0, 4.0)
 
     def case(rng, i):
-        monotone = i % 2 == 0
-        path = configspace.random_config_path(
-            shell, (2, 3, 5)[i % 3], seed=rng, steps=8, monotone=monotone
+        return configspace.random_config_path(
+            shell, (2, 3, 5)[i % 3], seed=rng, steps=8, monotone=i % 2 == 0
         )
-        report = configspace.check_config_bounds(path)
-        ok = report.upper1_ok and report.upper2_ok and report.components_ok
-        if monotone:
-            ok = ok and report.monotone_ok and report.hull_ok and bool(report.lower_ok)
-        return ok
-    return _corpus("config_bounds", seed, 3, count, case)
+
+    def judge(paths):
+        return [
+            report.upper1_ok and report.upper2_ok and report.components_ok
+            and (i % 2 == 1 or report.monotone_ok and report.hull_ok and bool(report.lower_ok))
+            for i, report in enumerate(configspace.check_config_bounds(paths))
+        ]
+    return _corpus("config_bounds", seed, 3, count, case, judge)
 
 
 _R2 = geometry.euclidean(2)

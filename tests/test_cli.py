@@ -272,6 +272,11 @@ def _config_doc():
         configspace.random_config_path(shell, 2, seed=5, steps=2))
 
 
+# two particles in R^2, 1e200 apart, whose chords overflow
+_HUGE_WALK = {"manifold": {"kind": "euclidean", "dim": 2}, "configs": [
+    [[0, 0], [1e200, 0]], [[0, 1e200], [1e200, 1e200]], [[0, 2e200], [1e200, 2e200]]]}
+
+
 @pytest.mark.parametrize("argv, make, change, message", [
     (["energy", "region", "--mesh"], _sphere_doc,
      lambda d: _set(d, "vertices", 5, 0, "HUGE"),
@@ -306,6 +311,10 @@ def _config_doc():
      "params must hold numbers, got '0.5'"),
     (["config", "energy", "--path"], _config_doc, lambda d: _set(d, "configs", 1, 0, 2, True),
      "coords must hold numbers, got True"),
+    (["config", "energy", "--path"], _config_doc, lambda d: d.update(_HUGE_WALK),
+     "energies and bounds must be finite, got e1 = inf"),
+    (["config", "bounds", "--path"], _config_doc, lambda d: d.update(_HUGE_WALK),
+     "energies and bounds must be finite, got e1 = inf"),
 ])
 def test_bad_signal_json_names_file_and_field(tmp_path, capsys, argv, make, change, message):
     doc = make()
@@ -341,6 +350,15 @@ def test_graph_json_weights_must_be_numbers(tmp_path, capsys, k3_files, weight, 
     assert cli.run(["embed", "--graph", str(bad), "--manifold", manifold, "--no-timing"]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: edges[1] weight must be a number, got {shown}\n")
+
+
+def test_graph_weight_beyond_float_range_names_its_edge(tmp_path, capsys, k3_files):
+    _, manifold = k3_files
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 2, 10 ** 400], [0, 2, 1.0]]}))
+    assert cli.run(["embed", "--graph", str(bad), "--manifold", manifold, "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: edges[1] weight is too large for a float\n")
 
 
 def test_config_path_json_n_must_be_an_integer(tmp_path, capsys):
@@ -551,11 +569,17 @@ with open(sys.argv[1] + "/k4.json", "w") as fh:
     json.dump({"n": 4, "edges": [[i, j, 1.0] for i in range(4) for j in range(i + 1, 4)]}, fh)
 with open(sys.argv[1] + "/r2.json", "w") as fh:
     json.dump({"kind": "euclidean", "dim": 2}, fh)
+shell = geometry.spherical_shell(1.0, 4.0)
+with open(sys.argv[1] + "/path.json", "w") as fh:     # its whole-path hulls have 5 points
+    json.dump(configspace.config_path_to_json(
+        configspace.random_config_path(shell, 3, seed=5, steps=4, monotone=True)), fh)
 with redirect_stdout(io.StringIO()):
     status = [cli.run(argv + ["--no-timing"]) for argv in (
         ["energy", "rectangle", "--grid", "0.1"],
         ["energy", "region", "--mesh", sys.argv[1] + "/sphere.json"],
-        ["embed", "--graph", sys.argv[1] + "/k4.json", "--manifold", sys.argv[1] + "/r2.json"])]
+        ["embed", "--graph", sys.argv[1] + "/k4.json", "--manifold", sys.argv[1] + "/r2.json"],
+        ["config", "bounds", "--path", sys.argv[1] + "/path.json"],
+        ["verify-all", "--quick"])]
 print(status, [m for m in LAZY if m in sys.modules])
 configspace.Configuration(geometry.euclidean(2), [[0, 0], [1, 0]])
 configspace.ConfigPath(geometry.euclidean(2), [[[0, 0], [1, 0]], [[0, 1], [1, 1]]])
@@ -569,7 +593,7 @@ print(inside.tolist(), clear.tolist(), [m for m in LAZY if m in sys.modules])
 """
 
 
-def test_cli_imports_scipy_optimize_only_for_hulls_of_three_points(tmp_path):
+def test_no_command_imports_scipy_optimize(tmp_path):
     src = str(Path(sigman.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -578,9 +602,9 @@ def test_cli_imports_scipy_optimize_only_for_hulls_of_three_points(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]",
-        "[0, 0, 0] []",
+        "[0, 0, 0, 0, 0] []",
         "[]",
-        "[[True, True], [True, True]] [[False], [True]] ['scipy.optimize']",
+        "[[True, True], [True, True]] [[False], [True]] []",
     ]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from sigman.configspace import (
     random_config_path,
 )
 from sigman.geometry import ChordObstructed, MembershipError
+from sigman.mesh import MeshError
 
 SHELL = geometry.spherical_shell(1.0, 4.0)
 R3 = geometry.euclidean(3)
@@ -140,6 +142,13 @@ def test_crossing_between_configurations_collides():
         config_path_energy(path)
 
 
+def test_configuration_points_must_be_numbers():
+    with pytest.raises(MeshError, match="^points must hold numbers, got '1'$"):
+        Configuration(geometry.euclidean(2), [["1", "0"], [True, "1e0"]])
+    with pytest.raises(MeshError, match="^points must hold numbers, got True$"):
+        Configuration(geometry.euclidean(2), [[0.0, 1.0], [True, 0.0]])
+
+
 def test_transition_dip_into_the_inner_ball_leaves():
     # the chord of point 0 reaches |z|^2 = 0.9999 near t = 0.493
     m = geometry.spherical_shell(1.0, 16.0)
@@ -192,7 +201,7 @@ def test_one_configuration_hull_is_membership_and_pair_norms(case, seed, n, lead
 
 def test_check_config_bounds_random_monotone_path():
     path = random_config_path(SHELL, 3, seed=73, steps=8, monotone=True)
-    rep = check_config_bounds(path)
+    rep = check_config_bounds([path])[0]
     assert rep.upper1_ok and rep.upper2_ok
     assert rep.components_ok
     assert rep.monotone_ok and rep.hull_ok
@@ -201,7 +210,7 @@ def test_check_config_bounds_random_monotone_path():
 
 def test_check_config_bounds_nonmonotone_skips_lower():
     path = random_config_path(SHELL, 2, seed=79, steps=8, monotone=False)
-    rep = check_config_bounds(path)
+    rep = check_config_bounds([path])[0]
     assert rep.upper1_ok and rep.upper2_ok and rep.components_ok
     if not (rep.monotone_ok and rep.hull_ok):
         assert rep.lower_ok is None
@@ -216,7 +225,7 @@ def _triangle_path(h):
 
 @pytest.mark.parametrize("h, inside", [(0.99, False), (0.9999, False), (1.0001, True)])
 def test_hull_verdict_is_exact_near_the_inner_sphere(h, inside):
-    assert check_config_bounds(_triangle_path(h)).hull_ok is inside
+    assert check_config_bounds([_triangle_path(h)])[0].hull_ok is inside
 
 
 def test_hull_of_random_euclidean_path_collides():
@@ -225,13 +234,13 @@ def test_hull_of_random_euclidean_path_collides():
         diffs = coords[:, i] - coords[:, j]
         lp = linprog(np.zeros(9), A_eq=np.vstack([diffs.T, np.ones(9)]), b_eq=[0.0, 0.0, 1.0])
         assert lp.status == 0      # the origin is in every pair's difference hull
-    rep = check_config_bounds(ConfigPath(geometry.euclidean(2), coords))
+    rep = check_config_bounds([ConfigPath(geometry.euclidean(2), coords)])[0]
     assert rep.hull_ok is False and rep.lower_ok is None
 
 
 def test_check_config_bounds_component_dominance():
     path = random_config_path(SHELL, 5, seed=83, steps=8)
-    rep = check_config_bounds(path)
+    rep = check_config_bounds([path])[0]
     for e1j, e2j in zip(rep.component_e1, rep.component_e2):
         assert rep.e1 >= e1j - 1e-12
         assert rep.e2 >= e2j - 1e-12
@@ -242,9 +251,54 @@ def test_single_mover_component_equality():
     mover = np.column_stack([np.full_like(t, 1.5), np.zeros_like(t), t])
     fixed = np.tile([0.0, 1.5, 0.0], (100, 1))
     path = ConfigPath(SHELL, np.stack([mover, fixed], axis=1))
-    rep = check_config_bounds(path)
+    rep = check_config_bounds([path])[0]
     assert rep.e1 == pytest.approx(rep.component_e1[0], abs=1e-12)
     assert rep.e2 == pytest.approx(rep.component_e2[0], abs=1e-12)
+
+
+def _mixed_batch():
+    # shell paths of three particle counts and three lengths (K >= 8 sums pairwise), both modes
+    return [random_config_path(SHELL, n, seed=seed, steps=steps, monotone=monotone)
+            for seed, (n, steps, monotone) in enumerate(
+                [(2, 8, True), (3, 3, False), (5, 8, True), (2, 12, False), (3, 8, True),
+                 (5, 3, False), (2, 8, False), (3, 12, True), (5, 8, False)])]
+
+
+def test_batch_reports_equal_one_path_reports():
+    batch = _mixed_batch() + [_triangle_path(0.9999), _triangle_path(1.0001)]
+    reports = check_config_bounds(batch)
+    assert len(reports) == len(batch)
+    for path, report in zip(batch, reports):
+        alone = check_config_bounds([path])[0]
+        assert report == alone
+        assert json.dumps(report.to_json()) == json.dumps(alone.to_json())   # as the CLI writes
+    assert [r.hull_ok for r in reports[-2:]] == [False, True]
+    # a path's report does not depend on its batch-mates or its place among them
+    assert check_config_bounds(batch[::-1]) == reports[::-1]
+    assert check_config_bounds([]) == []
+
+
+def test_batch_with_a_crossing_raises_for_the_first_failing_path():
+    r2 = geometry.euclidean(2)
+    fine = ConfigPath(r2, [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+    # particles meet at t = 3/8 of transition 1, and of transition 0 on a shorter path
+    late = ConfigPath(r2, [[[0.0, 1.0], [0.6, 1.0]], [[0.0, 0.0], [0.6, 0.0]],
+                           [[1.0, 0.0], [0.0, 0.0]]])
+    early = ConfigPath(r2, [[[0.0, 0.0], [0.6, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    message = "^transition 1 -> 2: points 0 and 1 collide$"
+    for batch in ([fine, late, early], [late, fine, early, late]):
+        with pytest.raises(CollisionError, match=message):
+            check_config_bounds(batch)
+    with pytest.raises(CollisionError, match=message):
+        config_path_energy(late)
+    with pytest.raises(CollisionError, match="^transition 0 -> 1: points 0 and 1 collide$"):
+        check_config_bounds([fine, early, late])
+
+
+def test_batch_paths_must_share_a_manifold():
+    path = ConfigPath(R3, [[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]])
+    with pytest.raises(ConfigError, match="^paths checked together must share one manifold$"):
+        check_config_bounds([path, random_config_path(SHELL, 2, seed=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +400,7 @@ def test_config_path_energy_matches_the_product_polyline(monkeypatch):
     assert (rep.e1, rep.e2, rep.bound1, rep.bound2) == (want.e1, want.e2, want.bound1,
                                                         want.bound2)
     assert rep.discretization == {"n_samples": 7, "n_particles": 3}
-    bounds = check_config_bounds(path)
+    bounds = check_config_bounds([path])[0]
     assert (bounds.e1, bounds.e2) == (want.e1, want.e2)
 
 

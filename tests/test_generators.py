@@ -63,9 +63,9 @@ def test_config_corpus_paths_pinned(monkeypatch):
     coords = []
     check = configspace.check_config_bounds
 
-    def recording_check(path):
-        coords.append(path.coords)
-        return check(path)
+    def recording_check(paths):
+        coords.extend(path.coords for path in paths)
+        return check(paths)
 
     monkeypatch.setattr(configspace, "check_config_bounds", recording_check)
     assert verify.check_config_bounds(42, count=60).passed == 60

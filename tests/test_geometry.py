@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from sigman import geometry
 from sigman.geometry import (
@@ -302,9 +302,75 @@ def test_min_norm_point_is_the_least_norm_point_of_the_hull(k, d, seed):
     # about zero exactly when the origin is in the hull
     lp = linprog(np.zeros(k), A_eq=np.vstack([pts.T, np.ones(k)]), b_eq=np.append(np.zeros(d), 1))
     assert (value <= tol) == (lp.status == 0)
-    # a segment given as three rows takes the NNLS path and meets the closed form
+    # a segment given as three rows takes Wolfe's method and meets the closed form
     segment = geometry.min_norm_sq(pts[:2])
     assert geometry.min_norm_sq(pts[[0, 1, 1]]) == pytest.approx(segment, rel=1e-12, abs=tol)
+
+
+def _mixed_hull_stack(rng, k, d):
+    """One (k, d) hull of each kind below, stacked: (9, k, d)."""
+    rows = []
+    for kind in range(9):
+        pts = rng.normal(size=(k, d)) + rng.normal(size=d) * rng.uniform(0.0, 3.0)
+        if kind == 1:                                   # duplicate rows
+            pts[1::2] = pts[: k // 2]
+        elif kind == 2:                                 # collinear rows
+            pts = rng.normal(size=(k, 1)) * rng.normal(size=d) + rng.normal(size=d)
+        elif kind == 3:                                 # coplanar rows (all equal when d = 1)
+            pts[:, -1] = rng.choice([0.0, 0.3])
+        elif kind == 4:                                 # all rows equal
+            pts[:] = pts[0]
+        elif kind == 5:                                 # the origin on a vertex
+            pts -= pts[0]
+        elif kind == 6:                                 # the origin on an edge: 0 = (p0 + p1)/2,
+            pts[:, -1] = np.abs(pts[:, -1])             # every row has a last coordinate >= 0
+            pts[1] = -pts[0] if d > 1 else pts[1]
+            pts[:2, -1] = 0.0
+        elif kind == 7:                                 # the origin inside the hull
+            pts -= pts.mean(axis=0)
+        elif kind == 8:                                 # rows on a coarse grid: ties
+            pts = np.round(pts * 2.0) / 2.0
+        rows.append(pts * 10.0 ** rng.uniform(-3.0, 3.0))
+    return np.stack(rows)
+
+
+def _nnls_min_norm_sq(pts):
+    v = nnls(np.vstack([pts.T, np.ones(len(pts))]), np.append(np.zeros(pts.shape[1]), 1.0))[0]
+    x = v @ pts / v.sum()
+    return x @ x
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(3, 64), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_min_norm_sq_agrees_with_nnls(k, d, seed):
+    stack = _mixed_hull_stack(np.random.default_rng(seed), k, d)
+    value = geometry.min_norm_sq(stack)
+    scale = np.max(np.sum(stack * stack, axis=-1), axis=-1)
+    want = np.array([_nnls_min_norm_sq(pts) for pts in stack])
+    assert np.all(np.abs(value - want) <= 1e-12 * scale)
+    assert np.all(value[[5, 6, 7]] <= 1e-12 * scale[[5, 6, 7]])    # the origin is in the hull
+    # each row is solved as it would be alone
+    assert np.array_equal(value[::-1], geometry.min_norm_sq(stack[::-1]))
+
+
+def test_min_norm_round_cap_is_never_reached(monkeypatch):
+    stacks = [_mixed_hull_stack(np.random.default_rng(seed), k, d)
+              for seed, (k, d) in enumerate([(3, 1), (9, 3), (17, 2), (64, 4), (64, 5)] * 4)]
+    cap = geometry.HULL_ROUNDS
+    # within a twentieth of the cap, so the cap is far from every stack
+    monkeypatch.setattr(geometry, "HULL_ROUNDS", cap // 20)
+    for stack in stacks:
+        geometry.min_norm_sq(stack)
+    monkeypatch.setattr(geometry, "HULL_ROUNDS", 1)
+    with pytest.raises(FloatingPointError, match="^least-norm point not certified after 1 rounds$"):
+        geometry.min_norm_sq(stacks[1])
+
+
+def test_min_norm_point_of_non_finite_hulls_is_nan():
+    pts = np.array([[[np.nan, 0.0], [1.0, 1.0], [2.0, 2.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                    [[np.inf, 0.0], [1.0, 1.0], [2.0, 2.0]]])
+    x = geometry.min_norm_point(pts)
+    assert np.isnan(x[[0, 2]]).all() and x[1].tolist() == [0.5, 0.5]
 
 
 def test_hull_rules_of_each_kind():
