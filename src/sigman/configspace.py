@@ -176,8 +176,10 @@ def component_energies(path: ConfigPath, j: int) -> tuple[float, float]:
     """
     if not 0 <= j < path.n:
         raise ConfigError(f"particle index {j} out of range for n = {path.n}")
-    e1, e2, _ = energymod.segment_sums(_track_lengths(path.coords)[j])
-    return float(e1), float(e2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1, e2, _ = energymod.segment_sums(_track_lengths(path.coords)[j])
+    # an overflow is inf, and so is a zero-length link after it (inf * 0)
+    return tuple(np.inf if np.isnan(e) else float(e) for e in (e1, e2))
 
 
 @dataclass
@@ -303,65 +305,96 @@ def random_config_path(
     Non-monotone mode is a random walk that redraws a step until every
     pair keeps the collision margin; chords between steps are not probed,
     so particles may cross or leave M there, and ``config_path_energy``
-    then refuses the path. The margin is far above COLLISION_EPS in both modes.
+    then refuses the path. The margin is far above COLLISION_EPS in both
+    modes. A walk is the one-row call of :func:`random_config_paths`.
     """
-    kind = geometry.KINDS[m.kind]
-    if kind.sample is None:
+    if not monotone:
+        return random_config_paths(m, [(n, seed, False)], steps)[0]
+    rng = np.random.default_rng(seed)
+    separation, span, near, far = _scales(m, n)
+    iu, ju = geometry.pair_index(n)
+    for _ in range(_MAX_REJECTIONS):
+        starts = _sample_config(m, n, rng)
+        stops = starts + rng.uniform(-span, span, size=starts.shape)
+        los = np.minimum(starts, stops)
+        his = np.maximum(starts, stops)
+        corner = np.linalg.norm(np.maximum(np.abs(los), np.abs(his)), axis=-1)
+        # each box's nearest point and farthest corner lie in M, and the gap of boxes
+        # i and j, the least norm of their difference box, is at least the separation
+        if (np.all((_box_min_norm(los, his) > near) & (corner < far))
+                and np.all(_box_min_norm(los[iu] - his[ju], his[iu] - los[ju]) >= separation)):
+            return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))
+    raise SamplingExhausted("could not place separated particle boxes")
+
+
+def random_config_paths(m: ManifoldSpec, cases, steps: int = 8) -> list[ConfigPath]:
+    """:func:`random_config_path` of each ``(n, seed, monotone)`` case, in order.
+
+    The random walks of each particle count run as one :func:`random_walks`
+    stack; monotone cases are drawn one at a time.
+    """
+    cases = list(cases)
+    walks = {}
+    for n in sorted({n for n, _, monotone in cases if not monotone}):
+        separation, span = _scales(m, n)[:2]
+        rngs = [np.random.default_rng(seed) for k, seed, monotone in cases
+                if k == n and not monotone]
+        walks[n] = iter(random_walks(m, n, rngs, steps, 0.2 * span, separation))
+    return [random_config_path(m, n, seed, steps, True) if monotone
+            else ConfigPath(m, next(walks[n])) for n, seed, monotone in cases]
+
+
+def _scales(m: ManifoldSpec, n: int) -> tuple[float, float, float, float]:
+    """Pair separation, step span and the radii every box keeps between, for sampling in m."""
+    if geometry.KINDS[m.kind].sample is None:
         raise ConfigError(f"sampling is supported for shell and euclidean, not {m.kind}")
     if n < 2:
         raise ConfigError("need n >= 2 particles")
-    rng = np.random.default_rng(seed)
-    d = geometry.chart_dim(m)
+    if geometry.KINDS[m.kind].flat:     # euclidean: points start in [-1, 1]^d
+        return max(0.1, 10.0 * COLLISION_EPS), 0.8, -np.inf, np.inf   # every box lies in R^d
+    r_lo, r_hi = geometry.shell_radii(m)     # shell: scales follow its thickness
+    thickness = r_hi - r_lo
+    margin = _SHELL_MARGIN * thickness
+    return (max(0.05 * thickness, 10.0 * COLLISION_EPS), 0.35 * thickness,
+            r_lo + 0.25 * margin, r_hi - 0.25 * margin)
 
-    if kind.flat:                       # euclidean: points start in [-1, 1]^d
-        separation = max(0.1, 10.0 * COLLISION_EPS)
-        span = 0.8
-        near, far = -np.inf, np.inf     # every box lies in R^d
-    else:                               # shell: scales follow its thickness
-        r_lo, r_hi = geometry.shell_radii(m)
-        thickness = r_hi - r_lo
-        margin = _SHELL_MARGIN * thickness
-        separation = max(0.05 * thickness, 10.0 * COLLISION_EPS)
-        span = 0.35 * thickness
-        near, far = r_lo + 0.25 * margin, r_hi - 0.25 * margin
-    budget = iter(range(_MAX_REJECTIONS))     # shared by every draw below
 
-    def attempts(failure: str):
-        """Yield once per draw; raise SamplingExhausted once the shared budget is spent."""
-        yield from budget
-        raise SamplingExhausted(failure)
+def _sample_config(m: ManifoldSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.array([geometry.KINDS[m.kind].sample(m, rng, _SHELL_MARGIN) for _ in range(n)])
 
-    def sample_config() -> np.ndarray:
-        return np.array([kind.sample(m, rng, _SHELL_MARGIN) for _ in range(n)])
 
-    if monotone:
-        iu, ju = geometry.pair_index(n)
-        for _ in attempts("could not place separated particle boxes"):
-            starts = sample_config()
-            stops = starts + rng.uniform(-span, span, size=(n, d))
-            los = np.minimum(starts, stops)
-            his = np.maximum(starts, stops)
-            corner = np.linalg.norm(np.maximum(np.abs(los), np.abs(his)), axis=-1)
-            # each box's nearest point and farthest corner lie in M, and the gap of boxes
-            # i and j, the least norm of their difference box, is at least the separation
-            if (np.all((_box_min_norm(los, his) > near) & (corner < far))
-                    and np.all(_box_min_norm(los[iu] - his[ju], his[iu] - los[ju]) >= separation)):
-                return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))
+def random_walks(m: ManifoldSpec, n: int, rngs, steps: int, scale: float,
+                 separation: float) -> np.ndarray:
+    """(rows, steps + 1, n, d) random walks of n particles in m, one per stream, in lock step.
 
-    # Random walk mode.
-    for _ in attempts("could not place a separated start configuration"):
-        coords = [sample_config()]
-        if hull_probe(m, coords[0][None])[1].min() > separation ** 2:
+    Each round, every unfinished row draws a start configuration, or a step
+    of normal ``scale`` from its last one, projected into m. One k = 1
+    :func:`hull_probe` judges all candidates; a row keeps its candidate when
+    every pair is more than ``separation`` apart and a step moved. Each row
+    draws as it would alone, and has a budget of _MAX_REJECTIONS draws.
+    """
+    # zeros, so that a start row's "last" configuration, the unfilled final one, is finite
+    walks = np.zeros((len(rngs), max(steps + 1, 1), n, geometry.chart_dim(m)))
+    placed = np.zeros(len(rngs), dtype=int)
+    live = np.arange(len(rngs))
+    for _ in range(_MAX_REJECTIONS):        # a live row draws once a round, so rounds are draws
+        if not live.size:
             break
-    while len(coords) < steps + 1:
-        for _ in attempts("random walk could not keep particles separated"):
-            candidate = geometry.project(
-                m, coords[-1] + rng.normal(scale=0.2 * span, size=(n, d)), _SHELL_MARGIN)
-            if (hull_probe(m, candidate[None])[1].min() > separation ** 2
-                    and np.linalg.norm(candidate - coords[-1]) != 0.0):
-                coords.append(candidate)
-                break
-    return ConfigPath(m, np.array(coords))
+        start = placed[live] == 0
+        last = walks[live, placed[live] - 1]
+        cand = np.array([_sample_config(m, n, rngs[r]) if first else
+                         last[j] + rngs[r].normal(scale=scale, size=last[j].shape)
+                         for j, (r, first) in enumerate(zip(live, start))])
+        cand[~start] = geometry.project(m, cand[~start], _SHELL_MARGIN)
+        ok = ((hull_probe(m, cand[:, None])[1] > separation ** 2).all(axis=-1)
+              & (start | (np.linalg.norm((cand - last).reshape(len(live), -1), axis=-1) != 0.0)))
+        walks[live[ok], placed[live[ok]]] = cand[ok]
+        placed[live[ok]] += 1
+        live = live[placed[live] <= steps]
+    if live.size:
+        raise SamplingExhausted("random walk could not keep particles separated" if placed[live[0]]
+                                else "could not place a separated start configuration")
+    return walks
 
 
 def config_path_to_json(path: ConfigPath) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import shortest_path
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
@@ -57,6 +57,7 @@ class WeightedGraph:
             raise GraphError(f"graph needs an integer vertex count n >= 1, got {self.n!r}")
         seen = set()
         norm_edges = []
+        parent = {}     # union-find forest over the vertices the edges touch; one key per join
         for k, e in enumerate(self.edges):
             if not isinstance(e, (tuple, list)) or len(e) != 3:
                 raise GraphError(f"edges[{k}] must be [i, j, weight], got {e!r}")
@@ -76,8 +77,11 @@ class WeightedGraph:
                 raise GraphError(f"edge ({i}, {j}) weight {w} must be positive and finite")
             seen.add((i, j))
             norm_edges.append((i, j, w))
+            i, j = _root(parent, i), _root(parent, j)
+            if i != j:
+                parent[i] = j
         self.edges = norm_edges
-        if self.n > 1 and connected_components(self._matrix(unit=True))[0] != 1:
+        if len(parent) != self.n - 1:       # n - 1 joins leave one tree
             raise GraphError("graph must be connected")
 
     @property
@@ -92,6 +96,14 @@ class WeightedGraph:
     def _matrix(self, unit: bool) -> csr_matrix:
         i, j, w = self._arrays()
         return _pairs_to_csr(self.n, i, j, np.ones(self.m) if unit else w)
+
+
+def _root(parent: dict, v: int) -> int:
+    """Root of ``v`` in a union-find forest whose roots are absent from ``parent``."""
+    while v in parent:
+        parent[v] = parent.get(parent[v], parent[v])     # path halving
+        v = parent[v]
+    return v
 
 
 def graph_to_json(g: WeightedGraph) -> dict:

@@ -55,24 +55,17 @@ def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48,
     """Seeded random polyline in R^2, R^3, or the reference shell.
 
     Monotone mode (independent per-coordinate staircases) is available
-    for the euclidean kinds only; the shell path is a clipped random walk.
+    for the euclidean kinds only; the shell path is a clipped random walk,
+    the one-row call of :func:`random_polylines`.
     """
     if kind not in _POLYLINE_SPECS:
         raise ValueError(f"unknown polyline kind {kind!r}")
-    spec = _POLYLINE_SPECS[kind]
-    if not geometry.KINDS[spec.kind].flat:
+    if kind == "shell":
         if monotone:
             raise ValueError("monotone polylines are generated in euclidean kinds only")
-        current = geometry.KINDS[spec.kind].sample(spec, rng, 0.05)
-        pts = [current]
-        while len(pts) < n_samples:
-            cand = geometry.project(spec, current + rng.normal(scale=0.08, size=3), 0.05)
-            if np.linalg.norm(cand - current) == 0.0:
-                continue
-            pts.append(cand)
-            current = cand
-        return mesh.PolylinePath(spec, np.array(pts))
+        return random_polylines([kind], [rng], n_samples)[0]
 
+    spec = _POLYLINE_SPECS[kind]
     start = rng.uniform(-1.0, 1.0, size=spec.dim)
     if monotone:
         stop = start + rng.uniform(-1.5, 1.5, size=spec.dim)
@@ -81,6 +74,20 @@ def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48,
         steps = rng.normal(scale=0.2, size=(n_samples - 1, spec.dim))
         samples = np.vstack([start, start + np.cumsum(steps, axis=0)])
     return mesh.PolylinePath(spec, samples)
+
+
+def random_polylines(kinds, rngs, n_samples: int = 48) -> list[mesh.PolylinePath]:
+    """:func:`random_polyline` of each kind with its own stream, in order.
+
+    A shell walk is a one-particle configuration walk, and all of them
+    run as one :func:`configspace.random_walks` stack.
+    """
+    kinds, rngs, shell = list(kinds), list(rngs), _POLYLINE_SPECS["shell"]
+    walks = iter(configspace.random_walks(
+        shell, 1, [rng for kind, rng in zip(kinds, rngs) if kind == "shell"], n_samples - 1,
+        0.08, 0.0))
+    return [mesh.PolylinePath(shell, next(walks)[:, 0]) if kind == "shell"
+            else random_polyline(kind, rng, n_samples) for kind, rng in zip(kinds, rngs)]
 
 
 @dataclass
@@ -131,24 +138,29 @@ class SmoothMonotone:
 # Checks
 # ---------------------------------------------------------------------------
 
-def _corpus(name: str, seed: int, check: int, count: int, case, judge=None) -> CheckResult:
-    """Count the cases i < count for which ``case(np.random.default_rng([seed, check, i]), i)``
-    holds, or, with ``judge``, for which ``judge`` (given every drawn case) says so;
-    ``detail`` names the first failing case and its stream, if one fails."""
-    cases = [case(np.random.default_rng([seed, check, i]), i) for i in range(count)]
-    failed = [i for i, ok in enumerate(cases if judge is None else judge(cases)) if not ok]
+def _corpus(name: str, seed: int, check: int, count: int, judge) -> CheckResult:
+    """Count the cases i < count that ``judge`` passes; ``detail`` names the first failing
+    case and its stream, if one fails. ``judge`` gets every case's stream, case i's being
+    ``np.random.default_rng([seed, check, i])``, and returns one verdict per case."""
+    verdicts = judge([np.random.default_rng([seed, check, i]) for i in range(count)])
+    failed = [i for i, ok in enumerate(verdicts) if not ok]
     detail = (f"first failure: case {failed[0]}, stream [{seed}, {check}, {failed[0]}]"
               if failed else "")
     return CheckResult(name, count - len(failed), count, detail)
 
 
+def _each(case):
+    """The judge that asks ``case(rng, i)`` of each case's stream in turn."""
+    return lambda rngs: [case(rng, i) for i, rng in enumerate(rngs)]
+
+
 def check_curve_upper_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Random 1-D signals satisfy e1 <= rho^2 and e2 <= rho^3."""
-    def case(rng, i):
-        path = random_polyline(("r2", "r3", "shell")[i % 3], rng)
-        report = energy.curve_energy(energy.SignalCurve(path))
-        return report.satisfied1 and report.satisfied2
-    return _corpus("curve_upper_bounds", seed, 1, count, case)
+    def judge(rngs):
+        paths = random_polylines([("r2", "r3", "shell")[i % 3] for i in range(count)], rngs)
+        reports = [energy.curve_energy(energy.SignalCurve(path)) for path in paths]
+        return [report.satisfied1 and report.satisfied2 for report in reports]
+    return _corpus("curve_upper_bounds", seed, 1, count, judge)
 
 
 def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
@@ -179,7 +191,7 @@ def check_gaussian_lower_bounds(seed: int, count: int = 1000) -> CheckResult:
         path = gaussian.random_monotone_param_path(1 if i % 2 == 0 else 2, rng)
         report = gaussian.check_gaussian_lower_bound(path)
         return report.monotone_ok and report.hull_ok and report.satisfied
-    return _corpus("gaussian_lower_bounds", seed, 2, count, case)
+    return _corpus("gaussian_lower_bounds", seed, 2, count, _each(case))
 
 
 def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
@@ -192,18 +204,15 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
     """
     shell = geometry.spherical_shell(1.0, 4.0)
 
-    def case(rng, i):
-        return configspace.random_config_path(
-            shell, (2, 3, 5)[i % 3], seed=rng, steps=8, monotone=i % 2 == 0
-        )
-
-    def judge(paths):
+    def judge(rngs):
+        paths = configspace.random_config_paths(
+            shell, [((2, 3, 5)[i % 3], rng, i % 2 == 0) for i, rng in enumerate(rngs)], steps=8)
         return [
             report.upper1_ok and report.upper2_ok and report.components_ok
             and (i % 2 == 1 or report.monotone_ok and report.hull_ok and bool(report.lower_ok))
             for i, report in enumerate(configspace.check_config_bounds(paths))
         ]
-    return _corpus("config_bounds", seed, 3, count, case, judge)
+    return _corpus("config_bounds", seed, 3, count, judge)
 
 
 _R2 = geometry.euclidean(2)
@@ -258,7 +267,7 @@ def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
             g, graphembed.scale_configuration(cfg, alpha)
         )
         return abs(v1 - v0) <= SCALE_INV_TOL * max(1.0, v0)
-    return _corpus("scale_invariance", seed, 5, count, case)
+    return _corpus("scale_invariance", seed, 5, count, _each(case))
 
 
 def check_embedding_minima(seed: int, restarts: int = 20) -> CheckResult:
@@ -295,7 +304,7 @@ def check_function_identities(seed: int, count: int = 100,
             energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)
         ) <= IDENTITY_TOL
         return ok_a and ok_b
-    return _corpus("function_energy_identities", seed, 6, count, case)
+    return _corpus("function_energy_identities", seed, 6, count, _each(case))
 
 
 def check_mesh_convergence(max_subdivisions: int = 4) -> CheckResult:

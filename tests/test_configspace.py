@@ -98,6 +98,15 @@ def test_component_energy_straight_chord():
     assert e2j == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+def test_component_energy_overflow_is_inf_without_a_warning():
+    # particle 0's first link overflows the norm; its second is stationary (inf * 0)
+    path = ConfigPath(geometry.euclidean(2), [[[0.0, 0.0], [1.0, 0.0]],
+                                              [[1e200, 1e200], [1.0, 1.0]],
+                                              [[1e200, 1e200], [1.0, 2.0]]])
+    assert component_energies(path, 0) == (math.inf, math.inf)
+    assert component_energies(path, 1) == pytest.approx((2.0, 8.0 / 3.0), rel=1e-15)
+
+
 def test_component_index_out_of_range():
     path = two_particle_translation(50)
     with pytest.raises(ConfigError, match="out of range"):

@@ -3,13 +3,18 @@
 The three monotone generators share one staircase helper; these digests
 were recorded before they did, so any change to the order in which the
 helper draws from the generator shows here. The configuration corpus
-and random-walk pins guard the rejection tests of ``random_config_path``.
+and random-walk pins guard the rejection tests of ``random_config_path``,
+and the curve corpus pin the shell walks of ``random_polyline``. Both
+walks run many rows in lock step; a one-row call must replay its row of
+any batch.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigman import configspace, gaussian, geometry, verify
 
@@ -74,9 +79,74 @@ def test_config_corpus_paths_pinned(monkeypatch):
         "d7d67161cfddb56c959714befd90febb9863429576a7948624ee28ba2bb213bd")
 
 
+def test_full_config_corpus_pinned(monkeypatch):
+    # all 1,000 seed-42 corpus paths, then 600 euclidean paths (seeds 0-199, dims 1-3, n = 3,
+    # monotone at even seeds), each drawn alone
+    coords = []
+    check = configspace.check_config_bounds
+
+    def recording_check(paths):
+        coords.extend(path.coords for path in paths)
+        return check(paths)
+
+    monkeypatch.setattr(configspace, "check_config_bounds", recording_check)
+    assert verify.check_config_bounds(42).passed == 1000
+    coords += [configspace.random_config_path(geometry.euclidean(dim), 3, seed=s,
+                                              monotone=s % 2 == 0).coords
+               for s in range(200) for dim in (1, 2, 3)]
+    assert digest(np.concatenate([c.ravel() for c in coords])) == (
+        "d5a6bb6a68e260b9c387fdd0217c5fdf7d187ed84e28392879bcada57c42817f")
+
+
+def test_full_curve_corpus_pinned(monkeypatch):
+    # all 1,000 seed-42 polylines of verify's curve corpus: r2 and r3 walks, shell walks
+    samples = []
+    curve_energy = verify.energy.curve_energy
+
+    def recording(signal):
+        samples.append(signal.path.samples)
+        return curve_energy(signal)
+
+    monkeypatch.setattr(verify.energy, "curve_energy", recording)
+    assert verify.check_curve_upper_bounds(42).passed == 1000
+    assert [s.shape for s in samples[:3]] == [(48, 2), (48, 3), (48, 3)]
+    assert digest(np.concatenate([s.ravel() for s in samples])) == (
+        "f5cd7bc6db381b8bdcb0b3c44b1cf842b47fb2d8a9dbd3443d555adda25d772c")
+
+
 def test_euclidean_random_walk_pinned():
     path = configspace.random_config_path(geometry.euclidean(2), 3, seed=11, steps=6)
     assert path.coords.shape == (7, 3, 2)
     assert path.coords[3, 1].tolist() == [0.12258814040423802, -1.4063976863133782]
     assert digest(path.coords) == (
         "2555c07b9d5d1b5b9a9c7d1f9bcc41f2ba34edfeef236ecf5c829a79ac3a3749")
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases=st.lists(st.tuples(st.sampled_from([2, 3, 5]), SEEDS, st.booleans()),
+                      min_size=1, max_size=7),
+       steps=st.integers(1, 10), dim=st.sampled_from([0, 1, 2, 3]))
+def test_lock_step_config_walk_rows_replay_alone(cases, steps, dim):
+    m = geometry.euclidean(dim) if dim else geometry.spherical_shell(1.0, 4.0)
+    batch = configspace.random_config_paths(m, cases, steps)
+    for (n, seed, monotone), path in zip(cases, batch, strict=True):
+        alone = configspace.random_config_path(m, n, seed, steps, monotone)
+        assert path.coords.tobytes() == alone.coords.tobytes()
+        assert path.coords.shape == (steps + 1, n, geometry.chart_dim(m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases=st.lists(st.tuples(st.sampled_from(["r2", "r3", "shell"]), SEEDS),
+                      min_size=1, max_size=7),
+       n_samples=st.integers(2, 30))
+def test_lock_step_polyline_rows_replay_alone(cases, n_samples):
+    kinds = [kind for kind, _ in cases]
+    batch = verify.random_polylines(kinds, [np.random.default_rng(s) for _, s in cases],
+                                    n_samples)
+    for (kind, seed), path in zip(cases, batch, strict=True):
+        alone = verify.random_polyline(kind, np.random.default_rng(seed), n_samples)
+        assert path.samples.tobytes() == alone.samples.tobytes()
+        assert path.samples.shape[0] == n_samples

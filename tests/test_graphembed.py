@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,43 @@ def test_graph_validation():
         WeightedGraph(2, [(1, 1, 1.0)])
     with pytest.raises(GraphError, match=r"edges\[1\]"):
         WeightedGraph(3, [(0, 1, 1.0), (1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_connectivity_agrees_with_scipy(data, n):
+    # edges join vertices of one label only, so several labels give several components;
+    # a spine links each label's vertices in order, and unlinked vertices stay isolated
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if labels[i] == labels[j]]
+    chosen = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    if data.draw(st.booleans()):
+        for label in set(labels):
+            members = [v for v in range(n) if labels[v] == label]
+            chosen.update(zip(members, members[1:]))
+    edges = [(i, j, 1.0) for i, j in sorted(chosen)]
+    ends = np.array([(i, j) for i, j, _ in edges], dtype=int).reshape(-1, 2).T
+    components = connected_components(
+        csr_matrix((np.ones(len(edges)), (ends[0], ends[1])), shape=(n, n)), directed=False)[0]
+    if components == 1:
+        assert WeightedGraph(n, edges).m == len(edges)
+    else:
+        with pytest.raises(GraphError, match="^graph must be connected$"):
+            WeightedGraph(n, edges)
+
+
+def test_connectivity_check_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="^graph must be connected$"):
+            WeightedGraph(10 ** 8, [(0, 1, 1.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_isometric_embedding_single_edge():

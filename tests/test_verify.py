@@ -10,9 +10,9 @@ SEED = 42
 
 # (check, its stream number, the owner and name of the generator its cases start with)
 CORPORA = [
-    (verify.check_curve_upper_bounds, 1, verify, "random_polyline"),
+    (verify.check_curve_upper_bounds, 1, verify, "random_polylines"),
     (verify.check_gaussian_lower_bounds, 2, verify.gaussian, "random_monotone_param_path"),
-    (verify.check_config_bounds, 3, verify.configspace, "random_config_path"),
+    (verify.check_config_bounds, 3, verify.configspace, "random_config_paths"),
     (verify.check_scale_invariance, 5, verify, "_random_graph_and_config"),
     (verify.check_function_identities, 6, verify.SmoothMonotone, "draw"),
 ]
@@ -24,9 +24,16 @@ def test_every_corpus_case_draws_from_its_own_stream(monkeypatch, check, number,
     generator = getattr(owner, name)
     first_draws = []
 
+    def streams(values):
+        # the generators among the arguments, also inside a lock-step generator's row lists
+        for value in values:
+            if isinstance(value, np.random.Generator):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                yield from streams(value)
+
     def recording(*args, **kwargs):
-        rng = next(a for a in (*args, *kwargs.values()) if isinstance(a, np.random.Generator))
-        first_draws.append(copy.deepcopy(rng).random())
+        first_draws.extend(copy.deepcopy(rng).random() for rng in streams((*args, *kwargs.values())))
         return generator(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, recording)
