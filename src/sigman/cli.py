@@ -182,7 +182,7 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
     with _blame(args.path):
         if args.samples is not None:
             path = mesh.resample_polyline(path, args.samples)
-        report = gaussian.check_gaussian_lower_bound(path)
+        report = gaussian.check_gaussian_lower_bound([path])[0]
     inputs = {args.path: _digest(args.path)}
     status = 0 if report.satisfied else 1
     return _report("gaussian bound", args, inputs, report.to_json(), started), status

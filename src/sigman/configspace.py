@@ -225,10 +225,7 @@ def check_config_bounds(paths) -> list[ConfigBoundReport]:
     m = paths[0].manifold if paths else None
     if any(path.manifold != m for path in paths):
         raise ConfigError("paths checked together must share one manifold")
-    groups: dict[tuple, list[int]] = {}
-    for i, path in enumerate(paths):
-        groups.setdefault(path.coords.shape, []).append(i)
-    stacks = [(idx, np.stack([paths[i].coords for i in idx])) for idx in groups.values()]
+    stacks = meshmod.stack_by_shape([path.coords for path in paths])
     failing = []
     for idx, coords in stacks:
         ok = _verdicts(m, _transitions(coords))[2].all(axis=1)

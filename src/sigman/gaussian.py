@@ -24,7 +24,7 @@ import numpy as np
 from . import energy as energymod
 from . import geometry
 from .geometry import SPD_EPS
-from .mesh import PolylinePath
+from .mesh import PolylinePath, stack_by_shape
 
 MONO_EPS = 1e-12        # slack for per-coordinate monotonicity verdicts
 LOWER_BOUND_TOL = 1e-9  # slack for the cubic lower bound verdict
@@ -166,33 +166,41 @@ def coordinate_monotone(samples: np.ndarray) -> list:
     return (up | down).tolist()
 
 
-def check_gaussian_lower_bound(path: PolylinePath) -> GaussianBoundReport:
-    """Check E2 >= (1/3)||q - p||_3^3 for a path in the parameter chart.
+def check_gaussian_lower_bound(paths) -> list[GaussianBoundReport]:
+    """Check E2 >= (1/3)||q - p||_3^3 for each of ``paths``, on one gaussian_param manifold.
 
-    Reports per-coordinate monotonicity, whether the convex hull of the
-    samples lies in the manifold (exact, by the kind's hull rule), E2,
-    and the bound verdict. The discrete E2 integrates s^2 exactly along
-    the polyline, so the verdict holds whenever the hypotheses do.
+    A report gives per-coordinate monotonicity, whether the convex hull of
+    the samples lies in the manifold (exact, by the kind's hull rule), E2
+    and the bound verdict; E2 integrates s^2 exactly along the polyline, so
+    the verdict holds whenever the hypotheses do. Paths of one shape are
+    checked as one stack, and a path's report is the one it gets alone; the
+    first path that ``energy.curve_energy`` refuses raises its message.
     """
-    m = path.manifold
-    if m.box is None:
-        raise GaussianError(
-            f"lower bound check needs a gaussian_param path, got {m.kind}"
-        )
-    samples = path.samples
-    mono = coordinate_monotone(samples)
-    hull_ok = bool(geometry.KINDS[m.kind].hull(m, samples))
-    report = energymod.curve_energy(energymod.SignalCurve(path))
-    lower = float(lower_bound_l3(samples[0], samples[-1]))
-    return GaussianBoundReport(
-        monotone=mono,
-        monotone_ok=all(mono),
-        hull_ok=hull_ok,
-        e2=report.e2,
-        lower_bound=lower,
-        satisfied=report.e2 >= lower - LOWER_BOUND_TOL,
-        n_samples=path.n_samples,
-    )
+    paths = list(paths)
+    m = paths[0].manifold if paths else None
+    if any(path.manifold != m for path in paths):
+        raise GaussianError("paths checked together must share one manifold")
+    if paths and m.box is None:
+        raise GaussianError(f"lower bound check needs a gaussian_param path, got {m.kind}")
+    rows = {}
+    for idx, samples in stack_by_shape([path.samples for path in paths]):
+        p, q = samples[:, 0], samples[:, -1]
+        with np.errstate(over="ignore"):   # an overflow is inf, which length_report refuses
+            # the chart is flat, so no chord leaves it and its distance is the chart norm
+            sums = energymod.segment_sums(geometry.distance(m, samples[:, 1:], samples[:, :-1]))
+            values = (coordinate_monotone(samples.swapaxes(0, 1)), np.all(p == q, axis=-1),
+                      geometry.KINDS[m.kind].hull(m, samples), *sums, lower_bound_l3(p, q))
+        rows.update(zip(idx, zip(*(np.asarray(v).tolist() for v in values))))
+    return [_bound_report(path, *rows[i]) for i, path in enumerate(paths)]
+
+
+def _bound_report(path, mono, closed, hull_ok, e1, e2, length, lower) -> GaussianBoundReport:
+    if closed:
+        energymod.SignalCurve(path)         # raises: the signal's endpoints coincide
+    energymod.length_report(e1, e2, length, {})     # raises for a degenerate or non-finite path
+    return GaussianBoundReport(monotone=mono, monotone_ok=all(mono), hull_ok=hull_ok, e2=e2,
+                               lower_bound=lower, satisfied=e2 >= lower - LOWER_BOUND_TOL,
+                               n_samples=path.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +216,41 @@ def staircase(rng: np.random.Generator, start, stop, steps: int) -> np.ndarray:
     its endpoints.
     """
     start = np.asarray(start, dtype=float)
-    stop = np.asarray(stop, dtype=float)
-    weights = rng.exponential(size=(steps, *start.shape))
+    return _climb(rng.exponential(size=(steps, *start.shape)), start,
+                  np.asarray(stop, dtype=float))
+
+
+def _climb(weights: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The staircase of increments ``weights`` along axis 0; each coordinate climbs alone."""
     cum = np.cumsum(weights, axis=0) / weights.sum(axis=0)
     samples = np.concatenate([start[None], start + cum * (stop - start)])
     samples[-1] = stop
     return samples
 
 
-def random_monotone_param_path(
-    n: int,
-    rng: np.random.Generator,
-    n_segments: int = 64,
-) -> PolylinePath:
-    """Seeded monotone staircase between two random parameter points.
+def random_monotone_param_path(n: int, rngs, n_segments: int = 64) -> list[PolylinePath]:
+    """Seeded monotone staircases between two random parameter points, one per stream.
 
-    Covariance endpoints are sampled diagonally dominant (diagonal in
-    [2, 3], off-diagonal in [-0.3, 0.3]) so every point of the
-    per-coordinate bounding box is PD by Gershgorin, which makes the
+    Each stream draws the start point (mean, covariance diagonal, then
+    off-diagonal), the stop point, and the staircase's increments, in
+    that order. Covariance endpoints are sampled diagonally dominant
+    (diagonal in [2, 3], off-diagonal in [-0.3, 0.3]) so every point of
+    the per-coordinate bounding box is PD by Gershgorin, which makes the
     hull check pass by construction. Means stay inside the default box
-    [-5, 5]^n shrunk by 0.1.
+    [-5, 5]^n shrunk by 0.1. All staircases run as one stack, and a
+    one-stream call gives its row of any batch, bit for bit.
     """
     spec = geometry.gaussian_param([(-5.0, 5.0)] * n)
-
-    def endpoint() -> np.ndarray:
-        mu = rng.uniform(-5.0 + 0.1, 5.0 - 0.1, size=n)
-        diag = rng.uniform(2.0, 3.0, size=n)
-        sigma = np.diag(diag)
-        iu, ju = geometry.pair_index(n)
-        off = rng.uniform(-0.3, 0.3, size=iu.shape[0])
-        sigma[iu, ju] = off
-        sigma[ju, iu] = off
-        return geometry.gaussian_chart(mu, sigma)
-
-    start = endpoint()
-    stop = endpoint()
-    return PolylinePath(spec, staircase(rng, start, stop, n_segments))
+    iu, ju = geometry.pair_index(n, 0)
+    diag = n + np.flatnonzero(iu == ju)     # chart slots: the mean, then the upper triangle
+    off = n + np.flatnonzero(iu != ju)
+    d = n + iu.size
+    ends, weights = np.empty((2, len(rngs), d)), np.empty((n_segments, len(rngs), d))
+    for r, rng in enumerate(rngs):
+        for end in ends[:, r]:
+            end[:n] = rng.uniform(-5.0 + 0.1, 5.0 - 0.1, size=n)
+            end[diag] = rng.uniform(2.0, 3.0, size=n)
+            end[off] = rng.uniform(-0.3, 0.3, size=off.size) * math.sqrt(2.0)
+        weights[:, r] = rng.exponential(size=(n_segments, d))
+    stairs = np.ascontiguousarray(_climb(weights, *ends).swapaxes(0, 1))
+    return [PolylinePath(spec, samples) for samples in stairs]

@@ -596,7 +596,14 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _great_circle_distances(m, xs, ys):
     cross = _cross3(xs, ys)
-    return np.arctan2(np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(xs * ys, axis=-1))
+    sin, cos = np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(xs * ys, axis=-1)
+    huge = ~(np.isfinite(sin) & np.isfinite(cos))
+    if huge.any():      # the angle is scale-free: remeasure those rows with largest |entry| 1
+        x, y = (v[huge] / np.abs(v[huge]).max(axis=-1, keepdims=True)
+                for v in np.broadcast_arrays(xs, ys))
+        cross, sin, cos = _cross3(x, y), np.array(sin), np.array(cos)
+        sin[huge], cos[huge] = np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(x * y, axis=-1)
+    return np.arctan2(sin, cos)
 
 
 def _chart_gradient(m, xs, ys, d):

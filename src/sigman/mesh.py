@@ -77,6 +77,14 @@ def path_params(params, points: np.ndarray, row: str) -> np.ndarray:
     return t
 
 
+def stack_by_shape(arrays) -> list[tuple[list[int], np.ndarray]]:
+    """(indices, np.stack of those arrays) for each shape among ``arrays``, in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return [(idx, np.stack([arrays[i] for i in idx])) for idx in groups.values()]
+
+
 def chart_points(m: ManifoldSpec, points, row: str) -> np.ndarray:
     """``points`` as an (N, chart_dim) float array of points of ``m``.
 

@@ -187,11 +187,14 @@ def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
 
 def check_gaussian_lower_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Monotone hull-checked parameter paths satisfy the cubic lower bound."""
-    def case(rng, i):
-        path = gaussian.random_monotone_param_path(1 if i % 2 == 0 else 2, rng)
-        report = gaussian.check_gaussian_lower_bound(path)
-        return report.monotone_ok and report.hull_ok and report.satisfied
-    return _corpus("gaussian_lower_bounds", seed, 2, count, _each(case))
+    def judge(rngs):
+        verdicts = [False] * len(rngs)
+        for n in (1, 2):    # the even cases are 1-D Gaussians and the odd ones 2-D, a stack each
+            paths = gaussian.random_monotone_param_path(n, rngs[n - 1::2])
+            verdicts[n - 1::2] = [report.monotone_ok and report.hull_ok and report.satisfied
+                                  for report in gaussian.check_gaussian_lower_bound(paths)]
+        return verdicts
+    return _corpus("gaussian_lower_bounds", seed, 2, count, judge)
 
 
 def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:

@@ -427,6 +427,24 @@ def test_gaussian_bound_on_a_euclidean_path_names_the_file(tmp_path, capsys):
         f"error: {bad}: lower bound check needs a gaussian_param path, got euclidean\n")
 
 
+@pytest.mark.parametrize("box, samples, energies", [
+    ([[-5, 5]], [[0, 1], [1, 1e200]], "e1 = inf, e2 = inf, bound1 = inf, bound2 = inf"),
+    ([[-5, 5]], [[0, 1], [1, 1e120]], "e1 = 5e+239, e2 = inf, bound1 = 1e+240, bound2 = inf"),
+    # the mean's step overflows, also in the monotonicity verdict
+    ([[-1.7e308, 1.7e308]], [[-1.6e308, 1], [1.6e308, 2]],
+     "e1 = inf, e2 = inf, bound1 = inf, bound2 = inf"),
+])
+def test_gaussian_bound_on_an_overflowing_path_exits_2(tmp_path, capsys, box, samples,
+                                                       energies):
+    # the suite turns RuntimeWarning into an error, so a warning fails here
+    doc = {"manifold": {"kind": "gaussian_param", "n": 1, "box": box}, "samples": samples}
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(["gaussian", "bound", "--path", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: energies and bounds must be finite, got {energies}\n")
+
+
 @pytest.mark.parametrize("manifold, field", [
     ({"kind": "euclidean", "dim": 2.7}, "'dim'"),
     ({"kind": "euclidean", "dim": True}, "'dim'"),

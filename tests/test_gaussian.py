@@ -1,10 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sigman import gaussian, geometry
+from sigman import energy, gaussian, geometry
 from sigman.gaussian import (
     FisherTensor,
     GaussParamPoint,
@@ -165,7 +166,7 @@ def test_lower_bound_straight_segment_n1():
     spec = geometry.gaussian_param([(-5.0, 5.0)])
     t = np.linspace(0.0, 1.0, 1000)
     samples = np.column_stack([3.0 * t, 1.0 + t])
-    rep = check_gaussian_lower_bound(PolylinePath(spec, samples))
+    rep = check_gaussian_lower_bound([PolylinePath(spec, samples)])[0]
     assert rep.monotone_ok and rep.hull_ok
     assert rep.lower_bound == pytest.approx(28.0 / 3.0)
     assert rep.e2 == pytest.approx(math.sqrt(10.0) ** 3 / 3.0, rel=1e-9)
@@ -174,8 +175,8 @@ def test_lower_bound_straight_segment_n1():
 
 def test_lower_bound_monotone_staircase_has_margin():
     rng = np.random.default_rng(59)
-    path = random_monotone_param_path(2, rng)
-    rep = check_gaussian_lower_bound(path)
+    path = random_monotone_param_path(2, [rng])[0]
+    rep = check_gaussian_lower_bound([path])[0]
     assert rep.monotone_ok and rep.hull_ok and rep.satisfied
     assert rep.e2 > rep.lower_bound
 
@@ -183,7 +184,7 @@ def test_lower_bound_monotone_staircase_has_margin():
 def test_lower_bound_detects_nonmonotone_path():
     spec = geometry.gaussian_param([(-5.0, 5.0)])
     samples = np.array([[0.0, 1.0], [1.0, 1.5], [0.5, 2.0], [2.0, 2.5]])
-    rep = check_gaussian_lower_bound(PolylinePath(spec, samples))
+    rep = check_gaussian_lower_bound([PolylinePath(spec, samples)])[0]
     assert not rep.monotone_ok
     assert rep.monotone == [False, True]
 
@@ -191,14 +192,14 @@ def test_lower_bound_detects_nonmonotone_path():
 def test_lower_bound_rejects_wrong_manifold():
     path = PolylinePath(geometry.euclidean(2), [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(GaussianError, match="gaussian_param"):
-        check_gaussian_lower_bound(path)
+        check_gaussian_lower_bound([path])
 
 
 def test_monotone_corpus_zero_violations():
     rng = np.random.default_rng(61)
     for i in range(200):
         n = 1 if i % 2 == 0 else 2
-        rep = check_gaussian_lower_bound(random_monotone_param_path(n, rng))
+        rep = check_gaussian_lower_bound(random_monotone_param_path(n, [rng]))[0]
         assert rep.monotone_ok and rep.hull_ok
         assert rep.e2 >= rep.lower_bound - 1e-9
 
@@ -207,13 +208,13 @@ def test_hull_check_flags_box_exit():
     # a path hugging the box boundary: convex combinations stay inside
     spec = geometry.gaussian_param([(0.0, 1.0)])
     samples = np.array([[0.1, 1.0], [0.9, 2.0]])
-    rep = check_gaussian_lower_bound(PolylinePath(spec, samples))
+    rep = check_gaussian_lower_bound([PolylinePath(spec, samples)])[0]
     assert rep.hull_ok   # straight segment inside an open box
 
 
 def test_report_json_fields():
     rng = np.random.default_rng(67)
-    rep = check_gaussian_lower_bound(random_monotone_param_path(1, rng))
+    rep = check_gaussian_lower_bound(random_monotone_param_path(1, [rng]))[0]
     data = rep.to_json()
     assert {"monotone", "hull_ok", "e2", "lower_bound", "satisfied"} <= set(data)
 
@@ -225,7 +226,73 @@ def test_degenerate_endpoints_rejected():
     samples = np.array([[0.0, 1.0], [1.0, 1.5], [0.0, 1.0]])   # p == q loop
     path = PolylinePath(spec, samples)
     with pytest.raises(EnergyError, match="distinct"):
-        check_gaussian_lower_bound(path)
+        check_gaussian_lower_bound([path])
+
+
+def _alone(path) -> gaussian.GaussianBoundReport:
+    # the report of one path, composed from the one-path library functions
+    samples = path.samples
+    mono = gaussian.coordinate_monotone(samples)
+    e2 = energy.curve_energy(energy.SignalCurve(path)).e2
+    lower = float(gaussian.lower_bound_l3(samples[0], samples[-1]))
+    return gaussian.GaussianBoundReport(
+        monotone=mono, monotone_ok=all(mono),
+        hull_ok=bool(geometry.KINDS[path.manifold.kind].hull(path.manifold, samples)),
+        e2=e2, lower_bound=lower, satisfied=e2 >= lower - gaussian.LOWER_BOUND_TOL,
+        n_samples=path.n_samples)
+
+
+def test_a_batch_reports_each_path_as_it_is_reported_alone():
+    spec = geometry.gaussian_param([(-5.0, 5.0)] * 2)
+    rngs = [np.random.default_rng(s) for s in range(6)]
+    batch = (random_monotone_param_path(2, rngs[:3])
+             + random_monotone_param_path(2, rngs[3:], n_segments=5)
+             + [PolylinePath(spec, [[0.0, 0.0, 2.0, 0.1, 2.0], [1.0, -1.0, 2.5, 0.0, 2.2],
+                                    [0.5, 1.0, 2.1, 0.3, 2.6]])])
+    reports = check_gaussian_lower_bound(batch)
+    assert [r.monotone_ok for r in reports] == [True] * 6 + [False]
+    for path, report in zip(batch, reports, strict=True):
+        alone = _alone(path)
+        assert report == alone
+        assert all(type(getattr(report, f)) is type(getattr(alone, f))
+                   for f in ("monotone_ok", "hull_ok", "e2", "lower_bound", "satisfied"))
+        assert json.dumps(report.to_json()) == json.dumps(alone.to_json())
+        assert check_gaussian_lower_bound([path]) == [alone]
+    assert check_gaussian_lower_bound(batch[::-1]) == reports[::-1]
+    assert check_gaussian_lower_bound([]) == []
+
+
+def test_paths_on_two_manifolds_are_refused():
+    one, two = (random_monotone_param_path(n, [np.random.default_rng(3)])[0] for n in (1, 2))
+    with pytest.raises(GaussianError, match="share one manifold"):
+        check_gaussian_lower_bound([one, two])
+
+
+_BOX = geometry.gaussian_param([(-5.0, 5.0)])
+_HUGE = "energies and bounds must be finite, got e1 = inf, e2 = inf, bound1 = inf, bound2 = inf"
+
+
+def test_an_overflowing_path_is_refused_without_a_warning():
+    # the suite turns RuntimeWarning into an error, so a warning fails here
+    huge = PolylinePath(_BOX, [[0.0, 1.0], [1.0, 1e200]])
+    fine = PolylinePath(_BOX, [[0.0, 1.0], [1.0, 2.0]])
+    for batch in ([huge], [fine, huge], [huge, fine]):
+        with pytest.raises(energy.EnergyError) as refused:
+            check_gaussian_lower_bound(batch)
+        assert str(refused.value) == _HUGE
+
+
+def test_the_first_refused_path_raises_its_own_message():
+    huge = PolylinePath(_BOX, [[0.0, 1.0], [1.0, 1e200]])
+    loop = PolylinePath(_BOX, [[0.0, 1.0], [1.0, 1.5], [0.0, 1.0]])
+    flat = PolylinePath(_BOX, [[0.0, 1.0], [5e-324, 1.0]])   # its length underflows to 0
+    fine = random_monotone_param_path(1, [np.random.default_rng(4)])[0]
+    for first, message in ((huge, _HUGE), (loop, "signal endpoints must be distinct"),
+                           (flat, "degenerate path of zero length")):
+        for rest in ([], [huge], [loop], [flat]):
+            with pytest.raises(energy.EnergyError) as refused:
+                check_gaussian_lower_bound([fine, first, *rest])
+            assert str(refused.value) == message
 
 
 def test_fisher_quadrature_needs_no_numpy_2(monkeypatch):

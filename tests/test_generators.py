@@ -34,7 +34,8 @@ def test_monotone_polyline_pinned():
 
 
 def test_monotone_param_path_pinned():
-    path = gaussian.random_monotone_param_path(2, np.random.default_rng(2025), n_segments=10)
+    path = gaussian.random_monotone_param_path(2, [np.random.default_rng(2025)],
+                                               n_segments=10)[0]
     assert path.samples.shape == (11, 5)
     assert path.samples[3].tolist() == [
         3.208845984387762, -1.3123746485973558, 2.842739331348478,
@@ -114,6 +115,24 @@ def test_full_curve_corpus_pinned(monkeypatch):
         "f5cd7bc6db381b8bdcb0b3c44b1cf842b47fb2d8a9dbd3443d555adda25d772c")
 
 
+def test_full_gaussian_corpus_pinned(monkeypatch):
+    # all 1,000 seed-42 paths of verify's gaussian corpus: the 1-D ones, then the 2-D ones
+    samples = []
+    check = gaussian.check_gaussian_lower_bound
+
+    def recording(paths):
+        # a list of paths, or the one path a per-path check takes, so the digest holds for both
+        samples.extend(p.samples for p in (paths if isinstance(paths, list) else [paths]))
+        return check(paths)
+
+    monkeypatch.setattr(gaussian, "check_gaussian_lower_bound", recording)
+    assert verify.check_gaussian_lower_bounds(42).passed == 1000
+    samples.sort(key=lambda s: s.shape[1])      # stable: case order within each dimension
+    assert [s.shape for s in samples[499:501]] == [(65, 2), (65, 5)]
+    assert digest(np.concatenate([s.ravel() for s in samples])) == (
+        "3bbe1dafd863eb771af45d98bdc7248937908d013ccac6f9efa9fc913b5d10d1")
+
+
 def test_euclidean_random_walk_pinned():
     path = configspace.random_config_path(geometry.euclidean(2), 3, seed=11, steps=6)
     assert path.coords.shape == (7, 3, 2)
@@ -150,3 +169,15 @@ def test_lock_step_polyline_rows_replay_alone(cases, n_samples):
         alone = verify.random_polyline(kind, np.random.default_rng(seed), n_samples)
         assert path.samples.tobytes() == alone.samples.tobytes()
         assert path.samples.shape[0] == n_samples
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=7), n=st.sampled_from([1, 2, 3]),
+       n_segments=st.integers(1, 80))
+def test_stacked_param_path_rows_replay_alone(seeds, n, n_segments):
+    batch = gaussian.random_monotone_param_path(
+        n, [np.random.default_rng(s) for s in seeds], n_segments)
+    for seed, path in zip(seeds, batch, strict=True):
+        alone, = gaussian.random_monotone_param_path(n, [np.random.default_rng(seed)], n_segments)
+        assert path.samples.tobytes() == alone.samples.tobytes()
+        assert path.samples.shape == (n_segments + 1, n + n * (n + 1) // 2)

@@ -579,6 +579,25 @@ def test_overflowing_shell_segment_is_inf_without_a_warning():
     assert distance(shell, [1e300, 0.0, 0.0], [-1e300, 1e300, 0.0]) == math.inf
 
 
+def test_huge_off_sphere_points_get_their_great_circle_angle():
+    # the angle is scale-free; at 1e300 the cross and dot products overflow to inf and nan
+    sphere = unit_sphere()
+    assert distance(sphere, [1e300, 1e300, 0.0], [1e300, -1e300, 0.0]) == math.pi / 2
+    assert distance(sphere, [1e300, 0.0, 0.0], [1e300, 1e299, 0.0]) == pytest.approx(
+        math.atan(0.1), rel=1e-15, abs=0.0)
+    rng = np.random.default_rng(8)
+    xs, ys = rng.normal(size=(2, 6, 3))
+    xs[3] *= 1e300
+    ys[3] *= 1e300
+    d = distance(sphere, xs, ys)
+    assert d[3] == pytest.approx(distance(sphere, xs[3] / 1e300, ys[3] / 1e300), rel=1e-15)
+    # the other rows keep their bits
+    assert np.array_equal(np.delete(d, 3), distance(sphere, np.delete(xs, 3, 0),
+                                                    np.delete(ys, 3, 0)))
+    with pytest.raises(MembershipError, match="finite"):
+        distance(sphere, [math.inf, 0.0, 0.0], [1e300, 1e300, 0.0])
+
+
 def test_distance_measures_stacks_row_by_row():
     shell = spherical_shell(1.0, 4.0)
     xs = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [1.5, 0.0, 0.0]])
