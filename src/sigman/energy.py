@@ -79,19 +79,16 @@ class SignalCurve:
             return
         try:
             geometry.distance(self.path.manifold, s[:-1], s[1:])
-        except geometry.NormUnsupported:    # a kind with no distances has no obstruction
-            pass
         except geometry.ChordObstructed as exc:
             raise EnergyError(f"the chord from sample {exc.row} leaves the manifold") from None
 
 
 @dataclass
 class SignalRegion:
-    """2-D signal: a mesh with a source vertex set A (and optional B)."""
+    """2-D signal: a mesh with a source vertex set A."""
 
     mesh: TriMesh
     sources: list[int] | None = None
-    targets: list[int] | None = None
 
     def __post_init__(self):
         if self.sources is None:
@@ -100,10 +97,6 @@ class SignalRegion:
             raise EnergyError("region signal needs a nonempty source set")
         nv = self.mesh.n_vertices
         self.sources = meshmod.vertex_indices(self.sources, nv, "sources").tolist()
-        if self.targets is not None:
-            self.targets = meshmod.vertex_indices(self.targets, nv, "targets").tolist()
-            if set(self.targets) & set(self.sources):
-                raise EnergyError("source and target sets must be disjoint")
 
 
 def segment_sums(seg_lengths: np.ndarray):
@@ -190,7 +183,7 @@ def rectangle_region(step: float) -> SignalRegion:
     (1 - y)^2 to 2/3.
     """
     grid = meshmod.triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, step, source_edge="top")
-    return SignalRegion(grid, targets=np.flatnonzero(grid.vertices[:, 1] == 0.0).tolist())
+    return SignalRegion(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import energy as energymod
 from . import geometry
-from .geometry import SPD_EPS
 from .mesh import PolylinePath, stack_by_shape
 
 MONO_EPS = 1e-12        # slack for per-coordinate monotonicity verdicts
@@ -34,36 +33,6 @@ SIGMA_RANGE = (1e-77, 1e77)    # where sigma^2, sigma^3 and 1/sigma^4 are finite
 
 class GaussianError(ValueError):
     """Invalid Gaussian parameter input."""
-
-
-@dataclass
-class GaussParamPoint:
-    """A (mean, covariance) pair; covariance must be symmetric PD."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        n = self.mu.shape[0]
-        if self.sigma.shape != (n, n):
-            raise GaussianError(
-                f"covariance shape {self.sigma.shape} does not match mean length {n}"
-            )
-        if not np.allclose(self.sigma, self.sigma.T, rtol=0.0,
-                           atol=1e-12 * max(1.0, np.abs(self.sigma).max())):
-            raise GaussianError("covariance must be symmetric")
-        lam = float(np.linalg.eigvalsh(self.sigma)[0])
-        if not lam > SPD_EPS:
-            raise GaussianError(f"covariance minimum eigenvalue {lam} not > {SPD_EPS}")
-
-    @property
-    def n(self) -> int:
-        return self.mu.shape[0]
-
-    def chart(self) -> np.ndarray:
-        return geometry.gaussian_chart(self.mu, self.sigma)
 
 
 @dataclass

@@ -13,9 +13,6 @@ carries a flat coordinate chart (a plain real vector per point):
 - ``gaussian_param``: mean/covariance pairs (mu, Sigma) with mu confined
   to an axis-aligned open box and Sigma in the SPD cone. Chart: mu
   followed by the SPD chart of Sigma.
-- ``fisher_half_plane``: the (mu, sigma) upper half plane of 1-D
-  Gaussians with the Fisher information metric (tangent norms only; no
-  closed-form distance is exposed).
 - ``product``: finite products with the product metric (squared lengths
   add across factors).
 
@@ -49,7 +46,6 @@ SPD_EPS = 1e-10        # strict positivity margin for minimum eigenvalues
 SPHERE_EPS = 1e-9      # |x| tolerance for unit-sphere membership
 WOLFE_TOL = 1e-12      # Wolfe's optimality slack, a share of a hull's largest squared norm
 HULL_ROUNDS = 1_000    # lock-step rounds after which an uncertified least-norm point raises
-FISHER_SIGMA_COEFF = 2.0  # d sigma^2 coefficient of the Fisher metric, times sigma^2
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -63,10 +59,6 @@ class DimensionMismatch(GeometryError):
 
 class MembershipError(GeometryError):
     """Point lies on the boundary of, or outside, the manifold."""
-
-
-class NormUnsupported(GeometryError):
-    """The manifold kind has no closed-form distance."""
 
 
 class ChordObstructed(GeometryError):
@@ -127,10 +119,6 @@ def spd(n: int) -> ManifoldSpec:
 def gaussian_param(box) -> ManifoldSpec:
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     return ManifoldSpec(kind="gaussian_param", n=len(box), box=box)
-
-
-def fisher_half_plane() -> ManifoldSpec:
-    return ManifoldSpec(kind="fisher_half_plane")
 
 
 def product_manifold(factors) -> ManifoldSpec:
@@ -225,13 +213,6 @@ def _min_eigenvalues(coords: np.ndarray, n: int) -> np.ndarray:
 # Membership
 # ---------------------------------------------------------------------------
 
-def _check_dim(m: ManifoldSpec, x: np.ndarray, what: str = "point"):
-    if x.ndim != 1 or x.shape[0] != chart_dim(m):
-        raise DimensionMismatch(
-            f"{what} has {x.shape} coordinates, chart of {m.kind} needs {chart_dim(m)}"
-        )
-
-
 def validate_point(m: ManifoldSpec, x) -> None:
     """Raise unless ``x`` lies strictly inside ``m``.
 
@@ -240,7 +221,10 @@ def validate_point(m: ManifoldSpec, x) -> None:
     constraints are those of :func:`validate_points`, on one row.
     """
     x = np.asarray(x, dtype=float)
-    _check_dim(m, x)
+    if x.ndim != 1 or x.shape[0] != chart_dim(m):
+        raise DimensionMismatch(
+            f"point has {x.shape} coordinates, chart of {m.kind} needs {chart_dim(m)}"
+        )
     if not np.all(np.isfinite(x)):
         raise MembershipError("coordinates must be finite")
     why = _failure(m, x[None])
@@ -405,22 +389,6 @@ def _all_flat(m: ManifoldSpec) -> bool:
     return KINDS[m.kind].flat and all(_all_flat(f) for f in m.factors or ())
 
 
-def tangent_norm(m: ManifoldSpec, x, v) -> float:
-    """Norm of tangent vector ``v`` at ``x``.
-
-    Chart coordinates are orthonormal for every kind except the Fisher
-    half plane, where ds^2 = dmu^2/sigma^2 + c dsigma^2/sigma^2 with
-    c = FISHER_SIGMA_COEFF (the value the defining integrals evaluate
-    to; see the gaussian module).
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_dim(m, x)
-    _check_dim(m, v, what="tangent vector")
-    norm = KINDS[m.kind].tangent_norm
-    return norm(m, x, v) if norm else float(np.linalg.norm(v))
-
-
 def project(m: ManifoldSpec, pts: np.ndarray, margin: float = 1e-3) -> np.ndarray:
     """Map points (rows of the last axis) back into ``m``.
 
@@ -513,7 +481,6 @@ _WHY_OUTER = "|x|^2 = {1} is not < outer bound b = {0.b}".format
 _WHY_SPHERE = f"|x| = {{1}} is not 1 within {SPHERE_EPS}".format
 _WHY_SPD = f"minimum eigenvalue {{1}} is not > {SPD_EPS}".format
 _WHY_COVARIANCE = f"covariance minimum eigenvalue {{1}} is not > {SPD_EPS}".format
-_WHY_SIGMA = f"sigma = {{1}} is not > {SPD_EPS}".format
 
 
 def _why_box(m: ManifoldSpec, mu: np.ndarray) -> str:
@@ -623,19 +590,6 @@ def _product_distances(m, xs, ys):
     return np.sqrt(total)
 
 
-def _no_distance(m, xs, ys):
-    raise NormUnsupported(
-        "no closed-form Fisher distance; tangent_norm gives infinitesimal lengths"
-    )
-
-
-def _fisher_norm(m, x, v):
-    sigma = x[1]
-    if not sigma > 0.0:
-        raise MembershipError(f"sigma = {sigma} is not positive")
-    return math.sqrt((v[0] ** 2 + FISHER_SIGMA_COEFF * v[1] ** 2) / sigma ** 2)
-
-
 def _clip_radius(m, pts, margin):
     r_lo, r_hi = shell_radii(m)
     pad = margin * (r_hi - r_lo)
@@ -665,7 +619,6 @@ class Kind(NamedTuple):
     invalid: Callable = lambda m: None   # spec -> message naming a broken field constraint
     rules: Callable = lambda m, xs: ()   # (spec, rows) -> membership rules (see above)
     flat: bool = False                   # a convex chart whose 2-norm is the distance
-    tangent_norm: Callable | None = None  # (spec, x, v) -> norm; None: orthonormal chart
     project: Callable | None = None      # (spec, rows, margin) -> rows inside the manifold
     sample: Callable | None = None       # (spec, rng, margin) -> a random interior point
     hull: Callable = _points_inside      # (spec, (..., k, d) rows) -> hull of each k inside
@@ -721,12 +674,6 @@ KINDS: dict[str, Kind] = {
         rules=_gaussian_rules,
         flat=True,
         distances=_chart_distances,
-    ),
-    "fisher_half_plane": Kind(
-        chart_dim=lambda m: 2,
-        rules=lambda m, xs: ((xs[:, 1] > SPD_EPS, xs[:, 1], _WHY_SIGMA),),
-        distances=_no_distance,
-        tangent_norm=_fisher_norm,
     ),
     "product": Kind(
         fields=(_Field("factors", _factors),),

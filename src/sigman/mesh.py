@@ -203,16 +203,23 @@ def resample_polyline(path: PolylinePath, n_samples: int) -> PolylinePath:
     """Linear chart interpolation of the polyline at uniform parameters.
 
     Interpolated points are revalidated; on a shell a coarse polyline
-    whose chords dip inside the inner sphere is rejected here.
+    whose chords dip inside the inner sphere is rejected here. An entry
+    whose interpolation slope overflows is taken as the convex combination
+    (1 - w) a + w b of its segment's ends; every other entry is np.interp's.
     """
     if n_samples < 2:
         raise MeshError("resampling needs at least 2 samples")
     if n_samples > SAMPLES_LIMIT:
         raise MeshError(f"n_samples {n_samples} is over the limit {SAMPLES_LIMIT}")
-    t = np.linspace(0.0, 1.0, n_samples)
-    cols = [np.interp(t, path.params, path.samples[:, j])
-            for j in range(path.samples.shape[1])]
-    return PolylinePath(path.manifold, np.column_stack(cols), t)
+    t, ts, xs = np.linspace(0.0, 1.0, n_samples), path.params, path.samples
+    out = np.column_stack([np.interp(t, ts, col) for col in xs.T])
+    row, col = np.nonzero(~np.isfinite(out))
+    if row.size:
+        k = np.minimum(np.searchsorted(ts, t[row], side="right"), len(ts) - 1) - 1
+        w = (t[row] - ts[k]) / (ts[k + 1] - ts[k])
+        with np.errstate(over="ignore"):    # an overflow is inf, which PolylinePath refuses
+            out[row, col] = (1.0 - w) * xs[k, col] + w * xs[k + 1, col]
+    return PolylinePath(path.manifold, out, t)
 
 
 def polyline_to_json(path: PolylinePath) -> dict:

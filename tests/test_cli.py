@@ -525,6 +525,29 @@ def test_resampled_point_outside_the_manifold_names_the_file(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("command", [["energy", "curve"], ["gaussian", "bound"]])
+def test_resampling_far_apart_samples_keeps_them_in_the_manifold(tmp_path, capsys, command):
+    # np.interp's slope overflows between these samples; every resampled point is in the box
+    doc = {"manifold": {"kind": "gaussian_param", "box": [[-1.7e308, 1.7e308]]},
+           "samples": [[-1.6e308, 1], [1.6e308, 2]]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(command + ["--path", str(path), "--samples", "7", "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: energies and bounds must be finite, "
+        "got e1 = inf, e2 = inf, bound1 = inf, bound2 = inf\n")
+
+
+@pytest.mark.parametrize("command", [["energy", "curve"], ["gaussian", "bound"]])
+def test_removed_fisher_half_plane_kind_exits_2(tmp_path, capsys, command):
+    doc = {"manifold": {"kind": "fisher_half_plane"}, "samples": [[0, 1], [0, 2]]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(command + ["--path", str(path), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: unknown manifold kind 'fisher_half_plane'\n")
+
+
+@pytest.mark.parametrize("command", [["energy", "curve"], ["gaussian", "bound"]])
 def test_zero_samples_is_refused(tmp_path, capsys, command):
     doc = {"manifold": {"kind": "gaussian_param", "box": [[-5, 5]]},
            "samples": [[0, 1], [1, 2], [2, 3]]}

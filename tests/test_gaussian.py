@@ -8,7 +8,6 @@ import pytest
 from sigman import energy, gaussian, geometry
 from sigman.gaussian import (
     FisherTensor,
-    GaussParamPoint,
     GaussianError,
     check_gaussian_lower_bound,
     fisher_metric_numeric,
@@ -119,21 +118,21 @@ PARAM_LINE = geometry.gaussian_param([(-5.0, 5.0)])
 
 
 def test_product_distance_identical_points():
-    p = GaussParamPoint([0.0], [[1.0]])
-    assert geometry.distance(PARAM_LINE, p.chart(), p.chart()) == 0.0
+    p = geometry.gaussian_chart([0.0], [[1.0]])
+    assert geometry.distance(PARAM_LINE, p, p) == 0.0
 
 
 def test_product_distance_mean_shift():
-    p = GaussParamPoint([0.0], [[1.0]])
-    q = GaussParamPoint([3.0], [[1.0]])
-    assert geometry.distance(PARAM_LINE, p.chart(), q.chart()) == pytest.approx(3.0)
+    p = geometry.gaussian_chart([0.0], [[1.0]])
+    q = geometry.gaussian_chart([3.0], [[1.0]])
+    assert geometry.distance(PARAM_LINE, p, q) == pytest.approx(3.0)
 
 
 def test_product_distance_l3():
     # the cubic lower bound ||q - p||_3^3 / 3 over the charts (0, 1) and (1, 2)
-    p = GaussParamPoint([0.0], [[1.0]])
-    q = GaussParamPoint([1.0], [[2.0]])
-    assert gaussian.lower_bound_l3(p.chart(), q.chart()) == pytest.approx(2.0 / 3.0)
+    p = geometry.gaussian_chart([0.0], [[1.0]])
+    q = geometry.gaussian_chart([1.0], [[2.0]])
+    assert gaussian.lower_bound_l3(p, q) == pytest.approx(2.0 / 3.0)
 
 
 def test_product_distance_matches_geometry_product_spec():
@@ -144,17 +143,20 @@ def test_product_distance_matches_geometry_product_spec():
         pts = []
         for _ in range(2):
             a = rng.normal(size=(2, 2))
-            pts.append(GaussParamPoint(rng.normal(size=2), a @ a.T + np.eye(2)))
-        d_param = geometry.distance(plane, pts[0].chart(), pts[1].chart())
-        d_geom = geometry.distance(spec, pts[0].chart(), pts[1].chart())
+            pts.append(geometry.gaussian_chart(rng.normal(size=2), a @ a.T + np.eye(2)))
+        d_param = geometry.distance(plane, *pts)
+        d_geom = geometry.distance(spec, *pts)
         assert abs(d_param - d_geom) <= 1e-12
 
 
 def test_gauss_param_point_validation():
-    with pytest.raises(GaussianError, match="symmetric"):
-        GaussParamPoint([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(GaussianError, match="eigenvalue"):
-        GaussParamPoint([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(geometry.GeometryError, match="^matrix is not symmetric$"):
+        geometry.gaussian_chart([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+    plane = geometry.gaussian_param([(-5.0, 5.0)] * 2)
+    x = geometry.gaussian_chart([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])    # eigenvalues -1, 3
+    with pytest.raises(geometry.MembershipError,
+                       match=r"^covariance minimum eigenvalue -1\.0 is not > 1e-10$"):
+        geometry.validate_point(plane, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +15,12 @@ from sigman.geometry import (
     GeometryError,
     ManifoldSpec,
     MembershipError,
-    NormUnsupported,
     distance,
     euclidean,
-    fisher_half_plane,
     gaussian_param,
     product_manifold,
     spd,
     spherical_shell,
-    tangent_norm,
     unit_sphere,
     validate_point,
     validate_points,
@@ -90,36 +89,6 @@ def test_shell_chord_distance_and_refusal():
     # antipodal chord passes through the inner ball
     with pytest.raises(ChordObstructed):
         distance(m, [1.5, 0.0, 0.0], [-1.5, 0.0, 0.0])
-
-
-def test_fisher_half_plane_distance_unsupported():
-    with pytest.raises(NormUnsupported):
-        distance(fisher_half_plane(), [0.0, 1.0], [1.0, 2.0])
-
-
-def test_tangent_norm_euclidean():
-    assert tangent_norm(euclidean(3), [0.0, 0.0, 0.0], [1.0, 2.0, 2.0]) == pytest.approx(3.0)
-
-
-def test_tangent_norm_product_metric():
-    m = product_manifold([euclidean(3), euclidean(3)])
-    v = [1.0, 0.0, 0.0, 0.0, 2.0, 0.0]
-    x = [0.0] * 6
-    assert tangent_norm(m, x, v) == pytest.approx(math.sqrt(5.0))
-
-
-def test_tangent_norm_trace_metric_all_ones():
-    # 3 x 2 matrix of ones: tr(M^T M) = 6
-    m = product_manifold([euclidean(3), euclidean(3)])
-    assert tangent_norm(m, [0.0] * 6, np.ones(6)) == pytest.approx(math.sqrt(6.0))
-
-
-def test_tangent_norm_fisher_half_plane():
-    m = fisher_half_plane()
-    x = [0.0, 2.0]
-    v = [3.0, 1.0]
-    want = math.sqrt((9.0 + geometry.FISHER_SIGMA_COEFF) / 4.0)
-    assert tangent_norm(m, x, v) == pytest.approx(want, abs=1e-14)
 
 
 def test_product_requires_two_factors():
@@ -265,8 +234,6 @@ def test_distances_shell_batch_marks_only_obstructed_rows():
 def test_distances_rejects_bad_rows():
     with pytest.raises(DimensionMismatch):
         distance(euclidean(2), np.zeros((4, 3)), np.zeros((4, 3)))
-    with pytest.raises(NormUnsupported):
-        distance(fisher_half_plane(), [[0.0, 1.0]], [[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("m, x", [
@@ -428,15 +395,28 @@ def test_validate_points_matches_scalar_validation():
         assert mask[k] == geometry.is_valid_point(m, pts[k])
 
 
-@pytest.mark.parametrize("m", [
-    euclidean(3),
-    spherical_shell(1.0, 4.0),
-    unit_sphere(),
-    spd(2),
-    gaussian_param([(-1.0, 1.0), (0.0, 2.0)]),
-    fisher_half_plane(),
-    product_manifold([euclidean(2), spd(2)]),
-])
+# one example spec per manifold kind, for the tests that run on every kind
+EXAMPLES = {
+    "euclidean": euclidean(3),
+    "shell": spherical_shell(1.0, 4.0),
+    "unit_sphere": unit_sphere(),
+    "spd": spd(2),
+    "gaussian_param": gaussian_param([(-1.0, 1.0), (0.0, 2.0)]),
+    "product": product_manifold([spherical_shell(1.0, 4.0), gaussian_param([(-1.0, 1.0)])]),
+}
+
+
+def test_examples_and_readme_name_exactly_the_kinds():
+    assert set(EXAMPLES) == set(geometry.KINDS)
+    assert all(m.kind == kind for kind, m in EXAMPLES.items())
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    row = re.search(r"^\| `sigman\.geometry` \| ambient manifolds \(([^)]*)\)", readme, re.M)
+    assert set(re.findall(r"`(\w+)`", row.group(1))) == set(geometry.KINDS)
+    block = re.search(r"^// manifold\n(.*?)\n\n", readme, re.M | re.S)
+    assert set(re.findall(r'"kind": "(\w+)"', block.group(1))) == set(geometry.KINDS)
+
+
+@pytest.mark.parametrize("m", EXAMPLES.values())
 def test_manifold_json_round_trip(m):
     assert geometry.manifold_from_json(geometry.manifold_to_json(m)) == m
 
@@ -464,7 +444,8 @@ def test_invalid_specs_rejected():
      "mean coordinate 1 = 1.5 outside open box (0.0, 1.0)"),
     (gaussian_param([(-1.0, 1.0)]), [0.5, -2.0],
      "covariance minimum eigenvalue -2.0 is not > 1e-10"),
-    (fisher_half_plane(), [0.0, -1.0], "sigma = -1.0 is not > 1e-10"),
+    (gaussian_param([(-1.0, 1.0)]), [-1.0, 1.0],
+     "mean coordinate 0 = -1.0 outside open box (-1.0, 1.0)"),
     (product_manifold([euclidean(2), spherical_shell(1.0, 4.0)]), [0.0, 0.0, 3.0, 0.0, 0.0],
      "factor 1: |x|^2 = 9.0 is not < outer bound b = 4.0"),
     (product_manifold([unit_sphere(), product_manifold([euclidean(1), spd(1)])]),
@@ -478,17 +459,12 @@ def test_validate_point_names_the_broken_constraint(m, x, message):
     assert not validate_points(m, [x])[0]
 
 
-@pytest.mark.parametrize("m", [
-    spherical_shell(1.0, 4.0),
-    unit_sphere(),
-    spd(2),
-    fisher_half_plane(),
-    product_manifold([spherical_shell(1.0, 4.0), gaussian_param([(-1.0, 1.0)])]),
-])
+@pytest.mark.parametrize("m", EXAMPLES.values())
 def test_validate_points_matches_scalar_validation_on_every_kind(m):
     rng = np.random.default_rng(31)
     pts = rng.normal(size=(300, geometry.chart_dim(m))) * rng.uniform(0.3, 2.0, size=(300, 1))
     pts[::3] /= np.linalg.norm(pts[::3], axis=1, keepdims=True)   # unit rows
+    pts[1::10, -1], pts[2::10, 0] = math.inf, math.nan          # refused on every kind
     mask = validate_points(m, pts)
     assert mask.any() and not mask.all()
     assert mask.tolist() == [geometry.is_valid_point(m, x) for x in pts]

@@ -134,6 +134,21 @@ def test_resample_polyline_refuses_more_than_the_limit():
         mesh.resample_polyline(path, mesh.SAMPLES_LIMIT + 1)
 
 
+def test_resample_polyline_between_far_apart_samples_stays_finite():
+    # the mean's interpolation slope overflows on both segments; the sigma column does not
+    box = geometry.gaussian_param([(-1.7e308, 1.7e308)])
+    ends = np.array([[-1.6e308, 1.0], [1.6e308, 2.0], [-1e308, 3.0]])
+    ts = np.array([0.0, 0.4, 1.0])
+    t = np.linspace(0.0, 1.0, 7)
+    assert not np.isfinite(np.interp(t, ts, ends[:, 0])).all()
+    fine = mesh.resample_polyline(PolylinePath(box, ends, ts), 7)
+    assert np.isfinite(fine.samples).all() and geometry.validate_points(box, fine.samples).all()
+    k = np.array([0, 0, 0, 1, 1, 1, 1])
+    w = (t - ts[k]) / (ts[k + 1] - ts[k])
+    assert np.array_equal(fine.samples[:, 0], (1.0 - w) * ends[k, 0] + w * ends[k + 1, 0])
+    assert np.array_equal(fine.samples[:, 1], np.interp(t, ts, ends[:, 1]))
+
+
 def test_polyline_json_round_trip():
     path = PolylinePath(R2, [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
     back = mesh.polyline_from_json(mesh.polyline_to_json(path))
