@@ -24,12 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
-from .mesh import _pairs_to_csr, chart_points, json_object, vertex_indices
+from .mesh import _pairs_to_csr, chart_points, csr_matrix, json_object, vertex_indices
 from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
@@ -117,6 +115,7 @@ def graph_from_json(data) -> WeightedGraph:
 
 def graph_metric(g: WeightedGraph, unit_weights: bool = True) -> np.ndarray:
     """All-pairs shortest-path table; hop counts when unit_weights."""
+    from scipy.sparse.csgraph import shortest_path
     dist = shortest_path(g._matrix(unit=unit_weights), directed=True,   # stored both ways
                          unweighted=unit_weights)
     return np.asarray(dist)

@@ -13,21 +13,25 @@ relative overshoot has a floor that depends on STRIP_LIMIT and not on
 resolution (7.5e-3 from a corner of a planar grid at STRIP_LIMIT = 6).
 Plain edge-graph distances have a larger floor of the same kind.
 Distance field and diameter use the same graph, so the field's largest
-value never exceeds the diameter.
+value never exceeds the diameter. scipy loads when the first mesh is built.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import geometry
 from .geometry import ManifoldSpec, MembershipError
+
+if typing.TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+else:
+    csr_matrix = typing.Any     # get_type_hints resolves without loading scipy
 
 SUBDIVISION_LIMIT = 7       # memory guard for triangulate_sphere
 GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # same guard for triangulate_rectangle
@@ -290,10 +294,15 @@ class TriMesh:
             side_len = np.linalg.norm(v[f.T.ravel()] - v[ends.T.ravel()], axis=1)
         self.edge_lengths = np.empty(len(self.edges))
         self.edge_lengths[self.side_edge] = side_len   # both sides of an edge agree bitwise
-        if np.any(self.edge_lengths == 0.0):
+        i, j = self.edges[self.edge_lengths == 0.0].T
+        if np.all(v[i] == v[j], axis=1).any():
             raise MeshError("mesh contains a zero-length edge")
+        if i.size:
+            raise MeshError(f"vertices {i[0]} and {j[0]} are distinct, but the squared "
+                            "length of their edge underflows to 0")
         if not np.all(np.isfinite(self.edge_lengths)):
             raise MeshError("mesh contains an edge whose length overflows")
+        from scipy.sparse.csgraph import connected_components
         ncomp, _ = connected_components(
             _pairs_to_csr(nv, *self.edges.T, self.edge_lengths), directed=False
         )
@@ -324,6 +333,7 @@ def _face_sides(nv, faces):
 
 
 def _pairs_to_csr(nv, i, j, w) -> csr_matrix:
+    from scipy.sparse import csr_matrix
     return csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
         shape=(nv, nv),
@@ -451,6 +461,12 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
             state = [np.concatenate(cols) for cols in zip(*children)]
     i, j, w = (np.concatenate(cols) for cols in zip(*found))
     return _pairs_to_csr(mesh.n_vertices, *_dedup_min(mesh.n_vertices, i, j, w))
+
+
+def dijkstra(graph, **kwargs) -> np.ndarray:
+    """scipy's ``csgraph.dijkstra``, loaded on first call; perfbench's tracer patches this name."""
+    from scipy.sparse.csgraph import dijkstra as search
+    return search(graph, **kwargs)
 
 
 def _metric_graph(mesh: TriMesh) -> csr_matrix:

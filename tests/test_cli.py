@@ -500,6 +500,21 @@ def test_huge_mesh_coordinates_exit_2(tmp_path, capsys):
     assert f"{bad}: mesh contains an edge whose length overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([[0, 0], [1, 0], [1, 0]], "mesh contains a zero-length edge"),
+    ([[0, 0], [1e-200, 0], [0, 1e-200]],
+     "vertices 0 and 1 are distinct, but the squared length of their edge underflows to 0"),
+], ids=["coincident", "underflow"])
+def test_zero_length_mesh_edge_exits_2(tmp_path, capsys, vertices, message):
+    # the crossing graph squares edge lengths, so an edge whose square is 0 is refused
+    doc = {"manifold": {"kind": "euclidean", "dim": 2}, "vertices": vertices,
+           "faces": [[0, 1, 2]], "sources": [0]}
+    bad = tmp_path / "mesh.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(["energy", "region", "--mesh", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_non_manifold_mesh_exits_2(tmp_path, capsys):
     doc = {"manifold": {"kind": "euclidean", "dim": 2},
            "vertices": [[0, 0], [1, 0], [0, 1], [1, -1], [0.5, 2]],
@@ -598,30 +613,53 @@ def test_run_module_without_runpy_warning():
 
 
 _IMPORT_SET = """
-import io, json, sys
+import io, json, sys, typing
 from contextlib import redirect_stdout
-from sigman import cli, configspace, geometry, mesh
+import numpy as np
+import sigman.cli
+from sigman import cli, configspace, gaussian, geometry, mesh
 LAZY = ("scipy.integrate", "scipy.optimize")
-print([m for m in LAZY if m in sys.modules])
-sphere = mesh.triangulate_sphere(1)
-with open(sys.argv[1] + "/sphere.json", "w") as fh:
-    json.dump({**mesh.mesh_to_json(sphere), "sources": [sphere.a]}, fh)
-with open(sys.argv[1] + "/k4.json", "w") as fh:
+
+
+def scipy_loaded():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def run(*argvs):
+    with redirect_stdout(io.StringIO()):
+        return [cli.run(argv + ["--no-timing"]) for argv in argvs]
+
+
+d = sys.argv[1]
+hints = typing.get_type_hints(mesh.TriMesh)       # resolves without scipy
+print(scipy_loaded(), "_graph" in hints)
+with open(d + "/k4.json", "w") as fh:
     json.dump({"n": 4, "edges": [[i, j, 1.0] for i in range(4) for j in range(i + 1, 4)]}, fh)
-with open(sys.argv[1] + "/r2.json", "w") as fh:
+with open(d + "/r2.json", "w") as fh:
     json.dump({"kind": "euclidean", "dim": 2}, fh)
 shell = geometry.spherical_shell(1.0, 4.0)
-with open(sys.argv[1] + "/path.json", "w") as fh:     # its whole-path hulls have 5 points
+with open(d + "/path.json", "w") as fh:     # its whole-path hulls have 5 points
     json.dump(configspace.config_path_to_json(
         configspace.random_config_path(shell, 3, seed=5, steps=4, monotone=True)), fh)
-with redirect_stdout(io.StringIO()):
-    status = [cli.run(argv + ["--no-timing"]) for argv in (
-        ["energy", "rectangle", "--grid", "0.1"],
-        ["energy", "region", "--mesh", sys.argv[1] + "/sphere.json"],
-        ["embed", "--graph", sys.argv[1] + "/k4.json", "--manifold", sys.argv[1] + "/r2.json"],
-        ["config", "bounds", "--path", sys.argv[1] + "/path.json"],
-        ["verify-all", "--quick"])]
-print(status, [m for m in LAZY if m in sys.modules])
+with open(d + "/curve.json", "w") as fh:
+    json.dump(mesh.polyline_to_json(
+        mesh.PolylinePath(geometry.euclidean(2), [[0, 0], [1, 0], [1, 1]])), fh)
+with open(d + "/gpath.json", "w") as fh:
+    json.dump(mesh.polyline_to_json(
+        gaussian.random_monotone_param_path(1, [np.random.default_rng(1)])[0]), fh)
+print(run(["embed", "--graph", d + "/k4.json", "--manifold", d + "/r2.json"],
+          ["config", "energy", "--path", d + "/path.json"],
+          ["config", "bounds", "--path", d + "/path.json"],
+          ["energy", "curve", "--path", d + "/curve.json"],
+          ["gaussian", "bound", "--path", d + "/gpath.json"],
+          ["gaussian", "fisher", "--mu", "0.3", "--sigma", "1.7"]), scipy_loaded())
+sphere = mesh.triangulate_sphere(1)          # a TriMesh loads scipy.sparse.csgraph
+with open(d + "/sphere.json", "w") as fh:
+    json.dump({**mesh.mesh_to_json(sphere), "sources": [sphere.a]}, fh)
+print(run(["energy", "rectangle", "--grid", "0.1"],
+          ["energy", "region", "--mesh", d + "/sphere.json"],
+          ["verify-all", "--quick"]),
+      "scipy.sparse.csgraph" in sys.modules, [m for m in LAZY if m in sys.modules])
 configspace.Configuration(geometry.euclidean(2), [[0, 0], [1, 0]])
 configspace.ConfigPath(geometry.euclidean(2), [[[0, 0], [1, 0]], [[0, 1], [1, 1]]])
 print([m for m in LAZY if m in sys.modules])
@@ -635,6 +673,8 @@ print(inside.tolist(), clear.tolist(), [m for m in LAZY if m in sys.modules])
 
 
 def test_no_command_imports_scipy_optimize(tmp_path):
+    # only mesh commands load scipy (its sparse graph code); no command loads
+    # scipy.optimize or scipy.integrate
     src = str(Path(sigman.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -642,8 +682,9 @@ def test_no_command_imports_scipy_optimize(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[]",
-        "[0, 0, 0, 0, 0] []",
+        "[] True",
+        "[0, 0, 0, 0, 0, 0] []",
+        "[0, 0, 0] True []",
         "[]",
         "[[True, True], [True, True]] [[False], [True]] []",
     ]

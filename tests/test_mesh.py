@@ -303,6 +303,23 @@ def test_mesh_diameter_scans_at_most_a_quarter_of_icosphere_4(monkeypatch):
     assert sum(sources) <= 640     # of 2,562 vertices
 
 
+def test_field_and_diameter_search_through_the_module_dijkstra(monkeypatch):
+    # perfbench/tracer.py counts the sources of every search by patching mesh.dijkstra
+    m = triangulate_sphere(1)
+    field, diameter = geodesic_distance_field(m, [m.a]), mesh_diameter(m)
+    search, calls = mesh.dijkstra, []
+
+    def counting(graph, **kwargs):
+        calls.append(kwargs["indices"])
+        return search(graph, **kwargs)
+
+    monkeypatch.setattr(mesh, "dijkstra", counting)
+    assert geodesic_distance_field(m, [m.a]).tobytes() == field.tobytes()
+    assert len(calls) == 1 and list(calls[0]) == [m.a]
+    assert mesh_diameter(m) == diameter
+    assert len(calls) >= 4      # at least vertex 0, the double sweep u and v, and the root
+
+
 def fine_jittered_grid():
     grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.05)
     rng = np.random.default_rng(5)
