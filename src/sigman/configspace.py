@@ -111,7 +111,8 @@ class ConfigPath:
     """Path in C_n(M): stacked coordinates of shape (K+1, n, d).
 
     ``params`` and consecutive configurations follow the polyline rules,
-    and the endpoints A and B must differ.
+    and the endpoints A and B must differ. Construction is the one-row
+    call of the validator behind :meth:`stack`.
     """
 
     manifold: ManifoldSpec
@@ -119,17 +120,18 @@ class ConfigPath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        self.coords = meshmod.number_array(self.coords, "coords")
-        d = geometry.chart_dim(self.manifold)
-        if self.coords.ndim != 3 or self.coords.shape[1] < 2 or self.coords.shape[2] != d:
-            raise ConfigError(
-                f"coords must have shape (steps+1, n >= 2, {d}), got {self.coords.shape}")
-        if self.coords.shape[0] < 2:
-            raise ConfigError("a configuration path needs at least 2 configurations")
-        _refuse(self.manifold, self.coords[:, None], "configuration")
-        if np.array_equal(self.coords[-1], self.coords[0]):
-            raise ConfigError("path endpoints A and B must differ")
-        self.params = meshmod.path_params(self.params, self.flattened(), "configuration")
+        self.coords, self.params = _config_rows(self.manifold, self.coords, self.params)
+
+    @classmethod
+    def stack(cls, manifold: ManifoldSpec, coords, params=None) -> list[ConfigPath]:
+        """The paths of a (P, K+1, n, d) stack of coordinates, with None or (P, K+1)
+        params, checked once; the first faulty path raises what it raises alone."""
+        paths = []
+        for rows in zip(*_config_rows(manifold, coords, params, stacked=True)):
+            path = object.__new__(cls)
+            path.manifold, (path.coords, path.params) = manifold, rows
+            paths.append(path)
+        return paths
 
     @property
     def n(self) -> int:
@@ -137,6 +139,34 @@ class ConfigPath:
 
     def flattened(self) -> np.ndarray:
         return self.coords.reshape(self.coords.shape[0], -1)
+
+
+def _config_rows(m: ManifoldSpec, coords, params, stacked: bool = False):
+    """Checked (coords, params) of one configuration path, or of each path of a stack.
+
+    A stack takes one k = 1 :func:`hull_probe`, one endpoint scan and one
+    ``mesh.path_params`` pass; its first faulty path is checked again
+    alone, and raises.
+    """
+    c = meshmod.number_array(coords, "coords")
+    d = geometry.chart_dim(m)
+    if c.ndim != 3 + stacked or c.shape[-2] < 2 or c.shape[-1] != d:
+        raise ConfigError(f"coords must have shape ({'P, ' * stacked}steps+1, n >= 2, {d}), "
+                          f"got {c.shape}")
+    if c.shape[-3] < 2:
+        raise ConfigError("a configuration path needs at least 2 configurations")
+    flat = c.reshape(*c.shape[:-2], c.shape[-2] * d)
+    if not stacked:
+        _refuse(m, c[:, None], "configuration")
+        if np.array_equal(c[-1], c[0]):
+            raise ConfigError("path endpoints A and B must differ")
+        return c, meshmod.path_params(params, flat, "configuration")
+    ok = _verdicts(m, c[:, :, None])[2].all(axis=1) & np.any(c[:, -1] != c[:, 0], axis=(1, 2))
+    j = len(c) if ok.all() else int(np.argmin(ok))
+    t = meshmod.path_params(params, flat, "configuration", stop=j)   # raises for a path before j
+    if j < len(c):
+        _config_rows(m, c[j], None)     # raises: a configuration not in C_n(M), or A = B
+    return c, t
 
 
 def _transitions(coords: np.ndarray) -> np.ndarray:
@@ -328,7 +358,8 @@ def random_config_paths(m: ManifoldSpec, cases, steps: int = 8) -> list[ConfigPa
     """:func:`random_config_path` of each ``(n, seed, monotone)`` case, in order.
 
     The random walks of each particle count run as one :func:`random_walks`
-    stack; monotone cases are drawn one at a time.
+    stack and are checked as one :meth:`ConfigPath.stack`; monotone cases
+    are drawn one at a time.
     """
     cases = list(cases)
     walks = {}
@@ -336,9 +367,10 @@ def random_config_paths(m: ManifoldSpec, cases, steps: int = 8) -> list[ConfigPa
         separation, span = _scales(m, n)[:2]
         rngs = [np.random.default_rng(seed) for k, seed, monotone in cases
                 if k == n and not monotone]
-        walks[n] = iter(random_walks(m, n, rngs, steps, 0.2 * span, separation))
+        walks[n] = iter(ConfigPath.stack(
+            m, random_walks(m, n, rngs, steps, 0.2 * span, separation)))
     return [random_config_path(m, n, seed, steps, True) if monotone
-            else ConfigPath(m, next(walks[n])) for n, seed, monotone in cases]
+            else next(walks[n]) for n, seed, monotone in cases]
 
 
 def _scales(m: ManifoldSpec, n: int) -> tuple[float, float, float, float]:

@@ -206,8 +206,8 @@ def random_monotone_param_path(n: int, rngs, n_segments: int = 64) -> list[Polyl
     (diagonal in [2, 3], off-diagonal in [-0.3, 0.3]) so every point of
     the per-coordinate bounding box is PD by Gershgorin, which makes the
     hull check pass by construction. Means stay inside the default box
-    [-5, 5]^n shrunk by 0.1. All staircases run as one stack, and a
-    one-stream call gives its row of any batch, bit for bit.
+    [-5, 5]^n shrunk by 0.1. All staircases run, and are checked, as one
+    stack, and a one-stream call gives its row of any batch, bit for bit.
     """
     spec = geometry.gaussian_param([(-5.0, 5.0)] * n)
     iu, ju = geometry.pair_index(n, 0)
@@ -222,4 +222,4 @@ def random_monotone_param_path(n: int, rngs, n_segments: int = 64) -> list[Polyl
             end[off] = rng.uniform(-0.3, 0.3, size=off.size) * math.sqrt(2.0)
         weights[:, r] = rng.exponential(size=(n_segments, d))
     stairs = np.ascontiguousarray(_climb(weights, *ends).swapaxes(0, 1))
-    return [PolylinePath(spec, samples) for samples in stairs]
+    return PolylinePath.stack(spec, stairs)

@@ -53,31 +53,38 @@ class DisconnectedMesh(MeshError):
 
 
 # ---------------------------------------------------------------------------
-# Input checks shared by polylines, meshes and configuration paths
+# Input checks shared by polylines, meshes and configuration paths. A stack
+# of paths is checked in one pass, and its first faulty path again alone.
 # ---------------------------------------------------------------------------
 
-def path_params(params, points: np.ndarray, row: str) -> np.ndarray:
-    """Parameters t_0 < ... < t_K of a path through the rows of ``points``.
+def path_params(params, points: np.ndarray, row: str, stop: int | None = None) -> np.ndarray:
+    """Parameters t_0 < ... < t_K of the path through the rows of ``points``,
+    or of each path of a stack of them, checked in one pass.
 
-    Uniform when ``params`` is None; otherwise one finite value per row,
-    t_0 = 0 and t_K = 1 within 1e-12, strictly increasing. Consecutive
-    rows must differ; ``row`` names them in the message.
+    Uniform when ``params`` is None (one read-only array); otherwise one
+    finite value per row, t_0 = 0 and t_K = 1 within 1e-12, strictly
+    increasing. Consecutive rows must differ; ``row`` names them in the
+    message. The first faulty path before ``stop`` (any, by default)
+    raises what it raises alone.
     """
-    count = points.shape[0]
-    t = np.linspace(0.0, 1.0, count) if params is None else number_array(params, "params")
-    if t.shape != (count,):
+    count = points.shape[-2]
+    t = (np.broadcast_to(np.linspace(0.0, 1.0, count), points.shape[:-1]) if params is None
+         else number_array(params, "params"))
+    if t.shape != points.shape[:-1]:
         raise MeshError(f"params length must match the {count} {row}s, got shape {t.shape}")
-    if not np.isfinite(t).all():
-        k = int(np.argmin(np.isfinite(t)))
-        raise MeshError(f"params must be finite, got params[{k}] = {t[k]}")
-    if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
-        raise MeshError("params must start at 0 and end at 1")
-    if np.any(np.diff(t) <= 0.0):
-        raise MeshError("params must be strictly increasing")
-    same = np.all(points[1:] == points[:-1], axis=1)
-    if same.any():
-        k = int(np.argmax(same))
-        raise MeshError(f"consecutive {row}s {k} and {k + 1} coincide")
+    n = math.prod(points.shape[:-2])        # paths; -1 cannot stand for it when count is 0
+    ts, paths = t.reshape(n, count), points.reshape(n, count, points.shape[-1])
+    with np.errstate(invalid="ignore"):     # a non-finite t is refused as such
+        faults = (~np.isfinite(ts), (abs(ts[:, :1]) > 1e-12) | (abs(ts[:, -1:] - 1.0) > 1e-12),
+                  np.diff(ts) <= 0.0, np.all(paths[:, 1:] == paths[:, :-1], axis=-1))
+    bad = np.array([fault.any(axis=1) for fault in faults]).T[:stop]
+    if bad.any():       # the first faulty path, then its first fault
+        i, check = np.unravel_index(np.argmax(bad), bad.shape)
+        k = int(np.argmax(faults[check][i]))
+        raise MeshError((f"params must be finite, got params[{k}] = {ts[i, k]}",
+                         "params must start at 0 and end at 1",
+                         "params must be strictly increasing",
+                         f"consecutive {row}s {k} and {k + 1} coincide")[check])
     return t
 
 
@@ -169,7 +176,8 @@ class PolylinePath:
     ``params`` are the strictly increasing parameter values t_i with
     t_0 = 0 and t_K = 1 (uniform when omitted). Consecutive samples must
     be distinct and every sample must lie in the manifold. Treat
-    instances as immutable once constructed.
+    instances as immutable once constructed. Construction is the one-row
+    call of the validator behind :meth:`stack`.
     """
 
     manifold: ManifoldSpec
@@ -177,14 +185,46 @@ class PolylinePath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        self.samples = chart_points(self.manifold, self.samples, "sample")
-        if self.samples.shape[0] < 2:
-            raise MeshError("a polyline needs at least 2 samples")
-        self.params = path_params(self.params, self.samples, "sample")
+        self.samples, self.params = _polyline_rows(self.manifold, self.samples, self.params)
+
+    @classmethod
+    def stack(cls, manifold: ManifoldSpec, samples, params=None) -> list[PolylinePath]:
+        """The polylines of a (P, N, d) stack of samples, with None or (P, N) params,
+        checked once; the first faulty polyline raises what it raises alone."""
+        paths = []
+        for rows in zip(*_polyline_rows(manifold, samples, params, stacked=True)):
+            path = object.__new__(cls)
+            path.manifold, (path.samples, path.params) = manifold, rows
+            paths.append(path)
+        return paths
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
+
+
+def _polyline_rows(m: ManifoldSpec, samples, params, stacked: bool = False):
+    """Checked (samples, params) of one polyline, or of each polyline of a stack.
+
+    A stack takes one ``validate_points`` call and one :func:`path_params`
+    pass; its first faulty polyline is checked again alone, and raises.
+    """
+    if not stacked:
+        pts = chart_points(m, samples, "sample")
+        if pts.shape[0] < 2:
+            raise MeshError("a polyline needs at least 2 samples")
+        return pts, path_params(params, pts, "sample")
+    pts, d = number_array(samples, "sample coordinates"), geometry.chart_dim(m)
+    if pts.ndim != 3 or pts.shape[2] != d:
+        raise MeshError(f"sample coordinates have shape {pts.shape}; {m.kind} needs (P, N, {d})")
+    with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
+        inside = geometry.validate_points(m, pts.reshape(-1, d)).reshape(pts.shape[:2])
+    ok = inside.all(axis=1) & (pts.shape[1] > 1)
+    j = len(ok) if ok.all() else int(np.argmin(ok))
+    t = path_params(params, pts, "sample", stop=j)      # raises for a polyline before j
+    if j < len(pts):
+        _polyline_rows(m, pts[j], None)     # raises: a sample outside m, or too few samples
+    return pts, t
 
 
 def segment_lengths(path: PolylinePath) -> np.ndarray:

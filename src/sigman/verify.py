@@ -4,7 +4,9 @@ Each check runs a reproducible corpus and reports a passed/total count;
 `verify_all` aggregates them into the summary used by the CLI. Case i
 of a random corpus, check c, draws from its own stream
 ``np.random.default_rng([seed, c, i])`` (see :func:`_corpus`), so it
-replays alone. The checks are deliberately redundant with the unit
+replays alone. The curve, Gaussian and configuration corpora validate
+their random paths once per stack (per kind, n or particle count), not
+once per path. The checks are deliberately redundant with the unit
 tests: they are the user-facing evidence that the inequalities hold on
 this installation.
 """
@@ -55,39 +57,45 @@ def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48,
     """Seeded random polyline in R^2, R^3, or the reference shell.
 
     Monotone mode (independent per-coordinate staircases) is available
-    for the euclidean kinds only; the shell path is a clipped random walk,
-    the one-row call of :func:`random_polylines`.
+    for the euclidean kinds only. Otherwise the path is a random walk,
+    clipped into the shell for the shell kind: the one-row call of
+    :func:`random_polylines`.
     """
+    if not monotone:
+        return random_polylines([kind], [rng], n_samples)[0]
     if kind not in _POLYLINE_SPECS:
         raise ValueError(f"unknown polyline kind {kind!r}")
     if kind == "shell":
-        if monotone:
-            raise ValueError("monotone polylines are generated in euclidean kinds only")
-        return random_polylines([kind], [rng], n_samples)[0]
-
+        raise ValueError("monotone polylines are generated in euclidean kinds only")
     spec = _POLYLINE_SPECS[kind]
     start = rng.uniform(-1.0, 1.0, size=spec.dim)
-    if monotone:
-        stop = start + rng.uniform(-1.5, 1.5, size=spec.dim)
-        samples = gaussian.staircase(rng, start, stop, n_samples - 1)
-    else:
-        steps = rng.normal(scale=0.2, size=(n_samples - 1, spec.dim))
-        samples = np.vstack([start, start + np.cumsum(steps, axis=0)])
-    return mesh.PolylinePath(spec, samples)
+    stop = start + rng.uniform(-1.5, 1.5, size=spec.dim)
+    return mesh.PolylinePath(spec, gaussian.staircase(rng, start, stop, n_samples - 1))
 
 
 def random_polylines(kinds, rngs, n_samples: int = 48) -> list[mesh.PolylinePath]:
     """:func:`random_polyline` of each kind with its own stream, in order.
 
-    A shell walk is a one-particle configuration walk, and all of them
-    run as one :func:`configspace.random_walks` stack.
+    The walks of each kind are drawn as raw arrays and checked as one
+    :meth:`mesh.PolylinePath.stack`. A shell walk is a one-particle
+    configuration walk, and all of them run as one
+    :func:`configspace.random_walks` stack.
     """
-    kinds, rngs, shell = list(kinds), list(rngs), _POLYLINE_SPECS["shell"]
-    walks = iter(configspace.random_walks(
-        shell, 1, [rng for kind, rng in zip(kinds, rngs) if kind == "shell"], n_samples - 1,
-        0.08, 0.0))
-    return [mesh.PolylinePath(shell, next(walks)[:, 0]) if kind == "shell"
-            else random_polyline(kind, rng, n_samples) for kind, rng in zip(kinds, rngs)]
+    cases = list(zip(kinds, rngs, strict=True))
+    stacks = {}
+    for kind in dict.fromkeys(kind for kind, _ in cases):
+        if kind not in _POLYLINE_SPECS:
+            raise ValueError(f"unknown polyline kind {kind!r}")
+        spec, own = _POLYLINE_SPECS[kind], [rng for k, rng in cases if k == kind]
+        if kind == "shell":
+            walks = configspace.random_walks(spec, 1, own, n_samples - 1, 0.08, 0.0)[:, :, 0]
+        else:   # a uniform start in [-1, 1]^dim, then normal steps of scale 0.2
+            draws = [(rng.uniform(-1.0, 1.0, size=spec.dim),
+                      rng.normal(scale=0.2, size=(n_samples - 1, spec.dim))) for rng in own]
+            walks = np.array([np.vstack([start, start + np.cumsum(steps, axis=0)])
+                              for start, steps in draws])
+        stacks[kind] = iter(mesh.PolylinePath.stack(spec, walks))
+    return [next(stacks[kind]) for kind, _ in cases]
 
 
 @dataclass

@@ -451,3 +451,63 @@ def test_config_path_consecutive_configurations_differ():
 
     with pytest.raises(MeshError, match="consecutive configurations 1 and 2 coincide"):
         ConfigPath(SHELL, [A_CFG, B_CFG, B_CFG, C_CFG])
+
+
+# ---------------------------------------------------------------------------
+# Stack validation: a stack refuses what its first faulty path refuses alone
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5),
+       n=st.sampled_from([2, 3]), steps=st.integers(1, 6), with_params=st.booleans(),
+       faults=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6),
+                                 st.sampled_from(["collide", "outside", "endpoints", "repeat",
+                                                  "params"])),
+                       max_size=3))
+def test_config_stack_refuses_what_its_first_faulty_path_refuses_alone(
+        seeds, n, steps, with_params, faults):
+    walks = configspace.random_config_paths(SHELL, [(n, s, False) for s in seeds], steps)
+    coords = np.stack([path.coords for path in walks])
+    uniform = np.tile(np.linspace(0.0, 1.0, steps + 1), (len(seeds), 1))
+    params = uniform.copy() if with_params else None
+    for row, k, fault in faults:
+        row, k = row % len(seeds), k % (steps + 1)
+        if fault == "collide":
+            coords[row, k, 1] = coords[row, k, 0]
+        elif fault == "outside":
+            coords[row, k, k % n] = [0.5, 0.0, 0.0]
+        elif fault == "endpoints":
+            coords[row, -1] = coords[row, 0]
+        elif fault == "repeat":
+            coords[row, max(k, 1)] = coords[row, max(k, 1) - 1]
+        else:
+            params = uniform.copy() if params is None else params
+            params[row, k] = (math.nan, 0.5, -0.5, math.inf)[k % 4]
+    refused = None
+    for i in range(len(seeds)):
+        try:
+            ConfigPath(SHELL, coords[i], None if params is None else params[i])
+        except ValueError as exc:
+            refused = type(exc), str(exc)
+            break
+    if refused is None:
+        for i, path in enumerate(ConfigPath.stack(SHELL, coords, params)):
+            twin = ConfigPath(SHELL, coords[i], None if params is None else params[i])
+            assert path.coords.tobytes() == twin.coords.tobytes()
+            assert path.params.tobytes() == twin.params.tobytes()
+    else:
+        with pytest.raises(ValueError) as info:
+            ConfigPath.stack(SHELL, coords, params)
+        assert (type(info.value), str(info.value)) == refused
+
+
+def test_config_stack_first_faulty_path_wins():
+    outside = [[0.5, 0.0, 0.0], [0.0, 1.5, 0.0]]
+    fine, closed = [A_CFG, B_CFG, C_CFG], [A_CFG, B_CFG, A_CFG]
+    with pytest.raises(ConfigError, match="endpoints A and B must differ"):
+        ConfigPath.stack(SHELL, [fine, closed, [A_CFG, B_CFG, outside]])
+    with pytest.raises(MembershipError, match="configuration 2: point 0 does not lie"):
+        ConfigPath.stack(SHELL, [fine, [A_CFG, B_CFG, outside], closed])
+    with pytest.raises(MeshError, match="params must be strictly increasing"):
+        ConfigPath.stack(SHELL, [fine, fine, closed], [[0.0, 0.5, 1.0], [0.0, 1.0, 1.0],
+                                                       [0.0, 0.5, 1.0]])

@@ -181,3 +181,24 @@ def test_stacked_param_path_rows_replay_alone(seeds, n, n_segments):
         alone, = gaussian.random_monotone_param_path(n, [np.random.default_rng(seed)], n_segments)
         assert path.samples.tobytes() == alone.samples.tobytes()
         assert path.samples.shape == (n_segments + 1, n + n * (n + 1) // 2)
+
+
+def test_generated_stacks_equal_their_one_row_twins():
+    from sigman import mesh
+
+    rngs = [np.random.default_rng(s) for s in range(6)]
+    paths = (verify.random_polylines(["r2", "r3", "shell"] * 2, rngs, 9)
+             + gaussian.random_monotone_param_path(2, rngs[:3], 8))
+    for path in paths:
+        twin = mesh.PolylinePath(path.manifold, path.samples.copy())
+        assert path.samples.tobytes() == twin.samples.tobytes()
+        assert path.params.tobytes() == twin.params.tobytes()
+        assert path.n_samples == twin.n_samples
+        assert not path.params.flags.writeable
+    walks = configspace.random_config_paths(geometry.spherical_shell(1.0, 4.0),
+                                            [(3, s, False) for s in range(4)], 5)
+    for path in walks:
+        twin = configspace.ConfigPath(path.manifold, path.coords.copy())
+        assert path.coords.tobytes() == twin.coords.tobytes()
+        assert path.params.tobytes() == twin.params.tobytes()
+        assert not path.params.flags.writeable

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigman import geometry, mesh
 from sigman.mesh import (
@@ -500,6 +502,15 @@ def test_containers_share_the_input_checks(monkeypatch):
     PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0]])
     assert calls == ["chart_points", "path_params"]
     calls.clear()
+    # a stack checks its samples with one validate_points call and one path_params pass,
+    # and its faulty row again alone
+    PolylinePath.stack(R2, [[[0.0, 0.0], [1.0, 0.0]]] * 3)
+    assert calls == ["path_params"]
+    calls.clear()
+    with pytest.raises(geometry.MembershipError, match="^sample 1 does not lie"):
+        PolylinePath.stack(R2, [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [math.inf, 0.0]]])
+    assert calls == ["path_params", "chart_points"]
+    calls.clear()
     TriMesh(R2, SQUARE_VERTS, SQUARE_FACES, a=0, sources=[1])
     assert calls == ["chart_points", "vertex_indices", "vertex_indices", "vertex_indices"]
     calls.clear()
@@ -711,3 +722,93 @@ def test_refinement_errors_do_not_increase_on_square():
         field_err.append(max(abs(d[i] - 1.0) for i in bottom))
     for seq in (area_err, field_err):
         assert all(b <= a + 1e-9 for a, b in zip(seq, seq[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Stack validation: a stack refuses what its first faulty row refuses alone
+# ---------------------------------------------------------------------------
+
+STACK_KINDS = {"r2": R2, "shell": geometry.spherical_shell(1.0, 4.0),
+               "gaussian": geometry.gaussian_param([(-5.0, 5.0)] * 2)}
+# a point outside each manifold: not finite, inside the inner sphere, a mean outside the box
+OUTSIDE = {"r2": [math.inf, 0.0], "shell": [0.5, 0.0, 0.0],
+           "gaussian": [7.0, 0.0, 2.0, 0.0, 2.0]}
+
+
+def alone(build, rows):
+    """(type, message) of the first row that ``build`` refuses alone, or None."""
+    for row in rows:
+        try:
+            build(*row)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def valid_polylines(kind, seeds, n_samples):
+    from sigman import gaussian, verify
+
+    rngs = [np.random.default_rng(s) for s in seeds]
+    paths = (gaussian.random_monotone_param_path(2, rngs, n_samples - 1) if kind == "gaussian"
+             else verify.random_polylines([kind] * len(seeds), rngs, n_samples))
+    return np.stack([path.samples for path in paths])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(STACK_KINDS)),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5),
+       n_samples=st.integers(2, 9), with_params=st.booleans(),
+       faults=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8),
+                                 st.sampled_from(["nan", "outside", "repeat", "params"])),
+                       max_size=3))
+def test_polyline_stack_refuses_what_its_first_faulty_row_refuses_alone(
+        kind, seeds, n_samples, with_params, faults):
+    m = STACK_KINDS[kind]
+    samples = valid_polylines(kind, seeds, n_samples).copy()
+    uniform = np.tile(np.linspace(0.0, 1.0, n_samples), (len(seeds), 1))
+    params = uniform.copy() if with_params else None
+    for row, k, fault in faults:
+        row, k = row % len(seeds), k % n_samples
+        if fault == "nan":
+            samples[row, k, -1] = math.nan
+        elif fault == "outside":
+            samples[row, k] = OUTSIDE[kind]
+        elif fault == "repeat":
+            samples[row, max(k, 1)] = samples[row, max(k, 1) - 1]
+        else:
+            params = uniform.copy() if params is None else params
+            params[row, k] = (math.nan, 0.5, -0.5, math.inf)[k % 4]
+    rows = zip(samples, [None] * len(seeds) if params is None else params)
+    refused = alone(lambda s, t: PolylinePath(m, s, t), rows)
+    if refused is None:
+        for i, path in enumerate(PolylinePath.stack(m, samples, params)):
+            twin = PolylinePath(m, samples[i], None if params is None else params[i])
+            assert path.samples.tobytes() == twin.samples.tobytes()
+            assert path.params.tobytes() == twin.params.tobytes()
+            assert path.n_samples == twin.n_samples == n_samples
+    else:
+        with pytest.raises(ValueError) as info:
+            PolylinePath.stack(m, samples, params)
+        assert (type(info.value), str(info.value)) == refused
+
+
+def test_polyline_stack_first_faulty_row_wins():
+    ok = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    outside = [[0.0, 0.0], [math.nan, 0.0], [2.0, 0.0]]
+    bad_params = [0.0, 0.7, 0.5]
+    uniform = [0.0, 0.5, 1.0]
+    with pytest.raises(MeshError, match="params must start at 0 and end at 1"):
+        PolylinePath.stack(R2, [ok, ok, outside], [uniform, bad_params, uniform])
+    with pytest.raises(geometry.MembershipError, match="sample 1 does not lie"):
+        PolylinePath.stack(R2, [ok, outside, ok], [uniform, uniform, bad_params])
+    with pytest.raises(MeshError, match="consecutive samples 1 and 2 coincide"):
+        PolylinePath.stack(R2, [ok, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], outside])
+    with pytest.raises(MeshError, match=r"needs \(P, N, 2\)"):
+        PolylinePath.stack(R2, ok)
+
+
+def test_stacked_polylines_share_no_writable_params():
+    paths = PolylinePath.stack(R2, [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]] * 2)
+    with pytest.raises(ValueError, match="read-only"):
+        paths[0].params[1] = 0.25
+    assert paths[1].params.tolist() == [0.0, 0.5, 1.0]

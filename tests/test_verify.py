@@ -59,3 +59,33 @@ def test_a_failing_case_is_named_with_its_stream(monkeypatch):
     result = verify.check_curve_upper_bounds(SEED, 6)
     assert (result.passed, result.total, result.ok) == (5, 6, False)
     assert result.detail == "first failure: case 3, stream [42, 1, 3]"
+
+
+def test_random_polylines_refuses_unequal_kind_and_stream_counts():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        verify.random_polylines(["r2", "r3", "shell"], [rng])
+    with pytest.raises(ValueError):
+        verify.random_polylines(["r2"], [rng, np.random.default_rng(1)])
+    with pytest.raises(ValueError, match="unknown polyline kind 'r4'"):
+        verify.random_polylines(["r2", "r4"], [rng, rng])
+
+
+def test_corpus_validation_is_once_per_stack(monkeypatch):
+    # the work of checking corpus paths stays per stack as the corpus grows
+    calls = []
+    validate_points = verify.geometry.validate_points
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate_points(*args, **kwargs)
+
+    monkeypatch.setattr(verify.geometry, "validate_points", counting)
+    counts = {}
+    for count in (50, 200):
+        for check in (verify.check_gaussian_lower_bounds, verify.check_curve_upper_bounds):
+            calls.clear()
+            assert check(SEED, count).ok
+            counts[check.__name__, count] = len(calls)
+    for name in ("check_gaussian_lower_bounds", "check_curve_upper_bounds"):
+        assert counts[name, 50] == counts[name, 200]
