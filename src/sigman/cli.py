@@ -161,7 +161,7 @@ def _cmd_energy(args, started: float) -> tuple[dict, int]:
         with _blame(args.path):
             if args.samples is not None:
                 path = mesh.resample_polyline(path, args.samples)
-            report = energy.curve_energy(energy.SignalCurve(path))
+            report = energy.curve_energy([path])[0]
         return _energy_report("energy curve", args, {args.path: _digest(args.path)},
                               report, started)
     if args.subcommand == "region":

@@ -90,16 +90,28 @@ def _refuse(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
 
 @dataclass
 class Configuration:
-    """Ordered tuple of n >= 2 pairwise-distinct points of a manifold."""
+    """Ordered tuple of n >= 2 pairwise-distinct points of a manifold; construction is
+    the one-row call of :meth:`stack`."""
 
     manifold: ManifoldSpec
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(meshmod.number_array(self.points, "points"))
-        if self.points.shape[0] < 2:
+        pts = np.atleast_2d(meshmod.number_array(self.points, "points"))
+        self.points = self.stack(self.manifold, pts[None])[0].points
+
+    @classmethod
+    def stack(cls, manifold: ManifoldSpec, points) -> list[Configuration]:
+        """The configurations of a (P, n, d) stack of points, checked with one probe; the
+        first faulty configuration raises what it raises alone."""
+        pts = meshmod.number_array(points, "points")
+        if pts.ndim < 3 or pts.shape[1] < 2:
             raise ConfigError("a configuration needs at least 2 points")
-        _refuse(self.manifold, self.points[None, None])
+        _refuse(manifold, pts[:, None])
+        configs = [object.__new__(cls) for _ in pts]
+        for config, rows in zip(configs, pts):
+            config.manifold, config.points = manifold, rows
+        return configs
 
     @property
     def n(self) -> int:
@@ -194,8 +206,10 @@ def _chords(path: ConfigPath) -> np.ndarray:
 
 def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
     """Product-metric curve energies of the path, with rho^2/rho^3 bounds."""
-    return energymod.chord_energy(
-        _chords(path), {"n_samples": len(path.coords), "n_particles": path.n})
+    with np.errstate(over="ignore"):    # an overflow is inf, which length_report refuses
+        sums = energymod.segment_sums(_chords(path))
+    return energymod.length_report(*map(float, sums),
+                                   {"n_samples": len(path.coords), "n_particles": path.n})
 
 
 def component_energies(path: ConfigPath, j: int) -> tuple[float, float]:

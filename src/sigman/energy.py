@@ -72,15 +72,23 @@ class SignalCurve:
     path: PolylinePath
 
     def __post_init__(self):
-        s = self.path.samples
-        if np.array_equal(s[0], s[-1]):
-            raise EnergyError("signal endpoints must be distinct")
-        if geometry._all_flat(self.path.manifold):   # a convex chart; its chord is the segment
-            return
+        j, why = _refused(self.path.manifold, self.path.samples[None])
+        if j == 0:
+            raise EnergyError(why)
+
+
+def _refused(m: geometry.ManifoldSpec, samples: np.ndarray) -> tuple[int, str]:
+    """The first signal of a (P, N, d) stack of samples in ``m`` that SignalCurve refuses and
+    its message, or (P, ""): one endpoint scan, and one chord check unless m is flat."""
+    closed = np.all(samples[:, 0] == samples[:, -1], axis=-1)
+    faults = [(int(np.argmax(closed)), "signal endpoints must be distinct")] if closed.any() else []
+    if not geometry._all_flat(m):   # a flat chart is convex; its chord is the segment
         try:
-            geometry.distance(self.path.manifold, s[:-1], s[1:])
+            geometry.distance(m, samples[:, :-1], samples[:, 1:])
         except geometry.ChordObstructed as exc:
-            raise EnergyError(f"the chord from sample {exc.row} leaves the manifold") from None
+            j, k = divmod(exc.row, samples.shape[1] - 1)
+            faults.append((j, f"the chord from sample {k} leaves the manifold"))
+    return min(faults, key=lambda fault: fault[0], default=(len(samples), ""))
 
 
 @dataclass
@@ -132,13 +140,6 @@ def _bounded_report(e1, e2, bound1, bound2, discretization) -> EnergyReport:
     )
 
 
-def chord_energy(seg_lengths: np.ndarray, discretization: dict) -> EnergyReport:
-    """Energies of a chord chain with bounds rho^2 and rho^3, rho = its length."""
-    with np.errstate(over="ignore"):    # an overflow is inf, which _bounded_report refuses
-        e1, e2, length = segment_sums(seg_lengths)
-    return length_report(float(e1), float(e2), float(length), discretization)
-
-
 def length_report(e1: float, e2: float, length: float, discretization: dict) -> EnergyReport:
     """Report of a chain's energies (e1, e2) with bounds rho^2 and rho^3, rho = its length."""
     if length == 0.0:
@@ -150,9 +151,26 @@ def length_report(e1: float, e2: float, length: float, discretization: dict) -> 
     return _bounded_report(e1, e2, *bounds, discretization)
 
 
-def curve_energy(sig: SignalCurve) -> EnergyReport:
-    """Energies of a 1-D signal with bounds rho^2 and rho^3, rho = length."""
-    return chord_energy(meshmod.segment_lengths(sig.path), {"n_samples": sig.path.n_samples})
+def curve_energy(paths) -> list[EnergyReport]:
+    """Energies of each 1-D signal of ``paths`` in order, bounded by rho^2 and rho^3, rho = length.
+
+    The paths of one manifold and shape are scored as one stack. The first path that
+    SignalCurve or length_report refuses raises the message it raises alone.
+    """
+    paths, rows, faults = list(paths), {}, []
+    for idx, samples in meshmod.stack_by_shape([path.samples for path in paths],
+                                               [path.manifold for path in paths]):
+        j, why = _refused(paths[idx[0]].manifold, samples)
+        faults.append((idx[j] if j < len(idx) else len(paths), why))
+        with np.errstate(over="ignore"):    # an overflow is inf, which length_report refuses
+            sums = segment_sums(np.linalg.norm(np.diff(samples, axis=1), axis=-1))
+        rows.update(zip(idx, zip(*(v.tolist() for v in sums))))
+    first, why = min(faults, default=(len(paths), ""))
+    reports = [length_report(*rows[i], {"n_samples": path.n_samples})
+               for i, path in enumerate(paths[:first])]
+    if why:
+        raise EnergyError(why)
+    return reports
 
 
 def region_energy(sig: SignalRegion) -> EnergyReport:

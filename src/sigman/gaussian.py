@@ -151,25 +151,19 @@ def check_gaussian_lower_bound(paths) -> list[GaussianBoundReport]:
         raise GaussianError("paths checked together must share one manifold")
     if paths and m.box is None:
         raise GaussianError(f"lower bound check needs a gaussian_param path, got {m.kind}")
+    curves = energymod.curve_energy(paths)      # raises for the first path it refuses
     rows = {}
     for idx, samples in stack_by_shape([path.samples for path in paths]):
         p, q = samples[:, 0], samples[:, -1]
-        with np.errstate(over="ignore"):   # an overflow is inf, which length_report refuses
-            # the chart is flat, so no chord leaves it and its distance is the chart norm
-            sums = energymod.segment_sums(geometry.distance(m, samples[:, 1:], samples[:, :-1]))
-            values = (coordinate_monotone(samples.swapaxes(0, 1)), np.all(p == q, axis=-1),
-                      geometry.KINDS[m.kind].hull(m, samples), *sums, lower_bound_l3(p, q))
+        with np.errstate(over="ignore"):   # a bound whose cube overflows is inf
+            values = (coordinate_monotone(samples.swapaxes(0, 1)),
+                      geometry.KINDS[m.kind].hull(m, samples), lower_bound_l3(p, q))
         rows.update(zip(idx, zip(*(np.asarray(v).tolist() for v in values))))
-    return [_bound_report(path, *rows[i]) for i, path in enumerate(paths)]
-
-
-def _bound_report(path, mono, closed, hull_ok, e1, e2, length, lower) -> GaussianBoundReport:
-    if closed:
-        energymod.SignalCurve(path)         # raises: the signal's endpoints coincide
-    energymod.length_report(e1, e2, length, {})     # raises for a degenerate or non-finite path
-    return GaussianBoundReport(monotone=mono, monotone_ok=all(mono), hull_ok=hull_ok, e2=e2,
-                               lower_bound=lower, satisfied=e2 >= lower - LOWER_BOUND_TOL,
-                               n_samples=path.n_samples)
+    return [GaussianBoundReport(monotone=mono, monotone_ok=all(mono), hull_ok=hull_ok, e2=curve.e2,
+                                lower_bound=lower, satisfied=curve.e2 >= lower - LOWER_BOUND_TOL,
+                                n_samples=path.n_samples)
+            for path, curve, (mono, hull_ok, lower)
+            in zip(paths, curves, (rows[i] for i in range(len(paths))))]
 
 
 # ---------------------------------------------------------------------------

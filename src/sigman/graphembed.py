@@ -19,6 +19,7 @@ one gradient call and scores the line searches of all restarts together.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -181,7 +182,30 @@ def ratio_variance(r) -> float:
 
 
 def relative_ratio_variance(g: WeightedGraph, config: Configuration) -> float:
-    return ratio_variance(ratio_vector(g, config))
+    return relative_ratio_variances([g], [config])[0]
+
+
+def relative_ratio_variances(graphs, configs) -> list[float]:
+    """:func:`relative_ratio_variance` of each graph with its configuration, all on one manifold.
+
+    One ``geometry.distance`` call measures every edge, and each variance is
+    summed as it is alone; the first faulty pair raises :func:`ratio_vector`'s message."""
+    pairs = list(zip(graphs, configs, strict=True))
+    if not pairs:
+        return []
+    if any(config.manifold != pairs[0][1].manifold for _, config in pairs):
+        raise GraphError("configurations scored together must share one manifold")
+    ends, d = [g._arrays() for g, _ in pairs], None
+    if all(config.n == g.n for g, config in pairs):
+        x, y = (np.concatenate([config.points[e[s]] for (_, config), e in zip(pairs, ends)])
+                for s in (0, 1))
+        with contextlib.suppress(geometry.ChordObstructed):     # its pair is measured alone below
+            d = geometry.distance(pairs[0][1].manifold, x, y)
+    if d is None or not np.all((d > 0.0) & (d < math.inf)):
+        for g, config in pairs:
+            ratio_vector(g, config)     # raises for the first faulty pair
+    ratios = np.split(d / np.concatenate([e[2] for e in ends]), np.cumsum([g.m for g, _ in pairs]))
+    return [ratio_variance(r) for r in ratios[:-1]]
 
 
 def scale_configuration(config: Configuration, alpha: float) -> Configuration:

@@ -88,11 +88,12 @@ def path_params(params, points: np.ndarray, row: str, stop: int | None = None) -
     return t
 
 
-def stack_by_shape(arrays) -> list[tuple[list[int], np.ndarray]]:
-    """(indices, np.stack of those arrays) for each shape among ``arrays``, in first-seen order."""
+def stack_by_shape(arrays, tags=None) -> list[tuple[list[int], np.ndarray]]:
+    """(indices, np.stack of those arrays) for each shape among ``arrays``, and each tag of
+    ``tags`` (one per array) when given, in first-seen order."""
     groups: dict[tuple, list[int]] = {}
     for i, a in enumerate(arrays):
-        groups.setdefault(a.shape, []).append(i)
+        groups.setdefault((a.shape, None if tags is None else tags[i]), []).append(i)
     return [(idx, np.stack([arrays[i] for i in idx])) for idx in groups.values()]
 
 
@@ -227,15 +228,11 @@ def _polyline_rows(m: ManifoldSpec, samples, params, stacked: bool = False):
     return pts, t
 
 
-def segment_lengths(path: PolylinePath) -> np.ndarray:
-    """Chord length of every segment, in chart coordinates; an overflow is inf."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(np.diff(path.samples, axis=0), axis=1)
-
-
 def cumulative_arclength(path: PolylinePath) -> np.ndarray:
-    """Arc length from gamma(0) to each sample; starts at 0, nondecreasing."""
-    return np.concatenate(([0.0], np.cumsum(segment_lengths(path))))
+    """Arc length from gamma(0) to each sample; starts at 0, nondecreasing; an overflow is inf."""
+    with np.errstate(over="ignore"):
+        return np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(path.samples, axis=0),
+                                                                axis=1))))
 
 
 def arc_length(path: PolylinePath) -> float:
@@ -678,13 +675,12 @@ def triangulate_rectangle(
     """
     if not (math.isfinite(step) and step > 0.0):
         raise MeshError(f"grid step must be a positive finite number, got {step}")
-    nx = max(2, int(round((x1 - x0) / step)) + 1)
-    ny = max(2, int(round((y1 - y0) / step)) + 1)
+    # float counts, so that a tiny step gives a huge or infinite count, not an OverflowError
+    nx, ny = (max(2.0, round(span / step, 0) + 1.0) for span in (x1 - x0, y1 - y0))
     if nx * ny > GRID_VERTEX_LIMIT:
-        raise MeshError(
-            f"grid step {step} gives {nx} x {ny} vertices, "
-            f"more than the limit of {GRID_VERTEX_LIMIT}"
-        )
+        raise MeshError(f"grid step {step} gives {nx:.15g} x {ny:.15g} vertices, "
+                        f"more than the limit of {GRID_VERTEX_LIMIT}")
+    nx, ny = int(nx), int(ny)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     gx, gy = np.meshgrid(xs, ys)               # row j is y = ys[j]

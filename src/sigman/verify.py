@@ -4,11 +4,11 @@ Each check runs a reproducible corpus and reports a passed/total count;
 `verify_all` aggregates them into the summary used by the CLI. Case i
 of a random corpus, check c, draws from its own stream
 ``np.random.default_rng([seed, c, i])`` (see :func:`_corpus`), so it
-replays alone. The curve, Gaussian and configuration corpora validate
-their random paths once per stack (per kind, n or particle count), not
-once per path. The checks are deliberately redundant with the unit
-tests: they are the user-facing evidence that the inequalities hold on
-this installation.
+replays alone. The curve, Gaussian, configuration and scale-invariance
+corpora validate and score their cases once per stack (per kind, n,
+particle count or (n, dim)), not once per case. The checks are
+deliberately redundant with the unit tests: they are the user-facing
+evidence that the inequalities hold on this installation.
 """
 
 from __future__ import annotations
@@ -157,17 +157,11 @@ def _corpus(name: str, seed: int, check: int, count: int, judge) -> CheckResult:
     return CheckResult(name, count - len(failed), count, detail)
 
 
-def _each(case):
-    """The judge that asks ``case(rng, i)`` of each case's stream in turn."""
-    return lambda rngs: [case(rng, i) for i, rng in enumerate(rngs)]
-
-
 def check_curve_upper_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Random 1-D signals satisfy e1 <= rho^2 and e2 <= rho^3."""
     def judge(rngs):
         paths = random_polylines([("r2", "r3", "shell")[i % 3] for i in range(count)], rngs)
-        reports = [energy.curve_energy(energy.SignalCurve(path)) for path in paths]
-        return [report.satisfied1 and report.satisfied2 for report in reports]
+        return [report.satisfied1 and report.satisfied2 for report in energy.curve_energy(paths)]
     return _corpus("curve_upper_bounds", seed, 1, count, judge)
 
 
@@ -252,7 +246,7 @@ def check_ratio_variance_props(seed: int) -> CheckResult:
     return CheckResult("ratio_variance_zero", sum(verdicts), len(verdicts))
 
 
-def _random_graph_and_config(rng: np.random.Generator):
+def _random_scale_case(rng: np.random.Generator):
     n = int(rng.integers(3, 7))
     edges = [(i, i + 1, float(rng.uniform(0.5, 2.0))) for i in range(n - 1)]
     for i in range(n):
@@ -265,20 +259,23 @@ def _random_graph_and_config(rng: np.random.Generator):
         pts = rng.uniform(-2.0, 2.0, size=(n, m.dim))
         if configspace.hull_probe(m, pts[None])[1].min() > 1e-3 ** 2:
             break
-    return g, configspace.Configuration(m, pts)
+    return g, pts, float(10.0 ** rng.uniform(-2.0, 2.0))     # the graph, its points, a dilation
 
 
 def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
-    """Dilations leave the objective unchanged to SCALE_INV_TOL."""
-    def case(rng, i):
-        g, cfg = _random_graph_and_config(rng)
-        alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
-        v0 = graphembed.relative_ratio_variance(g, cfg)
-        v1 = graphembed.relative_ratio_variance(
-            g, graphembed.scale_configuration(cfg, alpha)
-        )
-        return abs(v1 - v0) <= SCALE_INV_TOL * max(1.0, v0)
-    return _corpus("scale_invariance", seed, 5, count, _each(case))
+    """Dilations leave the objective unchanged to SCALE_INV_TOL; the placements of each shape
+    (n, dim) and their dilations are checked as one stack of configurations and scored together."""
+    def judge(rngs):
+        cases, verdicts = [_random_scale_case(rng) for rng in rngs], {}
+        for idx, pts in mesh.stack_by_shape([pts for _, pts, _ in cases]):
+            dilated = pts * np.array([cases[i][2] for i in idx])[:, None, None]
+            configs = configspace.Configuration.stack(geometry.euclidean(pts.shape[-1]),
+                                                      np.concatenate([pts, dilated]))
+            v = graphembed.relative_ratio_variances([cases[i][0] for i in idx] * 2, configs)
+            verdicts.update((i, abs(v1 - v0) <= SCALE_INV_TOL * max(1.0, v0))
+                            for i, v0, v1 in zip(idx, v, v[len(idx):]))
+        return [verdicts[i] for i in range(len(cases))]
+    return _corpus("scale_invariance", seed, 5, count, judge)
 
 
 def check_embedding_minima(seed: int, restarts: int = 20) -> CheckResult:
@@ -303,7 +300,7 @@ def check_function_identities(seed: int, count: int = 100,
     """
     xs = np.linspace(0.0, 3.0, n_samples)
 
-    def case(rng, i):
+    def case(rng):
         fn = SmoothMonotone.draw(rng)
         fs = fn(xs)
         _, F = energy.antiderivative_transform(xs, fs)
@@ -315,7 +312,7 @@ def check_function_identities(seed: int, count: int = 100,
             energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)
         ) <= IDENTITY_TOL
         return ok_a and ok_b
-    return _corpus("function_energy_identities", seed, 6, count, _each(case))
+    return _corpus("function_energy_identities", seed, 6, count, lambda rngs: list(map(case, rngs)))
 
 
 def check_mesh_convergence(max_subdivisions: int = 4) -> CheckResult:

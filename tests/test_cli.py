@@ -378,6 +378,15 @@ def test_oversized_rectangle_grid_exits_2(capsys):
     assert mesh.GRID_VERTEX_LIMIT == 163_842
 
 
+@pytest.mark.parametrize("step, counts", [("1e-308", "inf x 1e+308"), ("5e-324", "inf x inf"),
+                                           ("1e-300", "2e+300 x 1e+300")])
+def test_tiny_rectangle_grid_exits_2_without_overflow(capsys, step, counts):
+    # the vertex counts are compared with the limit as floats: no OverflowError, no 300 digits
+    assert cli.run(["energy", "rectangle", "--grid", step, "--no-timing"]) == 2
+    assert capsys.readouterr().err == (f"error: grid step {float(step)} gives {counts} vertices, "
+                                       f"more than the limit of {mesh.GRID_VERTEX_LIMIT}\n")
+
+
 @pytest.mark.parametrize("step", ["inf", "nan"])
 def test_non_finite_rectangle_grid_exits_2(capsys, step):
     assert cli.run(["energy", "rectangle", f"--grid={step}", "--no-timing"]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ def test_make_configuration_rejects_outside_point():
 def test_configuration_needs_two_points():
     with pytest.raises(ConfigError, match="at least 2"):
         Configuration(SHELL, [[1.5, 0.0, 0.0]])
+
+
+def test_configuration_stack_equals_one_row_calls_and_raises_the_first_fault():
+    ok = [[[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]], [[0.0, 0.0, 1.2], [1.0, 1.0, 0.0]]]
+    stacked = Configuration.stack(SHELL, ok)
+    assert [c.points.tolist() for c in stacked] == ok
+    for config, rows in zip(stacked, ok):
+        alone = Configuration(SHELL, rows)
+        assert config.manifold == alone.manifold and np.array_equal(config.points, alone.points)
+    faulty = [[[1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], [[1.5, 0.0, 0.0], [0.5, 0.0, 0.0]]]
+    for first, second in (faulty, faulty[::-1]):
+        with pytest.raises((ConfigError, MembershipError)) as alone:
+            Configuration(SHELL, first)
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            Configuration.stack(SHELL, ok + [first, second] + ok)
+    with pytest.raises(ConfigError, match="at least 2"):
+        Configuration.stack(SHELL, [[[1.5, 0.0, 0.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +414,8 @@ def test_config_path_energy_matches_the_product_polyline(monkeypatch):
 
     path = random_config_path(SHELL, 3, seed=71, steps=6)
     product = geometry.product_manifold([SHELL] * 3)
-    want = energy.curve_energy(energy.SignalCurve(
-        mesh.PolylinePath(product, path.flattened(), path.params)))
+    want = energy.curve_energy([
+        mesh.PolylinePath(product, path.flattened(), path.params)])[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("configuration path energies build no product polyline")

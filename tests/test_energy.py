@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ def straight_path(length=1.0, n=10_000):
 # ---------------------------------------------------------------------------
 
 def test_curve_energy_straight_segment():
-    rep = curve_energy(SignalCurve(straight_path()))
+    rep = curve_energy([straight_path()])[0]
     assert rep.e1 == pytest.approx(0.5, abs=1e-6)
     assert rep.e2 == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert rep.bound1 == pytest.approx(1.0)
@@ -48,7 +49,7 @@ def test_curve_energy_straight_segment():
 def test_curve_energy_half_circle():
     t = np.linspace(0.0, math.pi, 10_000)
     path = PolylinePath(R2, np.column_stack([np.cos(t), np.sin(t)]))
-    rep = curve_energy(SignalCurve(path))
+    rep = curve_energy([path])[0]
     assert rep.e1 == pytest.approx(math.pi ** 2 / 2.0, abs=1e-4)
     assert rep.e2 == pytest.approx(math.pi ** 3 / 3.0, abs=1e-4)
     assert rep.satisfied1 and rep.satisfied2
@@ -59,7 +60,7 @@ def test_curve_bounds_hold_on_random_polylines():
     for i in range(300):
         kind = ["r2", "r3", "shell"][i % 3]
         path = verify.random_polyline(kind, rng, n_samples=24)
-        rep = curve_energy(SignalCurve(path))
+        rep = curve_energy([path])[0]
         assert rep.satisfied1 and rep.satisfied2
 
 
@@ -68,7 +69,7 @@ def test_curve_bounds_hold_on_monotone_polylines():
     for i in range(300):
         kind = ["r2", "r3"][i % 2]
         path = verify.random_polyline(kind, rng, n_samples=24, monotone=True)
-        rep = curve_energy(SignalCurve(path))
+        rep = curve_energy([path])[0]
         assert rep.e1 <= rep.bound1 * (1.0 + 1e-9)
         assert rep.e2 <= rep.bound2 * (1.0 + 1e-9)
 
@@ -106,11 +107,78 @@ def test_signal_curve_rejects_an_obstructed_shell_chord():
 def test_signal_curve_keeps_chords_that_stay_or_have_no_distance():
     shell = geometry.spherical_shell(1.0, 4.0)
     arc = PolylinePath(shell, [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [-1.5, 0.0, 0.0]])
-    assert curve_energy(SignalCurve(arc)).satisfied1
+    assert curve_energy([arc])[0].satisfied1
     # a product of flat charts is convex, so its chords are not measured for obstruction
     flat = geometry.product_manifold([geometry.euclidean(1), geometry.spd(1)])
     line = PolylinePath(flat, [[0.0, 1.0], [1.0, 2.0]])
-    assert curve_energy(SignalCurve(line)).e1 == pytest.approx(1.0)
+    assert curve_energy([line])[0].e1 == pytest.approx(1.0)
+
+
+SHELL = geometry.spherical_shell(1.0, 4.0)
+# one path of each fault curve_energy refuses, each raising its own message, and a valid
+# path of the same manifold and shape, so that the faulty path is not alone in its stack
+FAULTY = {
+    "closed": (PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+               PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])),
+    "obstructed": (PolylinePath(SHELL, [[1.5, 0.0, 0.0], [1.5, 0.5, 0.0], [-1.5, 0.5, 0.0]]),
+                   PolylinePath(SHELL, [[1.5, 0.0, 0.0], [1.5, 0.5, 0.0], [1.4, 0.6, 0.0]])),
+    "zero length": (PolylinePath(R2, [[0.0, 0.0], [1e-200, 0.0]]),     # the norm underflows
+                    PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0]])),
+    "overflow": (PolylinePath(R3, [[0.0, 0.0, 0.0], [1e200, 1e200, 0.0]]),
+                 PolylinePath(R3, [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])),
+}
+
+
+def _one_path_report(path):
+    try:
+        return curve_energy([path])[0]
+    except EnergyError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["r2", "r3", "shell"]), st.integers(0, 2 ** 32 - 1),
+                          st.integers(2, 9)), min_size=1, max_size=10))
+def test_stacked_curve_energy_equals_one_path_reports(cases):
+    # mixed kinds and sample counts, so several stacks, among them r3 and shell of one shape
+    paths = [verify.random_polyline(kind, np.random.default_rng(seed), n)
+             for kind, seed, n in cases]
+    paths = [path for path in paths if _one_path_report(path) is not None]
+    alone = [_one_path_report(path) for path in paths]
+    for order in (slice(None), slice(None, None, -1)):
+        stacked = curve_energy(paths[order])
+        assert stacked == alone[order]          # field by field, floats bit for bit
+        assert ([json.dumps(energy.report_to_json(r)) for r in stacked]
+                == [json.dumps(energy.report_to_json(r)) for r in alone[order]])
+
+
+def _refusal(path):
+    try:
+        curve_energy([path])
+    except EnergyError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fault", FAULTY)
+@pytest.mark.parametrize("position", [0, 2, 6])
+def test_stacked_curve_energy_raises_the_first_faulty_paths_message(fault, position):
+    # the first path that is refused alone, in input order, raises its own message, also
+    # when valid paths of its stack come before or after it and other faults follow
+    bad = FAULTY[fault][0]
+    others = [paths[0] for name, paths in FAULTY.items() if name != fault]
+    twins = [paths[1] for paths in FAULTY.values()]
+    good = [PolylinePath(R3, FAULTY["obstructed"][0].samples)] + [     # stacked apart from it
+        verify.random_polyline(kind, np.random.default_rng(i))
+        for i, kind in enumerate(["r2", "r3", "shell"] * 2)]
+    for paths in (good[:position] + [bad] + good[position:],
+                  twins + good[:position] + [bad] + good[position:] + others,
+                  good[:position] + [bad] + others + good[position:] + twins,
+                  twins + [FAULTY["zero length"][0]] + good[:position] + [bad] + good[position:]):
+        with pytest.raises(EnergyError) as stacked:
+            curve_energy(paths)
+        assert str(stacked.value) == next(filter(None, map(_refusal, paths)))
+    assert _refusal(bad) is not None and _refusal(FAULTY[fault][1]) is None
 
 
 def test_curve_energy_concatenation_additivity():
@@ -134,8 +202,8 @@ def test_curve_energy_concatenation_additivity():
 def test_curve_energy_scaling_law(alpha):
     rng = np.random.default_rng(41)
     pts = np.cumsum(rng.normal(size=(30, 2)), axis=0)
-    rep = curve_energy(SignalCurve(PolylinePath(R2, pts)))
-    scaled = curve_energy(SignalCurve(PolylinePath(R2, pts * alpha)))
+    rep = curve_energy([PolylinePath(R2, pts)])[0]
+    scaled = curve_energy([PolylinePath(R2, pts * alpha)])[0]
     assert scaled.e1 == pytest.approx(alpha ** 2 * rep.e1, rel=1e-12)
     assert scaled.e2 == pytest.approx(alpha ** 3 * rep.e2, rel=1e-12)
 
@@ -346,7 +414,7 @@ def test_function_tables_require_uniform_grid():
 # ---------------------------------------------------------------------------
 
 def test_word_energy_single_letter():
-    rep = curve_energy(SignalCurve(straight_path()))
+    rep = curve_energy([straight_path()])[0]
     assert word_energy([rep]) == (rep.e1, rep.e2)
 
 
@@ -369,7 +437,7 @@ def test_word_energy_zero_energy_letters():
 
 
 def test_report_json_shape():
-    rep = curve_energy(SignalCurve(straight_path(n=100)))
+    rep = curve_energy([straight_path(n=100)])[0]
     data = energy.report_to_json(rep)
     assert set(data) >= {"e1", "e2", "bound1", "bound2", "satisfied", "n_samples"}
     assert data["satisfied"] == [True, True]

@@ -235,7 +235,7 @@ def _alone(path) -> gaussian.GaussianBoundReport:
     # the report of one path, composed from the one-path library functions
     samples = path.samples
     mono = gaussian.coordinate_monotone(samples)
-    e2 = energy.curve_energy(energy.SignalCurve(path)).e2
+    e2 = energy.curve_energy([path])[0].e2
     lower = float(gaussian.lower_bound_l3(samples[0], samples[-1]))
     return gaussian.GaussianBoundReport(
         monotone=mono, monotone_ok=all(mono),

@@ -104,15 +104,42 @@ def test_full_curve_corpus_pinned(monkeypatch):
     samples = []
     curve_energy = verify.energy.curve_energy
 
-    def recording(signal):
-        samples.append(signal.path.samples)
-        return curve_energy(signal)
+    def recording(paths):
+        samples.extend(path.samples for path in paths)
+        return curve_energy(paths)
 
     monkeypatch.setattr(verify.energy, "curve_energy", recording)
     assert verify.check_curve_upper_bounds(42).passed == 1000
     assert [s.shape for s in samples[:3]] == [(48, 2), (48, 3), (48, 3)]
     assert digest(np.concatenate([s.ravel() for s in samples])) == (
         "f5cd7bc6db381b8bdcb0b3c44b1cf842b47fb2d8a9dbd3443d555adda25d772c")
+
+
+def test_full_scale_corpus_pinned(monkeypatch):
+    # all 1,000 seed-42 cases of verify's scale-invariance corpus: each graph's edges, its
+    # points and dilation, then the bits of v0 and v1 as the corpus scores them
+    cases, scored = [], {}
+    draw, variances = verify._random_scale_case, verify.graphembed.relative_ratio_variances
+
+    def recording_draw(rng):
+        cases.append(draw(rng))
+        return cases[-1]
+
+    def recording_variances(graphs, configs):
+        values = variances(graphs, configs)
+        for g, v in zip(graphs, values):
+            scored.setdefault(id(g), []).append(v)     # a case's v0 is scored before its v1
+        return values
+
+    monkeypatch.setattr(verify, "_random_scale_case", recording_draw)
+    monkeypatch.setattr(verify.graphembed, "relative_ratio_variances", recording_variances)
+    assert verify.check_scale_invariance(42).passed == 1000
+    assert digest(np.concatenate([np.ravel(g.edges) for g, _, _ in cases]
+                                 + [pts.ravel() for _, pts, _ in cases]
+                                 + [[alpha for _, _, alpha in cases]])) == (
+        "3c067a3859aab8232fee7fdad781abaabb95731c377b38a4ce86061443b39228")
+    assert digest([scored[id(g)] for g, _, _ in cases]) == (
+        "50f7b694d652c8e32b9054af72406b0335d2b500605bbedcd131d28fbe8cca4d")
 
 
 def test_full_gaussian_corpus_pinned(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sigman import configspace, geometry, graphembed
+from sigman import configspace, geometry, graphembed, verify
 from sigman.configspace import Configuration
 from sigman.graphembed import (
     EmbedResult,
@@ -20,6 +20,7 @@ from sigman.graphembed import (
     ratio_variance,
     ratio_vector,
     relative_ratio_variance,
+    relative_ratio_variances,
     scale_configuration,
 )
 
@@ -540,3 +541,40 @@ def test_ratio_vector_names_an_overflowing_edge():
     config = Configuration(R2, [[0.0, 0.0], [1.0, 0.0], [1e300, 1e300]])
     with pytest.raises(GraphError, match=r"^edge \(1, 2\) has an overflowing manifold distance$"):
         ratio_vector(PATH3, config)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=12),
+       st.sampled_from([2, 3]))
+def test_stacked_ratio_variances_equal_the_one_pair_call_bit_for_bit(seeds, dim):
+    # scale-corpus cases of one dimension, graphs of 3 to 6 vertices, with their dilations
+    cases = [case for case in map(verify._random_scale_case, map(np.random.default_rng, seeds))
+             if case[1].shape[1] == dim]
+    m = geometry.euclidean(dim)
+    graphs = [g for g, _, _ in cases] * 2
+    configs = ([Configuration(m, pts) for _, pts, _ in cases]
+               + [Configuration(m, pts * alpha) for _, pts, alpha in cases])
+    stacked = relative_ratio_variances(graphs, configs)
+    alone = [relative_ratio_variance(g, config) for g, config in zip(graphs, configs)]
+    assert np.array(stacked).tobytes() == np.array(alone).tobytes()
+
+
+def test_stacked_ratio_variances_raise_the_first_faulty_pairs_message():
+    zero = Configuration(R2, [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+    zero.points[1] = zero.points[0]     # edge (0, 1) now has zero length
+    far = Configuration(R2, [[0.0, 0.0], [1.0, 0.0], [1e300, 1e300]])
+    message = r"^edge \(0, 1\) has zero manifold distance$"
+    with pytest.raises(GraphError, match=message):
+        ratio_vector(K3, zero)
+    with pytest.raises(GraphError, match=message):
+        relative_ratio_variance(K3, zero)
+    with pytest.raises(GraphError, match=message):
+        relative_ratio_variances([K3, K3, PATH3, C4], [EQUILATERAL, zero, far, EQUILATERAL])
+    with pytest.raises(GraphError, match="overflowing"):
+        relative_ratio_variances([K3, PATH3, K3], [EQUILATERAL, far, zero])
+    with pytest.raises(GraphError, match="configuration has 3 points, graph has 4 vertices"):
+        relative_ratio_variances([K3, C4, K3], [EQUILATERAL, EQUILATERAL, zero])
+    with pytest.raises(GraphError, match="share one manifold"):
+        relative_ratio_variances([K3, K3], [EQUILATERAL, Configuration(
+            geometry.euclidean(3), [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
+    assert relative_ratio_variances([], []) == []

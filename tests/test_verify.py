@@ -16,7 +16,7 @@ CORPORA = [
     (verify.check_gaussian_lower_bounds, 2, verify.gaussian, "random_monotone_param_path",
      [0, 2, 1, 3]),
     (verify.check_config_bounds, 3, verify.configspace, "random_config_paths", [0, 1, 2, 3]),
-    (verify.check_scale_invariance, 5, verify, "_random_graph_and_config", [0, 1, 2, 3]),
+    (verify.check_scale_invariance, 5, verify, "_random_scale_case", [0, 1, 2, 3]),
     (verify.check_function_identities, 6, verify.SmoothMonotone, "draw", [0, 1, 2, 3]),
 ]
 
@@ -49,11 +49,10 @@ def test_every_corpus_case_draws_from_its_own_stream(monkeypatch, check, number,
 def test_a_failing_case_is_named_with_its_stream(monkeypatch):
     assert verify.check_curve_upper_bounds(SEED, 6).detail == ""
     curve_energy = verify.energy.curve_energy
-    reports = []
 
-    def failing_at_case_3(signal):
-        reports.append(curve_energy(signal))
-        return dataclasses.replace(reports[-1], satisfied2=len(reports) != 4)
+    def failing_at_case_3(paths):
+        reports = curve_energy(paths)
+        return [dataclasses.replace(report, satisfied2=i != 3) for i, report in enumerate(reports)]
 
     monkeypatch.setattr(verify.energy, "curve_energy", failing_at_case_3)
     result = verify.check_curve_upper_bounds(SEED, 6)
@@ -72,20 +71,30 @@ def test_random_polylines_refuses_unequal_kind_and_stream_counts():
 
 
 def test_corpus_validation_is_once_per_stack(monkeypatch):
-    # the work of checking corpus paths stays per stack as the corpus grows
-    calls = []
-    validate_points = verify.geometry.validate_points
+    # the work of checking corpus paths stays per stack as the corpus grows: point checks,
+    # the curve corpus's chord checks and the scale corpus's configuration probes
+    counted = [(verify.geometry, "validate_points"), (verify.geometry, "distance"),
+               (verify.configspace, "_verdicts")]
+    calls = {name: 0 for _, name in counted}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return validate_points(*args, **kwargs)
+    def counting(owner, name):
+        fn = getattr(owner, name)
 
-    monkeypatch.setattr(verify.geometry, "validate_points", counting)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    for owner, name in counted:
+        monkeypatch.setattr(owner, name, counting(owner, name))
     counts = {}
     for count in (50, 200):
-        for check in (verify.check_gaussian_lower_bounds, verify.check_curve_upper_bounds):
-            calls.clear()
+        for check, name in ((verify.check_gaussian_lower_bounds, "validate_points"),
+                            (verify.check_curve_upper_bounds, "validate_points"),
+                            (verify.check_curve_upper_bounds, "distance"),
+                            (verify.check_scale_invariance, "_verdicts")):
+            calls[name] = 0
             assert check(SEED, count).ok
-            counts[check.__name__, count] = len(calls)
-    for name in ("check_gaussian_lower_bounds", "check_curve_upper_bounds"):
-        assert counts[name, 50] == counts[name, 200]
+            counts[check.__name__, name, count] = calls[name]
+    for check, name, count in counts:
+        assert counts[check, name, 50] == counts[check, name, 200] > 0
