@@ -578,3 +578,20 @@ def test_stacked_ratio_variances_raise_the_first_faulty_pairs_message():
         relative_ratio_variances([K3, K3], [EQUILATERAL, Configuration(
             geometry.euclidean(3), [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
     assert relative_ratio_variances([], []) == []
+
+
+def test_stacked_ratio_variances_name_an_obstructed_shell_chord_in_order():
+    shell = geometry.spherical_shell(1.0, 4.0)
+    edge = WeightedGraph(2, [(0, 1, 1.0)])
+    good = Configuration(shell, [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
+    through = Configuration(shell, [[1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]])    # chord meets the hole
+    zero = Configuration(shell, [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]])
+    zero.points[1] = zero.points[0]
+    with pytest.raises(geometry.ChordObstructed) as alone:
+        ratio_vector(edge, through)
+    with pytest.raises(geometry.ChordObstructed) as stacked:
+        relative_ratio_variances([edge] * 3, [good, through, zero])
+    assert (str(stacked.value), stacked.value.row) == (str(alone.value), alone.value.row)
+    with pytest.raises(GraphError, match="zero manifold distance"):
+        relative_ratio_variances([edge] * 3, [good, zero, through])
+    assert relative_ratio_variances([edge] * 2, [good, good]) == [0.0, 0.0]
