@@ -155,15 +155,21 @@ def _energy_report(command: str, args, inputs: dict, report, started: float,
     return _report(command, args, inputs, outputs, started), status
 
 
+def _polyline_check(args, check) -> tuple[dict, object]:
+    """Inputs and ``check`` report of the polyline at ``--path``, resampled to ``--samples``
+    uniform samples when given; an error names the file."""
+    path = _read(args.path, mesh.polyline_from_json)
+    with _blame(args.path):
+        if args.samples is not None:
+            path = mesh.resample_polyline(path, args.samples)
+        report = check([path])[0]
+    return {args.path: _digest(args.path)}, report
+
+
 def _cmd_energy(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "curve":
-        path = _read(args.path, mesh.polyline_from_json)
-        with _blame(args.path):
-            if args.samples is not None:
-                path = mesh.resample_polyline(path, args.samples)
-            report = energy.curve_energy([path])[0]
-        return _energy_report("energy curve", args, {args.path: _digest(args.path)},
-                              report, started)
+        inputs, report = _polyline_check(args, energy.curve_energy)
+        return _energy_report("energy curve", args, inputs, report, started)
     if args.subcommand == "region":
         grid = _read(args.mesh, mesh.mesh_from_json)
         with _blame(args.mesh):
@@ -178,12 +184,7 @@ def _cmd_gaussian(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "fisher":
         outputs = gaussian.fisher_report(args.mu, args.sigma, args.quad)
         return _report("gaussian fisher", args, {}, outputs, started), 0
-    path = _read(args.path, mesh.polyline_from_json)
-    with _blame(args.path):
-        if args.samples is not None:
-            path = mesh.resample_polyline(path, args.samples)
-        report = gaussian.check_gaussian_lower_bound([path])[0]
-    inputs = {args.path: _digest(args.path)}
+    inputs, report = _polyline_check(args, gaussian.check_gaussian_lower_bound)
     status = 0 if report.satisfied else 1
     return _report("gaussian bound", args, inputs, report.to_json(), started), status
 

@@ -90,8 +90,8 @@ def _refuse(m: ManifoldSpec, stack: np.ndarray, label: str = "") -> None:
 
 @dataclass
 class Configuration:
-    """Ordered tuple of n >= 2 pairwise-distinct points of a manifold; construction is
-    the one-row call of :meth:`stack`."""
+    """Ordered tuple of n >= 2 pairwise-distinct points of a manifold; construction checks
+    a stack of one with :meth:`stack`, the one validator."""
 
     manifold: ManifoldSpec
     points: np.ndarray
@@ -108,10 +108,7 @@ class Configuration:
         if pts.ndim < 3 or pts.shape[1] < 2:
             raise ConfigError("a configuration needs at least 2 points")
         _refuse(manifold, pts[:, None])
-        configs = [object.__new__(cls) for _ in pts]
-        for config, rows in zip(configs, pts):
-            config.manifold, config.points = manifold, rows
-        return configs
+        return meshmod.checked_rows(cls, manifold, pts)
 
     @property
     def n(self) -> int:
@@ -120,11 +117,11 @@ class Configuration:
 
 @dataclass
 class ConfigPath:
-    """Path in C_n(M): stacked coordinates of shape (K+1, n, d).
+    """Path in C_n(M): configuration coordinates of shape (K+1, n, d).
 
     ``params`` and consecutive configurations follow the polyline rules,
-    and the endpoints A and B must differ. Construction is the one-row
-    call of the validator behind :meth:`stack`.
+    and the endpoints A and B must differ. Construction checks a stack of
+    one with :meth:`stack`, the one validator.
     """
 
     manifold: ManifoldSpec
@@ -132,18 +129,39 @@ class ConfigPath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        self.coords, self.params = _config_rows(self.manifold, self.coords, self.params)
+        c = meshmod.number_array(self.coords, "coords")
+        d = geometry.chart_dim(self.manifold)
+        if c.ndim != 3 or c.shape[1] < 2 or c.shape[2] != d:
+            raise ConfigError(f"coords must have shape (steps+1, n >= 2, {d}), got {c.shape}")
+        t = None if self.params is None else meshmod.number_array(self.params, "params")[None]
+        (path,) = self.stack(self.manifold, c[None], t)
+        self.coords, self.params = path.coords, path.params
 
     @classmethod
     def stack(cls, manifold: ManifoldSpec, coords, params=None) -> list[ConfigPath]:
-        """The paths of a (P, K+1, n, d) stack of coordinates, with None or (P, K+1)
-        params, checked once; the first faulty path raises what it raises alone."""
-        paths = []
-        for rows in zip(*_config_rows(manifold, coords, params, stacked=True)):
-            path = object.__new__(cls)
-            path.manifold, (path.coords, path.params) = manifold, rows
-            paths.append(path)
-        return paths
+        """The paths of a (P, K+1, n, d) stack of coordinates, with None or (P, K+1) params.
+
+        One k = 1 :func:`hull_probe` of all P(K+1) configurations, one
+        endpoint scan and one ``mesh.path_params`` pass check them all. The
+        first faulty path raises what it raises alone: a configuration not
+        in C_n(M), then A = B, then its params or two equal consecutive
+        configurations.
+        """
+        c = meshmod.number_array(coords, "coords")
+        d = geometry.chart_dim(manifold)
+        if c.ndim != 4 or c.shape[2] < 2 or c.shape[3] != d:
+            raise ConfigError(f"coords must have shape (P, steps+1, n >= 2, {d}), got {c.shape}")
+        if c.shape[1] < 2:
+            raise ConfigError("a configuration path needs at least 2 configurations")
+        valid = _verdicts(manifold, c.reshape(-1, 1, *c.shape[2:]))[2].reshape(c.shape[:2])
+        ok = valid.all(axis=1) & np.any(c[:, -1] != c[:, 0], axis=(1, 2))
+        j = len(c) if ok.all() else int(np.argmin(ok))
+        flat = c.reshape(*c.shape[:2], c.shape[2] * d)
+        t = meshmod.path_params(params, flat, "configuration", j)    # raises for a path before j
+        if j < len(c):
+            _refuse(manifold, c[j][:, None], "configuration")   # raises for one not in C_n(M)
+            raise ConfigError("path endpoints A and B must differ")
+        return meshmod.checked_rows(cls, manifold, c, t)
 
     @property
     def n(self) -> int:
@@ -151,34 +169,6 @@ class ConfigPath:
 
     def flattened(self) -> np.ndarray:
         return self.coords.reshape(self.coords.shape[0], -1)
-
-
-def _config_rows(m: ManifoldSpec, coords, params, stacked: bool = False):
-    """Checked (coords, params) of one configuration path, or of each path of a stack.
-
-    A stack takes one k = 1 :func:`hull_probe`, one endpoint scan and one
-    ``mesh.path_params`` pass; its first faulty path is checked again
-    alone, and raises.
-    """
-    c = meshmod.number_array(coords, "coords")
-    d = geometry.chart_dim(m)
-    if c.ndim != 3 + stacked or c.shape[-2] < 2 or c.shape[-1] != d:
-        raise ConfigError(f"coords must have shape ({'P, ' * stacked}steps+1, n >= 2, {d}), "
-                          f"got {c.shape}")
-    if c.shape[-3] < 2:
-        raise ConfigError("a configuration path needs at least 2 configurations")
-    flat = c.reshape(*c.shape[:-2], c.shape[-2] * d)
-    if not stacked:
-        _refuse(m, c[:, None], "configuration")
-        if np.array_equal(c[-1], c[0]):
-            raise ConfigError("path endpoints A and B must differ")
-        return c, meshmod.path_params(params, flat, "configuration")
-    ok = _verdicts(m, c[:, :, None])[2].all(axis=1) & np.any(c[:, -1] != c[:, 0], axis=(1, 2))
-    j = len(c) if ok.all() else int(np.argmin(ok))
-    t = meshmod.path_params(params, flat, "configuration", stop=j)   # raises for a path before j
-    if j < len(c):
-        _config_rows(m, c[j], None)     # raises: a configuration not in C_n(M), or A = B
-    return c, t
 
 
 def _transitions(coords: np.ndarray) -> np.ndarray:

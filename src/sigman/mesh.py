@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,39 +53,52 @@ class DisconnectedMesh(MeshError):
 
 
 # ---------------------------------------------------------------------------
-# Input checks shared by polylines, meshes and configuration paths. A stack
-# of paths is checked in one pass, and its first faulty path again alone.
+# Input checks shared by polylines, meshes and configuration paths. A path
+# container checks a stack of paths in one pass; one path is a stack of one.
 # ---------------------------------------------------------------------------
 
-def path_params(params, points: np.ndarray, row: str, stop: int | None = None) -> np.ndarray:
-    """Parameters t_0 < ... < t_K of the path through the rows of ``points``,
-    or of each path of a stack of them, checked in one pass.
+def path_params(params, points: np.ndarray, row: str, stop: int) -> np.ndarray:
+    """Parameters t_0 < ... < t_K of each path of a (P, K+1, d) stack of points,
+    checked in one pass.
 
     Uniform when ``params`` is None (one read-only array); otherwise one
     finite value per row, t_0 = 0 and t_K = 1 within 1e-12, strictly
     increasing. Consecutive rows must differ; ``row`` names them in the
-    message. The first faulty path before ``stop`` (any, by default)
-    raises what it raises alone.
+    message. The first faulty path before ``stop`` raises what it raises
+    alone. Params of the wrong length are a fault of every path, so the
+    first path's; params for another number of paths are the stack's.
     """
-    count = points.shape[-2]
-    t = (np.broadcast_to(np.linspace(0.0, 1.0, count), points.shape[:-1]) if params is None
+    count = points.shape[1]
+    t = (np.broadcast_to(np.linspace(0.0, 1.0, count), points.shape[:2]) if params is None
          else number_array(params, "params"))
-    if t.shape != points.shape[:-1]:
-        raise MeshError(f"params length must match the {count} {row}s, got shape {t.shape}")
-    n = math.prod(points.shape[:-2])        # paths; -1 cannot stand for it when count is 0
-    ts, paths = t.reshape(n, count), points.reshape(n, count, points.shape[-1])
+    if t.shape != points.shape[:2]:
+        per_path = t.shape[:1] == points.shape[:1]      # else the stack's fault, not a path's
+        if stop or not per_path:
+            raise MeshError(f"params length must match the {count} {row}s, "
+                            f"got shape {t.shape[per_path:]}")
+        return t        # path 0 has a fault of its own, which comes first
     with np.errstate(invalid="ignore"):     # a non-finite t is refused as such
-        faults = (~np.isfinite(ts), (abs(ts[:, :1]) > 1e-12) | (abs(ts[:, -1:] - 1.0) > 1e-12),
-                  np.diff(ts) <= 0.0, np.all(paths[:, 1:] == paths[:, :-1], axis=-1))
+        faults = (~np.isfinite(t), (abs(t[:, :1]) > 1e-12) | (abs(t[:, -1:] - 1.0) > 1e-12),
+                  np.diff(t) <= 0.0, np.all(points[:, 1:] == points[:, :-1], axis=-1))
     bad = np.array([fault.any(axis=1) for fault in faults]).T[:stop]
     if bad.any():       # the first faulty path, then its first fault
         i, check = np.unravel_index(np.argmax(bad), bad.shape)
         k = int(np.argmax(faults[check][i]))
-        raise MeshError((f"params must be finite, got params[{k}] = {ts[i, k]}",
+        raise MeshError((f"params must be finite, got params[{k}] = {t[i, k]}",
                          "params must start at 0 and end at 1",
                          "params must be strictly increasing",
                          f"consecutive {row}s {k} and {k + 1} coincide")[check])
     return t
+
+
+def checked_rows(cls, manifold: ManifoldSpec, *columns) -> list:
+    """One dataclass ``cls`` per row of ``columns``, the fields after ``manifold``, built
+    without ``__post_init__``: only a stack validator calls it, once its checks pass."""
+    names = [f.name for f in fields(cls)]
+    rows = [object.__new__(cls) for _ in columns[0]]
+    for row, values in zip(rows, zip(*columns)):
+        vars(row).update(zip(names, (manifold, *values)))
+    return rows
 
 
 def stack_by_shape(arrays, tags=None) -> list[tuple[list[int], np.ndarray]]:
@@ -177,8 +190,8 @@ class PolylinePath:
     ``params`` are the strictly increasing parameter values t_i with
     t_0 = 0 and t_K = 1 (uniform when omitted). Consecutive samples must
     be distinct and every sample must lie in the manifold. Treat
-    instances as immutable once constructed. Construction is the one-row
-    call of the validator behind :meth:`stack`.
+    instances as immutable once constructed. Construction checks a stack
+    of one with :meth:`stack`, the one validator.
     """
 
     manifold: ManifoldSpec
@@ -186,46 +199,39 @@ class PolylinePath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        self.samples, self.params = _polyline_rows(self.manifold, self.samples, self.params)
+        pts = np.atleast_2d(number_array(self.samples, "sample coordinates"))
+        if pts.ndim != 2 or pts.shape[1] != geometry.chart_dim(self.manifold):
+            chart_points(self.manifold, pts, "sample")      # raises the one-path shape message
+        t = None if self.params is None else number_array(self.params, "params")[None]
+        (path,) = self.stack(self.manifold, pts[None], t)
+        self.samples, self.params = path.samples, path.params
 
     @classmethod
     def stack(cls, manifold: ManifoldSpec, samples, params=None) -> list[PolylinePath]:
-        """The polylines of a (P, N, d) stack of samples, with None or (P, N) params,
-        checked once; the first faulty polyline raises what it raises alone."""
-        paths = []
-        for rows in zip(*_polyline_rows(manifold, samples, params, stacked=True)):
-            path = object.__new__(cls)
-            path.manifold, (path.samples, path.params) = manifold, rows
-            paths.append(path)
-        return paths
+        """The polylines of a (P, N, d) stack of samples, with None or (P, N) params.
+
+        One ``validate_points`` call and one :func:`path_params` pass check
+        them all. The first faulty polyline raises what it raises alone: a
+        sample outside ``manifold``, then too few samples, then its params
+        or two equal consecutive samples.
+        """
+        pts, d = number_array(samples, "sample coordinates"), geometry.chart_dim(manifold)
+        if pts.ndim != 3 or pts.shape[2] != d:
+            raise MeshError(f"sample coordinates have shape {pts.shape}; "
+                            f"{manifold.kind} needs (P, N, {d})")
+        with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
+            inside = geometry.validate_points(manifold, pts.reshape(-1, d)).reshape(pts.shape[:2])
+        ok = inside.all(axis=1) & (pts.shape[1] > 1)
+        j = len(ok) if ok.all() else int(np.argmin(ok))
+        t = path_params(params, pts, "sample", j)       # raises for a polyline before j
+        if j < len(pts):
+            chart_points(manifold, pts[j], "sample")    # raises for a sample outside manifold
+            raise MeshError("a polyline needs at least 2 samples")
+        return checked_rows(cls, manifold, pts, t)
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-
-def _polyline_rows(m: ManifoldSpec, samples, params, stacked: bool = False):
-    """Checked (samples, params) of one polyline, or of each polyline of a stack.
-
-    A stack takes one ``validate_points`` call and one :func:`path_params`
-    pass; its first faulty polyline is checked again alone, and raises.
-    """
-    if not stacked:
-        pts = chart_points(m, samples, "sample")
-        if pts.shape[0] < 2:
-            raise MeshError("a polyline needs at least 2 samples")
-        return pts, path_params(params, pts, "sample")
-    pts, d = number_array(samples, "sample coordinates"), geometry.chart_dim(m)
-    if pts.ndim != 3 or pts.shape[2] != d:
-        raise MeshError(f"sample coordinates have shape {pts.shape}; {m.kind} needs (P, N, {d})")
-    with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
-        inside = geometry.validate_points(m, pts.reshape(-1, d)).reshape(pts.shape[:2])
-    ok = inside.all(axis=1) & (pts.shape[1] > 1)
-    j = len(ok) if ok.all() else int(np.argmin(ok))
-    t = path_params(params, pts, "sample", stop=j)      # raises for a polyline before j
-    if j < len(pts):
-        _polyline_rows(m, pts[j], None)     # raises: a sample outside m, or too few samples
-    return pts, t
 
 
 def cumulative_arclength(path: PolylinePath) -> np.ndarray:

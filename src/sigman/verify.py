@@ -221,6 +221,7 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
 
 
 _R2 = geometry.euclidean(2)
+_EUCLIDEAN = {2: _R2, 3: geometry.euclidean(3)}    # the scale corpus's spaces, by dimension
 _K3 = graphembed.WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 _C4 = graphembed.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
 
@@ -254,7 +255,7 @@ def _random_scale_case(rng: np.random.Generator):
             if rng.random() < 0.3:
                 edges.append((i, j, float(rng.uniform(0.5, 2.0))))
     g = graphembed.WeightedGraph(n, edges)
-    m = geometry.euclidean(int(rng.integers(2, 4)))
+    m = _EUCLIDEAN[int(rng.integers(2, 4))]
     while True:
         pts = rng.uniform(-2.0, 2.0, size=(n, m.dim))
         if configspace.hull_probe(m, pts[None])[1].min() > 1e-3 ** 2:
@@ -269,7 +270,7 @@ def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
         cases, verdicts = [_random_scale_case(rng) for rng in rngs], {}
         for idx, pts in mesh.stack_by_shape([pts for _, pts, _ in cases]):
             dilated = pts * np.array([cases[i][2] for i in idx])[:, None, None]
-            configs = configspace.Configuration.stack(geometry.euclidean(pts.shape[-1]),
+            configs = configspace.Configuration.stack(_EUCLIDEAN[pts.shape[-1]],
                                                       np.concatenate([pts, dilated]))
             v = graphembed.relative_ratio_variances([cases[i][0] for i in idx] * 2, configs)
             verdicts.update((i, abs(v1 - v0) <= SCALE_INV_TOL * max(1.0, v0))

@@ -480,7 +480,7 @@ def test_config_path_consecutive_configurations_differ():
        n=st.sampled_from([2, 3]), steps=st.integers(1, 6), with_params=st.booleans(),
        faults=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6),
                                  st.sampled_from(["collide", "outside", "endpoints", "repeat",
-                                                  "params"])),
+                                                  "params", "length"])),
                        max_size=3))
 def test_config_stack_refuses_what_its_first_faulty_path_refuses_alone(
         seeds, n, steps, with_params, faults):
@@ -498,9 +498,11 @@ def test_config_stack_refuses_what_its_first_faulty_path_refuses_alone(
             coords[row, -1] = coords[row, 0]
         elif fault == "repeat":
             coords[row, max(k, 1)] = coords[row, max(k, 1) - 1]
+        elif fault == "length":     # params one entry short or long on every path
+            params = np.tile(np.linspace(0.0, 1.0, steps + 1 + (-1, 1)[k % 2]), (len(seeds), 1))
         else:
             params = uniform.copy() if params is None else params
-            params[row, k] = (math.nan, 0.5, -0.5, math.inf)[k % 4]
+            params[row, k % params.shape[1]] = (math.nan, 0.5, -0.5, math.inf)[k % 4]
     refused = None
     for i in range(len(seeds)):
         try:

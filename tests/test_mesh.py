@@ -499,11 +499,11 @@ def test_containers_share_the_input_checks(monkeypatch):
             return _check(*args, **kwargs)
         monkeypatch.setattr(mesh, name, spy)
 
+    # one path is a stack of one: its samples take one validate_points call and one
+    # path_params pass, and chart_points only names the fault of a faulty row
     PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0]])
-    assert calls == ["chart_points", "path_params"]
+    assert calls == ["path_params"]
     calls.clear()
-    # a stack checks its samples with one validate_points call and one path_params pass,
-    # and its faulty row again alone
     PolylinePath.stack(R2, [[[0.0, 0.0], [1.0, 0.0]]] * 3)
     assert calls == ["path_params"]
     calls.clear()
@@ -522,7 +522,7 @@ def test_containers_share_the_input_checks(monkeypatch):
     calls.clear()
     with pytest.raises(geometry.MembershipError, match="configuration 1: point 0"):
         configspace.ConfigPath(shell, [a, [[0.5, 0.0, 0.0], [0.0, 1.5, 0.0]]])
-    assert calls == ["chart_points"]
+    assert calls == ["path_params", "chart_points"]
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +759,8 @@ def valid_polylines(kind, seeds, n_samples):
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5),
        n_samples=st.integers(2, 9), with_params=st.booleans(),
        faults=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8),
-                                 st.sampled_from(["nan", "outside", "repeat", "params"])),
+                                 st.sampled_from(["nan", "outside", "repeat", "params",
+                                                  "length"])),
                        max_size=3))
 def test_polyline_stack_refuses_what_its_first_faulty_row_refuses_alone(
         kind, seeds, n_samples, with_params, faults):
@@ -775,9 +776,11 @@ def test_polyline_stack_refuses_what_its_first_faulty_row_refuses_alone(
             samples[row, k] = OUTSIDE[kind]
         elif fault == "repeat":
             samples[row, max(k, 1)] = samples[row, max(k, 1) - 1]
+        elif fault == "length":     # params one entry short or long on every row
+            params = np.tile(np.linspace(0.0, 1.0, n_samples + (-1, 1)[k % 2]), (len(seeds), 1))
         else:
             params = uniform.copy() if params is None else params
-            params[row, k] = (math.nan, 0.5, -0.5, math.inf)[k % 4]
+            params[row, k % params.shape[1]] = (math.nan, 0.5, -0.5, math.inf)[k % 4]
     rows = zip(samples, [None] * len(seeds) if params is None else params)
     refused = alone(lambda s, t: PolylinePath(m, s, t), rows)
     if refused is None:
