@@ -104,7 +104,7 @@ class Configuration:
     def stack(cls, manifold: ManifoldSpec, points) -> list[Configuration]:
         """The configurations of a (P, n, d) stack of points, checked with one probe; the
         first faulty configuration raises what it raises alone."""
-        pts = meshmod.number_array(points, "points")
+        pts, _ = meshmod.stack_numbers(cls.stack, manifold, points, None, "points")
         if pts.ndim < 3 or pts.shape[1] < 2:
             raise ConfigError("a configuration needs at least 2 points")
         _refuse(manifold, pts[:, None])
@@ -147,7 +147,7 @@ class ConfigPath:
         in C_n(M), then A = B, then its params or two equal consecutive
         configurations.
         """
-        c = meshmod.number_array(coords, "coords")
+        c, params = meshmod.stack_numbers(cls.stack, manifold, coords, params, "coords")
         d = geometry.chart_dim(manifold)
         if c.ndim != 4 or c.shape[2] < 2 or c.shape[3] != d:
             raise ConfigError(f"coords must have shape (P, steps+1, n >= 2, {d}), got {c.shape}")

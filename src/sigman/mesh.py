@@ -7,7 +7,8 @@ adjacent faces into the plane and connecting vertex pairs that see each
 other through the strip. Every shortcut length is the length of a
 straight segment in an isometric unfolding, i.e. of a genuine path on
 the mesh surface, so graph distances never undershoot the polyhedral
-geodesic distance (on a planar mesh, the chord). They do not converge
+geodesic distance (on a planar mesh, the chord), also across zero-area
+faces, as a strip keeps its seed's orientation. They do not converge
 under refinement: a strip reaches only finitely many directions, so the
 relative overshoot has a floor that depends on STRIP_LIMIT and not on
 resolution (7.5e-3 from a corner of a planar grid at STRIP_LIMIT = 6).
@@ -150,6 +151,20 @@ def number_array(values, name: str) -> np.ndarray:
                       dtype=float)
 
 
+def stack_numbers(stack, manifold: ManifoldSpec, values, params, name: str):
+    """``values`` and ``params`` (None or one row per item) of a stack as float arrays. On
+    a non-number, ``stack`` first checks each item alone, so an earlier item's fault wins."""
+    try:
+        arr = number_array(values, name)
+        return arr, params if params is None else number_array(params, "params")
+    except MeshError:
+        rows = len(values) if hasattr(values, "__len__") else 0
+        if rows > 1 and (params is None or hasattr(params, "__len__") and len(params) == rows):
+            for k in range(rows):
+                stack(manifold, values[k:k + 1], *(() if params is None else (params[k:k + 1],)))
+        raise
+
+
 def vertex_indices(values, nv: int, name: str, ndim: int = 1) -> np.ndarray:
     """``values`` as a nonempty ``ndim``-D int64 array of indices in [0, nv).
 
@@ -215,7 +230,8 @@ class PolylinePath:
         sample outside ``manifold``, then too few samples, then its params
         or two equal consecutive samples.
         """
-        pts, d = number_array(samples, "sample coordinates"), geometry.chart_dim(manifold)
+        pts, params = stack_numbers(cls.stack, manifold, samples, params, "sample coordinates")
+        d = geometry.chart_dim(manifold)
         if pts.ndim != 3 or pts.shape[2] != d:
             raise MeshError(f"sample coordinates have shape {pts.shape}; "
                             f"{manifold.kind} needs (P, N, {d})")
@@ -377,10 +393,8 @@ def _face_sides(nv, faces):
 
 def _pairs_to_csr(nv, i, j, w) -> csr_matrix:
     from scipy.sparse import csr_matrix
-    return csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(nv, nv),
-    )
+    half = csr_matrix((w, (i, j)), shape=(nv, nv))     # the pairs are distinct, off the diagonal
+    return half + half.T
 
 
 # ---------------------------------------------------------------------------
@@ -395,45 +409,44 @@ def _dedup_min(nv, i, j, w):
     return *np.divmod(key[first], nv), np.minimum.reduceat(w[order], first)
 
 
-def _strip_step(state, apex, dist_a, dist_b, next_a, next_b, last: bool):
+def _strip_step(state, apex, sq_a, sq_b, next_a, next_b, last: bool):
     """Unfold the next face of every strip in ``state``: the shortcuts it
-    sees, and the strips that go on through the face's two other sides
-    (none when ``last``).
+    sees, and the strips that go on through its two other sides (None when ``last``).
 
-    A strip's columns are its seed vertex w0, its portal code q, the
-    unfolded portal ends a and b, the right and left rays r and l of its
-    visibility cone, and ref, the previous face's third vertex. The
-    tables are indexed by q (see strip_shortcut_graph).
+    A strip's ten columns are its seed vertex w0, its portal code q, the
+    unfolded portal ends a and b, and the right and left rays r and l of
+    its visibility cone; the length tables, indexed by q, hold squares.
+    Every strip's triangle (a, b, far) keeps its seed's orientation, so
+    the new face (a, b, c) unfolds left of a -> b. A ray from w0 crosses
+    that face before a child portal, so b is the right end of every child
+    portal a cone reaches. A cone is open, r x l > 0, and inside its
+    portal, a x l <= 0 and r x b <= 0.
     """
-    w0, q, pax, pay, pbx, pby, rx, ry, lx, ly, refx, refy = state
+    w0, q, pax, pay, pbx, pby, rx, ry, lx, ly = state
     ex, ey = pbx - pax, pby - pay
     plen = np.sqrt(ex * ex + ey * ey)
-    ex, ey = ex / plen, ey / plen                 # portal direction; its normal is (-ey, ex)
-    s_ref = np.sign((refx - pax) * -ey + (refy - pay) * ex)
-    s_ref[s_ref == 0.0] = 1.0
-    da, db = dist_a[q], dist_b[q]
-    x = (da ** 2 - db ** 2 + plen ** 2) / (2.0 * plen)
-    sy = s_ref * np.sqrt(np.maximum(da ** 2 - x ** 2, 0.0))
-    cx = pax + x * ex - sy * -ey                  # the apex, across the portal from ref
-    cy = pay + x * ey - sy * ex
+    ex, ey = ex / plen, ey / plen                 # portal direction; its left normal is (-ey, ex)
+    da2 = sq_a[q]
+    x = (da2 - sq_b[q] + plen ** 2) / (2.0 * plen)
+    sq = np.sqrt(np.maximum(da2 - x ** 2, 0.0))
+    cx = pax + x * ex - sq * ey                   # the apex, left of a -> b
+    cy = pay + x * ey + sq * ex
     ap = apex[q]
-    visible = (rx * cy - ry * cx > 0.0) & (cx * ly - cy * lx > 0.0) & (ap != w0)
-    shortcuts = (w0[visible], ap[visible], np.sqrt(cx[visible] ** 2 + cy[visible] ** 2))
+    right, left = rx * cy - ry * cx > 0.0, cx * ly - cy * lx > 0.0     # c inside r, inside l
+    seen = np.flatnonzero(right & left & (ap != w0))
+    shortcuts = (w0[seen], ap[seen], np.sqrt(cx[seen] ** 2 + cy[seen] ** 2))
     if last:
-        return shortcuts, []
-    children = []
-    for nxt, (ax, ay, bx, by, fx, fy) in ((next_a[q], (pax, pay, cx, cy, pbx, pby)),
-                                         (next_b[q], (cx, cy, pbx, pby, pax, pay))):
-        swap = ax * by - ay * bx > 0.0
-        prx, pry = np.where(swap, ax, bx), np.where(swap, ay, by)
-        plx, ply = np.where(swap, bx, ax), np.where(swap, by, ay)
-        right = rx * pry - ry * prx > 0.0
-        rnx, rny = np.where(right, prx, rx), np.where(right, pry, ry)
-        left = plx * ly - ply * lx > 0.0
-        lnx, lny = np.where(left, plx, lx), np.where(left, ply, ly)
-        ok = (nxt >= 0) & (rnx * lny - rny * lnx > 0.0)
-        children.append([c[ok] for c in (w0, nxt, ax, ay, bx, by, rnx, rny, lnx, lny, fx, fy)])
-    return shortcuts, children
+        return shortcuts, None
+    # c is inside a ray when it lies on the cone's side of it. Child (a, c)
+    # narrows r to c when c is inside r, and dies when c is also outside l:
+    # the whole cone then passes right of c. Child (c, b) mirrors it.
+    rnx, rny = np.where(right, cx, rx), np.where(right, cy, ry)
+    lnx, lny = np.where(left, cx, lx), np.where(left, cy, ly)
+    lives_a = np.flatnonzero((next_a[q] >= 0) & (left | ~right))
+    lives_b = np.flatnonzero((next_b[q] >= 0) & (right | ~left))
+    return shortcuts, [np.concatenate((a[lives_a], b[lives_b])) for a, b in zip(
+        (w0, next_a[q], pax, pay, cx, cy, rnx, rny, lx, ly),
+        (w0, next_b[q], cx, cy, pbx, pby, rx, ry, lnx, lny))]
 
 
 def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
@@ -455,12 +468,12 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     half-edge of the same edge in the far face. A portal is a code
     q = 2 h + flip: half-edge h with its end "a" at the start of h
     (flip 0) or at its end (flip 1). Tables over the codes give each
-    face's apex, the lengths from a and from b to it, and the codes of
-    the two child portals (a, apex) and (apex, b) as seen from their far
-    faces, so one depth of all strips is a few table lookups plus the
-    planar arithmetic. Strips advance one depth at a time, SEED_BLOCK
-    seeds' strips together, with their planar state (portal ends, cone
-    rays and the previous face's third vertex) in flat x and y columns.
+    face's apex, the squared lengths from a and from b to it, and the
+    codes of the two child portals (a, apex) and (apex, b) as seen from
+    their far faces, so one depth of all strips is a few table lookups
+    plus the planar arithmetic. Strips advance one depth at a time,
+    SEED_BLOCK seeds' strips together, in ten flat columns; each keeps
+    its seed's orientation, so no column says where its next face lies.
     """
     faces, inverse, n_f = mesh.faces, mesh.side_edge, mesh.n_faces
     n_h = 3 * n_f
@@ -478,30 +491,28 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     side_a = np.column_stack([n2, n1]).ravel()         # joins a and the apex
     side_b = np.column_stack([n1, n2]).ravel()         # joins the apex and b
     flip = np.tile([1, 0], n_h)                        # a child's flip negates its parent's
-    tables = (np.repeat(start[n2], 2), hlen[side_a], hlen[side_b],
+    tables = (np.repeat(start[n2], 2), hlen[side_a] ** 2, hlen[side_b] ** 2,
               across[2 * side_a + flip], across[2 * side_b + flip])
 
     # Seeds: one strip per half-edge with a far face, from its apex w0 at
-    # the origin, with a at the lower vertex index.
+    # the origin, with a at the lower vertex index, left of b. A flat face
+    # whose w0 is an end of the portal gives a shut cone, r x l = 0: no seed.
     code = 2 * h + (start > end)
-    code = code[across[code] >= 0]
-    w0, la, lb, lab = tables[0][code], tables[1][code], tables[2][code], hlen[code >> 1]
+    la, lb, lab = hlen[side_a[code]], hlen[side_b[code]], hlen[code >> 1]
     cosg = np.clip((la ** 2 + lb ** 2 - lab ** 2) / (2.0 * la * lb), -1.0, 1.0)
     half = 0.5 * np.arccos(cosg)
     pax, pay = la * np.cos(0.5 * np.pi + half), la * np.sin(0.5 * np.pi + half)
     pbx, pby = lb * np.cos(0.5 * np.pi - half), lb * np.sin(0.5 * np.pi - half)
-    swap = pax * pby - pay * pbx > 0.0
-    seeds = [w0, across[code], pax, pay, pbx, pby, np.where(swap, pax, pbx),
-             np.where(swap, pay, pby), np.where(swap, pbx, pax), np.where(swap, pby, pay),
-             np.zeros_like(pax), np.zeros_like(pax)]
+    live = np.flatnonzero((across[code] >= 0) & (pbx * pay - pby * pax > 0.0))  # r = b, l = a
+    seeds = [c[live] for c in (tables[0][code], across[code], pax, pay, pbx, pby, pbx, pby,
+                               pax, pay)]
 
     found = [(mesh.edges[:, 0], mesh.edges[:, 1], mesh.edge_lengths)]
-    for lo in range(0, len(code), SEED_BLOCK):
+    for lo in range(0, len(live), SEED_BLOCK):
         state = [col[lo:lo + SEED_BLOCK] for col in seeds]
         for depth in range(1, STRIP_LIMIT):
-            shortcuts, children = _strip_step(state, *tables, last=depth == STRIP_LIMIT - 1)
+            shortcuts, state = _strip_step(state, *tables, last=depth == STRIP_LIMIT - 1)
             found.append(shortcuts)
-            state = [np.concatenate(cols) for cols in zip(*children)]
     i, j, w = (np.concatenate(cols) for cols in zip(*found))
     return _pairs_to_csr(mesh.n_vertices, *_dedup_min(mesh.n_vertices, i, j, w))
 

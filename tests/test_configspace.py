@@ -80,6 +80,8 @@ def test_configuration_stack_equals_one_row_calls_and_raises_the_first_fault():
             Configuration.stack(SHELL, ok + [first, second] + ok)
     with pytest.raises(ConfigError, match="at least 2"):
         Configuration.stack(SHELL, [[[1.5, 0.0, 0.0]]])
+    with pytest.raises(CollisionError, match="points 0 and 1 collide"):    # before a non-number
+        Configuration.stack(SHELL, [faulty[0], [["x", 0.0, 0.0], [0.0, 1.5, 0.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -531,3 +533,11 @@ def test_config_stack_first_faulty_path_wins():
     with pytest.raises(MeshError, match="params must be strictly increasing"):
         ConfigPath.stack(SHELL, [fine, fine, closed], [[0.0, 0.5, 1.0], [0.0, 1.0, 1.0],
                                                        [0.0, 0.5, 1.0]])
+    # a non-number in a later path comes after an earlier path's own fault
+    with pytest.raises(ConfigError, match="endpoints A and B must differ"):
+        ConfigPath.stack(SHELL, [closed, fine], [[0.0, 0.5, 1.0], [0.0, "x", 1.0]])
+    with pytest.raises(ConfigError, match="endpoints A and B must differ"):
+        ConfigPath.stack(SHELL, [closed, [A_CFG, B_CFG, [["x", 0.0, 0.0], [0.0, 1.5, 0.0]]]])
+    with pytest.raises(MeshError, match="coords must hold numbers, got 'x'"):
+        ConfigPath.stack(SHELL, [fine, [A_CFG, B_CFG, [["x", 0.0, 0.0], [0.0, 1.5, 0.0]]],
+                                 closed])

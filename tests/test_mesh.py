@@ -637,6 +637,73 @@ def test_planar_crossing_graph_weights_are_chords():
     np.testing.assert_allclose(coo.data, chords, rtol=1e-12, atol=0.0)
 
 
+def tri_mesh_edges():
+    sphere = triangulate_sphere(2)
+    return sphere.n_vertices, *sphere.edges.T, sphere.edge_lengths
+
+
+def crossing_graph_pairs():
+    vertices, faces = jittered_grid()
+    coo = mesh.strip_shortcut_graph(euclidean_mesh(vertices, faces)).tocoo()
+    upper = coo.row < coo.col       # the (lo, hi) pairs in key order, as the builder passes them
+    return len(vertices), coo.row[upper], coo.col[upper], coo.data[upper]
+
+
+def shuffled_graph_edges():
+    from sigman.graphembed import WeightedGraph
+    graph = WeightedGraph(5, [(3, 4, 1.5), (0, 2, 0.5), (1, 3, 2.0), (0, 1, 1.0), (2, 4, 0.25)])
+    return graph.n, *graph._arrays()
+
+
+@pytest.mark.parametrize("make", [tri_mesh_edges, crossing_graph_pairs, shuffled_graph_edges])
+def test_pairs_to_csr_matches_the_two_way_coo_build(make):
+    from scipy.sparse import csr_matrix
+    nv, i, j, w = make()
+    want = csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                      shape=(nv, nv))
+    got = mesh._pairs_to_csr(nv, i, j, w)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.has_canonical_format
+    assert (got != got.T).nnz == 0
+
+
+def collapse(vertices, faces, picks):
+    """``vertices`` with the second vertex of each picked face moved to the
+    midpoint of its other two, so that face has zero area."""
+    v = vertices.copy()
+    for a, b, c in faces[picks]:
+        v[b] = 0.5 * (v[a] + v[c])
+    return v
+
+
+def relative_excess(vertices, faces):
+    """(weight - chord) / chord of every crossing-graph entry of a planar mesh."""
+    coo = mesh.strip_shortcut_graph(euclidean_mesh(vertices, faces)).tocoo()
+    chords = np.linalg.norm(vertices[coo.row] - vertices[coo.col], axis=1)
+    return (coo.data - chords) / chords
+
+
+def test_zero_area_faces_never_pull_a_weight_below_its_chord():
+    # A strip's next face always unfolds across the portal from the face
+    # before it, even when the two are collinear. On a grid whose vertex 1
+    # sits on the midpoint of vertices 0 and 6, face (0, 1, 6) is flat and
+    # the mesh is still embedded, so every weight is its chord.
+    grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.25)
+    assert grid.faces[0].tolist() == [0, 1, 6]
+    v = collapse(grid.vertices, grid.faces, [0])
+    assert mesh.face_areas(euclidean_mesh(v, grid.faces))[0] == 0.0
+    assert np.abs(relative_excess(v, grid.faces)).max() < 1e-12
+    # Three flat faces in a jittered grid may fold their neighbours over,
+    # but every weight is still a surface path, so it never undershoots.
+    vertices, faces = jittered_grid()
+    v = collapse(vertices, faces, [12, 45, 78])
+    s1, s2 = (v[faces[[12, 45, 78], k]] - v[faces[[12, 45, 78], 0]] for k in (1, 2))
+    assert np.all(np.abs(s1[:, 0] * s2[:, 1] - s1[:, 1] * s2[:, 0]) < 1e-15)     # flat faces
+    assert relative_excess(v, faces).min() > -1e-9
+
+
 NON_MANIFOLD = {"vertices": [[0, 0], [1, 0], [0, 1], [1, -1], [0.5, 2]],
                 "faces": [[0, 1, 2], [1, 0, 3], [0, 1, 4]]}      # edge (0, 1) borders three faces
 
@@ -808,6 +875,15 @@ def test_polyline_stack_first_faulty_row_wins():
         PolylinePath.stack(R2, [ok, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], outside])
     with pytest.raises(MeshError, match=r"needs \(P, N, 2\)"):
         PolylinePath.stack(R2, ok)
+    # a non-number in a later row comes after an earlier row's own fault
+    with pytest.raises(geometry.MembershipError, match="sample 1 does not lie"):
+        PolylinePath.stack(R2, [outside, ok], [uniform, [0.0, "x", 1.0]])
+    with pytest.raises(geometry.MembershipError, match="sample 1 does not lie"):
+        PolylinePath.stack(R2, [outside, [[0.0, 0.0], ["x", 0.0], [2.0, 0.0]]])
+    with pytest.raises(MeshError, match="sample coordinates must hold numbers, got 'x'"):
+        PolylinePath.stack(R2, [ok, [[0.0, 0.0], ["x", 0.0], [2.0, 0.0]], outside])
+    with pytest.raises(MeshError, match="sample coordinates must hold numbers, got None"):
+        PolylinePath.stack(R2, None)
 
 
 def test_stacked_polylines_share_no_writable_params():
