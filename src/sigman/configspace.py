@@ -101,10 +101,11 @@ class Configuration:
         self.points = self.stack(self.manifold, pts[None])[0].points
 
     @classmethod
+    @meshmod.rows_alone(2)
     def stack(cls, manifold: ManifoldSpec, points) -> list[Configuration]:
         """The configurations of a (P, n, d) stack of points, checked with one probe; the
         first faulty configuration raises what it raises alone."""
-        pts, _ = meshmod.stack_numbers(cls.stack, manifold, points, None, "points")
+        pts = meshmod.number_array(points, "points")
         if pts.ndim < 3 or pts.shape[1] < 2:
             raise ConfigError("a configuration needs at least 2 points")
         _refuse(manifold, pts[:, None])
@@ -138,6 +139,7 @@ class ConfigPath:
         self.coords, self.params = path.coords, path.params
 
     @classmethod
+    @meshmod.rows_alone(2)
     def stack(cls, manifold: ManifoldSpec, coords, params=None) -> list[ConfigPath]:
         """The paths of a (P, K+1, n, d) stack of coordinates, with None or (P, K+1) params.
 
@@ -147,20 +149,19 @@ class ConfigPath:
         in C_n(M), then A = B, then its params or two equal consecutive
         configurations.
         """
-        c, params = meshmod.stack_numbers(cls.stack, manifold, coords, params, "coords")
+        c = meshmod.number_array(coords, "coords")
+        t = params if params is None else meshmod.number_array(params, "params")
         d = geometry.chart_dim(manifold)
         if c.ndim != 4 or c.shape[2] < 2 or c.shape[3] != d:
             raise ConfigError(f"coords must have shape (P, steps+1, n >= 2, {d}), got {c.shape}")
         if c.shape[1] < 2:
             raise ConfigError("a configuration path needs at least 2 configurations")
         valid = _verdicts(manifold, c.reshape(-1, 1, *c.shape[2:]))[2].reshape(c.shape[:2])
-        ok = valid.all(axis=1) & np.any(c[:, -1] != c[:, 0], axis=(1, 2))
-        j = len(c) if ok.all() else int(np.argmin(ok))
-        flat = c.reshape(*c.shape[:2], c.shape[2] * d)
-        t = meshmod.path_params(params, flat, "configuration", j)    # raises for a path before j
-        if j < len(c):
-            _refuse(manifold, c[j][:, None], "configuration")   # raises for one not in C_n(M)
+        if not valid.all():     # raises for a configuration not in C_n(M)
+            _refuse(manifold, c[np.argmin(valid.all(axis=1))][:, None], "configuration")
+        if np.all(c[:, -1] == c[:, 0], axis=(1, 2)).any():
             raise ConfigError("path endpoints A and B must differ")
+        t = meshmod.path_params(t, c.reshape(*c.shape[:2], c.shape[2] * d), "configuration")
         return meshmod.checked_rows(cls, manifold, c, t)
 
     @property
@@ -244,28 +245,27 @@ class ConfigBoundReport:
 COMPONENT_TOL = 1e-12
 
 
+@meshmod.rows_alone(0)
 def check_config_bounds(paths) -> list[ConfigBoundReport]:
     """Verify the upper, per-component and (when applicable) lower bounds of each path.
 
     ``paths`` are ConfigPaths on one manifold, reported in order. Paths of
     one shape are checked as one stack (one :func:`hull_probe` for all
     their transitions, one for their whole-path hulls), and a report is
-    the one its path gets alone. A transition that leaves C_n(M) raises as
-    in :func:`config_path_energy`, for the first such path. The lower
-    bound is judged only when every flattened coordinate is monotone and
-    the hull of the path lies in C_n(M); otherwise its verdict is None.
+    the one its path gets alone. The first path refused alone raises its
+    own message (a transition leaving C_n(M), or an energy that is not
+    finite; see ``mesh.rows_alone``). The lower bound is judged only when
+    every flattened coordinate is monotone and the hull of the path lies
+    in C_n(M); otherwise its verdict is None.
     """
-    paths = list(paths)
-    m = paths[0].manifold if paths else None
+    m = paths[0].manifold if len(paths) else None
     if any(path.manifold != m for path in paths):
         raise ConfigError("paths checked together must share one manifold")
     stacks = meshmod.stack_by_shape([path.coords for path in paths])
-    failing = []
     for idx, coords in stacks:
         ok = _verdicts(m, _transitions(coords))[2].all(axis=1)
-        failing += [idx[np.argmin(ok)]] if not ok.all() else []
-    if failing:
-        _chords(paths[min(failing)])        # raises with the first failing path's fault
+        if not ok.all():
+            _chords(paths[idx[np.argmin(ok)]])      # raises with that path's fault
     rows = {i: row for idx, coords in stacks for i, row in zip(idx, _bound_rows(m, coords))}
     return [_bound_report(*rows[i]) for i in range(len(paths))]
 

@@ -72,23 +72,20 @@ class SignalCurve:
     path: PolylinePath
 
     def __post_init__(self):
-        j, why = _refused(self.path.manifold, self.path.samples[None])
-        if j == 0:
-            raise EnergyError(why)
+        _refused(self.path.manifold, self.path.samples[None])
 
 
-def _refused(m: geometry.ManifoldSpec, samples: np.ndarray) -> tuple[int, str]:
-    """The first signal of a (P, N, d) stack of samples in ``m`` that SignalCurve refuses and
-    its message, or (P, ""): one endpoint scan, and one chord check unless m is flat."""
-    closed = np.all(samples[:, 0] == samples[:, -1], axis=-1)
-    faults = [(int(np.argmax(closed)), "signal endpoints must be distinct")] if closed.any() else []
+def _refused(m: geometry.ManifoldSpec, samples: np.ndarray) -> None:
+    """Raise for a signal of a (P, N, d) stack of samples in ``m`` that SignalCurve refuses:
+    one endpoint scan, and one chord check unless m is flat."""
+    if np.all(samples[:, 0] == samples[:, -1], axis=-1).any():
+        raise EnergyError("signal endpoints must be distinct")
     if not geometry._all_flat(m):   # a flat chart is convex; its chord is the segment
         try:
             geometry.distance(m, samples[:, :-1], samples[:, 1:])
         except geometry.ChordObstructed as exc:
-            j, k = divmod(exc.row, samples.shape[1] - 1)
-            faults.append((j, f"the chord from sample {k} leaves the manifold"))
-    return min(faults, key=lambda fault: fault[0], default=(len(samples), ""))
+            k = exc.row % (samples.shape[1] - 1)
+            raise EnergyError(f"the chord from sample {k} leaves the manifold") from None
 
 
 @dataclass
@@ -151,26 +148,21 @@ def length_report(e1: float, e2: float, length: float, discretization: dict) -> 
     return _bounded_report(e1, e2, *bounds, discretization)
 
 
+@meshmod.rows_alone(0)
 def curve_energy(paths) -> list[EnergyReport]:
     """Energies of each 1-D signal of ``paths`` in order, bounded by rho^2 and rho^3, rho = length.
 
-    The paths of one manifold and shape are scored as one stack. The first path that
-    SignalCurve or length_report refuses raises the message it raises alone.
+    The paths of one manifold and shape are scored as one stack. Any refused path may raise;
+    ``mesh.rows_alone`` then raises the first path's own SignalCurve or length_report message.
     """
-    paths, rows, faults = list(paths), {}, []
+    rows = {}
     for idx, samples in meshmod.stack_by_shape([path.samples for path in paths],
                                                [path.manifold for path in paths]):
-        j, why = _refused(paths[idx[0]].manifold, samples)
-        faults.append((idx[j] if j < len(idx) else len(paths), why))
+        _refused(paths[idx[0]].manifold, samples)
         with np.errstate(over="ignore"):    # an overflow is inf, which length_report refuses
             sums = segment_sums(np.linalg.norm(np.diff(samples, axis=1), axis=-1))
         rows.update(zip(idx, zip(*(v.tolist() for v in sums))))
-    first, why = min(faults, default=(len(paths), ""))
-    reports = [length_report(*rows[i], {"n_samples": path.n_samples})
-               for i, path in enumerate(paths[:first])]
-    if why:
-        raise EnergyError(why)
-    return reports
+    return [length_report(*rows[i], {"n_samples": path.n_samples}) for i, path in enumerate(paths)]
 
 
 def region_energy(sig: SignalRegion) -> EnergyReport:

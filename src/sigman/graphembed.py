@@ -19,7 +19,6 @@ one gradient call and scores the line searches of all restarts together.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
-from .mesh import _pairs_to_csr, chart_points, csr_matrix, json_object, vertex_indices
+from .mesh import _pairs_to_csr, chart_points, csr_matrix, json_object, rows_alone, vertex_indices
 from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
@@ -151,18 +150,32 @@ def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
 
 def ratio_vector(g: WeightedGraph, config: Configuration) -> np.ndarray:
     """r_k = d_M(x_i, x_j) / w_k in the fixed edge order."""
-    if config.n != g.n:
-        raise GraphError(
-            f"configuration has {config.n} points, graph has {g.n} vertices"
-        )
-    i, j, w = g._arrays()
-    d = geometry.distance(config.manifold, config.points[i], config.points[j])
+    return ratio_vectors([g], [config])[0]
+
+
+@rows_alone(0)
+def ratio_vectors(graphs, configs) -> list[np.ndarray]:
+    """:func:`ratio_vector` of each graph with its configuration, all on one manifold, with one
+    ``geometry.distance`` call; the first faulty pair raises the message it raises alone."""
+    pairs = list(zip(graphs, configs, strict=True))
+    if any(config.manifold != pairs[0][1].manifold for _, config in pairs):
+        raise GraphError("configurations scored together must share one manifold")
+    for g, config in pairs:
+        if config.n != g.n:
+            raise GraphError(f"configuration has {config.n} points, graph has {g.n} vertices")
+    if not pairs:
+        return []
+    ends = [g._arrays() for g, _ in pairs]
+    i, j, w = map(np.concatenate, zip(*ends))
+    x, y = (np.concatenate([config.points[e[s]] for (_, config), e in zip(pairs, ends)])
+            for s in (0, 1))
+    d = geometry.distance(pairs[0][1].manifold, x, y)
     bad = ~(d > 0.0) | (d == math.inf)
     if bad.any():
         k = int(np.argmax(bad))
         what = "zero" if d[k] == 0.0 else "an overflowing"
         raise GraphError(f"edge ({i[k]}, {j[k]}) has {what} manifold distance")
-    return d / w
+    return np.split(d / w, np.cumsum([g.m for g, _ in pairs]))[:-1]
 
 
 def ratio_variance(r) -> float:
@@ -186,26 +199,9 @@ def relative_ratio_variance(g: WeightedGraph, config: Configuration) -> float:
 
 
 def relative_ratio_variances(graphs, configs) -> list[float]:
-    """:func:`relative_ratio_variance` of each graph with its configuration, all on one manifold.
-
-    One ``geometry.distance`` call measures every edge, and each variance is
-    summed as it is alone; the first faulty pair raises :func:`ratio_vector`'s message."""
-    pairs = list(zip(graphs, configs, strict=True))
-    if not pairs:
-        return []
-    if any(config.manifold != pairs[0][1].manifold for _, config in pairs):
-        raise GraphError("configurations scored together must share one manifold")
-    ends, d = [g._arrays() for g, _ in pairs], None
-    if all(config.n == g.n for g, config in pairs):
-        x, y = (np.concatenate([config.points[e[s]] for (_, config), e in zip(pairs, ends)])
-                for s in (0, 1))
-        with contextlib.suppress(geometry.ChordObstructed):     # its pair is measured alone below
-            d = geometry.distance(pairs[0][1].manifold, x, y)
-    if d is None or not np.all((d > 0.0) & (d < math.inf)):
-        for g, config in pairs:
-            ratio_vector(g, config)     # raises for the first faulty pair
-    ratios = np.split(d / np.concatenate([e[2] for e in ends]), np.cumsum([g.m for g, _ in pairs]))
-    return [ratio_variance(r) for r in ratios[:-1]]
+    """:func:`relative_ratio_variance` of each graph with its configuration, all on one
+    manifold: each vector of :func:`ratio_vectors`, summed as it is alone."""
+    return [ratio_variance(r) for r in ratio_vectors(graphs, configs)]
 
 
 def scale_configuration(config: Configuration, alpha: float) -> Configuration:

@@ -19,6 +19,7 @@ value never exceeds the diameter. scipy loads when the first mesh is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 import warnings
@@ -56,39 +57,60 @@ class DisconnectedMesh(MeshError):
 # ---------------------------------------------------------------------------
 # Input checks shared by polylines, meshes and configuration paths. A path
 # container checks a stack of paths in one pass; one path is a stack of one.
+# A stack may raise for any faulty row; :func:`rows_alone` picks the first.
 # ---------------------------------------------------------------------------
 
-def path_params(params, points: np.ndarray, row: str, stop: int) -> np.ndarray:
+def rows_alone(lead: int):
+    """Decorate a stacked check so that a stack raises what its first faulty row raises alone.
+
+    The arguments after the first ``lead`` are rows (None allowed; an iterator becomes a list).
+    On a ValueError, if the rows share one length above 1, the undecorated check runs on each
+    one-row slice in order, and the first that fails raises; else, or if none fails, the
+    stack's own fault (params for another number of rows, two manifolds) is raised again."""
+    def decorate(check):
+        @functools.wraps(check)
+        def stacked(*args):
+            args = (*args[:lead], *(list(a) if hasattr(a, "__next__") else a for a in args[lead:]))
+            try:
+                return check(*args)
+            except ValueError as exc:
+                fault = exc
+            sizes = {len(a) if hasattr(a, "__len__") and getattr(a, "ndim", 1) else 0
+                     for a in args[lead:] if a is not None}
+            if len(sizes) == 1 and max(sizes) > 1:
+                for k in range(max(sizes)):     # a failing row raises here, unchained
+                    check(*args[:lead], *(a if a is None else a[k:k + 1] for a in args[lead:]))
+            raise fault
+        return stacked
+    return decorate
+
+
+def path_params(params: np.ndarray | None, points: np.ndarray, row: str) -> np.ndarray:
     """Parameters t_0 < ... < t_K of each path of a (P, K+1, d) stack of points,
     checked in one pass.
 
-    Uniform when ``params`` is None (one read-only array); otherwise one
-    finite value per row, t_0 = 0 and t_K = 1 within 1e-12, strictly
-    increasing. Consecutive rows must differ; ``row`` names them in the
-    message. The first faulty path before ``stop`` raises what it raises
-    alone. Params of the wrong length are a fault of every path, so the
-    first path's; params for another number of paths are the stack's.
+    Uniform when ``params`` is None (one read-only array); otherwise a
+    float array of one finite value per row, t_0 = 0 and t_K = 1 within
+    1e-12, strictly increasing. Consecutive rows must differ; ``row`` names
+    them in the message. A length fault names the shape of one path's
+    params, or of all params when they are for another number of paths.
     """
     count = points.shape[1]
-    t = (np.broadcast_to(np.linspace(0.0, 1.0, count), points.shape[:2]) if params is None
-         else number_array(params, "params"))
+    t = np.broadcast_to(np.linspace(0, 1, count), points.shape[:2]) if params is None else params
     if t.shape != points.shape[:2]:
         per_path = t.shape[:1] == points.shape[:1]      # else the stack's fault, not a path's
-        if stop or not per_path:
-            raise MeshError(f"params length must match the {count} {row}s, "
-                            f"got shape {t.shape[per_path:]}")
-        return t        # path 0 has a fault of its own, which comes first
+        raise MeshError(f"params length must match the {count} {row}s, "
+                        f"got shape {t.shape[per_path:]}")
     with np.errstate(invalid="ignore"):     # a non-finite t is refused as such
         faults = (~np.isfinite(t), (abs(t[:, :1]) > 1e-12) | (abs(t[:, -1:] - 1.0) > 1e-12),
                   np.diff(t) <= 0.0, np.all(points[:, 1:] == points[:, :-1], axis=-1))
-    bad = np.array([fault.any(axis=1) for fault in faults]).T[:stop]
-    if bad.any():       # the first faulty path, then its first fault
-        i, check = np.unravel_index(np.argmax(bad), bad.shape)
-        k = int(np.argmax(faults[check][i]))
-        raise MeshError((f"params must be finite, got params[{k}] = {t[i, k]}",
-                         "params must start at 0 and end at 1",
-                         "params must be strictly increasing",
-                         f"consecutive {row}s {k} and {k + 1} coincide")[check])
+    for check, fault in enumerate(faults):     # the first kind present is its path's first fault
+        if fault.any():
+            i, k = np.unravel_index(np.argmax(fault), fault.shape)
+            raise MeshError((f"params must be finite, got params[{k}] = {t[i, k]}",
+                             "params must start at 0 and end at 1",
+                             "params must be strictly increasing",
+                             f"consecutive {row}s {k} and {k + 1} coincide")[check])
     return t
 
 
@@ -147,22 +169,11 @@ def _entries(values, types: tuple, name: str, what: str):
 
 def number_array(values, name: str) -> np.ndarray:
     """``values`` as a float array; only Python and numpy numbers pass, not strings or bools."""
-    return np.asarray(_entries(values, (int, float, np.integer, np.floating), name, "numbers"),
-                      dtype=float)
-
-
-def stack_numbers(stack, manifold: ManifoldSpec, values, params, name: str):
-    """``values`` and ``params`` (None or one row per item) of a stack as float arrays. On
-    a non-number, ``stack`` first checks each item alone, so an earlier item's fault wins."""
+    numbers = _entries(values, (int, float, np.integer, np.floating), name, "numbers")
     try:
-        arr = number_array(values, name)
-        return arr, params if params is None else number_array(params, "params")
-    except MeshError:
-        rows = len(values) if hasattr(values, "__len__") else 0
-        if rows > 1 and (params is None or hasattr(params, "__len__") and len(params) == rows):
-            for k in range(rows):
-                stack(manifold, values[k:k + 1], *(() if params is None else (params[k:k + 1],)))
-        raise
+        return np.asarray(numbers, dtype=float)
+    except OverflowError:       # an int beyond the float range
+        raise MeshError(f"{name} hold a number that is too large for a float") from None
 
 
 def vertex_indices(values, nv: int, name: str, ndim: int = 1) -> np.ndarray:
@@ -222,6 +233,7 @@ class PolylinePath:
         self.samples, self.params = path.samples, path.params
 
     @classmethod
+    @rows_alone(2)
     def stack(cls, manifold: ManifoldSpec, samples, params=None) -> list[PolylinePath]:
         """The polylines of a (P, N, d) stack of samples, with None or (P, N) params.
 
@@ -230,20 +242,19 @@ class PolylinePath:
         sample outside ``manifold``, then too few samples, then its params
         or two equal consecutive samples.
         """
-        pts, params = stack_numbers(cls.stack, manifold, samples, params, "sample coordinates")
+        pts = number_array(samples, "sample coordinates")
+        t = params if params is None else number_array(params, "params")
         d = geometry.chart_dim(manifold)
         if pts.ndim != 3 or pts.shape[2] != d:
             raise MeshError(f"sample coordinates have shape {pts.shape}; "
                             f"{manifold.kind} needs (P, N, {d})")
         with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
             inside = geometry.validate_points(manifold, pts.reshape(-1, d)).reshape(pts.shape[:2])
-        ok = inside.all(axis=1) & (pts.shape[1] > 1)
-        j = len(ok) if ok.all() else int(np.argmin(ok))
-        t = path_params(params, pts, "sample", j)       # raises for a polyline before j
-        if j < len(pts):
-            chart_points(manifold, pts[j], "sample")    # raises for a sample outside manifold
+        if not inside.all():
+            chart_points(manifold, pts[np.argmin(inside.all(axis=1))], "sample")   # raises
+        if pts.shape[1] < 2:
             raise MeshError("a polyline needs at least 2 samples")
-        return checked_rows(cls, manifold, pts, t)
+        return checked_rows(cls, manifold, pts, path_params(t, pts, "sample"))
 
     @property
     def n_samples(self) -> int:

@@ -361,6 +361,26 @@ def test_graph_weight_beyond_float_range_names_its_edge(tmp_path, capsys, k3_fil
         f"error: {bad}: edges[1] weight is too large for a float\n")
 
 
+@pytest.mark.parametrize("argv, make, change, field", [
+    (["energy", "curve", "--path"], _polyline_doc, lambda d: _set(d, "samples", 1, 0, 10 ** 400),
+     "sample coordinates"),
+    (["energy", "curve", "--path"], _polyline_doc, lambda d: _set(d, "params", 1, 10 ** 400),
+     "params"),
+    (["config", "energy", "--path"], _config_doc,
+     lambda d: _set(d, "configs", 1, 0, 2, -10 ** 400), "coords"),
+    (["energy", "region", "--mesh"], _sphere_doc, lambda d: _set(d, "vertices", 5, 0, 10 ** 400),
+     "vertex coordinates"),
+])
+def test_integer_beyond_float_range_names_its_field(tmp_path, capsys, argv, make, change, field):
+    doc = make()
+    change(doc)
+    bad = tmp_path / "signal.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(argv + [str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: {field} hold a number that is too large for a float\n")
+
+
 def test_config_path_json_n_must_be_an_integer(tmp_path, capsys):
     doc = _config_doc()
     doc["n"] = 2.0

@@ -20,6 +20,7 @@ from sigman.configspace import (
     config_path_energy,
     random_config_path,
 )
+from sigman.energy import EnergyError
 from sigman.geometry import ChordObstructed, MembershipError
 from sigman.mesh import MeshError
 
@@ -328,6 +329,53 @@ def test_batch_paths_must_share_a_manifold():
     path = ConfigPath(R3, [[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]])
     with pytest.raises(ConfigError, match="^paths checked together must share one manifold$"):
         check_config_bounds([path, random_config_path(SHELL, 2, seed=1)])
+
+
+R2 = geometry.euclidean(2)
+# one R^2 path of each fault check_config_bounds refuses, all of one shape, so that they
+# are checked as one stack, and a valid path of that shape
+CONFIG_FAULTS = {
+    "overflow": ConfigPath(R2, [[[0, 0], [1, 0]], [[1e200, 1e200], [1, 1e200]]]),
+    "crossing": ConfigPath(R2, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]),
+    "valid": ConfigPath(R2, [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]),
+}
+
+
+def _bounds_refusal(path):
+    try:
+        check_config_bounds([path])
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_check_config_bounds_raises_in_input_order():
+    overflow, crossing = CONFIG_FAULTS["overflow"], CONFIG_FAULTS["crossing"]
+    with pytest.raises(EnergyError, match="^energies and bounds must be finite, got e1 = inf"):
+        check_config_bounds([overflow, crossing])
+    with pytest.raises(EnergyError, match="^energies and bounds must be finite, got e1 = inf"):
+        check_config_bounds(iter([overflow, crossing]))     # a generator is replayed too
+    with pytest.raises(CollisionError, match="^transition 0 -> 1: points 0 and 1 collide$"):
+        check_config_bounds([crossing, overflow])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(st.one_of(st.sampled_from(sorted(CONFIG_FAULTS)),
+                                st.tuples(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1),
+                                          st.integers(1, 3), st.booleans())),
+                      min_size=1, max_size=8))
+def test_stacked_config_bounds_raise_the_first_faulty_paths_message(cases):
+    # the first path refused alone, in input order, raises its own message, also when
+    # faulty and valid paths of several shapes come before or after it
+    paths = [CONFIG_FAULTS[case] if isinstance(case, str)
+             else random_config_path(R2, case[0], case[1], case[2], case[3]) for case in cases]
+    refused = next(filter(None, map(_bounds_refusal, paths)), None)
+    if refused is None:
+        assert check_config_bounds(paths) == [check_config_bounds([p])[0] for p in paths]
+    else:
+        with pytest.raises(ValueError) as info:
+            check_config_bounds(paths)
+        assert (type(info.value), str(info.value)) == refused
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,16 @@ def test_stacked_curve_energy_raises_the_first_faulty_paths_message(fault, posit
     assert _refusal(bad) is not None and _refusal(FAULTY[fault][1]) is None
 
 
+def test_a_generator_of_paths_raises_the_first_faulty_paths_message():
+    # the R2 stack, seen first, raises for the closed path; the overflow before it comes first
+    paths = [FAULTY["closed"][1], FAULTY["overflow"][0], FAULTY["closed"][0]]
+    with pytest.raises(EnergyError, match="^energies and bounds must be finite") as info:
+        curve_energy(path for path in paths)
+    assert info.value.__context__ is None
+    reports = curve_energy(path for path in paths[:1] * 2)
+    assert reports == curve_energy(paths[:1]) * 2
+
+
 def test_curve_energy_concatenation_additivity():
     rng = np.random.default_rng(37)
     pts = np.cumsum(rng.normal(size=(41, 3)), axis=0)

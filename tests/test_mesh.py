@@ -500,7 +500,8 @@ def test_containers_share_the_input_checks(monkeypatch):
         monkeypatch.setattr(mesh, name, spy)
 
     # one path is a stack of one: its samples take one validate_points call and one
-    # path_params pass, and chart_points only names the fault of a faulty row
+    # path_params pass, and chart_points only names the fault of a faulty row; a faulty
+    # stack of several rows then checks each row alone, in order, until one raises
     PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0]])
     assert calls == ["path_params"]
     calls.clear()
@@ -509,7 +510,7 @@ def test_containers_share_the_input_checks(monkeypatch):
     calls.clear()
     with pytest.raises(geometry.MembershipError, match="^sample 1 does not lie"):
         PolylinePath.stack(R2, [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [math.inf, 0.0]]])
-    assert calls == ["path_params", "chart_points"]
+    assert calls == ["chart_points", "path_params", "chart_points"]
     calls.clear()
     TriMesh(R2, SQUARE_VERTS, SQUARE_FACES, a=0, sources=[1])
     assert calls == ["chart_points", "vertex_indices", "vertex_indices", "vertex_indices"]
@@ -522,7 +523,67 @@ def test_containers_share_the_input_checks(monkeypatch):
     calls.clear()
     with pytest.raises(geometry.MembershipError, match="configuration 1: point 0"):
         configspace.ConfigPath(shell, [a, [[0.5, 0.0, 0.0], [0.0, 1.5, 0.0]]])
-    assert calls == ["path_params", "chart_points"]
+    assert calls == ["chart_points"]
+
+
+def test_rows_alone_raises_the_first_faulty_rows_own_exception():
+    calls = []
+
+    @mesh.rows_alone(1)
+    def check(tag, values, params=None):
+        """A toy stacked check that reports its last faulty row, not its first."""
+        calls.append(list(values))
+        if params is not None and len(params) != len(values):
+            raise ValueError(f"{tag}: params for another number of rows")
+        faulty = [v for v in values if v < 0]
+        if faulty:
+            raise ValueError(f"{tag}: row {faulty[-1]}")
+        if "type" in values:
+            raise TypeError(tag)
+        return list(values)
+
+    assert check.__name__ == "check" and check.__doc__.startswith("A toy stacked check")
+    assert check("t", [1, 2, 3]) == [1, 2, 3] and calls == [[1, 2, 3]]     # no replay
+    calls.clear()
+    # a generator is listed first, so its rows can be replayed one at a time
+    with pytest.raises(ValueError, match="^t: row -1$") as info:
+        check("t", (v for v in [1, -1, 2, -2]), None)
+    assert calls == [[1, -1, 2, -2], [1], [-1]]
+    assert info.value.__context__ is None and info.value.__cause__ is None
+    calls.clear()
+    # a fault of the stack, whose rows cannot be sliced alike, is re-raised as it is
+    with pytest.raises(ValueError, match="^t: params for another number of rows$"):
+        check("t", [1, -1], [0, 1, 2])
+    assert calls == [[1, -1]]
+    calls.clear()
+    with pytest.raises(ValueError, match="^t: row -1$"):    # one row: nothing to replay
+        check("t", [-1])
+    with pytest.raises(TypeError):      # only a ValueError is a refusal
+        check("t", [1, "type"])
+    assert calls == [[-1], [1, "type"]]
+
+
+def test_stack_level_faults_are_raised_unchanged():
+    from sigman import configspace, graphembed
+
+    # params for another number of rows, with every row valid alone
+    with pytest.raises(MeshError,
+                       match=r"^params length must match the 2 samples, got shape \(2, 2\)$"):
+        PolylinePath.stack(R2, [[[0.0, 0.0], [1.0, 0.0]]] * 3, [[0.0, 1.0]] * 2)
+    a, b = [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]], [[1.5, 0.0, 0.1], [0.0, 1.5, 0.1]]
+    shell = geometry.spherical_shell(1.0, 4.0)
+    with pytest.raises(MeshError, match=r"^params length must match the 2 configurations, "
+                                        r"got shape \(3, 2\)$"):
+        configspace.ConfigPath.stack(shell, [[a, b]] * 2, [[0.0, 1.0]] * 3)
+    # two manifolds (test_batch_paths_must_share_a_manifold has check_config_bounds's case)
+    k2 = graphembed.WeightedGraph(2, [(0, 1, 1.0)])
+    configs = [configspace.Configuration(R2, [[0.0, 0.0], [1.0, 0.0]]),
+               configspace.Configuration(R3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])]
+    with pytest.raises(graphembed.GraphError,
+                       match="^configurations scored together must share one manifold$"):
+        graphembed.ratio_vectors([k2, k2], configs)
+    with pytest.raises(ValueError, match="zip"):        # one graph short
+        graphembed.ratio_vectors([k2], configs)
 
 
 # ---------------------------------------------------------------------------
