@@ -101,7 +101,7 @@ class Configuration:
         self.points = self.stack(self.manifold, pts[None])[0].points
 
     @classmethod
-    @meshmod.rows_alone(2)
+    @meshmod.rows_alone(2, 3)
     def stack(cls, manifold: ManifoldSpec, points) -> list[Configuration]:
         """The configurations of a (P, n, d) stack of points, checked with one probe; the
         first faulty configuration raises what it raises alone."""
@@ -139,7 +139,7 @@ class ConfigPath:
         self.coords, self.params = path.coords, path.params
 
     @classmethod
-    @meshmod.rows_alone(2)
+    @meshmod.rows_alone(2, 4)
     def stack(cls, manifold: ManifoldSpec, coords, params=None) -> list[ConfigPath]:
         """The paths of a (P, K+1, n, d) stack of coordinates, with None or (P, K+1) params.
 
@@ -319,62 +319,49 @@ def _box_min_norm(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.clip(0.0, lo, hi), axis=-1)
 
 
-def random_config_path(
-    m: ManifoldSpec,
-    n: int,
-    seed,
-    steps: int = 8,
-    monotone: bool = False,
-) -> ConfigPath:
-    """Seeded random path in C_n(M) for M a shell or a euclidean space.
+def random_config_path(m: ManifoldSpec, n: int, rngs, steps: int = 8,
+                       monotone: bool = False) -> list[ConfigPath]:
+    """Seeded random paths in C_n(M), one per stream, for M a shell or a euclidean space.
 
-    Monotone mode draws per-particle endpoint pairs whose coordinate
-    bounding boxes lie inside M with margin and are pairwise separated,
-    then runs independent monotone staircases inside those boxes; that
-    construction makes the convex hull of the whole path collision-free
-    and inside C_n(M), so the lower-bound hypotheses verifiably hold.
-    Non-monotone mode is a random walk that redraws a step until every
-    pair keeps the collision margin; chords between steps are not probed,
-    so particles may cross or leave M there, and ``config_path_energy``
-    then refuses the path. The margin is far above COLLISION_EPS in both
-    modes. A walk is the one-row call of :func:`random_config_paths`.
+    Each entry of ``rngs`` is a Generator, used as is, or a seed for
+    ``np.random.default_rng``; each row draws as it would alone, and one
+    :meth:`ConfigPath.stack` checks all paths. Monotone mode draws, per
+    particle, endpoints whose bounding box lies inside M with margin, the
+    boxes pairwise separated (each round one test judges every row still
+    drawing; a row has _MAX_REJECTIONS rounds), then monotone staircases
+    in those boxes, so the hull of the path lies in C_n(M) and the
+    lower-bound hypotheses hold. Non-monotone mode is :func:`random_walks`,
+    whose chords are not probed: particles may cross or leave M there, and
+    ``config_path_energy`` then refuses the path. Both modes keep a margin
+    far above COLLISION_EPS.
     """
-    if not monotone:
-        return random_config_paths(m, [(n, seed, False)], steps)[0]
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(rng) for rng in rngs]
     separation, span, near, far = _scales(m, n)
+    if not monotone:
+        return ConfigPath.stack(m, random_walks(m, n, rngs, steps, 0.2 * span, separation))
     iu, ju = geometry.pair_index(n)
-    for _ in range(_MAX_REJECTIONS):
-        starts = _sample_config(m, n, rng)
-        stops = starts + rng.uniform(-span, span, size=starts.shape)
-        los = np.minimum(starts, stops)
-        his = np.maximum(starts, stops)
+    ends = np.empty((2, len(rngs), n, geometry.chart_dim(m)))     # starts and stops, per row
+    live = np.arange(len(rngs))
+    for _ in range(_MAX_REJECTIONS):        # a live row draws once a round, so rounds are draws
+        if not live.size:
+            break
+        for r in live:
+            ends[0, r] = _sample_config(m, n, rngs[r])
+            ends[1, r] = ends[0, r] + rngs[r].uniform(-span, span, size=ends.shape[2:])
+        los, his = np.minimum(*ends[:, live]), np.maximum(*ends[:, live])
         corner = np.linalg.norm(np.maximum(np.abs(los), np.abs(his)), axis=-1)
         # each box's nearest point and farthest corner lie in M, and the gap of boxes
         # i and j, the least norm of their difference box, is at least the separation
-        if (np.all((_box_min_norm(los, his) > near) & (corner < far))
-                and np.all(_box_min_norm(los[iu] - his[ju], his[iu] - los[ju]) >= separation)):
-            return ConfigPath(m, gaussmod.staircase(rng, starts, stops, steps))
-    raise SamplingExhausted("could not place separated particle boxes")
-
-
-def random_config_paths(m: ManifoldSpec, cases, steps: int = 8) -> list[ConfigPath]:
-    """:func:`random_config_path` of each ``(n, seed, monotone)`` case, in order.
-
-    The random walks of each particle count run as one :func:`random_walks`
-    stack and are checked as one :meth:`ConfigPath.stack`; monotone cases
-    are drawn one at a time.
-    """
-    cases = list(cases)
-    walks = {}
-    for n in sorted({n for n, _, monotone in cases if not monotone}):
-        separation, span = _scales(m, n)[:2]
-        rngs = [np.random.default_rng(seed) for k, seed, monotone in cases
-                if k == n and not monotone]
-        walks[n] = iter(ConfigPath.stack(
-            m, random_walks(m, n, rngs, steps, 0.2 * span, separation)))
-    return [random_config_path(m, n, seed, steps, True) if monotone
-            else next(walks[n]) for n, seed, monotone in cases]
+        ok = (np.all((_box_min_norm(los, his) > near) & (corner < far), axis=-1)
+              & np.all(_box_min_norm(los[:, iu] - his[:, ju], his[:, iu] - los[:, ju])
+                       >= separation, axis=-1))
+        live = live[~ok]
+    if live.size:
+        raise SamplingExhausted("could not place separated particle boxes")
+    weights = np.empty((steps, *ends.shape[1:]))
+    for r, rng in enumerate(rngs):
+        weights[:, r] = rng.exponential(size=(steps, *ends.shape[2:]))
+    return ConfigPath.stack(m, np.ascontiguousarray(gaussmod._climb(weights, *ends).swapaxes(0, 1)))
 
 
 def _scales(m: ManifoldSpec, n: int) -> tuple[float, float, float, float]:
@@ -398,13 +385,14 @@ def _sample_config(m: ManifoldSpec, n: int, rng: np.random.Generator) -> np.ndar
 
 def random_walks(m: ManifoldSpec, n: int, rngs, steps: int, scale: float,
                  separation: float) -> np.ndarray:
-    """(rows, steps + 1, n, d) random walks of n particles in m, one per stream, in lock step.
+    """(rows, steps + 1, n, d) random walks of n particles in m, one per Generator, in lock step.
 
     Each round, every unfinished row draws a start configuration, or a step
     of normal ``scale`` from its last one, projected into m. One k = 1
     :func:`hull_probe` judges all candidates; a row keeps its candidate when
     every pair is more than ``separation`` apart and a step moved. Each row
-    draws as it would alone, and has a budget of _MAX_REJECTIONS draws.
+    draws as it would alone, with a budget of _MAX_REJECTIONS draws; the
+    walks of :func:`random_config_path` and ``verify``'s shell curves use it.
     """
     # zeros, so that a start row's "last" configuration, the unfilled final one, is finite
     walks = np.zeros((len(rngs), max(steps + 1, 1), n, geometry.chart_dim(m)))

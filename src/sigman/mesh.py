@@ -60,13 +60,14 @@ class DisconnectedMesh(MeshError):
 # A stack may raise for any faulty row; :func:`rows_alone` picks the first.
 # ---------------------------------------------------------------------------
 
-def rows_alone(lead: int):
+def rows_alone(lead: int, ndim: int = 1):
     """Decorate a stacked check so that a stack raises what its first faulty row raises alone.
 
     The arguments after the first ``lead`` are rows (None allowed; an iterator becomes a list).
-    On a ValueError, if the rows share one length above 1, the undecorated check runs on each
-    one-row slice in order, and the first that fails raises; else, or if none fails, the
-    stack's own fault (params for another number of rows, two manifolds) is raised again."""
+    On a ValueError, if the rows share one length above 1 and the first row argument is a
+    stack (it has ``ndim`` axes; see ``_rank``), the undecorated check runs on each one-row
+    slice in order, and the first that fails raises; else, or if none fails, the stack's own
+    fault (a shape, params for another number of rows, two manifolds) is raised again."""
     def decorate(check):
         @functools.wraps(check)
         def stacked(*args):
@@ -77,12 +78,18 @@ def rows_alone(lead: int):
                 fault = exc
             sizes = {len(a) if hasattr(a, "__len__") and getattr(a, "ndim", 1) else 0
                      for a in args[lead:] if a is not None}
-            if len(sizes) == 1 and max(sizes) > 1:
+            if len(sizes) == 1 and max(sizes) > 1 and _rank(args[lead]) == ndim:
                 for k in range(max(sizes)):     # a failing row raises here, unchained
                     check(*args[:lead], *(a if a is None else a[k:k + 1] for a in args[lead:]))
             raise fault
         return stacked
     return decorate
+
+
+def _rank(rows) -> int:
+    """An array's ndim, or the depth of nested lists along their first entries."""
+    nested = isinstance(rows, (list, tuple))
+    return 1 + _rank(rows[0]) if nested and rows else getattr(rows, "ndim", int(nested))
 
 
 def path_params(params: np.ndarray | None, points: np.ndarray, row: str) -> np.ndarray:
@@ -233,7 +240,7 @@ class PolylinePath:
         self.samples, self.params = path.samples, path.params
 
     @classmethod
-    @rows_alone(2)
+    @rows_alone(2, 3)
     def stack(cls, manifold: ManifoldSpec, samples, params=None) -> list[PolylinePath]:
         """The polylines of a (P, N, d) stack of samples, with None or (P, N) params.
 

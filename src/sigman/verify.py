@@ -4,9 +4,10 @@ Each check runs a reproducible corpus and reports a passed/total count;
 `verify_all` aggregates them into the summary used by the CLI. Case i
 of a random corpus, check c, draws from its own stream
 ``np.random.default_rng([seed, c, i])`` (see :func:`_corpus`), so it
-replays alone. The curve, Gaussian, configuration and scale-invariance
-corpora validate and score their cases once per stack (per kind, n,
-particle count or (n, dim)), not once per case. The checks are
+replays alone. The curve, Gaussian and configuration corpora draw,
+validate and score their cases in lock step, one stack per kind, per n
+or per (particle count, mode), and the scale-invariance corpus scores
+its cases once per (n, dim), not once per case. The checks are
 deliberately redundant with the unit tests: they are the user-facing
 evidence that the inequalities hold on this installation.
 """
@@ -204,14 +205,17 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
 
     Every path is checked for the upper and per-particle bounds; the
     monotone half of the corpus (the even cases) must additionally pass
-    the hypothesis checks and the cubic lower bound. One
-    ``configspace.check_config_bounds`` call judges all the paths.
+    the hypothesis checks and the cubic lower bound. The cases of each
+    particle count and mode are one ``configspace.random_config_path``
+    stack, and one ``configspace.check_config_bounds`` call judges them.
     """
     shell = geometry.spherical_shell(1.0, 4.0)
 
     def judge(rngs):
-        paths = configspace.random_config_paths(
-            shell, [((2, 3, 5)[i % 3], rng, i % 2 == 0) for i, rng in enumerate(rngs)], steps=8)
+        paths = [None] * len(rngs)
+        for k in range(6):
+            paths[k::6] = configspace.random_config_path(shell, (2, 3, 5)[k % 3], rngs[k::6],
+                                                         steps=8, monotone=k % 2 == 0)
         return [
             report.upper1_ok and report.upper2_ok and report.components_ok
             and (i % 2 == 1 or report.monotone_ok and report.hull_ok and bool(report.lower_ok))

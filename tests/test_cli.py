@@ -108,7 +108,7 @@ def test_gaussian_bound_command(tmp_path):
 
 def test_config_commands(tmp_path):
     shell = geometry.spherical_shell(1.0, 4.0)
-    path = configspace.random_config_path(shell, 3, seed=5, steps=6, monotone=True)
+    path = configspace.random_config_path(shell, 3, [5], steps=6, monotone=True)[0]
     path_file = tmp_path / "cpath.json"
     path_file.write_text(json.dumps(configspace.config_path_to_json(path)))
 
@@ -269,7 +269,7 @@ def _polyline_doc():
 def _config_doc():
     shell = geometry.spherical_shell(1.0, 4.0)
     return configspace.config_path_to_json(
-        configspace.random_config_path(shell, 2, seed=5, steps=2))
+        configspace.random_config_path(shell, 2, [5], steps=2)[0])
 
 
 # two particles in R^2, 1e200 apart, whose chords overflow
@@ -669,7 +669,7 @@ with open(d + "/r2.json", "w") as fh:
 shell = geometry.spherical_shell(1.0, 4.0)
 with open(d + "/path.json", "w") as fh:     # its whole-path hulls have 5 points
     json.dump(configspace.config_path_to_json(
-        configspace.random_config_path(shell, 3, seed=5, steps=4, monotone=True)), fh)
+        configspace.random_config_path(shell, 3, [5], steps=4, monotone=True)[0]), fh)
 with open(d + "/curve.json", "w") as fh:
     json.dump(mesh.polyline_to_json(
         mesh.PolylinePath(geometry.euclidean(2), [[0, 0], [1, 0], [1, 1]])), fh)
@@ -723,7 +723,7 @@ def test_unconfirmed_check_exits_1(tmp_path, capsys):
     # a zigzag path fails the monotonicity hypothesis, so asking for the
     # lower-bound check alone cannot be confirmed and exits 1
     shell = geometry.spherical_shell(1.0, 4.0)
-    path = configspace.random_config_path(shell, 2, seed=31, steps=8, monotone=False)
+    path = configspace.random_config_path(shell, 2, [31], steps=8, monotone=False)[0]
     flat_mono = all(
         bool(u or d)
         for u, d in zip(

@@ -153,7 +153,7 @@ def test_transition_membership_rejected():
 
 
 def test_permuting_particles_permutes_components():
-    path = random_config_path(SHELL, 3, seed=71, steps=6)
+    path = random_config_path(SHELL, 3, [71], steps=6)[0]
     rep = config_path_energy(path)
     comp = [component_energies(path, j) for j in range(3)]
     perm = [2, 0, 1]
@@ -230,7 +230,7 @@ def test_one_configuration_hull_is_membership_and_pair_norms(case, seed, n, lead
 # ---------------------------------------------------------------------------
 
 def test_check_config_bounds_random_monotone_path():
-    path = random_config_path(SHELL, 3, seed=73, steps=8, monotone=True)
+    path = random_config_path(SHELL, 3, [73], steps=8, monotone=True)[0]
     rep = check_config_bounds([path])[0]
     assert rep.upper1_ok and rep.upper2_ok
     assert rep.components_ok
@@ -239,7 +239,7 @@ def test_check_config_bounds_random_monotone_path():
 
 
 def test_check_config_bounds_nonmonotone_skips_lower():
-    path = random_config_path(SHELL, 2, seed=79, steps=8, monotone=False)
+    path = random_config_path(SHELL, 2, [79], steps=8, monotone=False)[0]
     rep = check_config_bounds([path])[0]
     assert rep.upper1_ok and rep.upper2_ok and rep.components_ok
     if not (rep.monotone_ok and rep.hull_ok):
@@ -269,7 +269,7 @@ def test_hull_of_random_euclidean_path_collides():
 
 
 def test_check_config_bounds_component_dominance():
-    path = random_config_path(SHELL, 5, seed=83, steps=8)
+    path = random_config_path(SHELL, 5, [83], steps=8)[0]
     rep = check_config_bounds([path])[0]
     for e1j, e2j in zip(rep.component_e1, rep.component_e2):
         assert rep.e1 >= e1j - 1e-12
@@ -288,7 +288,7 @@ def test_single_mover_component_equality():
 
 def _mixed_batch():
     # shell paths of three particle counts and three lengths (K >= 8 sums pairwise), both modes
-    return [random_config_path(SHELL, n, seed=seed, steps=steps, monotone=monotone)
+    return [random_config_path(SHELL, n, [seed], steps=steps, monotone=monotone)[0]
             for seed, (n, steps, monotone) in enumerate(
                 [(2, 8, True), (3, 3, False), (5, 8, True), (2, 12, False), (3, 8, True),
                  (5, 3, False), (2, 8, False), (3, 12, True), (5, 8, False)])]
@@ -328,7 +328,7 @@ def test_batch_with_a_crossing_raises_for_the_first_failing_path():
 def test_batch_paths_must_share_a_manifold():
     path = ConfigPath(R3, [[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]])
     with pytest.raises(ConfigError, match="^paths checked together must share one manifold$"):
-        check_config_bounds([path, random_config_path(SHELL, 2, seed=1)])
+        check_config_bounds([path, random_config_path(SHELL, 2, [1])[0]])
 
 
 R2 = geometry.euclidean(2)
@@ -368,7 +368,7 @@ def test_stacked_config_bounds_raise_the_first_faulty_paths_message(cases):
     # the first path refused alone, in input order, raises its own message, also when
     # faulty and valid paths of several shapes come before or after it
     paths = [CONFIG_FAULTS[case] if isinstance(case, str)
-             else random_config_path(R2, case[0], case[1], case[2], case[3]) for case in cases]
+             else random_config_path(R2, case[0], [case[1]], case[2], case[3])[0] for case in cases]
     refused = next(filter(None, map(_bounds_refusal, paths)), None)
     if refused is None:
         assert check_config_bounds(paths) == [check_config_bounds([p])[0] for p in paths]
@@ -383,13 +383,13 @@ def test_stacked_config_bounds_raise_the_first_faulty_paths_message(cases):
 # ---------------------------------------------------------------------------
 
 def test_random_config_path_deterministic():
-    a = random_config_path(SHELL, 3, seed=89, steps=7)
-    b = random_config_path(SHELL, 3, seed=89, steps=7)
+    a = random_config_path(SHELL, 3, [89], steps=7)[0]
+    b = random_config_path(SHELL, 3, [89], steps=7)[0]
     assert np.array_equal(a.coords, b.coords)
 
 
 def test_random_config_path_monotone_mode():
-    path = random_config_path(SHELL, 2, seed=97, steps=9, monotone=True)
+    path = random_config_path(SHELL, 2, [97], steps=9, monotone=True)[0]
     flat = path.flattened()
     diffs = np.diff(flat, axis=0)
     up = np.all(diffs >= -1e-12, axis=0)
@@ -398,19 +398,19 @@ def test_random_config_path_monotone_mode():
 
 
 def test_random_config_path_shell_membership():
-    path = random_config_path(SHELL, 5, seed=101, steps=8)
+    path = random_config_path(SHELL, 5, [101], steps=8)[0]
     pts = path.coords.reshape(-1, 3)
     assert geometry.validate_points(SHELL, pts).all()
 
 
 def test_random_config_path_collision_margin():
-    path = random_config_path(SHELL, 3, seed=103, steps=8)
+    path = random_config_path(SHELL, 3, [103], steps=8)[0]
     _, gap_sq = configspace.hull_probe(SHELL, path.coords[:, None])
     assert gap_sq.min() > (10.0 * COLLISION_EPS) ** 2
 
 
 def test_random_config_path_euclidean_mode():
-    path = random_config_path(R3, 2, seed=107, steps=6, monotone=True)
+    path = random_config_path(R3, 2, [107], steps=6, monotone=True)[0]
     assert path.coords.shape[1:] == (2, 3)
 
 
@@ -421,7 +421,7 @@ def test_config_path_endpoints_must_differ():
 
 
 def test_config_path_json_round_trip():
-    path = random_config_path(SHELL, 2, seed=109, steps=5)
+    path = random_config_path(SHELL, 2, [109], steps=5)[0]
     back = configspace.config_path_from_json(configspace.config_path_to_json(path))
     assert np.allclose(back.coords, path.coords)
     assert back.manifold == path.manifold
@@ -431,7 +431,29 @@ def test_sampling_exhausted_raised(monkeypatch):
     # 60 particles at pairwise gap 0.1 cannot fit in [-1, 1]
     monkeypatch.setattr(configspace, "_MAX_REJECTIONS", 50)
     with pytest.raises(configspace.SamplingExhausted):
-        random_config_path(geometry.euclidean(1), 60, seed=1, steps=3)
+        random_config_path(geometry.euclidean(1), 60, [1], steps=3)
+
+
+@pytest.mark.parametrize("coords", [np.zeros((3, 2, 2)), np.zeros((3, 2, 2)).tolist()])
+def test_config_stack_of_one_path_quotes_its_whole_shape(coords):
+    # one path's (3, 2, 2) coordinates are not a stack of paths, so no slice is replayed
+    with pytest.raises(ConfigError, match=r"^coords must have shape \(P, steps\+1, n >= 2, 2\), "
+                                          r"got \(3, 2, 2\)$"):
+        ConfigPath.stack(R2, coords)
+
+
+def test_monotone_sampling_exhausted_raised(monkeypatch):
+    # nor can 60 separated boxes; every row of the batch has its 50 rounds
+    monkeypatch.setattr(configspace, "_MAX_REJECTIONS", 50)
+    with pytest.raises(configspace.SamplingExhausted,
+                       match="^could not place separated particle boxes$"):
+        random_config_path(geometry.euclidean(1), 60, [1, 2], steps=3, monotone=True)
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_random_config_path_of_no_streams_is_empty(monotone):
+    assert random_config_path(SHELL, 3, [], steps=4, monotone=monotone) == []
+    assert random_config_path(R2, 2, iter([]), monotone=monotone) == []
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +474,7 @@ def test_config_path_construction_probes_once(monkeypatch):
 
     probe = configspace.hull_probe
     monkeypatch.setattr(configspace, "hull_probe", counting_probe)
-    path = random_config_path(SHELL, 3, seed=5, steps=6, monotone=True)
+    path = random_config_path(SHELL, 3, [5], steps=6, monotone=True)[0]
     calls.clear()
     ConfigPath(SHELL, path.coords, path.params)
     count, n, d = path.coords.shape
@@ -462,7 +484,7 @@ def test_config_path_construction_probes_once(monkeypatch):
 def test_config_path_energy_matches_the_product_polyline(monkeypatch):
     from sigman import energy, mesh
 
-    path = random_config_path(SHELL, 3, seed=71, steps=6)
+    path = random_config_path(SHELL, 3, [71], steps=6)[0]
     product = geometry.product_manifold([SHELL] * 3)
     want = energy.curve_energy([
         mesh.PolylinePath(product, path.flattened(), path.params)])[0]
@@ -534,7 +556,7 @@ def test_config_path_consecutive_configurations_differ():
                        max_size=3))
 def test_config_stack_refuses_what_its_first_faulty_path_refuses_alone(
         seeds, n, steps, with_params, faults):
-    walks = configspace.random_config_paths(SHELL, [(n, s, False) for s in seeds], steps)
+    walks = random_config_path(SHELL, n, seeds, steps)
     coords = np.stack([path.coords for path in walks])
     uniform = np.tile(np.linspace(0.0, 1.0, steps + 1), (len(seeds), 1))
     params = uniform.copy() if with_params else None

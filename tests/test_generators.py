@@ -4,9 +4,9 @@ The three monotone generators share one staircase helper; these digests
 were recorded before they did, so any change to the order in which the
 helper draws from the generator shows here. The configuration corpus
 and random-walk pins guard the rejection tests of ``random_config_path``,
-and the curve corpus pin the shell walks of ``random_polyline``. Both
-walks run many rows in lock step; a one-row call must replay its row of
-any batch.
+whose walks and monotone boxes draw every stream in lock step, and the
+curve corpus pin the shell walks of ``random_polyline``. A one-stream
+call must replay its row of any batch, bit for bit.
 """
 
 import hashlib
@@ -45,8 +45,8 @@ def test_monotone_param_path_pinned():
 
 
 def test_monotone_config_path_pinned():
-    path = configspace.random_config_path(geometry.euclidean(2), 2, seed=2027, steps=4,
-                                          monotone=True)
+    path = configspace.random_config_path(geometry.euclidean(2), 2, [2027], steps=4,
+                                          monotone=True)[0]
     assert path.coords.shape == (5, 2, 2)
     assert path.coords[2, 1].tolist() == [-0.7805500748115106, 0.09257477776468698]
     assert digest(path.coords) == (
@@ -92,8 +92,8 @@ def test_full_config_corpus_pinned(monkeypatch):
 
     monkeypatch.setattr(configspace, "check_config_bounds", recording_check)
     assert verify.check_config_bounds(42).passed == 1000
-    coords += [configspace.random_config_path(geometry.euclidean(dim), 3, seed=s,
-                                              monotone=s % 2 == 0).coords
+    coords += [configspace.random_config_path(geometry.euclidean(dim), 3, [s],
+                                              monotone=s % 2 == 0)[0].coords
                for s in range(200) for dim in (1, 2, 3)]
     assert digest(np.concatenate([c.ravel() for c in coords])) == (
         "d5a6bb6a68e260b9c387fdd0217c5fdf7d187ed84e28392879bcada57c42817f")
@@ -161,7 +161,7 @@ def test_full_gaussian_corpus_pinned(monkeypatch):
 
 
 def test_euclidean_random_walk_pinned():
-    path = configspace.random_config_path(geometry.euclidean(2), 3, seed=11, steps=6)
+    path = configspace.random_config_path(geometry.euclidean(2), 3, [11], steps=6)[0]
     assert path.coords.shape == (7, 3, 2)
     assert path.coords[3, 1].tolist() == [0.12258814040423802, -1.4063976863133782]
     assert digest(path.coords) == (
@@ -172,16 +172,18 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @settings(max_examples=25, deadline=None)
-@given(cases=st.lists(st.tuples(st.sampled_from([2, 3, 5]), SEEDS, st.booleans()),
-                      min_size=1, max_size=7),
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=7), n=st.sampled_from([2, 3, 5]),
        steps=st.integers(1, 10), dim=st.sampled_from([0, 1, 2, 3]))
-def test_lock_step_config_walk_rows_replay_alone(cases, steps, dim):
+def test_lock_step_config_walk_rows_replay_alone(seeds, n, steps, dim):
+    # walks and monotone paths on the shell (dim 0) or R^dim; even rows pass a Generator
     m = geometry.euclidean(dim) if dim else geometry.spherical_shell(1.0, 4.0)
-    batch = configspace.random_config_paths(m, cases, steps)
-    for (n, seed, monotone), path in zip(cases, batch, strict=True):
-        alone = configspace.random_config_path(m, n, seed, steps, monotone)
-        assert path.coords.tobytes() == alone.coords.tobytes()
-        assert path.coords.shape == (steps + 1, n, geometry.chart_dim(m))
+    for monotone in (False, True):
+        streams = [np.random.default_rng(s) if i % 2 == 0 else s for i, s in enumerate(seeds)]
+        batch = configspace.random_config_path(m, n, streams, steps, monotone)
+        for seed, path in zip(seeds, batch, strict=True):
+            alone, = configspace.random_config_path(m, n, [seed], steps, monotone)
+            assert path.coords.tobytes() == alone.coords.tobytes()
+            assert path.coords.shape == (steps + 1, n, geometry.chart_dim(m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,8 +224,9 @@ def test_generated_stacks_equal_their_one_row_twins():
         assert path.params.tobytes() == twin.params.tobytes()
         assert path.n_samples == twin.n_samples
         assert not path.params.flags.writeable
-    walks = configspace.random_config_paths(geometry.spherical_shell(1.0, 4.0),
-                                            [(3, s, False) for s in range(4)], 5)
+    shell = geometry.spherical_shell(1.0, 4.0)
+    walks = (configspace.random_config_path(shell, 3, range(4), 5)
+             + configspace.random_config_path(shell, 3, range(4, 8), 5, monotone=True))
     for path in walks:
         twin = configspace.ConfigPath(path.manifold, path.coords.copy())
         assert path.coords.tobytes() == twin.coords.tobytes()

@@ -586,6 +586,14 @@ def test_stack_level_faults_are_raised_unchanged():
         graphembed.ratio_vectors([k2], configs)
 
 
+@pytest.mark.parametrize("samples", [np.zeros((5, 2)), np.zeros((5, 2)).tolist()])
+def test_polyline_stack_of_one_path_quotes_its_whole_shape(samples):
+    # one path's (5, 2) samples are not a stack of paths, so no one-row slice is replayed
+    with pytest.raises(MeshError, match=r"^sample coordinates have shape \(5, 2\); "
+                                        r"euclidean needs \(P, N, 2\)$"):
+        PolylinePath.stack(R2, samples)
+
+
 # ---------------------------------------------------------------------------
 # Crossing graph
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ DOCUMENTS = {
             geometry.spherical_shell(1.0, 4.0), [[1.5, 0.0, 0.0], [1.0, 1.0, 0.0]])),
     ],
     "config": [configspace.config_path_to_json(
-        configspace.random_config_path(geometry.spherical_shell(1.0, 4.0), 2, seed=3, steps=3))],
+        configspace.random_config_path(geometry.spherical_shell(1.0, 4.0), 2, [3], steps=3)[0])],
     "graph": [graphembed.graph_to_json(
         graphembed.WeightedGraph(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.5)]))],
 }

@@ -15,7 +15,7 @@ CORPORA = [
     # one call for the 1-D cases (the even ones), then one for the 2-D cases
     (verify.check_gaussian_lower_bounds, 2, verify.gaussian, "random_monotone_param_path",
      [0, 2, 1, 3]),
-    (verify.check_config_bounds, 3, verify.configspace, "random_config_paths", [0, 1, 2, 3]),
+    (verify.check_config_bounds, 3, verify.configspace, "random_config_path", [0, 1, 2, 3]),
     (verify.check_scale_invariance, 5, verify, "_random_scale_case", [0, 1, 2, 3]),
     (verify.check_function_identities, 6, verify.SmoothMonotone, "draw", [0, 1, 2, 3]),
 ]
