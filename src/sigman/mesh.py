@@ -329,7 +329,7 @@ class TriMesh:
     of the source submanifold for distance fields. Every vertex must lie
     in the manifold, every index (faces, a, b, sources) must be an
     integer in range, every edge must border at most two faces, and the
-    edge graph must be connected and free of zero-length edges.
+    edge graph must be connected, with every squared edge length normal.
 
     Construction builds the topology once: the unique (lo, hi) ``edges``,
     their chord ``edge_lengths``, and ``side_edge``, the edge of each
@@ -371,12 +371,12 @@ class TriMesh:
             side_len = np.linalg.norm(v[f.T.ravel()] - v[ends.T.ravel()], axis=1)
         self.edge_lengths = np.empty(len(self.edges))
         self.edge_lengths[self.side_edge] = side_len   # both sides of an edge agree bitwise
-        i, j = self.edges[self.edge_lengths == 0.0].T
+        i, j = self.edges[self.edge_lengths < np.sqrt(np.finfo(float).tiny)].T   # subnormal squares
         if np.all(v[i] == v[j], axis=1).any():
             raise MeshError("mesh contains a zero-length edge")
         if i.size:
             raise MeshError(f"vertices {i[0]} and {j[0]} are distinct, but the squared "
-                            "length of their edge underflows to 0")
+                            "length of their edge underflows")
         if not np.all(np.isfinite(self.edge_lengths)):
             raise MeshError("mesh contains an edge whose length overflows")
         from scipy.sparse.csgraph import connected_components
@@ -419,14 +419,6 @@ def _pairs_to_csr(nv, i, j, w) -> csr_matrix:
 # Crossing graph (mesh edges + unfolded-strip shortcuts)
 # ---------------------------------------------------------------------------
 
-def _dedup_min(nv, i, j, w):
-    key = _pair_keys(nv, i, j)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return *np.divmod(key[first], nv), np.minimum.reduceat(w[order], first)
-
-
 def _strip_step(state, apex, sq_a, sq_b, next_a, next_b, last: bool):
     """Unfold the next face of every strip in ``state``: the shortcuts it
     sees, and the strips that go on through its two other sides (None when ``last``).
@@ -451,7 +443,7 @@ def _strip_step(state, apex, sq_a, sq_b, next_a, next_b, last: bool):
     cy = pay + x * ey + sq * ex
     ap = apex[q]
     right, left = rx * cy - ry * cx > 0.0, cx * ly - cy * lx > 0.0     # c inside r, inside l
-    seen = np.flatnonzero(right & left & (ap != w0))
+    seen = right & left & (ap != w0)
     shortcuts = (w0[seen], ap[seen], np.sqrt(cx[seen] ** 2 + cy[seen] ** 2))
     if last:
         return shortcuts, None
@@ -460,24 +452,15 @@ def _strip_step(state, apex, sq_a, sq_b, next_a, next_b, last: bool):
     # the whole cone then passes right of c. Child (c, b) mirrors it.
     rnx, rny = np.where(right, cx, rx), np.where(right, cy, ry)
     lnx, lny = np.where(left, cx, lx), np.where(left, cy, ly)
-    lives_a = np.flatnonzero((next_a[q] >= 0) & (left | ~right))
-    lives_b = np.flatnonzero((next_b[q] >= 0) & (right | ~left))
+    qa, qb = next_a[q], next_b[q]
+    lives_a, lives_b = (qa >= 0) & (left | ~right), (qb >= 0) & (right | ~left)
     return shortcuts, [np.concatenate((a[lives_a], b[lives_b])) for a, b in zip(
-        (w0, next_a[q], pax, pay, cx, cy, rnx, rny, lx, ly),
-        (w0, next_b[q], cx, cy, pbx, pby, rx, ry, lnx, lny))]
+        (w0, qa, pax, pay, cx, cy, rnx, rny, lx, ly),
+        (w0, qb, cx, cy, pbx, pby, rx, ry, lnx, lny))]
 
 
-def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
-    """Mesh edges plus shortcuts through unfolded face strips.
-
-    Strips of up to STRIP_LIMIT faces are unfolded isometrically into
-    the plane; the strip's seed vertex is connected to a later face's
-    apex whenever the straight planar segment between them crosses every
-    shared edge (portal) of the strip. Crossing all portals means the
-    segment stays inside the unfolded strip (triangles are convex), so
-    each shortcut realizes an actual path on the surface. Visibility is
-    tracked per strip as a direction cone; a chain of faces dies as soon
-    as its cone closes, which keeps the enumeration near-linear.
+def _walk_tables(mesh: TriMesh):
+    """The portal tables of the strip walk, and its seed strips' ten columns.
 
     The walk runs on half-edges h = side * n_f + face, where side 0 runs
     from faces[:, 0] to faces[:, 1], side 1 from 1 to 2 and side 2 from
@@ -489,9 +472,7 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     face's apex, the squared lengths from a and from b to it, and the
     codes of the two child portals (a, apex) and (apex, b) as seen from
     their far faces, so one depth of all strips is a few table lookups
-    plus the planar arithmetic. Strips advance one depth at a time,
-    SEED_BLOCK seeds' strips together, in ten flat columns; each keeps
-    its seed's orientation, so no column says where its next face lies.
+    plus the planar arithmetic (see _strip_step).
     """
     faces, inverse, n_f = mesh.faces, mesh.side_edge, mesh.n_faces
     n_h = 3 * n_f
@@ -524,15 +505,42 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     live = np.flatnonzero((across[code] >= 0) & (pbx * pay - pby * pax > 0.0))  # r = b, l = a
     seeds = [c[live] for c in (tables[0][code], across[code], pax, pay, pbx, pby, pbx, pby,
                                pax, pay)]
+    return tables, seeds
 
-    found = [(mesh.edges[:, 0], mesh.edges[:, 1], mesh.edge_lengths)]
-    for lo in range(0, len(live), SEED_BLOCK):
+
+def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
+    """Mesh edges plus shortcuts through unfolded face strips.
+
+    Strips of up to STRIP_LIMIT faces are unfolded isometrically into
+    the plane; the strip's seed vertex is connected to a later face's
+    apex whenever the straight planar segment between them crosses every
+    shared edge (portal) of the strip. Crossing all portals means the
+    segment stays inside the unfolded strip (triangles are convex), so
+    each shortcut realizes an actual path on the surface. Visibility is
+    tracked per strip as a direction cone; a chain of faces dies as soon
+    as its cone closes, which keeps the enumeration near-linear.
+
+    Strips advance one depth at a time, SEED_BLOCK seeds' strips together,
+    in ten flat columns (see _walk_tables), each in its seed's orientation.
+    The walk keeps one int64 pair key and one weight per shortcut, and
+    its tables are freed before the merge to each pair's least weight.
+    """
+    nv = mesh.n_vertices
+    tables, seeds = _walk_tables(mesh)
+    found = [(_pair_keys(nv, *mesh.edges.T), mesh.edge_lengths)]
+    for lo in range(0, len(seeds[0]), SEED_BLOCK):
         state = [col[lo:lo + SEED_BLOCK] for col in seeds]
         for depth in range(1, STRIP_LIMIT):
-            shortcuts, state = _strip_step(state, *tables, last=depth == STRIP_LIMIT - 1)
-            found.append(shortcuts)
-    i, j, w = (np.concatenate(cols) for cols in zip(*found))
-    return _pairs_to_csr(mesh.n_vertices, *_dedup_min(mesh.n_vertices, i, j, w))
+            (i, j, w), state = _strip_step(state, *tables, last=depth == STRIP_LIMIT - 1)
+            found.append((_pair_keys(nv, i, j), w))
+    del tables, seeds
+    key, w = (np.concatenate(cols) for cols in zip(*found))
+    del found
+    order = np.argsort(key, kind="stable")
+    key, w = key[order], w[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    key, w = key[first], np.minimum.reduceat(w, first)
+    return _pairs_to_csr(nv, *np.divmod(key, nv), w)
 
 
 def dijkstra(graph, **kwargs) -> np.ndarray:

@@ -532,10 +532,10 @@ def test_huge_mesh_coordinates_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("vertices, message", [
     ([[0, 0], [1, 0], [1, 0]], "mesh contains a zero-length edge"),
     ([[0, 0], [1e-200, 0], [0, 1e-200]],
-     "vertices 0 and 1 are distinct, but the squared length of their edge underflows to 0"),
+     "vertices 0 and 1 are distinct, but the squared length of their edge underflows"),
 ], ids=["coincident", "underflow"])
 def test_zero_length_mesh_edge_exits_2(tmp_path, capsys, vertices, message):
-    # the crossing graph squares edge lengths, so an edge whose square is 0 is refused
+    # the crossing graph squares edge lengths, so an edge whose square underflows is refused
     doc = {"manifold": {"kind": "euclidean", "dim": 2}, "vertices": vertices,
            "faces": [[0, 1, 2]], "sources": [0]}
     bad = tmp_path / "mesh.json"

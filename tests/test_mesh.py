@@ -738,6 +738,36 @@ def test_pairs_to_csr_matches_the_two_way_coo_build(make):
     assert (got != got.T).nnz == 0
 
 
+@pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere])
+def test_crossing_graph_does_not_depend_on_the_seed_block(monkeypatch, make):
+    # a pair found from strips of several blocks is merged to one entry, its least weight
+    m = euclidean_mesh(*make())
+    want = mesh.strip_shortcut_graph(m)
+    monkeypatch.setattr(mesh, "SEED_BLOCK", 7)
+    got = mesh.strip_shortcut_graph(m)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_crossing_graph_working_memory_follows_the_graph():
+    # one key and one weight per shortcut, and the walk's tables freed before the merge
+    import tracemalloc
+    grid = triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, 0.01)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        graph = mesh.strip_shortcut_graph(grid)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    csr = graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes
+    assert peak <= 6 * csr
+
+
 def collapse(vertices, faces, picks):
     """``vertices`` with the second vertex of each picked face moved to the
     midpoint of its other two, so that face has zero area."""
@@ -784,6 +814,21 @@ def test_non_manifold_edge_is_refused():
         TriMesh(R2, NON_MANIFOLD["vertices"], NON_MANIFOLD["faces"], sources=[2])
     with pytest.raises(MeshError, match=message):
         mesh.mesh_from_json({"manifold": geometry.manifold_to_json(R2), **NON_MANIFOLD})
+
+
+def test_edge_with_a_subnormal_square_is_refused():
+    # the 0.25 grid scaled by 1e-160 has edges of 2.5e-161 whose squares are
+    # subnormal, so their lengths would come out inexact (2.5049e-161)
+    grid = triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.25)
+    with pytest.raises(MeshError, match=r"^vertices 0 and 1 are distinct, but the squared "
+                                        r"length of their edge underflows$"):
+        TriMesh(R2, grid.vertices * 1e-160, grid.faces)
+    # an edge of 2 ** -511 has the smallest normal square, 2 ** -1022; one a step shorter does not
+    edge = 2.0 ** -511
+    smallest = TriMesh(R2, [[0.0, 0.0], [edge, 0.0], [0.0, edge]], [[0, 1, 2]])
+    assert smallest.edge_lengths.min() == edge
+    with pytest.raises(MeshError, match="underflows$"):
+        TriMesh(R2, [[0.0, 0.0], [np.nextafter(edge, 0.0), 0.0], [0.0, edge]], [[0, 1, 2]])
 
 
 @pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere])
