@@ -173,7 +173,7 @@ def _cmd_energy(args, started: float) -> tuple[dict, int]:
     if args.subcommand == "region":
         grid = _read(args.mesh, mesh.mesh_from_json)
         with _blame(args.mesh):
-            report = energy.region_energy(energy.SignalRegion(grid))
+            report = energy.region_energy(grid)
         return _energy_report("energy region", args, {args.mesh: _digest(args.mesh)},
                               report, started)
     report = energy.region_energy(energy.rectangle_region(args.grid))

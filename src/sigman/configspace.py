@@ -189,18 +189,12 @@ def _track_lengths(coords: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(coords, axis=-3), axis=-1).swapaxes(-1, -2)
 
 
-def _chords(path: ConfigPath) -> np.ndarray:
-    """Product chord lengths of the path's segments, after an exact probe of each transition."""
-    _refuse(path.manifold, _transitions(path.coords))
-    return _chord_lengths(path.coords)
-
-
 def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
-    """Product-metric curve energies of the path, with rho^2/rho^3 bounds."""
-    with np.errstate(over="ignore"):    # an overflow is inf, which length_report refuses
-        sums = energymod.segment_sums(_chords(path))
-    return energymod.length_report(*map(float, sums),
-                                   {"n_samples": len(path.coords), "n_particles": path.n})
+    """Product-metric curve energies of the path, with rho^2/rho^3 bounds: the energy part of
+    ``check_config_bounds([path])``, so the two refuse the same paths alike."""
+    r = check_config_bounds([path])[0]
+    return energymod.EnergyReport(r.e1, r.e2, r.bound1, r.bound2, r.upper1_ok, r.upper2_ok,
+                                  {"n_samples": len(path.coords), "n_particles": path.n})
 
 
 def component_energies(path: ConfigPath, j: int) -> tuple[float, float]:
@@ -265,7 +259,7 @@ def check_config_bounds(paths) -> list[ConfigBoundReport]:
     for idx, coords in stacks:
         ok = _verdicts(m, _transitions(coords))[2].all(axis=1)
         if not ok.all():
-            _chords(paths[idx[np.argmin(ok)]])      # raises with that path's fault
+            _refuse(m, _transitions(paths[idx[np.argmin(ok)]].coords))    # raises its fault
     rows = {i: row for idx, coords in stacks for i, row in zip(idx, _bound_rows(m, coords))}
     return [_bound_report(*rows[i]) for i in range(len(paths))]
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from . import mesh as meshmod
-from .mesh import PolylinePath, TriMesh
+from .mesh import TriMesh
 
 BOUND_RTOL = 1e-9   # float headroom for the discrete-exact inequalities
 
@@ -65,19 +65,9 @@ def report_to_json(report: EnergyReport) -> dict:
     }
 
 
-@dataclass
-class SignalCurve:
-    """1-D signal: a polyline with A = gamma(0) and B = gamma(1)."""
-
-    path: PolylinePath
-
-    def __post_init__(self):
-        _refused(self.path.manifold, self.path.samples[None])
-
-
 def _refused(m: geometry.ManifoldSpec, samples: np.ndarray) -> None:
-    """Raise for a signal of a (P, N, d) stack of samples in ``m`` that SignalCurve refuses:
-    one endpoint scan, and one chord check unless m is flat."""
+    """Raise for a refused curve signal, A = gamma(0) and B = gamma(1), of a (P, N, d) stack of
+    samples in ``m``: one endpoint scan, and one chord check unless m is flat."""
     if np.all(samples[:, 0] == samples[:, -1], axis=-1).any():
         raise EnergyError("signal endpoints must be distinct")
     if not geometry._all_flat(m):   # a flat chart is convex; its chord is the segment
@@ -86,22 +76,6 @@ def _refused(m: geometry.ManifoldSpec, samples: np.ndarray) -> None:
         except geometry.ChordObstructed as exc:
             k = exc.row % (samples.shape[1] - 1)
             raise EnergyError(f"the chord from sample {k} leaves the manifold") from None
-
-
-@dataclass
-class SignalRegion:
-    """2-D signal: a mesh with a source vertex set A."""
-
-    mesh: TriMesh
-    sources: list[int] | None = None
-
-    def __post_init__(self):
-        if self.sources is None:
-            self.sources = self.mesh.sources or []
-        if np.size(self.sources) == 0:
-            raise EnergyError("region signal needs a nonempty source set")
-        nv = self.mesh.n_vertices
-        self.sources = meshmod.vertex_indices(self.sources, nv, "sources").tolist()
 
 
 def segment_sums(seg_lengths: np.ndarray):
@@ -153,7 +127,7 @@ def curve_energy(paths) -> list[EnergyReport]:
     """Energies of each 1-D signal of ``paths`` in order, bounded by rho^2 and rho^3, rho = length.
 
     The paths of one manifold and shape are scored as one stack. Any refused path may raise;
-    ``mesh.rows_alone`` then raises the first path's own SignalCurve or length_report message.
+    ``mesh.rows_alone`` then raises the first path's own ``_refused`` or length_report message.
     """
     rows = {}
     for idx, samples in meshmod.stack_by_shape([path.samples for path in paths],
@@ -165,35 +139,37 @@ def curve_energy(paths) -> list[EnergyReport]:
     return [length_report(*rows[i], {"n_samples": path.n_samples}) for i, path in enumerate(paths)]
 
 
-def region_energy(sig: SignalRegion) -> EnergyReport:
-    """Energies of a 2-D signal with bounds F*vol and F^2*vol.
+def region_energy(mesh: TriMesh, sources=None) -> EnergyReport:
+    """Energies of the 2-D signal ``mesh`` with source set ``sources`` (default ``mesh.sources``),
+    with bounds F*vol and F^2*vol.
 
     F (``ecc_source``) is the largest distance-field value. Since
     F <= diam on the same crossing graph, meeting these bounds implies
     the paper's diam*vol and diam^2*vol, with no diameter search.
     """
-    m = sig.mesh
-    dist = meshmod.geodesic_distance_field(m, sig.sources)
-    areas = meshmod.face_areas(m)
-    face_mean = dist[m.faces].mean(axis=1)
+    sources = mesh.sources if sources is None else sources
+    if sources is None or np.size(sources) == 0:
+        raise EnergyError("region signal needs a nonempty source set")
+    dist = meshmod.geodesic_distance_field(mesh, sources)    # checks the indices before the graph
+    areas = meshmod.face_areas(mesh)
+    face_mean = dist[mesh.faces].mean(axis=1)
     e1 = float(np.sum(areas * face_mean))
     e2 = float(np.sum(areas * face_mean ** 2))
     ecc = float(dist.max())
     vol = float(np.sum(areas))
     return _bounded_report(
         e1, e2, ecc * vol, ecc ** 2 * vol,
-        {"n_vertices": m.n_vertices, "n_faces": m.n_faces, "ecc_source": ecc},
+        {"n_vertices": mesh.n_vertices, "n_faces": mesh.n_faces, "ecc_source": ecc},
     )
 
 
-def rectangle_region(step: float) -> SignalRegion:
-    """The benchmark rectangle [-1,1] x [0,1] with A the top edge y = 1.
+def rectangle_region(step: float) -> TriMesh:
+    """The benchmark rectangle [-1,1] x [0,1], its sources A the top edge y = 1.
 
     Closed forms: e1 integrates (1 - y) to 1 and e2 integrates
     (1 - y)^2 to 2/3.
     """
-    grid = meshmod.triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, step, source_edge="top")
-    return SignalRegion(grid)
+    return meshmod.triangulate_rectangle(-1.0, 1.0, 0.0, 1.0, step, source_edge="top")
 
 
 # ---------------------------------------------------------------------------

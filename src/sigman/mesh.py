@@ -146,10 +146,10 @@ def chart_points(m: ManifoldSpec, points, row: str) -> np.ndarray:
     Raises MeshError on a wrong shape and MembershipError naming the
     first ``row`` that is not finite or not in ``m``, with the reason.
     """
-    pts = np.atleast_2d(number_array(points, f"{row} coordinates"))
-    d = geometry.chart_dim(m)
+    given = number_array(points, f"{row} coordinates")
+    pts, d = np.atleast_2d(given), geometry.chart_dim(m)
     if pts.ndim != 2 or pts.shape[1] != d:
-        raise MeshError(f"{row} coordinates have shape {pts.shape}; {m.kind} needs (N, {d})")
+        raise MeshError(f"{row} coordinates have shape {given.shape}; {m.kind} needs (N, {d})")
     with np.errstate(over="ignore"):       # a huge coordinate is outside, not a warning
         inside = geometry.validate_points(m, pts)
         if not inside.all():
@@ -232,9 +232,10 @@ class PolylinePath:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(number_array(self.samples, "sample coordinates"))
+        given = number_array(self.samples, "sample coordinates")
+        pts = np.atleast_2d(given)
         if pts.ndim != 2 or pts.shape[1] != geometry.chart_dim(self.manifold):
-            chart_points(self.manifold, pts, "sample")      # raises the one-path shape message
+            chart_points(self.manifold, given, "sample")    # raises the one-path shape message
         t = None if self.params is None else number_array(self.params, "params")[None]
         (path,) = self.stack(self.manifold, pts[None], t)
         self.samples, self.params = path.samples, path.params
@@ -326,10 +327,11 @@ class TriMesh:
     """Triangulated 2-D signal with optional marked points a, b.
 
     ``sources`` is an optional list of vertex indices playing the role
-    of the source submanifold for distance fields. Every vertex must lie
-    in the manifold, every index (faces, a, b, sources) must be an
-    integer in range, every edge must border at most two faces, and the
-    edge graph must be connected, with every squared edge length normal.
+    of the source submanifold for distance fields. The manifold's chart
+    must have dimension 2 or more, every vertex must lie in it, every
+    index (faces, a, b, sources) must be an integer in range, every edge
+    must border at most two faces, and the edge graph must be connected,
+    with every squared edge length normal.
 
     Construction builds the topology once: the unique (lo, hi) ``edges``,
     their chord ``edge_lengths``, and ``side_edge``, the edge of each
@@ -348,6 +350,10 @@ class TriMesh:
     _graph: csr_matrix | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        d = geometry.chart_dim(self.manifold)
+        if d < 2:
+            raise MeshError(f"a triangle mesh needs a chart of dimension at least 2; "
+                            f"{self.manifold.kind} has chart dimension {d}")
         self.vertices = chart_points(self.manifold, self.vertices, "vertex")
         nv = self.vertices.shape[0]
         self.faces = vertex_indices(self.faces, nv, "faces", ndim=2)

@@ -174,7 +174,7 @@ def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
     diameter and checks F <= diam and the paper's bounds as stated.
     """
     sphere = mesh.triangulate_sphere(subdivisions)
-    report = energy.region_energy(energy.SignalRegion(sphere, sources=[sphere.a]))
+    report = energy.region_energy(sphere, [sphere.a])
     diam = mesh.mesh_diameter(sphere)
     area = mesh.mesh_area(sphere)
     slack = 1.0 + energy.BOUND_RTOL

@@ -555,6 +555,40 @@ def test_non_manifold_mesh_exits_2(tmp_path, capsys):
         f"error: {bad}: non-manifold edge (more than 2 incident faces)\n")
 
 
+_R2 = {"kind": "euclidean", "dim": 2}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # every face of a mesh on a 1-D chart has zero area, so its energies and bounds read 0
+    (["energy", "region", "--mesh"],
+     {"manifold": {"kind": "euclidean", "dim": 1}, "vertices": [[0], [1], [2], [3]],
+      "faces": [[0, 1, 2], [1, 2, 3]], "sources": [0]},
+     "a triangle mesh needs a chart of dimension at least 2; euclidean has chart dimension 1"),
+    (["energy", "region", "--mesh"],
+     {"manifold": {"kind": "spd", "n": 1}, "vertices": [[1], [2], [3], [4]],
+      "faces": [[0, 1, 2], [1, 2, 3]], "sources": [0]},
+     "a triangle mesh needs a chart of dimension at least 2; spd has chart dimension 1"),
+    (["energy", "region", "--mesh"],
+     {"manifold": _R2, "vertices": [[0, 0], [1, 0], [0, 1]], "faces": [[0, 1, 2]]},
+     "region signal needs a nonempty source set"),
+    # shapes are quoted as given, not as np.atleast_2d makes them
+    (["energy", "region", "--mesh"],
+     {"manifold": _R2, "vertices": [], "faces": [[0, 1, 2]], "sources": [0]},
+     "vertex coordinates have shape (0,); euclidean needs (N, 2)"),
+    (["energy", "curve", "--path"], {"manifold": _R2, "samples": []},
+     "sample coordinates have shape (0,); euclidean needs (N, 2)"),
+    (["energy", "curve", "--path"],
+     {"manifold": {"kind": "euclidean", "dim": 1}, "samples": [0, 1, 2]},
+     "sample coordinates have shape (3,); euclidean needs (N, 1)"),
+], ids=["euclidean-1d-mesh", "spd-1-mesh", "no-sources", "no-vertices", "no-samples",
+        "flat-samples"])
+def test_refused_signal_is_one_error_line(tmp_path, capsys, command, doc, message):
+    bad = tmp_path / "signal.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.run(command + [str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["energy", "curve"], ["gaussian", "bound"]])
 def test_resampled_point_outside_the_manifold_names_the_file(tmp_path, capsys, command):
     # the chord from (1.5, 0, 0) to (-1.5, 0, 0) passes the origin, inside the inner sphere

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -501,6 +501,33 @@ def test_config_path_energy_matches_the_product_polyline(monkeypatch):
     assert rep.discretization == {"n_samples": 7, "n_particles": 3}
     bounds = check_config_bounds([path])[0]
     assert (bounds.e1, bounds.e2) == (want.e1, want.e2)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=36, m=geometry.euclidean(1), n=2, monotone=False)    # a walk whose particles cross
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       m=st.sampled_from([SHELL, geometry.euclidean(1), geometry.euclidean(2), R3]),
+       n=st.sampled_from([2, 3, 5]), monotone=st.booleans())
+def test_config_path_energy_is_the_energy_part_of_the_bounds(seed, m, n, monotone):
+    from sigman import energy
+
+    path = random_config_path(m, n, [seed], monotone=monotone)[0]
+    try:
+        rep = config_path_energy(path)
+    except ValueError as exc:       # a walk may cross or leave m: both calls refuse it alike
+        with pytest.raises(type(exc)) as again:
+            check_config_bounds([path])
+        assert type(again.value) is type(exc) and str(again.value) == str(exc)
+        return
+    bounds = check_config_bounds([path])[0]
+    assert ((rep.e1, rep.e2, rep.bound1, rep.bound2, rep.satisfied1, rep.satisfied2)
+            == (bounds.e1, bounds.e2, bounds.bound1, bounds.bound2,
+                bounds.upper1_ok, bounds.upper2_ok))
+    # and both are the curve-energy kernel on the product chords, bit for bit
+    sums = energy.segment_sums(configspace._chord_lengths(path.coords))
+    want = energy.length_report(*map(float, sums), {})
+    assert (rep.e1, rep.e2, rep.bound1, rep.bound2) == (want.e1, want.e2, want.bound1,
+                                                        want.bound2)
 
 
 @pytest.mark.parametrize("params, message", [

@@ -12,8 +12,6 @@ from hypothesis.extra.numpy import arrays
 from sigman import energy, geometry, mesh, verify
 from sigman.energy import (
     EnergyError,
-    SignalCurve,
-    SignalRegion,
     antiderivative_transform,
     curve_energy,
     region_energy,
@@ -76,8 +74,8 @@ def test_curve_bounds_hold_on_monotone_polylines():
 
 def test_signal_curve_rejects_closed_loop():
     loop = PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(EnergyError, match="distinct"):
-        SignalCurve(loop)
+    with pytest.raises(EnergyError, match="^signal endpoints must be distinct$"):
+        curve_energy([loop])
 
 
 def test_flat_signal_curve_skips_the_chord_check(monkeypatch):
@@ -87,10 +85,13 @@ def test_flat_signal_curve_skips_the_chord_check(monkeypatch):
 
     monkeypatch.setattr(geometry, "distance", refuse)
     gauss = geometry.gaussian_param([(-5.0, 5.0)])
-    for m, samples in ((R2, [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300]]),
-                       (gauss, [[0.0, 1.0], [1.0, 2.0]]),
+    for m, samples in ((gauss, [[0.0, 1.0], [1.0, 2.0]]),
                        (geometry.product_manifold([R2, gauss]), [[0, 0, 0, 1], [1, 1, 1, 2]])):
-        SignalCurve(PolylinePath(m, samples))
+        assert curve_energy([PolylinePath(m, samples)])[0].satisfied1
+    # no chord is measured, so this path is refused only for its energy, which overflows
+    huge = PolylinePath(R2, [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300]])
+    with pytest.raises(EnergyError, match="^energies and bounds must be finite"):
+        curve_energy([huge])
 
 
 def test_signal_curve_rejects_an_obstructed_shell_chord():
@@ -98,10 +99,10 @@ def test_signal_curve_rejects_an_obstructed_shell_chord():
     shell = geometry.spherical_shell(1.0, 4.0)
     path = PolylinePath(shell, [[1.5, 0.0, 0.0], [1.5, 0.5, 0.0], [-1.5, 0.5, 0.0]])
     with pytest.raises(EnergyError, match="^the chord from sample 1 leaves the manifold$"):
-        SignalCurve(path)
+        curve_energy([path])
     product = geometry.product_manifold([geometry.euclidean(1), shell])
-    with pytest.raises(EnergyError, match="sample 0"):
-        SignalCurve(PolylinePath(product, [[0.0, 1.5, 0.0, 0.0], [1.0, -1.5, 0.0, 0.0]]))
+    with pytest.raises(EnergyError, match="^the chord from sample 0 leaves the manifold$"):
+        curve_energy([PolylinePath(product, [[0.0, 1.5, 0.0, 0.0], [1.0, -1.5, 0.0, 0.0]])])
 
 
 def test_signal_curve_keeps_chords_that_stay_or_have_no_distance():
@@ -231,13 +232,13 @@ def test_rectangle_region_coarse_grid():
 
 def test_region_energy_zero_when_all_sources():
     sq = mesh.triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
-    rep = region_energy(SignalRegion(sq, sources=list(range(sq.n_vertices))))
+    rep = region_energy(sq, list(range(sq.n_vertices)))
     assert rep.e1 == 0.0 and rep.e2 == 0.0
 
 
 def test_region_energy_sphere_bounds_hold():
     sphere = triangulate_sphere(2)
-    rep = region_energy(SignalRegion(sphere, sources=[sphere.a]))
+    rep = region_energy(sphere, [sphere.a])
     assert rep.e1 <= rep.bound1 and rep.e2 <= rep.bound2
     assert rep.satisfied1 and rep.satisfied2
 
@@ -248,9 +249,8 @@ def test_region_energy_does_not_compute_the_diameter(monkeypatch):
 
     monkeypatch.setattr(mesh, "mesh_diameter", refuse)
     sphere = triangulate_sphere(2)
-    for sig in (energy.rectangle_region(0.05),
-                SignalRegion(sphere, sources=[sphere.a])):
-        rep = region_energy(sig)
+    for grid, sources in ((energy.rectangle_region(0.05), None), (sphere, [sphere.a])):
+        rep = region_energy(grid, sources)
         assert rep.satisfied1 and rep.satisfied2
 
 
@@ -278,7 +278,7 @@ def _certificate_mesh(name):
 def test_region_bounds_certified_by_source_eccentricity(name, picks):
     m, diam = _certificate_mesh(name)
     sources = sorted({p % m.n_vertices for p in picks})
-    rep = region_energy(SignalRegion(m, sources=sources))
+    rep = region_energy(m, sources)
     ecc = rep.discretization["ecc_source"]
     vol = float(np.sum(mesh.face_areas(m)))
     assert ecc == float(mesh.geodesic_distance_field(m, sources).max())
@@ -292,7 +292,7 @@ def test_surface_check_reports_the_diameter_bound():
     sphere = triangulate_sphere(2)
     diam = mesh.mesh_diameter(sphere)
     area = mesh.mesh_area(sphere)
-    rep = region_energy(SignalRegion(sphere, sources=[sphere.a]))
+    rep = region_energy(sphere, [sphere.a])
     assert rep.discretization["ecc_source"] < diam   # the two bounds differ here
     result = verify.check_surface_upper_bounds(subdivisions=2)
     assert result.ok
@@ -301,8 +301,10 @@ def test_surface_check_reports_the_diameter_bound():
 
 def test_region_requires_source_set():
     sq = mesh.triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
-    with pytest.raises(EnergyError, match="source"):
-        SignalRegion(sq)
+    with pytest.raises(EnergyError, match="^region signal needs a nonempty source set$"):
+        region_energy(sq)
+    with pytest.raises(EnergyError, match="^region signal needs a nonempty source set$"):
+        region_energy(sq, [])
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +444,7 @@ def test_word_energy_zero_letters_rejected():
 
 def test_word_energy_zero_energy_letters():
     sq = mesh.triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
-    rep = region_energy(SignalRegion(sq, sources=list(range(sq.n_vertices))))
+    rep = region_energy(sq, list(range(sq.n_vertices)))
     assert word_energy([rep, rep]) == (0.0, 0.0)
 
 
@@ -453,11 +455,18 @@ def test_report_json_shape():
     assert data["satisfied"] == [True, True]
 
 
-def test_region_sources_are_integers_in_range():
+def test_region_sources_are_integers_in_range(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("crossing graph built for a refused source set")
+
     sq = mesh.triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    monkeypatch.setattr(mesh, "strip_shortcut_graph", refuse)   # sources are checked first
     with pytest.raises(mesh.MeshError, match="sources must hold integer vertex indices, got 1.5"):
-        SignalRegion(sq, sources=[1.5])
+        region_energy(sq, [1.5])
+    with pytest.raises(mesh.MeshError,
+                       match=r"^sources holds vertex index 9, out of range for 9 vertices$"):
+        region_energy(sq, [9])
     with pytest.raises(mesh.MeshError, match="sources holds vertex index 9, out of range"):
-        SignalRegion(sq, sources=[0, 9])
+        region_energy(sq, [0, 9])
     with pytest.raises(mesh.MeshError, match="sources must hold integer vertex indices, got True"):
-        SignalRegion(sq, sources=[True])
+        region_energy(sq, [True])
