@@ -168,9 +168,6 @@ class ConfigPath:
     def n(self) -> int:
         return self.coords.shape[1]
 
-    def flattened(self) -> np.ndarray:
-        return self.coords.reshape(self.coords.shape[0], -1)
-
 
 def _transitions(coords: np.ndarray) -> np.ndarray:
     """The (..., K, 2, n, d) transition hulls of (..., K+1, n, d) path coordinates."""
@@ -266,21 +263,20 @@ def check_config_bounds(paths) -> list[ConfigBoundReport]:
 
 def _bound_rows(m: ManifoldSpec, coords: np.ndarray):
     """Per-path bound values of a (P, K+1, n, d) stack of paths, as Python scalars and lists."""
-    seg = _chord_lengths(coords)
     flat = coords.reshape(*coords.shape[:2], -1)
     with np.errstate(over="ignore", invalid="ignore"):   # _bound_report refuses what overflows
-        e1, e2, rho = energymod.segment_sums(seg)
+        e1, e2, rho = energymod.segment_sums(_chord_lengths(coords))
         comp_e1, comp_e2, _ = energymod.segment_sums(_track_lengths(coords))
         components_ok = np.all((e1[:, None] >= comp_e1 - COMPONENT_TOL)
                                & (e2[:, None] >= comp_e2 - COMPONENT_TOL), axis=1)
         mono_ok = np.all(gaussmod.coordinate_monotone(flat.swapaxes(0, 1)), axis=-1)
         lower = gaussmod.lower_bound_l3(flat[:, 0], flat[:, -1])
-        values = (e1, e2, rho, np.sum(seg, axis=1), comp_e1, comp_e2, components_ok, mono_ok,
+        values = (e1, e2, rho, comp_e1, comp_e2, components_ok, mono_ok,
                   _verdicts(m, coords)[2], lower)
     return zip(*(v.tolist() for v in values))
 
 
-def _bound_report(e1, e2, rho, length, comp_e1, comp_e2, components_ok, mono_ok, hull_ok,
+def _bound_report(e1, e2, rho, comp_e1, comp_e2, components_ok, mono_ok, hull_ok,
                   lower) -> ConfigBoundReport:
     report = energymod.length_report(e1, e2, rho, {})
     lower_ok = None
@@ -289,7 +285,7 @@ def _bound_report(e1, e2, rho, length, comp_e1, comp_e2, components_ok, mono_ok,
     return ConfigBoundReport(
         e1=report.e1,
         e2=report.e2,
-        length=length,
+        length=rho,
         bound1=report.bound1,
         bound2=report.bound2,
         upper1_ok=report.satisfied1,

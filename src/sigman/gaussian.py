@@ -170,19 +170,6 @@ def check_gaussian_lower_bound(paths) -> list[GaussianBoundReport]:
 # Corpus generation
 # ---------------------------------------------------------------------------
 
-def staircase(rng: np.random.Generator, start, stop, steps: int) -> np.ndarray:
-    """Seeded monotone path of ``steps`` segments from ``start`` to ``stop``.
-
-    Every coordinate of the (steps+1, *start.shape) result moves from its
-    start to its stop value by independent exponential increments, so it
-    is monotone and the path stays in the per-coordinate bounding box of
-    its endpoints.
-    """
-    start = np.asarray(start, dtype=float)
-    return _climb(rng.exponential(size=(steps, *start.shape)), start,
-                  np.asarray(stop, dtype=float))
-
-
 def _climb(weights: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The staircase of increments ``weights`` along axis 0; each coordinate climbs alone."""
     cum = np.cumsum(weights, axis=0) / weights.sum(axis=0)

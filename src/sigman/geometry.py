@@ -179,16 +179,6 @@ def spd_chart_from_matrix(mat) -> np.ndarray:
     return mat[iu, ju] * scale
 
 
-def spd_matrix_from_chart(coords, n: int) -> np.ndarray:
-    """Inverse of :func:`spd_chart_from_matrix` (symmetry restored)."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (n * (n + 1) // 2,):
-        raise DimensionMismatch(
-            f"expected {n * (n + 1) // 2} chart entries for n={n}, got {coords.shape}"
-        )
-    return _spd_matrices(coords[None], n)[0]
-
-
 def gaussian_chart(mu, sigma) -> np.ndarray:
     """Chart coordinates of a (mean, covariance) pair."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))

@@ -204,15 +204,6 @@ def relative_ratio_variances(graphs, configs) -> list[float]:
     return [ratio_variance(r) for r in ratio_vectors(graphs, configs)]
 
 
-def scale_configuration(config: Configuration, alpha: float) -> Configuration:
-    """Dilate a Euclidean configuration by alpha > 0."""
-    if config.manifold.dim is None:
-        raise GraphError("dilations are only supported for euclidean manifolds")
-    if not alpha > 0.0:
-        raise GraphError(f"scale factor must be positive, got {alpha}")
-    return Configuration(config.manifold, config.points * alpha)
-
-
 # ---------------------------------------------------------------------------
 # Minimization
 # ---------------------------------------------------------------------------

@@ -53,25 +53,10 @@ _POLYLINE_SPECS = {
 }
 
 
-def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48,
-                    monotone: bool = False) -> mesh.PolylinePath:
-    """Seeded random polyline in R^2, R^3, or the reference shell.
-
-    Monotone mode (independent per-coordinate staircases) is available
-    for the euclidean kinds only. Otherwise the path is a random walk,
-    clipped into the shell for the shell kind: the one-row call of
-    :func:`random_polylines`.
-    """
-    if not monotone:
-        return random_polylines([kind], [rng], n_samples)[0]
-    if kind not in _POLYLINE_SPECS:
-        raise ValueError(f"unknown polyline kind {kind!r}")
-    if kind == "shell":
-        raise ValueError("monotone polylines are generated in euclidean kinds only")
-    spec = _POLYLINE_SPECS[kind]
-    start = rng.uniform(-1.0, 1.0, size=spec.dim)
-    stop = start + rng.uniform(-1.5, 1.5, size=spec.dim)
-    return mesh.PolylinePath(spec, gaussian.staircase(rng, start, stop, n_samples - 1))
+def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48) -> mesh.PolylinePath:
+    """Seeded random walk in R^2, R^3, or the reference shell (clipped into the shell for the
+    shell kind): the one-row call of :func:`random_polylines`."""
+    return random_polylines([kind], [rng], n_samples)[0]
 
 
 def random_polylines(kinds, rngs, n_samples: int = 48) -> list[mesh.PolylinePath]:

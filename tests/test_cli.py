@@ -758,11 +758,12 @@ def test_unconfirmed_check_exits_1(tmp_path, capsys):
     # lower-bound check alone cannot be confirmed and exits 1
     shell = geometry.spherical_shell(1.0, 4.0)
     path = configspace.random_config_path(shell, 2, [31], steps=8, monotone=False)[0]
+    diffs = np.diff(path.coords.reshape(len(path.coords), -1), axis=0)
     flat_mono = all(
         bool(u or d)
         for u, d in zip(
-            np.all(np.diff(path.flattened(), axis=0) >= -1e-12, axis=0),
-            np.all(np.diff(path.flattened(), axis=0) <= 1e-12, axis=0),
+            np.all(diffs >= -1e-12, axis=0),
+            np.all(diffs <= 1e-12, axis=0),
         )
     )
     assert not flat_mono   # random walk is not coordinate-monotone

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from sigman import configspace, geometry
+from sigman import configspace, geometry, verify
 from sigman.configspace import (
     COLLISION_EPS,
     CollisionError,
@@ -308,6 +308,23 @@ def test_batch_reports_equal_one_path_reports():
     assert check_config_bounds([]) == []
 
 
+def test_reported_length_is_the_rho_of_the_bounds(monkeypatch):
+    # bound1 = rho^2 and bound2 = rho^3 bit for bit, on the mixed batch and the first
+    # 60 seed-42 paths of verify's configuration corpus
+    reports = check_config_bounds(_mixed_batch())
+    check = configspace.check_config_bounds
+
+    def recording_check(paths):
+        reports.extend(check(paths))
+        return reports[-len(paths):]
+
+    monkeypatch.setattr(configspace, "check_config_bounds", recording_check)
+    assert verify.check_config_bounds(42, count=60).passed == 60
+    assert len(reports) == 9 + 60
+    for r in reports:
+        assert (r.bound1, r.bound2) == (r.length ** 2, r.length ** 3)
+
+
 def test_batch_with_a_crossing_raises_for_the_first_failing_path():
     r2 = geometry.euclidean(2)
     fine = ConfigPath(r2, [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
@@ -390,7 +407,7 @@ def test_random_config_path_deterministic():
 
 def test_random_config_path_monotone_mode():
     path = random_config_path(SHELL, 2, [97], steps=9, monotone=True)[0]
-    flat = path.flattened()
+    flat = path.coords.reshape(len(path.coords), -1)
     diffs = np.diff(flat, axis=0)
     up = np.all(diffs >= -1e-12, axis=0)
     down = np.all(diffs <= 1e-12, axis=0)
@@ -487,7 +504,7 @@ def test_config_path_energy_matches_the_product_polyline(monkeypatch):
     path = random_config_path(SHELL, 3, [71], steps=6)[0]
     product = geometry.product_manifold([SHELL] * 3)
     want = energy.curve_energy([
-        mesh.PolylinePath(product, path.flattened(), path.params)])[0]
+        mesh.PolylinePath(product, path.coords.reshape(len(path.coords), -1), path.params)])[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("configuration path energies build no product polyline")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sigman import energy, geometry, mesh, verify
+from sigman import energy, gaussian, geometry, mesh, verify
 from sigman.energy import (
     EnergyError,
     antiderivative_transform,
@@ -63,10 +63,13 @@ def test_curve_bounds_hold_on_random_polylines():
 
 
 def test_curve_bounds_hold_on_monotone_polylines():
+    # staircases of 23 steps between a start in [-1, 1]^d and a stop within 1.5 of it
     rng = np.random.default_rng(31)
     for i in range(300):
-        kind = ["r2", "r3"][i % 2]
-        path = verify.random_polyline(kind, rng, n_samples=24, monotone=True)
+        m = [R2, R3][i % 2]
+        start = rng.uniform(-1.0, 1.0, size=m.dim)
+        stop = start + rng.uniform(-1.5, 1.5, size=m.dim)
+        path = PolylinePath(m, gaussian._climb(rng.exponential(size=(23, m.dim)), start, stop))
         rep = curve_energy([path])[0]
         assert rep.e1 <= rep.bound1 * (1.0 + 1e-9)
         assert rep.e2 <= rep.bound2 * (1.0 + 1e-9)

@@ -1,6 +1,6 @@
 """Bitwise pins of the seeded path generators.
 
-The three monotone generators share one staircase helper; these digests
+The two monotone generators share one staircase helper; these digests
 were recorded before they did, so any change to the order in which the
 helper draws from the generator shows here. The configuration corpus
 and random-walk pins guard the rejection tests of ``random_config_path``,
@@ -21,16 +21,6 @@ from sigman import configspace, gaussian, geometry, verify
 
 def digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
-
-
-def test_monotone_polyline_pinned():
-    path = verify.random_polyline("r3", np.random.default_rng(2024), n_samples=12,
-                                  monotone=True)
-    assert path.samples.shape == (12, 3)
-    assert path.samples[5].tolist() == [
-        0.5222549038341169, 0.36849295144852945, -0.8143858264874356]
-    assert digest(path.samples) == (
-        "705a7f982156ea32f6bc516c7488f8779dec4f5b6017d845d3b300dd4f1734ec")
 
 
 def test_monotone_param_path_pinned():
@@ -55,9 +45,10 @@ def test_monotone_config_path_pinned():
 
 @pytest.mark.parametrize("shape", [(7,), (3, 2)])
 def test_staircase_is_monotone_between_its_endpoints(shape):
+    # the staircase of _climb, the one formula of both monotone generators
     rng = np.random.default_rng(5)
     start, stop = rng.normal(size=shape), rng.normal(size=shape)
-    path = gaussian.staircase(rng, start, stop, 9)
+    path = gaussian._climb(rng.exponential(size=(9, *shape)), start, stop)
     assert path.shape == (10, *shape)
     assert np.array_equal(path[0], start) and np.array_equal(path[-1], stop)
     steps = np.diff(path, axis=0) * np.sign(stop - start)

@@ -21,7 +21,6 @@ from sigman.graphembed import (
     ratio_vector,
     relative_ratio_variance,
     relative_ratio_variances,
-    scale_configuration,
 )
 
 R2 = geometry.euclidean(2)
@@ -182,7 +181,7 @@ def test_ratio_vector_unit_triangle():
 
 
 def test_ratio_vector_scaled_triangle():
-    doubled = scale_configuration(EQUILATERAL, 2.0)
+    doubled = Configuration(R2, EQUILATERAL.points * 2.0)
     assert np.allclose(ratio_vector(K3, doubled), [2.0, 2.0, 2.0])
 
 
@@ -225,7 +224,7 @@ def test_variance_invariant_under_config_scaling():
         cfg = Configuration(R2, pts)
         alpha = float(10.0 ** rng.uniform(-2.0, 2.0))
         v0 = relative_ratio_variance(K3, cfg)
-        v1 = relative_ratio_variance(K3, scale_configuration(cfg, alpha))
+        v1 = relative_ratio_variance(K3, Configuration(R2, pts * alpha))
         assert abs(v1 - v0) <= 1e-12 * max(1.0, v0)
 
 
@@ -244,17 +243,6 @@ def test_variance_continuity_probe():
         slopes.append(worst)
     assert slopes[-1] <= 3.0 * slopes[0] + 1e-3   # bounded local slope
     assert slopes[-1] * 1e-5 <= 1e-4              # |dv| -> 0 with the step
-
-
-def test_scale_configuration_identity_and_errors():
-    assert np.allclose(scale_configuration(EQUILATERAL, 1.0).points, EQUILATERAL.points)
-    with pytest.raises(GraphError, match="positive"):
-        scale_configuration(EQUILATERAL, -1.0)
-    shell_cfg = Configuration(
-        geometry.spherical_shell(1.0, 4.0), [[1.5, 0.0, 0.0], [0.0, 1.5, 0.0]]
-    )
-    with pytest.raises(GraphError, match="euclidean"):
-        scale_configuration(shell_cfg, 2.0)
 
 
 # ---------------------------------------------------------------------------
