@@ -335,9 +335,9 @@ def random_config_path(m: ManifoldSpec, n: int, rngs, steps: int = 8,
     for _ in range(_MAX_REJECTIONS):        # a live row draws once a round, so rounds are draws
         if not live.size:
             break
-        for r in live:
-            ends[0, r] = _sample_config(m, n, rngs[r])
-            ends[1, r] = ends[0, r] + rngs[r].uniform(-span, span, size=ends.shape[2:])
+        for r in live:      # a start, then the step to the stop
+            ends[:, r] = _sample_config(m, n, rngs[r]), rngs[r].uniform(-span, span, ends.shape[2:])
+        ends[1, live] += ends[0, live]
         los, his = np.minimum(*ends[:, live]), np.maximum(*ends[:, live])
         corner = np.linalg.norm(np.maximum(np.abs(los), np.abs(his)), axis=-1)
         # each box's nearest point and farthest corner lie in M, and the gap of boxes
@@ -370,19 +370,20 @@ def _scales(m: ManifoldSpec, n: int) -> tuple[float, float, float, float]:
 
 
 def _sample_config(m: ManifoldSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    return np.array([geometry.KINDS[m.kind].sample(m, rng, _SHELL_MARGIN) for _ in range(n)])
+    return geometry.KINDS[m.kind].sample(m, rng, _SHELL_MARGIN, n)
 
 
 def random_walks(m: ManifoldSpec, n: int, rngs, steps: int, scale: float,
                  separation: float) -> np.ndarray:
     """(rows, steps + 1, n, d) random walks of n particles in m, one per Generator, in lock step.
 
-    Each round, every unfinished row draws a start configuration, or a step
-    of normal ``scale`` from its last one, projected into m. One k = 1
-    :func:`hull_probe` judges all candidates; a row keeps its candidate when
-    every pair is more than ``separation`` apart and a step moved. Each row
-    draws as it would alone, with a budget of _MAX_REJECTIONS draws; the
-    walks of :func:`random_config_path` and ``verify``'s shell curves use it.
+    Each round, every unfinished row draws a start configuration or a step of
+    normal ``scale``, its only per-row work; the steps are added to the last
+    configurations and projected into m, and one k = 1 :func:`hull_probe`
+    judges all candidates. A row keeps its candidate when every pair is more
+    than ``separation`` apart and a step moved. Each row draws as it would
+    alone, with a budget of _MAX_REJECTIONS draws; the walks of
+    :func:`random_config_path` and ``verify``'s shell curves use it.
     """
     # zeros, so that a start row's "last" configuration, the unfilled final one, is finite
     walks = np.zeros((len(rngs), max(steps + 1, 1), n, geometry.chart_dim(m)))
@@ -394,9 +395,9 @@ def random_walks(m: ManifoldSpec, n: int, rngs, steps: int, scale: float,
         start = placed[live] == 0
         last = walks[live, placed[live] - 1]
         cand = np.array([_sample_config(m, n, rngs[r]) if first else
-                         last[j] + rngs[r].normal(scale=scale, size=last[j].shape)
-                         for j, (r, first) in enumerate(zip(live, start))])
-        cand[~start] = geometry.project(m, cand[~start], _SHELL_MARGIN)
+                         rngs[r].normal(scale=scale, size=last.shape[1:])
+                         for r, first in zip(live, start)])
+        cand[~start] = geometry.project(m, cand[~start] + last[~start], _SHELL_MARGIN)
         ok = ((hull_probe(m, cand[:, None])[1] > separation ** 2).all(axis=-1)
               & (start | (np.linalg.norm((cand - last).reshape(len(live), -1), axis=-1) != 0.0)))
         walks[live[ok], placed[live[ok]]] = cand[ok]

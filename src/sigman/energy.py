@@ -194,7 +194,9 @@ def _check_table(xs, fs, min_samples: int):
     if xs.shape[0] < min_samples:
         raise EnergyError(f"function table needs at least {min_samples} samples")
     h = np.diff(xs)
-    if h[0] <= 0.0 or not np.allclose(h, h[0], rtol=1e-9, atol=0.0):
+    # np.allclose(h, h[0], rtol=1e-9, atol=0) on finite steps, without its temporaries; an
+    # infinite or nan step is refused (allclose takes inf as close to inf)
+    if not 0.0 < h[0] < math.inf or not np.abs(h - h[0]).max() <= 1e-9 * h[0]:
         raise EnergyError("function table grid must be uniform and increasing")
     return xs, fs, float(h[0])
 

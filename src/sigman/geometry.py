@@ -587,12 +587,14 @@ def _clip_radius(m, pts, margin):
     return pts / norms * np.clip(norms, r_lo + pad, r_hi - pad)
 
 
-def _sample_shell(m, rng, margin):
+def _sample_shell(m, rng, margin, n):
     r_lo, r_hi = shell_radii(m)
     pad = margin * (r_hi - r_lo)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    return direction * rng.uniform(r_lo + pad, r_hi - pad)
+    dirs, radii = np.empty((n, 3)), np.empty((n, 1))
+    for k in range(n):      # each point draws its direction, then its radius
+        dirs[k], radii[k] = rng.normal(size=3), rng.uniform(r_lo + pad, r_hi - pad)
+    # row @ column is the dot product np.linalg.norm takes of one vector, bitwise
+    return dirs / np.sqrt(dirs[:, None] @ dirs[..., None])[:, 0] * radii
 
 
 class Kind(NamedTuple):
@@ -610,7 +612,7 @@ class Kind(NamedTuple):
     rules: Callable = lambda m, xs: ()   # (spec, rows) -> membership rules (see above)
     flat: bool = False                   # a convex chart whose 2-norm is the distance
     project: Callable | None = None      # (spec, rows, margin) -> rows inside the manifold
-    sample: Callable | None = None       # (spec, rng, margin) -> a random interior point
+    sample: Callable | None = None       # (spec, rng, margin, n) -> n random interior points
     hull: Callable = _points_inside      # (spec, (..., k, d) rows) -> hull of each k inside
 
 
@@ -623,7 +625,7 @@ KINDS: dict[str, Kind] = {
         distances=_chart_distances,
         gradient=_chart_gradient,
         project=lambda m, pts, margin: pts,
-        sample=lambda m, rng, margin: rng.uniform(-1.0, 1.0, size=m.dim),
+        sample=lambda m, rng, margin, n: rng.uniform(-1.0, 1.0, size=(n, m.dim)),
     ),
     "shell": Kind(
         fields=(_Field("a", _number), _Field("b", _number)),

@@ -53,13 +53,17 @@ class WeightedGraph:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise GraphError(f"graph needs an integer vertex count n >= 1, got {self.n!r}")
-        seen = set()
-        norm_edges = []
+        seen, norm_edges = set(), []
         parent = {}     # union-find forest over the vertices the edges touch; one key per join
-        for k, e in enumerate(self.edges):
+        edges = list(self.edges)
+        try:    # one index check of all endpoints; a fault replays it edge by edge, in order
+            ends = vertex_indices([e[:2] for e in edges], self.n, "edges", 2).tolist()
+        except Exception:       # the replay raises the first faulty edge's own message
+            ends = [None] * len(edges)
+        for k, (e, ij) in enumerate(zip(edges, ends)):
             if not isinstance(e, (tuple, list)) or len(e) != 3:
                 raise GraphError(f"edges[{k}] must be [i, j, weight], got {e!r}")
-            i, j = vertex_indices(e[:2], self.n, f"edges[{k}]").tolist()
+            i, j = ij or vertex_indices(e[:2], self.n, f"edges[{k}]").tolist()
             w = e[2]
             if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
                 raise GraphError(f"edges[{k}] weight must be a number, got {w!r}")

@@ -4,10 +4,10 @@ Each check runs a reproducible corpus and reports a passed/total count;
 `verify_all` aggregates them into the summary used by the CLI. Case i
 of a random corpus, check c, draws from its own stream
 ``np.random.default_rng([seed, c, i])`` (see :func:`_corpus`), so it
-replays alone. The curve, Gaussian and configuration corpora draw,
-validate and score their cases in lock step, one stack per kind, per n
-or per (particle count, mode), and the scale-invariance corpus scores
-its cases once per (n, dim), not once per case. The checks are
+replays alone. The curve, Gaussian, configuration and scale-invariance
+corpora draw, validate and score their cases in lock step, one stack per
+kind, per n, per (particle count, mode) or per (n, dim); only each
+stream's own draws run case by case. The checks are
 deliberately redundant with the unit tests: they are the user-facing
 evidence that the inequalities hold on this installation.
 """
@@ -76,10 +76,11 @@ def random_polylines(kinds, rngs, n_samples: int = 48) -> list[mesh.PolylinePath
         if kind == "shell":
             walks = configspace.random_walks(spec, 1, own, n_samples - 1, 0.08, 0.0)[:, :, 0]
         else:   # a uniform start in [-1, 1]^dim, then normal steps of scale 0.2
-            draws = [(rng.uniform(-1.0, 1.0, size=spec.dim),
-                      rng.normal(scale=0.2, size=(n_samples - 1, spec.dim))) for rng in own]
-            walks = np.array([np.vstack([start, start + np.cumsum(steps, axis=0)])
-                              for start, steps in draws])
+            walks = np.empty((len(own), n_samples, spec.dim))
+            for walk, rng in zip(walks, own):
+                walk[0] = rng.uniform(-1.0, 1.0, size=spec.dim)
+                walk[1:] = rng.normal(scale=0.2, size=(n_samples - 1, spec.dim))
+            walks[:, 1:] = walks[:, :1] + np.cumsum(walks[:, 1:], axis=1)
         stacks[kind] = iter(mesh.PolylinePath.stack(spec, walks))
     return [next(stacks[kind]) for kind, _ in cases]
 
@@ -218,45 +219,53 @@ _C4 = graphembed.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3,
 def check_ratio_variance_props(seed: int) -> CheckResult:
     """Zero exactly at equal ratios; positive after a one-edge nudge."""
     rng = np.random.default_rng([seed, 4])
-    variance = graphembed.relative_ratio_variance
-    tri = configspace.Configuration(
-        _R2, [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]
-    )
-    rhombus = configspace.Configuration(
-        _R2, [[0.0, 0.0], [1.0, 0.0], [1.3, math.sqrt(1.0 - 0.09)], [0.3, math.sqrt(1.0 - 0.09)]]
-    )
-    verdicts = [variance(_K3, tri) <= RATIO_ZERO_TOL, variance(_C4, rhombus) <= RATIO_ZERO_TOL]
-    for _ in range(50):
-        scale = float(rng.uniform(0.2, 5.0))
-        cfg = configspace.Configuration(_R2, np.asarray(tri.points) * scale)
-        verdicts.append(variance(_K3, cfg) <= RATIO_ZERO_TOL)
-        nudged = np.asarray(cfg.points).copy()
-        nudged[2] = nudged[2] * (1.0 + rng.uniform(0.05, 0.5))
-        verdicts.append(variance(_K3, configspace.Configuration(_R2, nudged)) > 0.0)
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    rhombus = [[0.0, 0.0], [1.0, 0.0], [1.3, math.sqrt(1.0 - 0.09)], [0.3, math.sqrt(1.0 - 0.09)]]
+    draws = np.array([(rng.uniform(0.2, 5.0), 1.0 + rng.uniform(0.05, 0.5)) for _ in range(50)])
+    scaled = tri * draws[:, :1, None]       # 50 dilated triangles, then each with vertex 2 nudged
+    nudged = scaled.copy()
+    nudged[:, 2] *= draws[:, 1:]
+    configs = configspace.Configuration.stack(_R2, np.concatenate([tri[None], scaled, nudged]))
+    v = graphembed.relative_ratio_variances([_K3] * 101, configs)
+    v.insert(0, graphembed.relative_ratio_variance(_C4, configspace.Configuration(_R2, rhombus)))
+    verdicts = [x <= RATIO_ZERO_TOL for x in v[:52]] + [x > 0.0 for x in v[52:]]
     return CheckResult("ratio_variance_zero", sum(verdicts), len(verdicts))
 
 
 def _random_scale_case(rng: np.random.Generator):
-    n = int(rng.integers(3, 7))
-    edges = [(i, i + 1, float(rng.uniform(0.5, 2.0))) for i in range(n - 1)]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if rng.random() < 0.3:
-                edges.append((i, j, float(rng.uniform(0.5, 2.0))))
-    g = graphembed.WeightedGraph(n, edges)
-    m = _EUCLIDEAN[int(rng.integers(2, 4))]
-    while True:
-        pts = rng.uniform(-2.0, 2.0, size=(n, m.dim))
-        if configspace.hull_probe(m, pts[None])[1].min() > 1e-3 ** 2:
-            break
-    return g, pts, float(10.0 ** rng.uniform(-2.0, 2.0))     # the graph, its points, a dilation
+    """A graph, its placement and a dilation: the one-row call of :func:`_random_scale_cases`."""
+    return _random_scale_cases([rng])[0]
+
+
+def _random_scale_cases(rngs) -> list[tuple]:
+    """Per stream, as it draws alone: a graph on 3 to 6 vertices and a dimension 2 or 3, then
+    separated points in rejection rounds (one ``hull_probe`` per shape (n, dim) a round), then a
+    dilation. Only the streams' own draws run case by case."""
+    graphs, dims = [], []
+    for rng in rngs:
+        n = int(rng.integers(3, 7))
+        edges = [(i, i + 1, float(rng.uniform(0.5, 2.0))) for i in range(n - 1)]
+        edges += [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(n) for j in range(i + 2, n)
+                  if rng.random() < 0.3]
+        graphs.append(graphembed.WeightedGraph(n, edges))
+        dims.append(int(rng.integers(2, 4)))
+    pts, live = [None] * len(rngs), range(len(rngs))
+    while live:
+        draws = [rngs[i].uniform(-2.0, 2.0, size=(graphs[i].n, dims[i])) for i in live]
+        for idx, stack in mesh.stack_by_shape(draws):
+            gap_sq = configspace.hull_probe(_EUCLIDEAN[stack.shape[-1]], stack[:, None])[1]
+            for k in np.flatnonzero(gap_sq.min(axis=-1) > 1e-3 ** 2):
+                pts[live[idx[k]]] = stack[k]
+        live = [i for i in live if pts[i] is None]
+    return [(g, p, float(10.0 ** rng.uniform(-2.0, 2.0))) for g, p, rng in zip(graphs, pts, rngs)]
 
 
 def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
-    """Dilations leave the objective unchanged to SCALE_INV_TOL; the placements of each shape
-    (n, dim) and their dilations are checked as one stack of configurations and scored together."""
+    """Dilations leave the objective unchanged to SCALE_INV_TOL; the cases are drawn in lock
+    step, and the placements of each shape (n, dim) and their dilations are one stack of
+    configurations, checked and scored together."""
     def judge(rngs):
-        cases, verdicts = [_random_scale_case(rng) for rng in rngs], {}
+        cases, verdicts = _random_scale_cases(rngs), {}
         for idx, pts in mesh.stack_by_shape([pts for _, pts, _ in cases]):
             dilated = pts * np.array([cases[i][2] for i in idx])[:, None, None]
             configs = configspace.Configuration.stack(_EUCLIDEAN[pts.shape[-1]],
@@ -298,30 +307,21 @@ def check_function_identities(seed: int, count: int = 100,
         rhs = 1.5 + 0.5 * energy.sp_energy(xs, fs)
         ok_a = abs(lhs - rhs) <= IDENTITY_TOL
         _, L = energy.sqrt_arclength_transform(xs, fs)
-        ok_b = abs(
-            energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)
-        ) <= IDENTITY_TOL
+        ok_b = abs(energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)) <= IDENTITY_TOL
         return ok_a and ok_b
     return _corpus("function_energy_identities", seed, 6, count, lambda rngs: list(map(case, rngs)))
 
 
 def check_mesh_convergence(max_subdivisions: int = 4) -> CheckResult:
     """Icosphere area and diameter errors shrink monotonically."""
-    area_errors = []
-    diam_errors = []
+    errors = {"area_err": [], "diam_err": []}
     for k in range(1, max_subdivisions + 1):
         sphere = mesh.triangulate_sphere(k)
-        area_errors.append(abs(mesh.mesh_area(sphere) - 4.0 * math.pi))
-        diam_errors.append(abs(mesh.mesh_diameter(sphere) - math.pi))
-    ok_area = all(b <= a + 1e-9 for a, b in zip(area_errors, area_errors[1:]))
-    ok_diam = all(b <= a + 1e-9 for a, b in zip(diam_errors, diam_errors[1:]))
-    detail = (
-        "area_err=" + ",".join(f"{e:.2e}" for e in area_errors)
-        + " diam_err=" + ",".join(f"{e:.2e}" for e in diam_errors)
-    )
-    return CheckResult(
-        "mesh_convergence", int(ok_area) + int(ok_diam), 2, detail=detail
-    )
+        errors["area_err"].append(abs(mesh.mesh_area(sphere) - 4.0 * math.pi))
+        errors["diam_err"].append(abs(mesh.mesh_diameter(sphere) - math.pi))
+    passed = sum(all(b <= a + 1e-9 for a, b in zip(e, e[1:])) for e in errors.values())
+    detail = " ".join(f"{name}=" + ",".join(f"{x:.2e}" for x in e) for name, e in errors.items())
+    return CheckResult("mesh_convergence", passed, 2, detail=detail)
 
 
 def verify_all(seed: int = 42, quick: bool = False) -> dict:

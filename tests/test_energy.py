@@ -424,6 +424,32 @@ def test_function_tables_require_uniform_grid():
         sp_energy(xs, np.ones(3))
 
 
+GRID_FAULT = "^function table grid must be uniform and increasing$"
+
+
+@settings(max_examples=300, deadline=None)
+@given(x0=st.floats(-1e6, 1e6), h0=st.floats(1e-6, 1e6), sign=st.sampled_from([1.0, -1.0]),
+       rel=st.lists(st.floats(-3e-9, 3e-9), min_size=1, max_size=20))
+def test_grid_rule_is_allclose_on_finite_steps(x0, h0, sign, rel):
+    # steps within a few 1e-9 of each other, so the rule's rtol = 1e-9 decides
+    xs = x0 + np.concatenate([[0.0], np.cumsum(sign * h0 * (1.0 + np.array(rel)))])
+    h = np.diff(xs)
+    if h[0] > 0.0 and np.allclose(h, h[0], rtol=1e-9, atol=0.0):
+        assert sp_energy(xs, np.ones_like(xs)) == pytest.approx(xs[-1] - xs[0])
+    else:
+        with pytest.raises(EnergyError, match=GRID_FAULT):
+            sp_energy(xs, np.ones_like(xs))
+
+
+@pytest.mark.parametrize("xs", [[-math.inf, 0.0], [0.0, math.inf], [-math.inf, 0.0, math.inf],
+                                [0.0, 1.0, math.inf], [0.0, math.nan], [math.nan, 1.0, 2.0]])
+def test_function_tables_refuse_infinite_and_nan_steps(xs):
+    # np.allclose takes inf as close to inf, so an all-infinite grid such as [-inf, 0] once passed
+    for transform in (sp_energy, energy.antiderivative_transform):
+        with pytest.raises(EnergyError, match=GRID_FAULT):
+            transform(np.array(xs), np.ones(len(xs)))
+
+
 # ---------------------------------------------------------------------------
 # Word energies
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ The two monotone generators share one staircase helper; these digests
 were recorded before they did, so any change to the order in which the
 helper draws from the generator shows here. The configuration corpus
 and random-walk pins guard the rejection tests of ``random_config_path``,
-whose walks and monotone boxes draw every stream in lock step, and the
-curve corpus pin the shell walks of ``random_polyline``. A one-stream
-call must replay its row of any batch, bit for bit.
+whose walks and monotone boxes draw every stream in lock step, the
+curve corpus pin the shell walks of ``random_polyline`` and the scale
+corpus pin the placement rounds of ``verify._random_scale_cases``. A
+one-stream call must replay its row of any batch, bit for bit.
 """
 
 import hashlib
@@ -110,11 +111,11 @@ def test_full_scale_corpus_pinned(monkeypatch):
     # all 1,000 seed-42 cases of verify's scale-invariance corpus: each graph's edges, its
     # points and dilation, then the bits of v0 and v1 as the corpus scores them
     cases, scored = [], {}
-    draw, variances = verify._random_scale_case, verify.graphembed.relative_ratio_variances
+    draw, variances = verify._random_scale_cases, verify.graphembed.relative_ratio_variances
 
-    def recording_draw(rng):
-        cases.append(draw(rng))
-        return cases[-1]
+    def recording_draw(rngs):
+        cases.extend(draw(rngs))
+        return cases[-len(rngs):]
 
     def recording_variances(graphs, configs):
         values = variances(graphs, configs)
@@ -122,7 +123,7 @@ def test_full_scale_corpus_pinned(monkeypatch):
             scored.setdefault(id(g), []).append(v)     # a case's v0 is scored before its v1
         return values
 
-    monkeypatch.setattr(verify, "_random_scale_case", recording_draw)
+    monkeypatch.setattr(verify, "_random_scale_cases", recording_draw)
     monkeypatch.setattr(verify.graphembed, "relative_ratio_variances", recording_variances)
     assert verify.check_scale_invariance(42).passed == 1000
     assert digest(np.concatenate([np.ravel(g.edges) for g, _, _ in cases]
@@ -189,6 +190,26 @@ def test_lock_step_polyline_rows_replay_alone(cases, n_samples):
         alone = verify.random_polyline(kind, np.random.default_rng(seed), n_samples)
         assert path.samples.tobytes() == alone.samples.tobytes()
         assert path.samples.shape[0] == n_samples
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=12))
+def test_lock_step_scale_case_rows_replay_alone(seeds):
+    # a probe that also refuses every placement whose first point has x > 0, so that about
+    # half the rows redraw in each rejection round
+    probe = configspace.hull_probe
+
+    def picky(m, stack):
+        inside, gap_sq = probe(m, stack)
+        return inside, np.where(np.asarray(stack)[:, 0, :1, 0] > 0.0, 0.0, gap_sq)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(configspace, "hull_probe", picky)
+        batch = verify._random_scale_cases([np.random.default_rng(s) for s in seeds])
+        for seed, (g, pts, alpha) in zip(seeds, batch, strict=True):
+            alone_g, alone_pts, alone_alpha = verify._random_scale_case(np.random.default_rng(seed))
+            assert (g.n, g.edges, alpha) == (alone_g.n, alone_g.edges, alone_alpha)
+            assert pts.tobytes() == alone_pts.tobytes() and pts[0, 0] <= 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -113,6 +113,84 @@ def test_graph_validation():
         WeightedGraph(3, [(0, 1, 1.0), (1, 2)])
 
 
+FAULTS = ["float", "bool", "str", "numpy bool", "too large", "negative", "i >= j", "duplicate",
+          "weight type", "weight size", "weight value", "short", "long", "not a sequence"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7), fault=st.sampled_from(FAULTS))
+def test_one_faulty_edge_raises_its_own_per_edge_message(data, n, fault):
+    # a valid connected edge list with one faulty entry inserted at position k: the graph
+    # raises the message of that entry alone, although valid lists take one index check
+    from sigman.mesh import MeshError
+
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    chosen = data.draw(st.permutations(sorted(set(extra) | {(v, v + 1) for v in range(n - 1)})))
+    weights = st.floats(0.01, 100.0)
+    edges = [(i, j, data.draw(weights)) for i, j in chosen]
+    assert WeightedGraph(n, edges).edges == edges
+    k = data.draw(st.integers(1 if fault == "duplicate" else 0, len(edges)))
+    # a duplicate repeats an earlier edge; a weight is judged after the duplicate check
+    pool = {"duplicate": chosen[:k],
+            "weight value": [p for p in pairs if p not in chosen[:k]]}.get(fault, pairs)
+    assume(pool)
+    i, j = data.draw(st.sampled_from(pool))
+    slot, w = data.draw(st.integers(0, 1)), data.draw(weights)
+
+    def index_fault(value):
+        ends = [i, j]
+        ends[slot] = value
+        return (*ends, w)
+
+    name = f"edges[{k}]"
+    bad_index = {"float": float(i), "bool": bool(slot), "str": str(i), "numpy bool": np.True_}
+    if fault in bad_index:
+        entry = index_fault(bad_index[fault])
+        error, message = MeshError, f"{name} must hold integer vertex indices, got {entry[slot]!r}"
+    elif fault in ("too large", "negative"):
+        entry = index_fault(n + data.draw(st.integers(0, 3)) if fault == "too large" else -1)
+        error = MeshError
+        message = f"{name} holds vertex index {entry[slot]}, out of range for {n} vertices"
+    elif fault == "i >= j":
+        entry = (j, data.draw(st.sampled_from([i, j])), w)
+        error, message = GraphError, f"edge ({entry[0]}, {entry[1]}) must satisfy 0 <= i < j < n"
+    elif fault == "duplicate":
+        entry, error, message = (i, j, w), GraphError, f"duplicate edge ({i}, {j})"
+    elif fault == "weight type":
+        entry = (i, j, data.draw(st.sampled_from(["1.0", True, None, [1.0]])))
+        error, message = GraphError, f"{name} weight must be a number, got {entry[2]!r}"
+    elif fault == "weight size":
+        entry, error, message = (i, j, 10 ** 400), GraphError, f"{name} weight is too large for a float"
+    elif fault == "weight value":
+        entry = (i, j, data.draw(st.sampled_from([0.0, -1.0, -0.0, math.inf, math.nan, -3])))
+        error = GraphError
+        message = f"edge ({i}, {j}) weight {float(entry[2])} must be positive and finite"
+    else:
+        entry = {"short": (i, j), "long": (i, j, w, 1.0), "not a sequence": None}[fault]
+        error, message = GraphError, f"{name} must be [i, j, weight], got {entry!r}"
+    with pytest.raises(error) as info:
+        WeightedGraph(n, edges[:k] + [entry] + edges[k:])
+    assert str(info.value) == message
+
+
+def test_a_valid_graph_takes_one_index_check(monkeypatch):
+    calls = []
+    check = graphembed.vertex_indices
+    monkeypatch.setattr(graphembed, "vertex_indices",
+                        lambda *args: calls.append(args[2]) or check(*args))
+    assert WeightedGraph(4, list(K4.edges)).edges == K4.edges
+    assert calls == ["edges"]
+    calls.clear()
+    with pytest.raises(GraphError, match="^duplicate edge"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)])
+    assert calls == ["edges"]
+    calls.clear()       # a faulty index replays the check edge by edge, up to the fault
+    with pytest.raises(ValueError, match=r"^edges\[1\] holds vertex index 3"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0)])
+    assert calls == ["edges", "edges[0]", "edges[1]"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12))
 def test_connectivity_agrees_with_scipy(data, n):

@@ -16,7 +16,7 @@ CORPORA = [
     (verify.check_gaussian_lower_bounds, 2, verify.gaussian, "random_monotone_param_path",
      [0, 2, 1, 3]),
     (verify.check_config_bounds, 3, verify.configspace, "random_config_path", [0, 1, 2, 3]),
-    (verify.check_scale_invariance, 5, verify, "_random_scale_case", [0, 1, 2, 3]),
+    (verify.check_scale_invariance, 5, verify, "_random_scale_cases", [0, 1, 2, 3]),
     (verify.check_function_identities, 6, verify.SmoothMonotone, "draw", [0, 1, 2, 3]),
 ]
 
@@ -98,3 +98,37 @@ def test_corpus_validation_is_once_per_stack(monkeypatch):
             counts[check.__name__, name, count] = calls[name]
     for check, name, count in counts:
         assert counts[check, name, 50] == counts[check, name, 200] > 0
+
+    # the scale corpus probes its placements once per shape (n, dim) and rejection round, and
+    # checks each shape's stack with one more probe; one case at a time made 1,008 probes
+    probes = []
+    probe = verify.configspace.hull_probe
+    monkeypatch.setattr(verify.configspace, "hull_probe",
+                        lambda m, stack: probes.append(np.shape(stack)) or probe(m, stack))
+    attempts, shapes = [], []
+    for i in range(1000):
+        probes.clear()
+        shapes.append(verify._random_scale_case(np.random.default_rng([SEED, 5, i]))[1].shape)
+        attempts.append(len(probes))
+    rounds = [{s for s, a in zip(shapes, attempts) if a > r} for r in range(max(attempts))]
+    probes.clear()
+    assert verify.check_scale_invariance(SEED).ok
+    assert len(probes) == sum(map(len, rounds)) + len(set(shapes)) <= 8 * (max(attempts) + 1)
+
+    # a shell configuration takes one sampler call, not one per point (6,204 calls for the
+    # 1,695 configurations of check_config_bounds(42) when drawn point by point)
+    sampled = {"configs": 0, "sampler": 0}
+
+    def counting_call(key, fn):
+        def call(*args):
+            sampled[key] += 1
+            return fn(*args)
+        return call
+
+    shell = verify.geometry.KINDS["shell"]
+    monkeypatch.setitem(verify.geometry.KINDS, "shell",
+                        shell._replace(sample=counting_call("sampler", shell.sample)))
+    monkeypatch.setattr(verify.configspace, "_sample_config",
+                        counting_call("configs", verify.configspace._sample_config))
+    assert verify.check_config_bounds(SEED).ok
+    assert sampled["sampler"] == sampled["configs"] == 1695
