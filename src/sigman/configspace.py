@@ -194,20 +194,6 @@ def config_path_energy(path: ConfigPath) -> energymod.EnergyReport:
                                   {"n_samples": len(path.coords), "n_particles": path.n})
 
 
-def component_energies(path: ConfigPath, j: int) -> tuple[float, float]:
-    """Curve energies of particle j's own trajectory (0-based index).
-
-    A stationary particle has zero-length links and zero energies, so
-    this bypasses the polyline distinctness requirement.
-    """
-    if not 0 <= j < path.n:
-        raise ConfigError(f"particle index {j} out of range for n = {path.n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1, e2, _ = energymod.segment_sums(_track_lengths(path.coords)[j])
-    # an overflow is inf, and so is a zero-length link after it (inf * 0)
-    return tuple(np.inf if np.isnan(e) else float(e) for e in (e1, e2))
-
-
 @dataclass
 class ConfigBoundReport:
     """All bound verdicts for one configuration path."""

@@ -236,13 +236,3 @@ def sqrt_arclength_transform(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     deriv = np.gradient(fs, h, edge_order=2)
     variation = cumulative_trapezoid(np.abs(deriv), xs)
     return xs, np.sqrt(variation)
-
-
-def word_energy(letters) -> tuple[float, float]:
-    """Total (e1, e2) of a finite letter sequence: plain sums."""
-    letters = list(letters)
-    if not letters:
-        raise EnergyError("word needs at least one letter")
-    e1 = math.fsum(rep.e1 for rep in letters)
-    e2 = math.fsum(rep.e2 for rep in letters)
-    return e1, e2

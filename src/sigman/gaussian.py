@@ -48,10 +48,6 @@ class FisherTensor:
                 and self.g11 * self.g22 - self.g12 ** 2 > 0.0):
             raise GaussianError("Fisher tensor must be positive definite")
 
-    @property
-    def det(self) -> float:
-        return self.g11 * self.g22 - self.g12 ** 2
-
 
 def fisher_metric_numeric(mu: float, sigma: float, quad_points: int = 401) -> FisherTensor:
     """Fisher tensor by quadrature of the defining integrals.

@@ -159,31 +159,8 @@ def pair_index(n: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# SPD / Gaussian chart flattening
+# SPD chart: rows to symmetric matrices
 # ---------------------------------------------------------------------------
-
-def spd_chart_from_matrix(mat) -> np.ndarray:
-    """Flatten a symmetric matrix to chart coordinates.
-
-    Row-major upper triangle with off-diagonal entries multiplied by
-    sqrt(2), which makes the chart 2-norm equal to the tr(A^T B) norm.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max())):
-        raise GeometryError("matrix is not symmetric")
-    n = mat.shape[0]
-    iu, ju = pair_index(n, 0)
-    scale = np.where(iu == ju, 1.0, _SQRT2)
-    return mat[iu, ju] * scale
-
-
-def gaussian_chart(mu, sigma) -> np.ndarray:
-    """Chart coordinates of a (mean, covariance) pair."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return np.concatenate([mu, spd_chart_from_matrix(sigma)])
-
 
 def _spd_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     """Symmetric matrices of the chart rows ``coords`` (N, n(n+1)/2)."""
@@ -228,14 +205,6 @@ def _failure(m: ManifoldSpec, xs: np.ndarray) -> str | None:
         if not ok[0]:
             return why(m, values[0])
     return None
-
-
-def is_valid_point(m: ManifoldSpec, x) -> bool:
-    try:
-        validate_point(m, x)
-    except GeometryError:
-        return False
-    return True
 
 
 def validate_points(m: ManifoldSpec, xs) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Graph metrics, embedding predicates, and ratio-variance minimization.
+"""Weighted graphs and ratio-variance minimization.
 
 A weighted graph is represented against a fixed edge enumeration (the
 list order). The relative ratio variance of a configuration measures
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry
 from .configspace import COLLISION_EPS, Configuration
-from .mesh import _pairs_to_csr, chart_points, csr_matrix, json_object, rows_alone, vertex_indices
+from .mesh import json_object, rows_alone, vertex_indices
 from .geometry import ManifoldSpec
 
 BARRIER_BETA = 1e-8
@@ -95,10 +95,6 @@ class WeightedGraph:
         i, j, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
         return i.astype(np.int64), j.astype(np.int64), w
 
-    def _matrix(self, unit: bool) -> csr_matrix:
-        i, j, w = self._arrays()
-        return _pairs_to_csr(self.n, i, j, np.ones(self.m) if unit else w)
-
 
 def _root(parent: dict, v: int) -> int:
     """Root of ``v`` in a union-find forest whose roots are absent from ``parent``."""
@@ -108,48 +104,9 @@ def _root(parent: dict, v: int) -> int:
     return v
 
 
-def graph_to_json(g: WeightedGraph) -> dict:
-    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
-
-
 def graph_from_json(data) -> WeightedGraph:
     data = json_object(data, "graph", "n", "edges")
     return WeightedGraph(data["n"], list(data["edges"]))
-
-
-def graph_metric(g: WeightedGraph, unit_weights: bool = True) -> np.ndarray:
-    """All-pairs shortest-path table; hop counts when unit_weights."""
-    from scipy.sparse.csgraph import shortest_path
-    dist = shortest_path(g._matrix(unit=unit_weights), directed=True,   # stored both ways
-                         unweighted=unit_weights)
-    return np.asarray(dist)
-
-
-def _placement_array(g: WeightedGraph, placement, m: ManifoldSpec) -> np.ndarray:
-    """Points of a placement, each checked to lie in ``m``."""
-    if isinstance(placement, dict):
-        placement = [placement[i] for i in range(g.n)]
-    pts = chart_points(m, placement, "vertex")
-    if pts.shape[0] != g.n:
-        raise GraphError(f"placement must map all {g.n} vertices")
-    return pts
-
-
-def is_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
-                           tol: float = 1e-9) -> bool:
-    """True iff manifold distances match hop distances for ALL pairs."""
-    pts = _placement_array(g, placement, m)
-    iu, ju = geometry.pair_index(g.n)
-    d_graph = graph_metric(g, unit_weights=True)
-    return not np.any(np.abs(geometry.distance(m, pts[iu], pts[ju]) - d_graph[iu, ju]) > tol)
-
-
-def is_quasi_isometric_embedding(g: WeightedGraph, placement, m: ManifoldSpec,
-                                 tol: float = 1e-9) -> bool:
-    """True iff every EDGE maps to a unit-distance pair (non-edges free)."""
-    pts = _placement_array(g, placement, m)
-    i, j, _ = g._arrays()
-    return not np.any(np.abs(geometry.distance(m, pts[i], pts[j]) - 1.0) > tol)
 
 
 def ratio_vector(g: WeightedGraph, config: Configuration) -> np.ndarray:

@@ -269,18 +269,6 @@ class PolylinePath:
         return self.samples.shape[0]
 
 
-def cumulative_arclength(path: PolylinePath) -> np.ndarray:
-    """Arc length from gamma(0) to each sample; starts at 0, nondecreasing; an overflow is inf."""
-    with np.errstate(over="ignore"):
-        return np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(path.samples, axis=0),
-                                                                axis=1))))
-
-
-def arc_length(path: PolylinePath) -> float:
-    """Total length of the polyline (last cumulative entry, exactly)."""
-    return float(cumulative_arclength(path)[-1])
-
-
 def resample_polyline(path: PolylinePath, n_samples: int) -> PolylinePath:
     """Linear chart interpolation of the polyline at uniform parameters.
 

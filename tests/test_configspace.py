@@ -16,7 +16,6 @@ from sigman.configspace import (
     ConfigPath,
     Configuration,
     check_config_bounds,
-    component_energies,
     config_path_energy,
     random_config_path,
 )
@@ -102,36 +101,19 @@ def test_single_mover_matches_one_particle_energies():
     mover = np.column_stack([np.full_like(t, 1.5), np.zeros_like(t), t])
     fixed = np.tile([0.0, 1.5, 0.0], (200, 1))
     path = ConfigPath(SHELL, np.stack([mover, fixed], axis=1))
-    rep = config_path_energy(path)
-    e1j, e2j = component_energies(path, 0)
-    assert rep.e1 == pytest.approx(e1j, abs=1e-15)
-    assert rep.e2 == pytest.approx(e2j, abs=1e-15)
-    assert component_energies(path, 1) == (0.0, 0.0)
+    rep = check_config_bounds([path])[0]
+    assert rep.e1 == pytest.approx(rep.component_e1[0], abs=1e-15)
+    assert rep.e2 == pytest.approx(rep.component_e2[0], abs=1e-15)
+    assert (rep.component_e1[1], rep.component_e2[1]) == (0.0, 0.0)
 
 
 def test_component_energy_straight_chord():
     t = np.linspace(0.0, 1.0, 2000)
     mover = np.column_stack([np.full_like(t, 1.5), np.zeros_like(t), t])
     fixed = np.tile([0.0, 1.5, 0.0], (2000, 1))
-    path = ConfigPath(SHELL, np.stack([mover, fixed], axis=1))
-    e1j, e2j = component_energies(path, 0)
-    assert e1j == pytest.approx(0.5, abs=1e-6)
-    assert e2j == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-
-def test_component_energy_overflow_is_inf_without_a_warning():
-    # particle 0's first link overflows the norm; its second is stationary (inf * 0)
-    path = ConfigPath(geometry.euclidean(2), [[[0.0, 0.0], [1.0, 0.0]],
-                                              [[1e200, 1e200], [1.0, 1.0]],
-                                              [[1e200, 1e200], [1.0, 2.0]]])
-    assert component_energies(path, 0) == (math.inf, math.inf)
-    assert component_energies(path, 1) == pytest.approx((2.0, 8.0 / 3.0), rel=1e-15)
-
-
-def test_component_index_out_of_range():
-    path = two_particle_translation(50)
-    with pytest.raises(ConfigError, match="out of range"):
-        component_energies(path, 2)
+    rep = check_config_bounds([ConfigPath(SHELL, np.stack([mover, fixed], axis=1))])[0]
+    assert rep.component_e1[0] == pytest.approx(0.5, abs=1e-6)
+    assert rep.component_e2[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_mid_chord_collision_rejected():
@@ -154,15 +136,13 @@ def test_transition_membership_rejected():
 
 def test_permuting_particles_permutes_components():
     path = random_config_path(SHELL, 3, [71], steps=6)[0]
-    rep = config_path_energy(path)
-    comp = [component_energies(path, j) for j in range(3)]
     perm = [2, 0, 1]
     permuted = ConfigPath(SHELL, path.coords[:, perm, :], path.params)
-    rep_p = config_path_energy(permuted)
-    comp_p = [component_energies(permuted, j) for j in range(3)]
+    rep, rep_p = check_config_bounds([path, permuted])
     assert rep_p.e1 == rep.e1 and rep_p.e2 == rep.e2
     for j in range(3):
-        assert comp_p[j] == comp[perm[j]]
+        assert rep_p.component_e1[j] == rep.component_e1[perm[j]]
+        assert rep_p.component_e2[j] == rep.component_e2[perm[j]]
 
 
 def test_crossing_between_configurations_collides():

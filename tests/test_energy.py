@@ -18,7 +18,6 @@ from sigman.energy import (
     riemannian_energy,
     sp_energy,
     sqrt_arclength_transform,
-    word_energy,
 )
 from sigman.mesh import PolylinePath, triangulate_sphere
 
@@ -448,33 +447,6 @@ def test_function_tables_refuse_infinite_and_nan_steps(xs):
     for transform in (sp_energy, energy.antiderivative_transform):
         with pytest.raises(EnergyError, match=GRID_FAULT):
             transform(np.array(xs), np.ones(len(xs)))
-
-
-# ---------------------------------------------------------------------------
-# Word energies
-# ---------------------------------------------------------------------------
-
-def test_word_energy_single_letter():
-    rep = curve_energy([straight_path()])[0]
-    assert word_energy([rep]) == (rep.e1, rep.e2)
-
-
-def test_word_energy_two_rectangles():
-    rep = region_energy(energy.rectangle_region(0.05))
-    e1, e2 = word_energy([rep, rep])
-    assert e1 == pytest.approx(2.0, rel=0.04)
-    assert e2 == pytest.approx(4.0 / 3.0, rel=0.04)
-
-
-def test_word_energy_zero_letters_rejected():
-    with pytest.raises(EnergyError, match="at least one"):
-        word_energy([])
-
-
-def test_word_energy_zero_energy_letters():
-    sq = mesh.triangulate_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
-    rep = region_energy(sq, list(range(sq.n_vertices)))
-    assert word_energy([rep, rep]) == (0.0, 0.0)
 
 
 def test_report_json_shape():

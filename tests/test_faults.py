@@ -22,6 +22,17 @@ def _segment_sums_shrunk(original):
     return shrunk
 
 
+def _segment_sums_swapped(original):
+    def swapped(seg_lengths):
+        e1, e2, rho = original(seg_lengths)
+        return e2, e1, rho
+    return swapped
+
+
+def _last_segment_dropped(original):
+    return lambda seg_lengths: original(seg_lengths[..., :-1])
+
+
 def _scaled(factor):
     return lambda original: lambda *args, **kwargs: factor * original(*args, **kwargs)
 
@@ -29,6 +40,10 @@ def _scaled(factor):
 FAULTS = {
     "energies_shrunk": (energy, "segment_sums", _segment_sums_shrunk,
                         {"gaussian_lower_bounds", "config_bounds"}),
+    "energies_swapped": (energy, "segment_sums", _segment_sums_swapped,
+                         {"curve_upper_bounds", "gaussian_lower_bounds", "config_bounds"}),
+    "last_segment_dropped": (energy, "segment_sums", _last_segment_dropped,
+                             {"gaussian_lower_bounds"}),
     "face_areas_scaled": (mesh, "face_areas", _scaled(1.9), {"mesh_convergence"}),
     "distance_field_scaled": (mesh, "geodesic_distance_field", _scaled(1.9),
                               {"surface_upper_bounds"}),

@@ -60,7 +60,7 @@ def test_fisher_quadrature_doubling_stable():
 def test_fisher_tensor_positive_definite_across_sigmas():
     for sigma in np.logspace(-1.0, 1.0, 25):
         t = fisher_metric_numeric(0.0, float(sigma))
-        assert t.g11 > 0.0 and t.g22 > 0.0 and t.det > 0.0
+        assert t.g11 > 0.0 and t.g22 > 0.0 and t.g11 * t.g22 - t.g12 ** 2 > 0.0
 
 
 def test_fisher_rejects_bad_inputs():
@@ -114,24 +114,22 @@ def test_fisher_tensor_validates_positive_definiteness():
 # Product metric distance (geometry.distance on the parameter chart)
 # ---------------------------------------------------------------------------
 
-PARAM_LINE = geometry.gaussian_param([(-5.0, 5.0)])
+PARAM_LINE = geometry.gaussian_param([(-5.0, 5.0)])     # chart rows [mean, variance]
 
 
 def test_product_distance_identical_points():
-    p = geometry.gaussian_chart([0.0], [[1.0]])
+    p = [0.0, 1.0]
     assert geometry.distance(PARAM_LINE, p, p) == 0.0
 
 
 def test_product_distance_mean_shift():
-    p = geometry.gaussian_chart([0.0], [[1.0]])
-    q = geometry.gaussian_chart([3.0], [[1.0]])
+    p, q = [0.0, 1.0], [3.0, 1.0]
     assert geometry.distance(PARAM_LINE, p, q) == pytest.approx(3.0)
 
 
 def test_product_distance_l3():
     # the cubic lower bound ||q - p||_3^3 / 3 over the charts (0, 1) and (1, 2)
-    p = geometry.gaussian_chart([0.0], [[1.0]])
-    q = geometry.gaussian_chart([1.0], [[2.0]])
+    p, q = [0.0, 1.0], [1.0, 2.0]
     assert gaussian.lower_bound_l3(p, q) == pytest.approx(2.0 / 3.0)
 
 
@@ -140,20 +138,17 @@ def test_product_distance_matches_geometry_product_spec():
     plane = geometry.gaussian_param([(-5.0, 5.0)] * 2)
     spec = geometry.product_manifold([geometry.euclidean(2), geometry.spd(2)])
     for _ in range(100):
-        pts = []
-        for _ in range(2):
-            a = rng.normal(size=(2, 2))
-            pts.append(geometry.gaussian_chart(rng.normal(size=2), a @ a.T + np.eye(2)))
+        # covariance rows [a, sqrt 2 * b, c] with a, c >= 1 > |sqrt 2 * b|: positive definite
+        pts = [np.concatenate([rng.normal(size=2), rng.uniform([1.0, -1.0, 1.0], [2.0, 1.0, 2.0])])
+               for _ in range(2)]
         d_param = geometry.distance(plane, *pts)
         d_geom = geometry.distance(spec, *pts)
         assert abs(d_param - d_geom) <= 1e-12
 
 
 def test_gauss_param_point_validation():
-    with pytest.raises(geometry.GeometryError, match="^matrix is not symmetric$"):
-        geometry.gaussian_chart([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
     plane = geometry.gaussian_param([(-5.0, 5.0)] * 2)
-    x = geometry.gaussian_chart([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])    # eigenvalues -1, 3
+    x = [0.0, 0.0, 1.0, 2.0 * math.sqrt(2.0), 1.0]    # covariance [[1, 2], [2, 1]]: eigs -1, 3
     with pytest.raises(geometry.MembershipError,
                        match=r"^covariance minimum eigenvalue -1\.0 is not > 1e-10$"):
         geometry.validate_point(plane, x)

@@ -41,7 +41,7 @@ def test_shell_rejects_inner_boundary():
 def test_spd_rejects_indefinite_matrix():
     # [[1, 2], [2, 1]] has eigenvalues 1 +- 2, so -1 < 0
     m = spd(2)
-    coords = geometry.spd_chart_from_matrix([[1.0, 2.0], [2.0, 1.0]])
+    coords = [1.0, 2.0 * math.sqrt(2.0), 1.0]     # chart row: off-diagonal entries times sqrt 2
     with pytest.raises(MembershipError, match="eigenvalue"):
         validate_point(m, coords)
 
@@ -53,9 +53,9 @@ def test_validate_point_dimension_mismatch():
 
 def test_gaussian_param_box_membership():
     m = gaussian_param([(-1.0, 1.0)])
-    validate_point(m, geometry.gaussian_chart([0.5], [[2.0]]))
+    validate_point(m, [0.5, 2.0])      # mean 0.5, variance 2
     with pytest.raises(MembershipError, match="outside open box"):
-        validate_point(m, geometry.gaussian_chart([1.5], [[2.0]]))
+        validate_point(m, [1.5, 2.0])
 
 
 def test_distance_345_triangle():
@@ -136,7 +136,8 @@ def _random_point(m, rng):
         return v / np.linalg.norm(v)
     if m.kind == "spd":
         a = rng.normal(size=(m.n, m.n))
-        return geometry.spd_chart_from_matrix(a @ a.T + np.eye(m.n))
+        iu, ju = geometry.pair_index(m.n, 0)    # chart row: upper triangle, off-diagonal * sqrt 2
+        return (a @ a.T + np.eye(m.n))[iu, ju] * np.where(iu == ju, 1.0, math.sqrt(2.0))
     if m.kind == "product":
         return np.concatenate([_random_point(f, rng) for f in m.factors])
     raise AssertionError(m.kind)
@@ -371,28 +372,32 @@ def test_product_consistency_with_factor_aggregation():
 
 
 def test_spd_chart_round_trip_and_norm():
+    row = np.array([[1.0, 2.0 * math.sqrt(2.0), 1.0]])
+    assert geometry._spd_matrices(row, 2).tolist() == [[[1.0, 2.0], [2.0, 1.0]]]
     rng = np.random.default_rng(19)
     for n in (1, 2, 3):
-        a = rng.normal(size=(n, n))
-        mat = a @ a.T + np.eye(n)
-        coords = geometry.spd_chart_from_matrix(mat)
-        assert np.allclose(geometry._spd_matrices(coords[None], n)[0], mat)
+        coords = rng.normal(size=(2, n * (n + 1) // 2))
+        mats = geometry._spd_matrices(coords, n)
+        assert np.array_equal(mats, mats.swapaxes(1, 2))
         # chart norm equals the trace inner-product norm
-        b = rng.normal(size=(n, n))
-        other = b @ b.T + np.eye(n)
-        diff = mat - other
-        frob = math.sqrt(np.trace(diff.T @ diff))
-        chart_dist = np.linalg.norm(coords - geometry.spd_chart_from_matrix(other))
-        assert chart_dist == pytest.approx(frob, rel=1e-12)
+        frob = np.linalg.norm(mats[0] - mats[1])
+        assert np.linalg.norm(coords[0] - coords[1]) == pytest.approx(frob, rel=1e-12)
+
+
+def _assert_mask_matches_validate_point(m, pts, mask):
+    for inside, x in zip(mask, pts):
+        if inside:
+            validate_point(m, x)
+        else:
+            with pytest.raises(MembershipError):
+                validate_point(m, x)
 
 
 def test_validate_points_matches_scalar_validation():
     rng = np.random.default_rng(23)
     m = gaussian_param([(-2.0, 2.0), (-2.0, 2.0)])
     pts = rng.normal(size=(100, geometry.chart_dim(m)))
-    mask = validate_points(m, pts)
-    for k in range(100):
-        assert mask[k] == geometry.is_valid_point(m, pts[k])
+    _assert_mask_matches_validate_point(m, pts, validate_points(m, pts))
 
 
 # one example spec per manifold kind, for the tests that run on every kind
@@ -467,7 +472,7 @@ def test_validate_points_matches_scalar_validation_on_every_kind(m):
     pts[1::10, -1], pts[2::10, 0] = math.inf, math.nan          # refused on every kind
     mask = validate_points(m, pts)
     assert mask.any() and not mask.all()
-    assert mask.tolist() == [geometry.is_valid_point(m, x) for x in pts]
+    _assert_mask_matches_validate_point(m, pts, mask)
 
 
 def test_spec_sets_exactly_its_kinds_fields():
@@ -533,8 +538,10 @@ def test_pair_index_is_a_read_only_triu_table():
 
 
 def test_distance_overflow_is_inf_without_a_warning():
-    # the suite turns RuntimeWarning into an error, so a warning fails here
+    # the suite turns RuntimeWarning into an error, so a warning fails here; a flat
+    # overflow is no obstruction, also where the squares of both coordinates overflow
     assert distance(euclidean(2), [0.0, 0.0], [1e300, 0.0]) == math.inf
+    assert distance(euclidean(2), [[0.0, 0.0]], [[1e300, 1e300]]).tolist() == [math.inf]
 
 
 def test_overflow_is_inf_and_only_a_shell_chord_is_obstructed():

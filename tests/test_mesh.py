@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigman import geometry, mesh
+from sigman import energy, geometry, mesh
 from sigman.mesh import (
     DisconnectedMesh,
     MeshError,
     PolylinePath,
     TriMesh,
-    arc_length,
-    cumulative_arclength,
     geodesic_distance_field,
     mesh_area,
     mesh_diameter,
@@ -60,46 +58,42 @@ def brute_force_distance(graph, src, dst):
 # Polylines
 # ---------------------------------------------------------------------------
 
+def _rho(path) -> float:
+    """The polyline's length rho, read from its curve-energy bound rho^2."""
+    return math.sqrt(energy.curve_energy([path])[0].bound1)
+
+
 def test_arc_length_straight_segment():
     t = np.linspace(0.0, 1.0, 11)
     path = PolylinePath(R2, np.column_stack([t, np.zeros(11)]))
-    assert arc_length(path) == pytest.approx(1.0, abs=0.0)
+    assert _rho(path) == pytest.approx(1.0, abs=0.0)
 
 
 def test_arc_length_half_circle():
     t = np.linspace(0.0, math.pi, 10_000)
     path = PolylinePath(R2, np.column_stack([np.cos(t), np.sin(t)]))
-    assert arc_length(path) == pytest.approx(math.pi, abs=1e-6)
+    assert _rho(path) == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_arc_length_l_shape():
     pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
-    assert arc_length(PolylinePath(R2, pts)) == pytest.approx(2.0)
+    assert _rho(PolylinePath(R2, pts)) == pytest.approx(2.0)
 
 
 def test_cumulative_arclength_uniform_segment():
+    # the arc length to a sample is the length of the polyline up to it
     pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
-    path = PolylinePath(R2, pts, [0.0, 0.5, 1.0])
-    assert np.allclose(cumulative_arclength(path), [0.0, 1.0, 2.0])
+    assert [_rho(PolylinePath(R2, pts[:k])) for k in (2, 3)] == [1.0, 2.0]
 
 
 def test_cumulative_arclength_half_circle_midpoint():
-    t = np.linspace(0.0, math.pi, 1001)
+    t = np.linspace(0.0, math.pi / 2.0, 501)
     path = PolylinePath(R2, np.column_stack([np.cos(t), np.sin(t)]))
-    s = cumulative_arclength(path)
-    assert s[500] == pytest.approx(math.pi / 2.0, abs=1e-3)
+    assert _rho(path) == pytest.approx(math.pi / 2.0, abs=1e-3)
 
 
 def test_cumulative_arclength_single_segment():
-    path = PolylinePath(R2, [[0.0, 0.0], [3.0, 4.0]])
-    assert np.allclose(cumulative_arclength(path), [0.0, 5.0])
-
-
-def test_cumulative_last_entry_equals_arc_length_exactly():
-    rng = np.random.default_rng(3)
-    pts = np.cumsum(rng.normal(size=(40, 3)), axis=0)
-    path = PolylinePath(R3, pts)
-    assert cumulative_arclength(path)[-1] == arc_length(path)
+    assert _rho(PolylinePath(R2, [[0.0, 0.0], [3.0, 4.0]])) == 5.0
 
 
 def test_polyline_rejects_duplicate_consecutive_samples():
@@ -127,7 +121,8 @@ def test_resample_polyline_preserves_geometry():
     path = PolylinePath(R2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     fine = mesh.resample_polyline(path, 201)
     assert fine.n_samples == 201
-    assert arc_length(fine) == pytest.approx(2.0, abs=1e-12)
+    length = np.linalg.norm(np.diff(fine.samples, axis=0), axis=1).sum()
+    assert length == pytest.approx(2.0, abs=1e-12)
 
 
 def test_resample_polyline_refuses_more_than_the_limit():

@@ -47,8 +47,7 @@ DOCUMENTS = {
     ],
     "config": [configspace.config_path_to_json(
         configspace.random_config_path(geometry.spherical_shell(1.0, 4.0), 2, [3], steps=3)[0])],
-    "graph": [graphembed.graph_to_json(
-        graphembed.WeightedGraph(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.5)]))],
+    "graph": [{"n": 3, "edges": [[0, 1, 1.0], [0, 2, 2.0], [1, 2, 1.5]]}],
 }
 
 
