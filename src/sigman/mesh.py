@@ -590,10 +590,10 @@ def mesh_diameter(mesh: TriMesh) -> float:
     limit = best * (1 - CERTIFY_MARGIN), best the largest scanned entry: by
     the triangle inequality neither orientation beats best, and the margin
     is far above a path sum's rounding. After vertex 0, a double sweep u, v
-    and a central root, the SCAN_BATCH vertices in the most uncertified
-    pairs are scanned until none is left, then every unscanned far end of
-    an entry above limit (rows are not bitwise symmetric). Searches are
-    directed: every edge is stored both ways.
+    and a central root, batches of SCAN_BATCH ends of uncertified pairs are scanned,
+    farthest from the scanned rows first, each while one of its pairs has no end in the
+    batch, until no pair is left; then every unscanned far end of an entry above limit
+    (rows are not bitwise symmetric). Searches are directed: every edge is stored both ways.
     """
     graph = _metric_graph(mesh)
     d0 = dijkstra(graph, directed=True, indices=0, min_only=True)
@@ -604,10 +604,11 @@ def mesh_diameter(mesh: TriMesh) -> float:
     root = int(np.argmin(np.maximum(du, dv)))
     dr = dijkstra(graph, directed=True, indices=root, min_only=True)
     scanned = np.isin(np.arange(mesh.n_vertices), [0, u, v, root])
-    far = np.max([d0, du, dv, dr], axis=0)      # column maxima of the scanned rows
+    hubs = np.stack([d0, du, dv, dr])
+    far, near = hubs.max(axis=0), hubs.min(axis=0)     # column maxima and minima of scanned rows
     limit = far.max() * (1.0 - CERTIFY_MARGIN)
     cand = np.flatnonzero((dr + dr.max() > limit) & ~scanned)    # the rest: certified by root
-    hubs, m = np.stack([d0, du, dv, dr])[:, cand], cand.size
+    hubs, m = hubs[:, cand], cand.size
     step = max(1, CERTIFY_BUFFER // max(m, 1))
     acc, tmp = np.empty((2, step * m))
     pairs = [np.empty((2, 0), dtype=np.int64)]
@@ -620,14 +621,19 @@ def mesh_diameter(mesh: TriMesh) -> float:
         pairs.append(cand[a + np.array(np.nonzero(np.triu(s > limit, 1)))])
     pairs = np.concatenate(pairs, axis=1)
     while True:
-        count = np.bincount(pairs.ravel(), minlength=mesh.n_vertices)
-        src = np.argsort(-count, kind="stable")[:SCAN_BATCH]
-        src = src[count[src] > 0] if pairs.size else np.flatnonzero((far > limit) & ~scanned)
+        ends = np.concatenate((pairs, pairs[::-1]), axis=1)     # each pair from either end
+        src = []
+        for x, y in zip(*ends[:, np.lexsort((ends[0], -near[ends[0]]))]):  # few are read
+            if x not in src and y not in src:
+                src.append(x)
+                if len(src) == SCAN_BATCH:
+                    break
+        src = np.array(src, dtype=int) if pairs.size else np.flatnonzero((far > limit) & ~scanned)
         if not src.size:
             return float(far.max())
         hubs = dijkstra(graph, directed=True, indices=src, min_only=False)
         scanned[src] = True
-        far = np.maximum(far, hubs.max(axis=0))
+        far, near = np.maximum(far, hubs.max(axis=0)), np.minimum(near, hubs.min(axis=0))
         limit = far.max() * (1.0 - CERTIFY_MARGIN)
         pairs = pairs[:, ~scanned[pairs].any(axis=0)]
         for row in hubs:

@@ -14,6 +14,7 @@ evidence that the inequalities hold on this installation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -152,16 +153,14 @@ def check_curve_upper_bounds(seed: int, count: int = 1000) -> CheckResult:
     return _corpus("curve_upper_bounds", seed, 1, count, judge)
 
 
-def check_surface_upper_bounds(subdivisions: int = 3) -> CheckResult:
-    """Sphere 2-D signal satisfies e1 <= diam*area, e2 <= diam^2*area.
+def check_surface_upper_bounds(sphere: mesh.TriMesh, diam: float) -> CheckResult:
+    """An icosphere's 2-D signal satisfies e1 <= diam*area, e2 <= diam^2*area.
 
-    ``region_energy`` certifies its verdicts with the source
-    eccentricity F. This check also computes the exact crossing-graph
-    diameter and checks F <= diam and the paper's bounds as stated.
+    ``region_energy`` certifies its verdicts with the source eccentricity F.
+    This check also checks F <= diam, ``diam`` the exact crossing-graph
+    diameter of ``sphere`` (``mesh.mesh_diameter``), and the paper's bounds.
     """
-    sphere = mesh.triangulate_sphere(subdivisions)
     report = energy.region_energy(sphere, [sphere.a])
-    diam = mesh.mesh_diameter(sphere)
     area = mesh.mesh_area(sphere)
     slack = 1.0 + energy.BOUND_RTOL
     ok = (report.satisfied1 and report.satisfied2
@@ -312,34 +311,54 @@ def check_function_identities(seed: int, count: int = 100,
     return _corpus("function_energy_identities", seed, 6, count, lambda rngs: list(map(case, rngs)))
 
 
-def check_mesh_convergence(max_subdivisions: int = 4) -> CheckResult:
-    """Icosphere area and diameter errors shrink monotonically."""
-    errors = {"area_err": [], "diam_err": []}
-    for k in range(1, max_subdivisions + 1):
-        sphere = mesh.triangulate_sphere(k)
-        errors["area_err"].append(abs(mesh.mesh_area(sphere) - 4.0 * math.pi))
-        errors["diam_err"].append(abs(mesh.mesh_diameter(sphere) - math.pi))
+def check_mesh_convergence(areas, diameters) -> CheckResult:
+    """Icosphere area and diameter errors shrink monotonically, over the ``areas`` and
+    ``diameters`` of subdivisions 1, 2, ... in order (see :func:`_sphere_ladder`)."""
+    errors = {"area_err": [abs(a - 4.0 * math.pi) for a in areas],
+              "diam_err": [abs(d - math.pi) for d in diameters]}
     passed = sum(all(b <= a + 1e-9 for a, b in zip(e, e[1:])) for e in errors.values())
     detail = " ".join(f"{name}=" + ",".join(f"{x:.2e}" for x in e) for name, e in errors.items())
     return CheckResult("mesh_convergence", passed, 2, detail=detail)
 
 
+def _sphere_ladder(top: int, shared: int) -> tuple:
+    """(areas, diameters) of icospheres 1..top, each built and measured once, and
+    (icosphere ``shared``, its diameter): the one mesh kept. The largest, whose graph
+    and diameter set the peak memory of ``verify_all``, is built first, before a mesh is kept."""
+    areas, diameters, kept = [None] * top, [None] * top, None
+    for k in range(top, 0, -1):
+        sphere = mesh.triangulate_sphere(k)
+        areas[k - 1], diameters[k - 1] = mesh.mesh_area(sphere), mesh.mesh_diameter(sphere)
+        kept = sphere if k == shared else kept
+    return (areas, diameters), (kept, diameters[shared - 1])
+
+
+def _guarded(name: str, check) -> CheckResult:
+    """``check()``, or a failed check ``name`` whose detail names the exception it raised."""
+    try:
+        return check()
+    except Exception as exc:    # a library fault fails its check, not the whole run
+        return CheckResult(name, 0, 1, f"raised {type(exc).__name__}: {exc}")
+
+
 def verify_all(seed: int = 42, quick: bool = False) -> dict:
-    """Run the whole corpus; summary dict with per-check counts."""
+    """Run the whole corpus, each check guarded; summary dict with per-check counts. The
+    surface check and mesh convergence share one sphere ladder, built on first use."""
     count = 50 if quick else 1000
     fn_count = 10 if quick else 100
     restarts = 6 if quick else 20
-    checks = [
-        check_curve_upper_bounds(seed, count),
-        check_surface_upper_bounds(subdivisions=2 if quick else 3),
-        check_gaussian_lower_bounds(seed, count),
-        check_config_bounds(seed, 60 if quick else count),
-        check_ratio_variance_props(seed),
-        check_scale_invariance(seed, count),
-        check_embedding_minima(seed, restarts),
-        check_function_identities(seed, fn_count),
-        check_mesh_convergence(max_subdivisions=3 if quick else 4),
-    ]
+    ladder = functools.cache(lambda: _sphere_ladder(3 if quick else 4, 2 if quick else 3))
+    checks = [_guarded(name, run) for name, run in {
+        "curve_upper_bounds": lambda: check_curve_upper_bounds(seed, count),
+        "surface_upper_bounds": lambda: check_surface_upper_bounds(*ladder()[1]),
+        "gaussian_lower_bounds": lambda: check_gaussian_lower_bounds(seed, count),
+        "config_bounds": lambda: check_config_bounds(seed, 60 if quick else count),
+        "ratio_variance_zero": lambda: check_ratio_variance_props(seed),
+        "scale_invariance": lambda: check_scale_invariance(seed, count),
+        "embedding_minima": lambda: check_embedding_minima(seed, restarts),
+        "function_energy_identities": lambda: check_function_identities(seed, fn_count),
+        "mesh_convergence": lambda: check_mesh_convergence(*ladder()[0]),
+    }.items()]
     return {
         "seed": seed,
         "quick": quick,

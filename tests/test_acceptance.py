@@ -65,7 +65,8 @@ def test_criterion_3_curve_and_surface_upper_bounds():
     """1000 seeded curves (R^2, R^3, shell) and the subdivision-3 sphere
     satisfy the 1- and 2-energy upper bounds with zero violations."""
     curves = verify.check_curve_upper_bounds(SEED, 1000)
-    surface = verify.check_surface_upper_bounds(subdivisions=3)
+    sphere = mesh.triangulate_sphere(3)
+    surface = verify.check_surface_upper_bounds(sphere, mesh.mesh_diameter(sphere))
     ok = curves.ok and surface.ok
     _report(
         "3 (energy upper bounds)", ok,
@@ -124,5 +125,7 @@ def test_criterion_7_transform_identities():
 def test_criterion_8_mesh_convergence():
     """Icosphere area error vs 4*pi and diameter error vs pi decrease
     monotonically (1e-9 slack) over subdivisions 1 -> 4."""
-    result = verify.check_mesh_convergence(max_subdivisions=4)
+    spheres = [mesh.triangulate_sphere(k) for k in range(1, 5)]
+    result = verify.check_mesh_convergence([mesh.mesh_area(s) for s in spheres],
+                                           [mesh.mesh_diameter(s) for s in spheres])
     _report("8 (mesh convergence)", result.ok, result.detail)

@@ -296,7 +296,7 @@ def test_surface_check_reports_the_diameter_bound():
     area = mesh.mesh_area(sphere)
     rep = region_energy(sphere, [sphere.a])
     assert rep.discretization["ecc_source"] < diam   # the two bounds differ here
-    result = verify.check_surface_upper_bounds(subdivisions=2)
+    result = verify.check_surface_upper_bounds(sphere, diam)
     assert result.ok
     assert result.detail == f"e1={rep.e1:.6f} bound1={diam * area:.6f}"
 

@@ -10,9 +10,11 @@ and rho^3, as a chain's exact energies are rho^2/2 and rho^3/3. And
 reads it only through scale-free ratio variances and the chord check.
 """
 
+import json
+
 import pytest
 
-from sigman import energy, gaussian, mesh, verify
+from sigman import cli, configspace, energy, gaussian, mesh, verify
 
 
 def _segment_sums_shrunk(original):
@@ -33,6 +35,15 @@ def _last_segment_dropped(original):
     return lambda seg_lengths: original(seg_lengths[..., :-1])
 
 
+def _first_hull_verdict_flipped(original):
+    def flipped(m, stack):
+        inside, gap_sq = original(m, stack)
+        inside = inside.copy()
+        inside.flat[0] = not inside.flat[0]
+        return inside, gap_sq
+    return flipped
+
+
 def _scaled(factor):
     return lambda original: lambda *args, **kwargs: factor * original(*args, **kwargs)
 
@@ -49,6 +60,13 @@ FAULTS = {
                               {"surface_upper_bounds"}),
     "lower_bound_raised": (gaussian, "lower_bound_l3", _scaled(1.02),
                            {"gaussian_lower_bounds"}),
+    # the two checks that read the shared sphere ladder's diameters
+    "diameter_shrunk": (mesh, "mesh_diameter", _scaled(0.99), {"surface_upper_bounds"}),
+    "diameter_grown": (mesh, "mesh_diameter", _scaled(1.01), {"mesh_convergence"}),
+    # each check that probes a hull raises MembershipError under this fault, and so fails
+    "hull_verdict_flipped": (configspace, "hull_probe", _first_hull_verdict_flipped,
+                             {"config_bounds", "ratio_variance_zero", "scale_invariance",
+                              "embedding_minima"}),
 }
 
 
@@ -59,3 +77,13 @@ def test_corpus_sees_the_fault(fault, monkeypatch):
     summary = verify.verify_all(42, quick=True)
     failed = {check["name"] for check in summary["checks"] if not check["ok"]}
     assert expected <= failed
+
+
+def test_a_check_that_raises_fails_and_the_run_exits_1(monkeypatch, capsys):
+    module, name, breaking, _ = FAULTS["hull_verdict_flipped"]
+    monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+    assert cli.run(["verify-all", "--quick", "--no-timing"]) == 1
+    checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
+    config = next(check for check in checks if check["name"] == "config_bounds")
+    assert (config["passed"], config["total"], config["detail"]) == (
+        0, 1, "raised MembershipError: configuration 0: point 0 leaves the manifold")

@@ -287,7 +287,16 @@ def test_mesh_diameter_is_the_bitwise_all_pairs_maximum():
         assert mesh_diameter(m) == want, (k, seed)
 
 
-def test_mesh_diameter_scans_at_most_a_quarter_of_icosphere_4(monkeypatch):
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1))
+def test_mesh_diameter_of_bumped_spheres_is_the_all_pairs_maximum(k, seed):
+    from scipy.sparse.csgraph import dijkstra
+
+    m = rotated_bumped_icosphere(k, seed)
+    assert mesh_diameter(m) == float(dijkstra(mesh._metric_graph(m), directed=False).max())
+
+
+def test_mesh_diameter_scans_at_most_a_tenth_of_icosphere_4(monkeypatch):
     m = triangulate_sphere(4)
     search, sources = mesh.dijkstra, []
 
@@ -297,7 +306,7 @@ def test_mesh_diameter_scans_at_most_a_quarter_of_icosphere_4(monkeypatch):
 
     monkeypatch.setattr(mesh, "dijkstra", counting)
     assert mesh_diameter(m) == 3.1416556600120216
-    assert sum(sources) <= 640     # of 2,562 vertices
+    assert sum(sources) <= 256     # of 2,562 vertices
 
 
 def test_field_and_diameter_search_through_the_module_dijkstra(monkeypatch):

@@ -132,3 +132,24 @@ def test_corpus_validation_is_once_per_stack(monkeypatch):
                         counting_call("configs", verify.configspace._sample_config))
     assert verify.check_config_bounds(SEED).ok
     assert sampled["sampler"] == sampled["configs"] == 1695
+
+
+@pytest.mark.parametrize("quick, subdivisions", [(False, [1, 2, 3, 4]), (True, [1, 2, 3])])
+def test_each_icosphere_is_built_and_measured_once(monkeypatch, quick, subdivisions):
+    # the surface check and mesh convergence share one ladder of spheres and diameters
+    calls = {"triangulate_sphere": [], "mesh_diameter": []}
+
+    def recording(name):
+        original = getattr(verify.mesh, name)
+
+        def record(arg):
+            calls[name].append(arg)
+            return original(arg)
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(verify.mesh, name, recording(name))
+    assert verify.verify_all(SEED, quick=quick)["all_ok"]
+    assert sorted(calls["triangulate_sphere"]) == subdivisions
+    assert sorted(m.n_vertices for m in calls["mesh_diameter"]) == [10 * 4 ** k + 2
+                                                                   for k in subdivisions]
