@@ -476,30 +476,47 @@ def _walk_tables(mesh: TriMesh):
     twin = np.full(n_h, -1)
     twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
     hlen = mesh.edge_lengths[inverse]
+    del order, pair     # each temporary is freed once used, as together they would set the peak
 
     h = np.arange(n_h)
     n1, n2 = (h + n_f) % n_h, (h + 2 * n_f) % n_h     # end -> apex and apex -> start
     t, a_end = np.repeat(twin, 2), np.column_stack([start, end]).ravel()   # a of each code
     across = np.where(t >= 0, 2 * t + (start[t] != a_end), -1)
+    code = 2 * h + (start > end)                       # each seed's portal, see below
+    del twin, t, a_end, h, end
     side_a = np.column_stack([n2, n1]).ravel()         # joins a and the apex
     side_b = np.column_stack([n1, n2]).ravel()         # joins the apex and b
     flip = np.tile([1, 0], n_h)                        # a child's flip negates its parent's
     tables = (np.repeat(start[n2], 2), hlen[side_a] ** 2, hlen[side_b] ** 2,
               across[2 * side_a + flip], across[2 * side_b + flip])
+    del start, n1, n2, flip
 
     # Seeds: one strip per half-edge with a far face, from its apex w0 at
     # the origin, with a at the lower vertex index, left of b. A flat face
     # whose w0 is an end of the portal gives a shut cone, r x l = 0: no seed.
-    code = 2 * h + (start > end)
     la, lb, lab = hlen[side_a[code]], hlen[side_b[code]], hlen[code >> 1]
-    cosg = np.clip((la ** 2 + lb ** 2 - lab ** 2) / (2.0 * la * lb), -1.0, 1.0)
-    half = 0.5 * np.arccos(cosg)
+    del hlen, side_a, side_b
+    half = 0.5 * np.arccos(np.clip((la ** 2 + lb ** 2 - lab ** 2) / (2.0 * la * lb), -1.0, 1.0))
     pax, pay = la * np.cos(0.5 * np.pi + half), la * np.sin(0.5 * np.pi + half)
     pbx, pby = lb * np.cos(0.5 * np.pi - half), lb * np.sin(0.5 * np.pi - half)
+    del la, lb, lab, half
     live = np.flatnonzero((across[code] >= 0) & (pbx * pay - pby * pax > 0.0))  # r = b, l = a
     seeds = [c[live] for c in (tables[0][code], across[code], pax, pay, pbx, pby, pbx, pby,
                                pax, pay)]
     return tables, seeds
+
+
+def _sorted_keys(key):
+    """Nonnegative int64 ``key`` sorted, and its stable sorting permutation: one value sort of
+    the words key << bits | index, which are distinct, so every sort kernel gives their one
+    order; a stable argsort if the words need more than 63 bits."""
+    bits = int(key.size).bit_length()
+    if key.size and int(key.max()) < 1 << (63 - bits):
+        word = key << bits | np.arange(key.size)
+        word.sort()
+        return word >> bits, word & ((1 << bits) - 1)
+    order = np.argsort(key, kind="stable")
+    return key[order], order
 
 
 def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
@@ -518,6 +535,8 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     in ten flat columns (see _walk_tables), each in its seed's orientation.
     The walk keeps one int64 pair key and one weight per shortcut, and
     its tables are freed before the merge to each pair's least weight.
+    It sorts once, by value, distinct packed (key, index) words (see
+    _sorted_keys), so the graph's bytes do not depend on the sort kernel.
     """
     nv = mesh.n_vertices
     tables, seeds = _walk_tables(mesh)
@@ -530,10 +549,10 @@ def strip_shortcut_graph(mesh: TriMesh) -> csr_matrix:
     del tables, seeds
     key, w = (np.concatenate(cols) for cols in zip(*found))
     del found
-    order = np.argsort(key, kind="stable")
-    key, w = key[order], w[order]
+    key, order = _sorted_keys(key)
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    key, w = key[first], np.minimum.reduceat(w, first)
+    key, w = key[first], np.minimum.reduceat(w[order], first)
+    del order, first
     return _pairs_to_csr(nv, *np.divmod(key, nv), w)
 
 

@@ -136,9 +136,21 @@ class SmoothMonotone:
 
 def _corpus(name: str, seed: int, check: int, count: int, judge) -> CheckResult:
     """Count the cases i < count that ``judge`` passes; ``detail`` names the first failing
-    case and its stream, if one fails. ``judge`` gets every case's stream, case i's being
-    ``np.random.default_rng([seed, check, i])``, and returns one verdict per case."""
-    verdicts = judge([np.random.default_rng([seed, check, i]) for i in range(count)])
+    case and its stream, if one fails. ``judge(cases, rngs)`` gets a range of cases and their
+    streams, case i's being ``np.random.default_rng([seed, check, i])``, and returns one verdict
+    per case. If it raises, the cases replay one at a time, and the first that raises alone
+    raises again, named with its stream; if none does, the whole corpus's exception does."""
+    streams = lambda cases: [np.random.default_rng([seed, check, i]) for i in cases]
+    try:
+        verdicts = judge(range(count), streams(range(count)))
+    except Exception:
+        for i in range(count):
+            try:
+                judge(range(i, i + 1), streams([i]))
+            except Exception as exc:
+                exc.args = (f"case {i}, stream [{seed}, {check}, {i}]: {exc}",)
+                raise exc from None
+        raise
     failed = [i for i, ok in enumerate(verdicts) if not ok]
     detail = (f"first failure: case {failed[0]}, stream [{seed}, {check}, {failed[0]}]"
               if failed else "")
@@ -147,8 +159,8 @@ def _corpus(name: str, seed: int, check: int, count: int, judge) -> CheckResult:
 
 def check_curve_upper_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Random 1-D signals satisfy e1 <= rho^2 and e2 <= rho^3."""
-    def judge(rngs):
-        paths = random_polylines([("r2", "r3", "shell")[i % 3] for i in range(count)], rngs)
+    def judge(cases, rngs):
+        paths = random_polylines([("r2", "r3", "shell")[i % 3] for i in cases], rngs)
         return [report.satisfied1 and report.satisfied2 for report in energy.curve_energy(paths)]
     return _corpus("curve_upper_bounds", seed, 1, count, judge)
 
@@ -175,12 +187,13 @@ def check_surface_upper_bounds(sphere: mesh.TriMesh, diam: float) -> CheckResult
 
 def check_gaussian_lower_bounds(seed: int, count: int = 1000) -> CheckResult:
     """Monotone hull-checked parameter paths satisfy the cubic lower bound."""
-    def judge(rngs):
+    def judge(cases, rngs):
         verdicts = [False] * len(rngs)
         for n in (1, 2):    # the even cases are 1-D Gaussians and the odd ones 2-D, a stack each
-            paths = gaussian.random_monotone_param_path(n, rngs[n - 1::2])
-            verdicts[n - 1::2] = [report.monotone_ok and report.hull_ok and report.satisfied
-                                  for report in gaussian.check_gaussian_lower_bound(paths)]
+            own = slice((n - 1 - cases.start) % 2, None, 2)
+            paths = gaussian.random_monotone_param_path(n, rngs[own])
+            verdicts[own] = [report.monotone_ok and report.hull_ok and report.satisfied
+                             for report in gaussian.check_gaussian_lower_bound(paths)]
         return verdicts
     return _corpus("gaussian_lower_bounds", seed, 2, count, judge)
 
@@ -196,15 +209,16 @@ def check_config_bounds(seed: int, count: int = 1000) -> CheckResult:
     """
     shell = geometry.spherical_shell(1.0, 4.0)
 
-    def judge(rngs):
+    def judge(cases, rngs):
         paths = [None] * len(rngs)
         for k in range(6):
-            paths[k::6] = configspace.random_config_path(shell, (2, 3, 5)[k % 3], rngs[k::6],
-                                                         steps=8, monotone=k % 2 == 0)
+            own = slice((k - cases.start) % 6, None, 6)     # the cases i = k (mod 6)
+            paths[own] = configspace.random_config_path(shell, (2, 3, 5)[k % 3], rngs[own],
+                                                        steps=8, monotone=k % 2 == 0)
         return [
             report.upper1_ok and report.upper2_ok and report.components_ok
             and (i % 2 == 1 or report.monotone_ok and report.hull_ok and bool(report.lower_ok))
-            for i, report in enumerate(configspace.check_config_bounds(paths))
+            for i, report in zip(cases, configspace.check_config_bounds(paths))
         ]
     return _corpus("config_bounds", seed, 3, count, judge)
 
@@ -263,7 +277,7 @@ def check_scale_invariance(seed: int, count: int = 1000) -> CheckResult:
     """Dilations leave the objective unchanged to SCALE_INV_TOL; the cases are drawn in lock
     step, and the placements of each shape (n, dim) and their dilations are one stack of
     configurations, checked and scored together."""
-    def judge(rngs):
+    def judge(_, rngs):
         cases, verdicts = _random_scale_cases(rngs), {}
         for idx, pts in mesh.stack_by_shape([pts for _, pts, _ in cases]):
             dilated = pts * np.array([cases[i][2] for i in idx])[:, None, None]
@@ -308,7 +322,7 @@ def check_function_identities(seed: int, count: int = 100,
         _, L = energy.sqrt_arclength_transform(xs, fs)
         ok_b = abs(energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)) <= IDENTITY_TOL
         return ok_a and ok_b
-    return _corpus("function_energy_identities", seed, 6, count, lambda rngs: list(map(case, rngs)))
+    return _corpus("function_energy_identities", seed, 6, count, lambda _, rngs: [*map(case, rngs)])
 
 
 def check_mesh_convergence(areas, diameters) -> CheckResult:

@@ -86,4 +86,5 @@ def test_a_check_that_raises_fails_and_the_run_exits_1(monkeypatch, capsys):
     checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
     config = next(check for check in checks if check["name"] == "config_bounds")
     assert (config["passed"], config["total"], config["detail"]) == (
-        0, 1, "raised MembershipError: configuration 0: point 0 leaves the manifold")
+        0, 1, "raised MembershipError: case 0, stream [42, 3, 0]: "
+        "configuration 0: point 0 leaves the manifold")

@@ -742,16 +742,74 @@ def test_pairs_to_csr_matches_the_two_way_coo_build(make):
     assert (got != got.T).nnz == 0
 
 
-@pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere])
+def icosphere_3():
+    sphere = triangulate_sphere(3)
+    return sphere.vertices, sphere.faces
+
+
+def merged_by_stable_argsort(m, monkeypatch):
+    """The crossing graph of ``m``, and a reference merge of the same walk output: the
+    shortcuts of every ``_strip_step`` call and the mesh edges, by stable argsort and
+    ``np.minimum.reduceat``."""
+    steps, step = [(*m.edges.T, m.edge_lengths)], mesh._strip_step
+
+    def recording(*args, **kwargs):
+        shortcuts, state = step(*args, **kwargs)
+        steps.append(shortcuts)
+        return shortcuts, state
+    monkeypatch.setattr(mesh, "_strip_step", recording)
+    graph = mesh.strip_shortcut_graph(m)
+    i, j, w = (np.concatenate(cols) for cols in zip(*steps))
+    key = np.minimum(i, j).astype(np.int64) * m.n_vertices + np.maximum(i, j)
+    order = np.argsort(key, kind="stable")
+    key, w = key[order], w[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    lo, hi = np.divmod(key[first], m.n_vertices)
+    return graph, mesh._pairs_to_csr(m.n_vertices, lo, hi, np.minimum.reduceat(w, first))
+
+
+@pytest.mark.parametrize("make", [jittered_grid, bumped_icosphere, icosphere_3])
 def test_crossing_graph_does_not_depend_on_the_seed_block(monkeypatch, make):
-    # a pair found from strips of several blocks is merged to one entry, its least weight
+    # a pair found from strips of several blocks is merged to one entry, its least weight,
+    # and the packed-word sort merges exactly as a stable argsort of the pair keys does
     m = euclidean_mesh(*make())
     want = mesh.strip_shortcut_graph(m)
+    with monkeypatch.context() as patch:
+        got, reference = merged_by_stable_argsort(m, patch)
     monkeypatch.setattr(mesh, "SEED_BLOCK", 7)
-    got = mesh.strip_shortcut_graph(m)
-    for name in ("indptr", "indices", "data"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    blocked = mesh.strip_shortcut_graph(m)
+    for graph in (got, reference, blocked):
+        for name in ("indptr", "indices", "data"):
+            assert getattr(graph, name).dtype == getattr(want, name).dtype
+            assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sorted_keys_is_the_stable_argsort(data):
+    # both sides of the 63-bit limit: keys near 2**62 leave no room for the index bits
+    top = data.draw(st.sampled_from([3, 2 ** 20, 2 ** 62 - 1, 2 ** 63 - 1]))
+    values = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=300))
+    key = np.array(values, dtype=np.int64)[picks]      # many repeats
+    got_key, got_order = mesh._sorted_keys(key.copy())
+    want_order = np.argsort(key, kind="stable")
+    assert got_order.tolist() == want_order.tolist()
+    assert got_key.tolist() == key[want_order].tolist() and got_key.dtype == np.int64
+
+
+def test_sorted_keys_falls_back_above_63_bits(monkeypatch):
+    # 2**62 takes 63 bits and 4 entries 3 index bits: no 63-bit word holds both
+    key = np.array([2 ** 62, 5, 2 ** 62, 5], dtype=np.int64)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
+    got_key, got_order = mesh._sorted_keys(key)
+    assert calls == [{"kind": "stable"}]
+    assert got_order.tolist() == [1, 3, 0, 2]
+    assert got_key.tolist() == [5, 5, 2 ** 62, 2 ** 62]
+    calls.clear()
+    assert mesh._sorted_keys(key[key == 5])[1].tolist() == [0, 1] and calls == []
 
 
 def test_crossing_graph_working_memory_follows_the_graph():
@@ -769,7 +827,7 @@ def test_crossing_graph_working_memory_follows_the_graph():
         if not tracing:
             tracemalloc.stop()
     csr = graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes
-    assert peak <= 6 * csr
+    assert peak <= 4 * csr      # 3.7 times on numpy 2.4; the walk's blocks set the peak
 
 
 def collapse(vertices, faces, picks):

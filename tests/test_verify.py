@@ -60,6 +60,71 @@ def test_a_failing_case_is_named_with_its_stream(monkeypatch):
     assert result.detail == "first failure: case 3, stream [42, 1, 3]"
 
 
+def stream_roles(args, kwargs):
+    """Each stream of a generator call, by its first draw, with the call's other arguments;
+    an argument with one entry per stream (the curve corpus's kinds) gives that stream's."""
+    values = [*args, *kwargs.values()]
+    rngs = next([v] if isinstance(v, np.random.Generator) else v for v in values
+                if isinstance(v, np.random.Generator)
+                or isinstance(v, list) and all(isinstance(r, np.random.Generator) for r in v))
+    others = [v for v in values if v is not rngs and not isinstance(v, np.random.Generator)]
+    return {copy.deepcopy(rng).random(): repr([v[k] if isinstance(v, list) else v for v in others])
+            for k, rng in enumerate(rngs)}
+
+
+@pytest.mark.parametrize("check, number, owner, name, order", CORPORA,
+                         ids=[c[0].__name__ for c in CORPORA])
+def test_a_case_judged_alone_gets_its_arguments_in_the_stack(monkeypatch, check, number, owner,
+                                                             name, order):
+    # the replay of a raising corpus runs each case alone, so it must draw it as the stack does
+    generator, judges, roles = getattr(owner, name), [], {}
+    corpus = verify._corpus
+
+    def recording(*args, **kwargs):
+        roles.update(stream_roles(args, kwargs))
+        return generator(*args, **kwargs)
+
+    def keeping_the_judge(name, seed, check, count, judge):
+        judges.append(judge)
+        return corpus(name, seed, check, count, judge)
+
+    monkeypatch.setattr(owner, name, recording)
+    monkeypatch.setattr(verify, "_corpus", keeping_the_judge)
+    assert check(SEED, 12).ok
+    stacked = dict(roles)
+    assert len(stacked) == 12
+    for i in range(12):
+        roles.clear()
+        assert judges[0](range(i, i + 1), [np.random.default_rng([SEED, number, i])]) == [True]
+        assert roles.items() <= stacked.items() and len(roles) == 1
+
+
+def test_a_raising_corpus_names_the_first_case_that_raises_alone():
+    def judge(cases, rngs):
+        draws = [rng.random() for rng in rngs]
+        if any(draw > 0.9 for draw in draws):
+            raise ValueError(f"a draw above 0.9 among {len(draws)}")
+        return [True] * len(draws)
+
+    above = [i for i in range(50) if np.random.default_rng([7, 9, i]).random() > 0.9]
+    assert above == [7, 16, 26, 44, 49]
+    with pytest.raises(ValueError) as raised:
+        verify._corpus("draws", 7, 9, 50, judge)
+    assert str(raised.value) == "case 7, stream [7, 9, 7]: a draw above 0.9 among 1"
+    assert raised.value.__suppress_context__
+
+
+def test_a_corpus_fault_that_no_case_raises_alone_is_raised_as_it_is():
+    def judge(cases, rngs):
+        if len(rngs) > 1:
+            raise ValueError("only the whole corpus raises")
+        return [True]
+
+    with pytest.raises(ValueError, match="^only the whole corpus raises$"):
+        verify._corpus("stack", 7, 9, 5, judge)
+    assert verify._corpus("one", 7, 9, 1, judge).ok
+
+
 def test_random_polylines_refuses_unequal_kind_and_stream_counts():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
