@@ -47,6 +47,7 @@ SPHERE_EPS = 1e-9      # |x| tolerance for unit-sphere membership
 WOLFE_TOL = 1e-12      # Wolfe's optimality slack, a share of a hull's largest squared norm
 HULL_ROUNDS = 1_000    # lock-step rounds after which an uncertified least-norm point raises
 _SQRT2 = math.sqrt(2.0)
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])    # rolled 3-vector axes for _cross3
 
 
 class GeometryError(ValueError):
@@ -503,7 +504,7 @@ def _points_inside(m, pts):
 
 def _chart_distances(m, xs, ys):
     diff = xs - ys
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def _chord_distances(m, xs, ys):
@@ -515,16 +516,14 @@ def _chord_distances(m, xs, ys):
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis of broadcastable 3-vector stacks: the same
     products and differences as np.cross, without its per-call overhead."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
 
 
 def _great_circle_distances(m, xs, ys):
     cross = _cross3(xs, ys)
-    sin, cos = np.sqrt(np.sum(cross * cross, axis=-1)), np.sum(xs * ys, axis=-1)
-    huge = ~(np.isfinite(sin) & np.isfinite(cos))
-    if huge.any():      # the angle is scale-free: remeasure those rows with largest |entry| 1
+    sin, cos = np.sqrt(np.add.reduce(cross * cross, axis=-1)), np.add.reduce(xs * ys, axis=-1)
+    if not np.isfinite(sin + cos).all():    # the angle is scale-free: remeasure the rows
+        huge = ~(np.isfinite(sin) & np.isfinite(cos))   # that overflow, largest |entry| 1
         x, y = (v[huge] / np.abs(v[huge]).max(axis=-1, keepdims=True)
                 for v in np.broadcast_arrays(xs, ys))
         cross, sin, cos = _cross3(x, y), np.array(sin), np.array(cos)
@@ -533,13 +532,15 @@ def _great_circle_distances(m, xs, ys):
 
 
 def _chart_gradient(m, xs, ys, d):
-    return (xs - ys) / d[..., None]
+    dx = (xs - ys) / d[..., None]
+    return dx, -dx
 
 
 def _great_circle_gradient(m, xs, ys, d):
     # at unit vectors, d(theta)/dx = (cos(theta) x - y) / sin(theta), tangent to the sphere
-    dot = np.sum(xs * ys, axis=-1, keepdims=True)
-    return (dot * xs - ys) / np.linalg.norm(_cross3(xs, ys), axis=-1, keepdims=True)
+    cross, cos = _cross3(xs, ys), np.add.reduce(xs * ys, axis=-1, keepdims=True)
+    sin = np.sqrt(np.add.reduce(cross * cross, axis=-1, keepdims=True))
+    return (cos * xs - ys) / sin, (cos * ys - xs) / sin    # y x x = -(x x y): both ends, bitwise
 
 
 def _product_distances(m, xs, ys):
@@ -575,7 +576,7 @@ class Kind(NamedTuple):
 
     chart_dim: Callable                  # spec -> chart dimension
     distances: Callable                  # (spec, xs, ys) -> row-wise distances, nan if obstructed
-    gradient: Callable | None = None     # (spec, xs, ys, distances) -> d(distances)/dxs
+    gradient: Callable | None = None     # (spec, xs, ys, distances) -> d/dxs, d/dys
     fields: tuple[_Field, ...] = ()      # JSON fields, in wire order
     invalid: Callable = lambda m: None   # spec -> message naming a broken field constraint
     rules: Callable = lambda m, xs: ()   # (spec, rows) -> membership rules (see above)
@@ -617,7 +618,7 @@ KINDS: dict[str, Kind] = {
         # every hull point within SPHERE_EPS of the sphere, as validate_points asks
         hull=lambda m, pts: (_points_inside(m, pts)
                              & (min_norm_sq(pts) >= (1.0 - SPHERE_EPS) ** 2)),
-        project=lambda m, pts, margin: pts / np.linalg.norm(pts, axis=-1, keepdims=True),
+        project=lambda m, pts, margin: pts / np.sqrt(np.add.reduce(pts * pts, -1, keepdims=True)),
     ),
     "spd": Kind(
         fields=(_Field("n", _count),),

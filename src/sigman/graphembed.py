@@ -143,16 +143,26 @@ def ratio_variance(r) -> float:
     """Relative dispersion of the ratios: sum (r_k - mean)^2 / mean^2.
 
     Accumulated with exact (full precision) summation, so the value is
-    independent of the edge enumeration order.
+    independent of the edge enumeration order, and scale-free: the ratios are
+    first scaled, exactly, by the power of two that brings the largest into [0.5, 1).
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise GraphError("ratio vector must be a nonempty 1-D array")
-    if np.any(r <= 0.0):
-        raise GraphError("ratio entries must be positive")
-    mean = math.fsum(r) / r.size
-    num = math.fsum((x - mean) ** 2 for x in r.tolist())
-    return num / (mean * mean)
+    return _variances(r, [r.size])[0]
+
+
+def _variances(r: np.ndarray, sizes: list[int]) -> list[float]:
+    """:func:`ratio_variance` of each run of ``sizes`` > 0 entries of ``r``, checked at once."""
+    if not np.logical_and.reduce((r > 0.0) & (r < math.inf)):
+        raise GraphError("ratio entries must be positive and finite")
+    ends = np.cumsum(sizes)
+    top = np.frexp(np.maximum.reduceat(r, ends - sizes))[1]
+    r = (r * np.repeat(np.ldexp(1.0, -top), sizes)).tolist()      # exact: powers of two
+    rows = [r[end - size:end] for end, size in zip(ends.tolist(), sizes)]
+    means = [math.fsum(row) / len(row) for row in rows]
+    return [math.fsum((x - mean) ** 2 for x in row) / (mean * mean)
+            for row, mean in zip(rows, means)]
 
 
 def relative_ratio_variance(g: WeightedGraph, config: Configuration) -> float:
@@ -162,7 +172,8 @@ def relative_ratio_variance(g: WeightedGraph, config: Configuration) -> float:
 def relative_ratio_variances(graphs, configs) -> list[float]:
     """:func:`relative_ratio_variance` of each graph with its configuration, all on one
     manifold: each vector of :func:`ratio_vectors`, summed as it is alone."""
-    return [ratio_variance(r) for r in ratio_vectors(graphs, configs)]
+    vectors = ratio_vectors(graphs, configs)
+    return _variances(np.concatenate(vectors), [v.size for v in vectors]) if vectors else []
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +212,21 @@ def _objectives(g: WeightedGraph, m: ManifoldSpec):
         x, y = stack[:, ei], stack[:, ej]
         dists = kind.distances(m, x, y)     # nan on an obstructed chord: not finite, not ok
         gaps = stack[:, iu] - stack[:, ju]
-        gaps_sq = np.sum(gaps ** 2, axis=2)
+        gaps_sq = np.add.reduce(gaps * gaps, axis=2)    # numpy's wrappers unwrapped, bitwise
         with np.errstate(divide="ignore", invalid="ignore"):
             r = dists / weights
-            mean = r.mean(axis=1, keepdims=True)
-            raw = np.sum((r - mean) ** 2, axis=1) / mean[:, 0] ** 2
+            mean = np.add.reduce(r, axis=1, keepdims=True) / g.m
+            raw = np.add.reduce((r - mean) ** 2, axis=1) / mean[:, 0] ** 2
             if grad:    # dR/dr_k = 2 (r_k - mean) / mean^2 - 2 R / (m mean), r_k = d_k / w_k
-                slope = (2.0 * (r - mean) / mean ** 2
-                         - 2.0 * raw[:, None] / (g.m * mean)) / weights
-                dx, dy = kind.gradient(m, x, y, dists), kind.gradient(m, y, x, dists)
+                slope = ((2.0 * (r - mean) / mean ** 2 - 2.0 * raw[:, None] / (g.m * mean))
+                         / weights)[..., None]
+                dx, dy = kind.gradient(m, x, y, dists)
                 push = -2.0 * BARRIER_BETA * gaps / gaps_sq[..., None] ** 2
-                return (at_i @ (slope[..., None] * dx) + at_j @ (slope[..., None] * dy)
-                        + pair_ends @ push)
-            search = raw + BARRIER_BETA * np.sum(1.0 / gaps_sq, axis=1)
-        ok = (np.all(np.isfinite(dists) & (dists > 0.0), axis=1)
-              & np.all(gaps_sq > COLLISION_EPS ** 2, axis=1))
-        return np.where(ok, [raw, search], math.inf)
+                return at_i @ (slope * dx) + at_j @ (slope * dy) + pair_ends @ push
+            search = raw + BARRIER_BETA * np.add.reduce(1.0 / gaps_sq, axis=1)
+        ok = (np.logical_and.reduce((dists > 0.0) & (dists < math.inf), axis=1)
+              & np.logical_and.reduce(gaps_sq > COLLISION_EPS ** 2, axis=1))
+        return np.where(ok, (raw, search), math.inf)
 
     return evaluate, functools.partial(evaluate, grad=True)
 
@@ -229,21 +239,22 @@ def _line_search(score, m, pts, grad, gnorm, f, step, floor):
     its raw and search scores. A call scores LADDER_CHUNK rungs of every
     row still without a hit.
     """
-    t_hit, raw_hit, f_hit = np.zeros((3, len(pts)))
-    cand_hit = pts.copy()
-    rows = np.arange(len(pts))
-    rungs = 0.5 ** np.arange(LADDER_CHUNK)
-    while rows.size:
-        t = step[rows, None] * rungs
-        cand = geometry.project(m, pts[rows, None]
-                                - (t / gnorm[rows, None])[..., None, None] * grad[rows, None])
+    (t_hit, raw_hit, f_hit), cand_hit = np.zeros((3, len(pts))), pts.copy()
+    rows, rungs = np.arange(len(pts)), 0.5 ** np.arange(LADDER_CHUNK)
+    while rows.size:    # pts, grad, gnorm, f and step hold the rows still without a hit
+        t = step[:, None] * rungs
+        cand = geometry.project(m, pts[:, None]
+                                - (t / gnorm[:, None])[..., None, None] * grad[:, None])
         raw_c, f_c = score(cand.reshape(-1, *pts.shape[1:])).reshape(2, *t.shape)
-        better = (t > floor) & (f_c < f[rows, None])
-        found = better.any(axis=1)
+        better = (t > floor) & (f_c < f[:, None])
+        found = np.logical_or.reduce(better, axis=1)
         at = (found.nonzero()[0], better.argmax(axis=1)[found])
+        if len(at[0]) == len(t_hit):        # every row hits in this call, so none before
+            return t[at], cand[at], raw_c[at], f_c[at]
         hit = rows[found]
         t_hit[hit], cand_hit[hit], raw_hit[hit], f_hit[hit] = t[at], cand[at], raw_c[at], f_c[at]
-        rows = rows[~found & (0.5 * t[:, -1] > floor)]
+        more = ~found & (0.5 * t[:, -1] > floor)
+        rows, pts, grad, gnorm, f, step = (v[more] for v in (rows, pts, grad, gnorm, f, step))
         rungs = rungs * 0.5 ** LADDER_CHUNK
     return t_hit, cand_hit, raw_hit, f_hit
 
@@ -257,29 +268,25 @@ def _descend(score, gradient, m, pts, scale, max_iters, tol_obj):
     or after ``max_iters`` rounds. Returns each restart's lowest raw
     objective, the iterate with it (start included) and its iteration count.
     """
-    pts = pts.copy()
     raw, f = score(pts)
     best_raw, best_pts = raw.copy(), pts.copy()
     step = np.full(len(pts), 0.1 * scale)
     stall, iterations = np.zeros((2, len(pts)), dtype=int)
-    live = np.arange(len(pts))
+    live = np.arange(len(pts))      # pts, f, step and stall hold the running restarts
     for _ in range(max_iters):
         if not live.size:
             break
         iterations[live] += 1
-        grad = gradient(pts[live])
-        gnorm = np.linalg.norm(grad.reshape(len(live), -1), axis=1)
-        t, cand, raw_c, f_c = _line_search(score, m, pts[live], grad, gnorm, f[live],
-                                           step[live], 1e-14 * scale)
+        grad = gradient(pts)
+        gnorm = np.sqrt(np.add.reduce((grad * grad).reshape(len(live), -1), axis=1))
+        t, pts, raw_c, f_c = _line_search(score, m, pts, grad, gnorm, f, step, 1e-14 * scale)
         hit = t > 0.0
-        live, cand, raw_c, f_c = live[hit], cand[hit], raw_c[hit], f_c[hit]
-        gain = f[live] - f_c
-        pts[live], f[live] = cand, f_c
-        lower = raw_c < best_raw[live]
-        best_raw[live[lower]], best_pts[live[lower]] = raw_c[lower], cand[lower]
-        step[live] = np.minimum(t[hit] * 2.0, scale)
-        stall[live] = np.where(gain > tol_obj, 0, stall[live] + 1)
-        live = live[stall[live] < 5]
+        lower = hit & (raw_c < best_raw[live])
+        best_raw[live[lower]], best_pts[live[lower]] = raw_c[lower], pts[lower]
+        stall = np.where(f - f_c > tol_obj, 0, stall + 1)
+        f, step = f_c, np.minimum(t * 2.0, scale)
+        if not (more := hit & (stall < 5)).all():
+            live, pts, f, step, stall = (v[more] for v in (live, pts, f, step, stall))
     return best_raw, best_pts, iterations
 
 

@@ -205,6 +205,37 @@ def test_ratio_variance_edge_order_independent_exactly():
         assert ratio_variance(r[rng.permutation(8)]) == v   # bitwise
 
 
+@settings(max_examples=300, deadline=None)
+@given(r=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=12), k=st.integers(-1000, 1000))
+def test_ratio_variance_is_exactly_scale_free(r, k):
+    # a power-of-two dilation is exact, so the variance keeps its bits, even where the
+    # unscaled sums of r * 2^k would overflow or underflow
+    assert ratio_variance(np.array(r) * 2.0 ** k) == ratio_variance(r)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_ratio_variance_refuses_non_finite_and_nonpositive_entries(bad):
+    with pytest.raises(GraphError, match="^ratio entries must be positive and finite$"):
+        ratio_variance([1.0, bad, 2.0])
+    with pytest.raises(GraphError, match="^ratio entries must be positive and finite$"):
+        graphembed._variances(np.array([1.0, 2.0, bad]), [2, 1])
+
+
+@pytest.mark.parametrize("r, v", [([2.0 ** -700, 2.0 ** -699], 2.0 / 9.0),
+                                  ([2.0 ** 600, 2.0 ** 601], 2.0 / 9.0),
+                                  ([1e308, 1e308], 0.0)])
+def test_ratio_variance_of_extreme_finite_ratios(r, v):
+    assert ratio_variance(r) == v
+
+
+def test_stacked_variances_match_each_vector_alone():
+    rng = np.random.default_rng(211)
+    vectors = [rng.uniform(0.1, 5.0, size=size) * 2.0 ** rng.integers(-900, 900)
+               for size in rng.integers(1, 9, size=40)]
+    stacked = graphembed._variances(np.concatenate(vectors), [v.size for v in vectors])
+    assert stacked == [ratio_variance(v) for v in vectors]      # bitwise
+
+
 def test_variance_invariant_under_config_scaling():
     rng = np.random.default_rng(127)
     for _ in range(200):
@@ -343,6 +374,96 @@ def test_closed_form_gradient_matches_coordinate_loop(case, seed):
         ref[k] = (search(plus) - search(minus)) / (2.0 * h)
     grad = gradient(pts[None])[0]
     assert np.linalg.norm(grad - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+def _plain_objectives(g, m):
+    """``graphembed._objectives`` in its plain numpy form: ``np.cross``, ``np.sum``,
+    ``ndarray.mean``, ``np.linalg.norm``, one gradient kernel call per edge end and
+    ``np.where`` of a list."""
+    ei, ej, weights = g._arrays()
+    iu, ju = geometry.pair_index(g.n)
+    eye = np.eye(g.n)
+    at_i, at_j, pair_ends = eye[:, ei], eye[:, ej], eye[:, iu] - eye[:, ju]
+
+    def distances(x, y):
+        if m.kind == "unit_sphere":
+            return np.arctan2(np.linalg.norm(np.cross(x, y), axis=-1), np.sum(x * y, axis=-1))
+        d = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+        if m.kind == "shell":
+            return np.where(geometry.min_norm_sq(np.stack([x, y], axis=-2)) <= m.a, np.nan, d)
+        return d
+
+    def gradient_end(x, y, d):
+        if m.kind == "unit_sphere":
+            dot = np.sum(x * y, axis=-1, keepdims=True)
+            return (dot * x - y) / np.linalg.norm(np.cross(x, y), axis=-1, keepdims=True)
+        return (x - y) / d[..., None]
+
+    def evaluate(stack, grad=False):
+        x, y = stack[:, ei], stack[:, ej]
+        dists = distances(x, y)
+        gaps = stack[:, iu] - stack[:, ju]
+        gaps_sq = np.sum(gaps ** 2, axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = dists / weights
+            mean = r.mean(axis=1, keepdims=True)
+            raw = np.sum((r - mean) ** 2, axis=1) / mean[:, 0] ** 2
+            if grad:
+                slope = (2.0 * (r - mean) / mean ** 2
+                         - 2.0 * raw[:, None] / (g.m * mean)) / weights
+                dx, dy = gradient_end(x, y, dists), gradient_end(y, x, dists)
+                push = -2.0 * graphembed.BARRIER_BETA * gaps / gaps_sq[..., None] ** 2
+                return (at_i @ (slope[..., None] * dx) + at_j @ (slope[..., None] * dy)
+                        + pair_ends @ push)
+            search = raw + graphembed.BARRIER_BETA * np.sum(1.0 / gaps_sq, axis=1)
+        ok = (np.all(np.isfinite(dists) & (dists > 0.0), axis=1)
+              & np.all(gaps_sq > configspace.COLLISION_EPS ** 2, axis=1))
+        return np.where(ok, [raw, search], math.inf)
+
+    return evaluate, lambda stack: evaluate(stack, grad=True)
+
+
+PLAIN_GRAPHS = {"K3": K3, "C4": C4, "K4": K4}
+PLAIN_MANIFOLDS = {"euclidean2": R2, "euclidean3": geometry.euclidean(3),
+                   "shell": geometry.spherical_shell(1.0, 4.0),
+                   "unit_sphere": geometry.unit_sphere()}
+ROW_FAULTS = ["none", "collision", "zero edge", "antipodal edge"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.sampled_from(sorted(PLAIN_GRAPHS)),
+       manifold=st.sampled_from(sorted(PLAIN_MANIFOLDS)),
+       faults=st.lists(st.sampled_from(ROW_FAULTS), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lean_objectives_match_the_plain_form_bitwise(graph, manifold, faults, seed):
+    # a feasible row and each infeasible kind: two points 1e-10 apart, an edge of length 0
+    # and an edge through the origin, which a shell's inner ball obstructs
+    g, m = PLAIN_GRAPHS[graph], PLAIN_MANIFOLDS[manifold]
+    rng = np.random.default_rng(seed)
+    stack = geometry.project(m, rng.normal(size=(len(faults), g.n, geometry.chart_dim(m))))
+    for row, fault in zip(stack, faults):
+        i, j, _ = g.edges[0]
+        if fault == "collision":
+            row[j] = row[i] + 1e-10
+        elif fault == "zero edge":
+            row[j] = row[i]
+        elif fault == "antipodal edge":
+            row[j] = -row[i]
+    lean, plain = graphembed._objectives(g, m), _plain_objectives(g, m)
+    scores = lean[0](stack)
+    assert np.array_equal(scores, plain[0](stack))
+    feasible = stack[np.isfinite(scores[1])]
+    # an antipodal pair on the sphere is feasible, but sin = 0 makes its gradient nan
+    assert np.array_equal(lean[1](feasible), plain[1](feasible), equal_nan=True)
+
+
+def test_descent_with_the_plain_objectives_matches_the_lean_one(monkeypatch):
+    m = geometry.unit_sphere()
+    lean = minimize_ratio_variance(K4, m, seed=7)
+    monkeypatch.setattr(graphembed, "_objectives", _plain_objectives)
+    plain = minimize_ratio_variance(K4, m, seed=7)
+    assert plain.objective == lean.objective and plain.iterations == lean.iterations
+    assert np.array_equal(plain.config.points, lean.config.points)
 
 
 def test_objectives_score_each_row_independently():
