@@ -537,10 +537,18 @@ def _chart_gradient(m, xs, ys, d):
 
 
 def _great_circle_gradient(m, xs, ys, d):
-    # at unit vectors, d(theta)/dx = (cos(theta) x - y) / sin(theta), tangent to the sphere
+    """At unit vectors, d(theta)/dx = (cos(theta) x - y) / sin(theta), tangent to the sphere.
+    At sin = 0 (antipodal ends) theta has no derivative: each end gets, by choice, the one-sided
+    derivative -t, t the unit tangent e_k x x at x, e_k the axis of x's smallest |entry|."""
     cross, cos = _cross3(xs, ys), np.add.reduce(xs * ys, axis=-1, keepdims=True)
     sin = np.sqrt(np.add.reduce(cross * cross, axis=-1, keepdims=True))
-    return (cos * xs - ys) / sin, (cos * ys - xs) / sin    # y x x = -(x x y): both ends, bitwise
+    if sin.all():
+        return (cos * xs - ys) / sin, (cos * ys - xs) / sin    # y x x = -(x x y): both ends, bitwise
+    x, cut = np.broadcast_to(xs, cross.shape), sin[..., 0] == 0.0
+    t, sin[cut] = _cross3(np.eye(3)[np.abs(x[cut]).argmin(axis=-1)], x[cut]), np.inf
+    dx, dy = (cos * xs - ys) / sin, (cos * ys - xs) / sin     # 0 on the rows set below
+    dx[cut] = dy[cut] = -t / np.sqrt(np.add.reduce(t * t, axis=-1, keepdims=True))
+    return dx, dy
 
 
 def _product_distances(m, xs, ys):

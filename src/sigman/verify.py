@@ -325,26 +325,33 @@ def check_function_identities(seed: int, count: int = 100,
     return _corpus("function_energy_identities", seed, 6, count, lambda _, rngs: [*map(case, rngs)])
 
 
-def check_mesh_convergence(areas, diameters) -> CheckResult:
-    """Icosphere area and diameter errors shrink monotonically, over the ``areas`` and
-    ``diameters`` of subdivisions 1, 2, ... in order (see :func:`_sphere_ladder`)."""
+def check_mesh_convergence(areas, antipodal, chord_ok, diameters) -> CheckResult:
+    """Icosphere convergence over subdivisions 1, 2, ... (see :func:`_sphere_ladder`): area and
+    antipodal errors at least halve, every field holds the chord, diameter errors never grow."""
     errors = {"area_err": [abs(a - 4.0 * math.pi) for a in areas],
+              "antipodal_err": [abs(d - math.pi) for d in antipodal],
               "diam_err": [abs(d - math.pi) for d in diameters]}
-    passed = sum(all(b <= a + 1e-9 for a, b in zip(e, e[1:])) for e in errors.values())
+    rates = zip(errors.values(), (0.5, 0.5, 1.0), (0.0, 0.0, 1e-9))   # halving; diameters monotone
+    passed = all(chord_ok) + sum(all(b <= a * r + s for a, b in zip(e, e[1:])) for e, r, s in rates)
     detail = " ".join(f"{name}=" + ",".join(f"{x:.2e}" for x in e) for name, e in errors.items())
-    return CheckResult("mesh_convergence", passed, 2, detail=detail)
+    return CheckResult("mesh_convergence", passed, 4, detail=detail)
 
 
 def _sphere_ladder(top: int, shared: int) -> tuple:
-    """(areas, diameters) of icospheres 1..top, each built and measured once, and
-    (icosphere ``shared``, its diameter): the one mesh kept. The largest, whose graph
-    and diameter set the peak memory of ``verify_all``, is built first, before a mesh is kept."""
-    areas, diameters, kept = [None] * top, [None] * top, None
+    """(areas, antipodal distances d(a, b), chord verdicts, diameters) of icospheres 1..top
+    and (icosphere ``shared``, its diameter), the one mesh kept. Each gets one field from a,
+    which holds the chord if no vertex v reads below |v - a| (a graph path is a path in R^3)
+    less ``mesh.CERTIFY_MARGIN`` relative, far above a path sum's rounding. Only icospheres
+    1-3 scan their diameter; the largest, whose graph sets the peak memory, is built first."""
+    rungs, diameters, kept = [], [], None
     for k in range(top, 0, -1):
         sphere = mesh.triangulate_sphere(k)
-        areas[k - 1], diameters[k - 1] = mesh.mesh_area(sphere), mesh.mesh_diameter(sphere)
+        field, v = mesh.geodesic_distance_field(sphere, [sphere.a]), sphere.vertices
+        chord = np.linalg.norm(v - v[sphere.a], axis=1) * (1.0 - mesh.CERTIFY_MARGIN)
+        rungs[:0] = [(mesh.mesh_area(sphere), float(field[sphere.b]), bool((field >= chord).all()))]
+        diameters[:0] = [mesh.mesh_diameter(sphere)] if k <= 3 else []
         kept = sphere if k == shared else kept
-    return (areas, diameters), (kept, diameters[shared - 1])
+    return (*map(list, zip(*rungs)), diameters), (kept, diameters[shared - 1])
 
 
 def _guarded(name: str, check) -> CheckResult:

@@ -123,9 +123,18 @@ def test_criterion_7_transform_identities():
 
 
 def test_criterion_8_mesh_convergence():
-    """Icosphere area error vs 4*pi and diameter error vs pi decrease
-    monotonically (1e-9 slack) over subdivisions 1 -> 4."""
+    """Over icospheres 1 -> 4 the area error vs 4*pi and the antipodal error |d(a, b) - pi|
+    at least halve at each step, and no distance field from a reads below the chord |v - a|
+    (1e-9 relative slack); over icospheres 1 -> 3 the diameter error vs pi does not grow
+    (1e-9 slack). ``verify_all``'s sphere ladder measures the same."""
     spheres = [mesh.triangulate_sphere(k) for k in range(1, 5)]
-    result = verify.check_mesh_convergence([mesh.mesh_area(s) for s in spheres],
-                                           [mesh.mesh_diameter(s) for s in spheres])
+    fields = [mesh.geodesic_distance_field(s, [s.a]) for s in spheres]
+    chords = [np.linalg.norm(s.vertices - s.vertices[s.a], axis=1) for s in spheres]
+    result = verify.check_mesh_convergence(
+        [mesh.mesh_area(s) for s in spheres], [f[s.b] for s, f in zip(spheres, fields)],
+        [bool(np.all(f >= c * (1.0 - 1e-9))) for f, c in zip(fields, chords)],
+        [mesh.mesh_diameter(s) for s in spheres[:3]])
+    assert result.total == 4 and result.detail.endswith(",".join(
+        f"{abs(mesh.mesh_diameter(s) - math.pi):.2e}" for s in spheres[:3]))
+    assert result == verify.check_mesh_convergence(*verify._sphere_ladder(4, 3)[0])
     _report("8 (mesh convergence)", result.ok, result.detail)

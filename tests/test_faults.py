@@ -3,8 +3,12 @@
 Each row breaks one library kernel on purpose and runs the quick
 ``verify_all`` corpus at seed 42; the checks it names must then fail.
 A change that weakens a corpus so that it no longer sees a fault of
-this table fails here. Two faults that the corpus cannot see are not
-listed. Energies scaled by 2 (e1) and 3 (e2) land on the bounds rho^2
+this table fails here. The distance field's rows pin the sphere ladder's
+rules: a field scaled by 0.5 or 0.9 breaks the halving of the antipodal
+error, one scaled by 0.999 only the chord rule (the field may not read
+below |v - a|), and one scaled by 1.001 reads an eccentricity above the
+exact diameter. Two faults that the corpus cannot see are not listed.
+Energies scaled by 2 (e1) and 3 (e2) land on the bounds rho^2
 and rho^3, as a chain's exact energies are rho^2/2 and rho^3/3. And
 ``geometry.distance`` scaled by 1.5 moves no verdict, as the corpus
 reads it only through scale-free ratio variances and the chord check.
@@ -58,6 +62,14 @@ FAULTS = {
     "face_areas_scaled": (mesh, "face_areas", _scaled(1.9), {"mesh_convergence"}),
     "distance_field_scaled": (mesh, "geodesic_distance_field", _scaled(1.9),
                               {"surface_upper_bounds"}),
+    "distance_field_halved": (mesh, "geodesic_distance_field", _scaled(0.5),
+                              {"mesh_convergence"}),
+    "distance_field_shrunk": (mesh, "geodesic_distance_field", _scaled(0.9),
+                              {"mesh_convergence"}),
+    "distance_field_below_chord": (mesh, "geodesic_distance_field", _scaled(0.999),
+                                   {"mesh_convergence"}),
+    "distance_field_grown": (mesh, "geodesic_distance_field", _scaled(1.001),
+                             {"surface_upper_bounds"}),
     "lower_bound_raised": (gaussian, "lower_bound_l3", _scaled(1.02),
                            {"gaussian_lower_bounds"}),
     # the two checks that read the shared sphere ladder's diameters

@@ -393,10 +393,13 @@ def _plain_objectives(g, m):
             return np.where(geometry.min_norm_sq(np.stack([x, y], axis=-2)) <= m.a, np.nan, d)
         return d
 
-    def gradient_end(x, y, d):
-        if m.kind == "unit_sphere":
+    def gradient_end(x, y, d, x0):
+        if m.kind == "unit_sphere":     # antipodal ends: both -t, t the unit tangent e_k x x0
             dot = np.sum(x * y, axis=-1, keepdims=True)
-            return (dot * x - y) / np.linalg.norm(np.cross(x, y), axis=-1, keepdims=True)
+            sin = np.linalg.norm(np.cross(x, y), axis=-1, keepdims=True)
+            t = np.cross(np.eye(3)[np.argmin(np.abs(x0), axis=-1)], x0)
+            return np.where(sin == 0.0, -t / np.linalg.norm(t, axis=-1, keepdims=True),
+                            (dot * x - y) / sin)
         return (x - y) / d[..., None]
 
     def evaluate(stack, grad=False):
@@ -411,7 +414,7 @@ def _plain_objectives(g, m):
             if grad:
                 slope = (2.0 * (r - mean) / mean ** 2
                          - 2.0 * raw[:, None] / (g.m * mean)) / weights
-                dx, dy = gradient_end(x, y, dists), gradient_end(y, x, dists)
+                dx, dy = gradient_end(x, y, dists, x), gradient_end(y, x, dists, x)
                 push = -2.0 * graphembed.BARRIER_BETA * gaps / gaps_sq[..., None] ** 2
                 return (at_i @ (slope[..., None] * dx) + at_j @ (slope[..., None] * dy)
                         + pair_ends @ push)
@@ -453,8 +456,26 @@ def test_lean_objectives_match_the_plain_form_bitwise(graph, manifold, faults, s
     scores = lean[0](stack)
     assert np.array_equal(scores, plain[0](stack))
     feasible = stack[np.isfinite(scores[1])]
-    # an antipodal pair on the sphere is feasible, but sin = 0 makes its gradient nan
-    assert np.array_equal(lean[1](feasible), plain[1](feasible), equal_nan=True)
+    # an antipodal pair on the sphere is feasible, and its gradient is finite too
+    gradients = lean[1](feasible)
+    assert np.array_equal(gradients, plain[1](feasible)) and np.isfinite(gradients).all()
+
+
+def test_an_antipodal_edge_gets_a_descent_direction():
+    # the great-circle distance has no derivative where x_j = -x_i; a nan gradient there made
+    # every line-search candidate score inf, so the restart stopped after one round
+    m = geometry.unit_sphere()
+    x = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+    dx, dy = geometry.KINDS["unit_sphere"].gradient(m, x, -x, np.full(2, math.pi))
+    assert np.array_equal(dx, dy) and np.array_equal(dx, [[0.0, 0.0, 1.0], [0.8, 0.0, 0.6]])
+    moved = geometry.project(m, np.stack([x, -x]) - 1e-3 * dx)
+    assert np.all(geometry.distance(m, moved[0], moved[1]) < math.pi - 1.9e-3)
+    score, gradient = graphembed._objectives(K4, m)
+    starts = _start_stack(m, 2, 37)
+    starts[0, 1] = -starts[0, 0]
+    assert np.isfinite(score(starts)).all() and np.isfinite(gradient(starts)).all()
+    _, _, iterations = graphembed._descend(score, gradient, m, starts, 0.5, 250, 1e-13)
+    assert iterations[0] > 1
 
 
 def test_descent_with_the_plain_objectives_matches_the_lean_one(monkeypatch):

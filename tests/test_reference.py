@@ -62,8 +62,8 @@ COMMANDS = [
     ("embed --graph k4.json --manifold r2.json", 0,
      "64918af5ed29f49ee580a051795fbde1680b84dbb5aa079670eba253280d4b07", None),
     ("verify-all --seed 42", 0,
-     "2474b484a517f14197eff2efe9dc1b7a98d5c0fdb3516454e409b57c94008d7e",
-     "da6876359fc88cf574fcea27f065b18f6aa051958aa593314038705ffc7cfd78"),
+     "014187ecadee949b58127420dd7f001e47f1f1c006e06e7e69255f9260e1c12a",
+     "2e218e0cbd8f9ef6ae84fcf2c3f167665c08154be15320b361e6d3d49726c00b"),
 ]
 
 

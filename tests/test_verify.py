@@ -201,7 +201,8 @@ def test_corpus_validation_is_once_per_stack(monkeypatch):
 
 @pytest.mark.parametrize("quick, subdivisions", [(False, [1, 2, 3, 4]), (True, [1, 2, 3])])
 def test_each_icosphere_is_built_and_measured_once(monkeypatch, quick, subdivisions):
-    # the surface check and mesh convergence share one ladder of spheres and diameters
+    # the surface check and mesh convergence share one ladder of spheres and diameters;
+    # only icospheres 1-3 scan their diameter, in both modes
     calls = {"triangulate_sphere": [], "mesh_diameter": []}
 
     def recording(name):
@@ -216,5 +217,31 @@ def test_each_icosphere_is_built_and_measured_once(monkeypatch, quick, subdivisi
         monkeypatch.setattr(verify.mesh, name, recording(name))
     assert verify.verify_all(SEED, quick=quick)["all_ok"]
     assert sorted(calls["triangulate_sphere"]) == subdivisions
-    assert sorted(m.n_vertices for m in calls["mesh_diameter"]) == [10 * 4 ** k + 2
-                                                                   for k in subdivisions]
+    assert sorted(m.n_vertices for m in calls["mesh_diameter"]) == [42, 162, 642]
+
+
+def _quick_ladder_measures():
+    return verify._sphere_ladder(3, 2)[0]
+
+
+def test_mesh_convergence_needs_halving_antipodal_errors():
+    areas, antipodal, chord_ok, diameters = _quick_ladder_measures()
+    assert verify.check_mesh_convergence(areas, antipodal, chord_ok, diameters).ok
+    # errors 0.1, 0.06, 0.04 shrink through a change of sign, which a monotone rule lets
+    # pass, but they do not halve
+    slow = [np.pi - 0.1, np.pi + 0.06, np.pi - 0.04]
+    result = verify.check_mesh_convergence(areas, slow, chord_ok, diameters)
+    assert (result.passed, result.total) == (3, 4)
+    assert "antipodal_err=1.00e-01,6.00e-02,4.00e-02 diam_err=" in result.detail
+
+
+def test_mesh_convergence_fails_a_field_below_the_chord(monkeypatch):
+    field = verify.mesh.geodesic_distance_field
+    monkeypatch.setattr(verify.mesh, "geodesic_distance_field",
+                        lambda sphere, sources: field(sphere, sources) * (1.0 - 1e-6))
+    areas, antipodal, chord_ok, diameters = _quick_ladder_measures()
+    # a field 1e-6 short still halves its antipodal error; only the chord rule sees it
+    assert chord_ok == [False, False, False]
+    result = verify.check_mesh_convergence(areas, antipodal, chord_ok, diameters)
+    assert (result.passed, result.total) == (3, 4)
+    assert not verify.check_mesh_convergence(areas, antipodal, [True, False, True], diameters).ok
