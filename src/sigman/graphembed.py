@@ -33,6 +33,7 @@ from .geometry import ManifoldSpec
 BARRIER_BETA = 1e-8
 LADDER_CHUNK = 4      # line-search rungs scored per call and row
 RESTARTS_LIMIT = 1_000  # largest restart stack minimize_ratio_variance descends
+VERTEX_LIMIT = 200      # largest graph it embeds: the pair table is 200 x 19,900 floats (32 MB)
 
 
 class GraphError(ValueError):
@@ -307,6 +308,8 @@ def minimize_ratio_variance(
     """
     if g.n < 2:
         raise GraphError("embedding needs at least 2 vertices")
+    if g.n > VERTEX_LIMIT:
+        raise GraphError(f"graph of {g.n} vertices is over the embedding limit {VERTEX_LIMIT}")
     if restarts < 1:
         raise GraphError(f"embedding needs restarts >= 1, got {restarts}")
     if restarts > RESTARTS_LIMIT:

@@ -36,7 +36,7 @@ else:
     csr_matrix = typing.Any     # get_type_hints resolves without loading scipy
 
 SUBDIVISION_LIMIT = 7       # memory guard for triangulate_sphere
-GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # same guard for triangulate_rectangle
+GRID_VERTEX_LIMIT = 10 * 4 ** SUBDIVISION_LIMIT + 2   # icosphere 7's count: the most a TriMesh has
 SAMPLES_LIMIT = 1_000_000   # largest polyline resample_polyline builds
 STRIP_LIMIT = 6             # faces per unfolded strip in the crossing graph
 SEED_BLOCK = 8192           # strips walked together, so their columns stay in cache
@@ -315,11 +315,12 @@ class TriMesh:
     """Triangulated 2-D signal with optional marked points a, b.
 
     ``sources`` is an optional list of vertex indices playing the role
-    of the source submanifold for distance fields. The manifold's chart
-    must have dimension 2 or more, every vertex must lie in it, every
-    index (faces, a, b, sources) must be an integer in range, every edge
-    must border at most two faces, and the edge graph must be connected,
-    with every squared edge length normal.
+    of the source submanifold for distance fields. A mesh has at most
+    GRID_VERTEX_LIMIT vertices, counted before they are checked. The
+    manifold's chart must have dimension 2 or more, every vertex must
+    lie in it, every index (faces, a, b, sources) must be an integer in
+    range, every edge must border at most two faces, and the edge graph
+    must be connected, with every squared edge length normal.
 
     Construction builds the topology once: the unique (lo, hi) ``edges``,
     their chord ``edge_lengths``, and ``side_edge``, the edge of each
@@ -338,6 +339,10 @@ class TriMesh:
     _graph: csr_matrix | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        given = self.vertices
+        rows = len(given) if isinstance(given, (list, tuple)) else (np.shape(given) or (0,))[0]
+        if rows > GRID_VERTEX_LIMIT:
+            raise MeshError(f"mesh has {rows} vertices, more than the limit of {GRID_VERTEX_LIMIT}")
         d = geometry.chart_dim(self.manifold)
         if d < 2:
             raise MeshError(f"a triangle mesh needs a chart of dimension at least 2; "

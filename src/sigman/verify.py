@@ -54,14 +54,9 @@ _POLYLINE_SPECS = {
 }
 
 
-def random_polyline(kind: str, rng: np.random.Generator, n_samples: int = 48) -> mesh.PolylinePath:
-    """Seeded random walk in R^2, R^3, or the reference shell (clipped into the shell for the
-    shell kind): the one-row call of :func:`random_polylines`."""
-    return random_polylines([kind], [rng], n_samples)[0]
-
-
 def random_polylines(kinds, rngs, n_samples: int = 48) -> list[mesh.PolylinePath]:
-    """:func:`random_polyline` of each kind with its own stream, in order.
+    """A seeded random walk of each kind with its own stream, in order: in R^2, R^3, or
+    the reference shell (clipped into the shell for the shell kind).
 
     The walks of each kind are drawn as raw arrays and checked as one
     :meth:`mesh.PolylinePath.stack`. A shell walk is a one-particle
@@ -243,11 +238,6 @@ def check_ratio_variance_props(seed: int) -> CheckResult:
     v.insert(0, graphembed.relative_ratio_variance(_C4, configspace.Configuration(_R2, rhombus)))
     verdicts = [x <= RATIO_ZERO_TOL for x in v[:52]] + [x > 0.0 for x in v[52:]]
     return CheckResult("ratio_variance_zero", sum(verdicts), len(verdicts))
-
-
-def _random_scale_case(rng: np.random.Generator):
-    """A graph, its placement and a dilation: the one-row call of :func:`_random_scale_cases`."""
-    return _random_scale_cases([rng])[0]
 
 
 def _random_scale_cases(rngs) -> list[tuple]:

@@ -398,6 +398,29 @@ def test_oversized_rectangle_grid_exits_2(capsys):
     assert mesh.GRID_VERTEX_LIMIT == 163_842
 
 
+def test_mesh_json_over_the_vertex_limit_exits_2_naming_the_file(tmp_path, monkeypatch, capsys):
+    ico = mesh.triangulate_sphere(1)        # 42 vertices
+    sphere = mesh.TriMesh(ico.manifold, ico.vertices, ico.faces, ico.a, ico.b, sources=[0])
+    bad = tmp_path / "sphere.json"
+    bad.write_text(json.dumps(mesh.mesh_to_json(sphere)))
+    monkeypatch.setattr(mesh, "GRID_VERTEX_LIMIT", 41)
+    assert cli.run(["energy", "region", "--mesh", str(bad), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: mesh has 42 vertices, more than the limit of 41\n")
+
+
+def test_embed_over_the_vertex_limit_exits_2_before_any_table(tmp_path, monkeypatch, capsys):
+    n = graphembed.VERTEX_LIMIT + 1
+    graph, manifold = tmp_path / "path.json", tmp_path / "r2.json"
+    graph.write_text(json.dumps({"n": n, "edges": [[i, i + 1, 1.0] for i in range(n - 1)]}))
+    manifold.write_text(json.dumps({"kind": "euclidean", "dim": 2}))
+    monkeypatch.setattr(graphembed, "_objectives", lambda *args: pytest.fail("tables built"))
+    assert cli.run(["embed", "--graph", str(graph), "--manifold", str(manifold),
+                    "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: graph of {n} vertices is over the embedding limit {graphembed.VERTEX_LIMIT}\n")
+
+
 @pytest.mark.parametrize("step, counts", [("1e-308", "inf x 1e+308"), ("5e-324", "inf x inf"),
                                            ("1e-300", "2e+300 x 1e+300")])
 def test_tiny_rectangle_grid_exits_2_without_overflow(capsys, step, counts):

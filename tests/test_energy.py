@@ -56,7 +56,7 @@ def test_curve_bounds_hold_on_random_polylines():
     rng = np.random.default_rng(29)
     for i in range(300):
         kind = ["r2", "r3", "shell"][i % 3]
-        path = verify.random_polyline(kind, rng, n_samples=24)
+        path = verify.random_polylines([kind], [rng], n_samples=24)[0]
         rep = curve_energy([path])[0]
         assert rep.satisfied1 and rep.satisfied2
 
@@ -144,7 +144,7 @@ def _one_path_report(path):
                           st.integers(2, 9)), min_size=1, max_size=10))
 def test_stacked_curve_energy_equals_one_path_reports(cases):
     # mixed kinds and sample counts, so several stacks, among them r3 and shell of one shape
-    paths = [verify.random_polyline(kind, np.random.default_rng(seed), n)
+    paths = [verify.random_polylines([kind], [np.random.default_rng(seed)], n)[0]
              for kind, seed, n in cases]
     paths = [path for path in paths if _one_path_report(path) is not None]
     alone = [_one_path_report(path) for path in paths]
@@ -172,7 +172,7 @@ def test_stacked_curve_energy_raises_the_first_faulty_paths_message(fault, posit
     others = [paths[0] for name, paths in FAULTY.items() if name != fault]
     twins = [paths[1] for paths in FAULTY.values()]
     good = [PolylinePath(R3, FAULTY["obstructed"][0].samples)] + [     # stacked apart from it
-        verify.random_polyline(kind, np.random.default_rng(i))
+        verify.random_polylines([kind], [np.random.default_rng(i)])[0]
         for i, kind in enumerate(["r2", "r3", "shell"] * 2)]
     for paths in (good[:position] + [bad] + good[position:],
                   twins + good[:position] + [bad] + good[position:] + others,

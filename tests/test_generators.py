@@ -5,7 +5,7 @@ were recorded before they did, so any change to the order in which the
 helper draws from the generator shows here. The configuration corpus
 and random-walk pins guard the rejection tests of ``random_config_path``,
 whose walks and monotone boxes draw every stream in lock step, the
-curve corpus pin the shell walks of ``random_polyline`` and the scale
+curve corpus pin the shell walks of ``random_polylines`` and the scale
 corpus pin the placement rounds of ``verify._random_scale_cases``. A
 one-stream call must replay its row of any batch, bit for bit.
 """
@@ -187,7 +187,7 @@ def test_lock_step_polyline_rows_replay_alone(cases, n_samples):
     batch = verify.random_polylines(kinds, [np.random.default_rng(s) for _, s in cases],
                                     n_samples)
     for (kind, seed), path in zip(cases, batch, strict=True):
-        alone = verify.random_polyline(kind, np.random.default_rng(seed), n_samples)
+        alone = verify.random_polylines([kind], [np.random.default_rng(seed)], n_samples)[0]
         assert path.samples.tobytes() == alone.samples.tobytes()
         assert path.samples.shape[0] == n_samples
 
@@ -207,7 +207,8 @@ def test_lock_step_scale_case_rows_replay_alone(seeds):
         patch.setattr(configspace, "hull_probe", picky)
         batch = verify._random_scale_cases([np.random.default_rng(s) for s in seeds])
         for seed, (g, pts, alpha) in zip(seeds, batch, strict=True):
-            alone_g, alone_pts, alone_alpha = verify._random_scale_case(np.random.default_rng(seed))
+            alone_g, alone_pts, alone_alpha = verify._random_scale_cases(
+                [np.random.default_rng(seed)])[0]
             assert (g.n, g.edges, alpha) == (alone_g.n, alone_g.edges, alone_alpha)
             assert pts.tobytes() == alone_pts.tobytes() and pts[0, 0] <= 0.0
 

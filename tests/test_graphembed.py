@@ -662,8 +662,8 @@ def test_ratio_vector_names_an_overflowing_edge():
        st.sampled_from([2, 3]))
 def test_stacked_ratio_variances_equal_the_one_pair_call_bit_for_bit(seeds, dim):
     # scale-corpus cases of one dimension, graphs of 3 to 6 vertices, with their dilations
-    cases = [case for case in map(verify._random_scale_case, map(np.random.default_rng, seeds))
-             if case[1].shape[1] == dim]
+    cases = [verify._random_scale_cases([np.random.default_rng(s)])[0] for s in seeds]
+    cases = [case for case in cases if case[1].shape[1] == dim]
     m = geometry.euclidean(dim)
     graphs = [g for g, _, _ in cases] * 2
     configs = ([Configuration(m, pts) for _, pts, _ in cases]

@@ -265,6 +265,10 @@ def test_mesh_diameter_scan_matches_all_pairs():
         assert mesh_diameter(m) == float(dist.max())
 
 
+def test_icosphere_at_the_subdivision_limit_has_the_most_vertices_a_mesh_may_have():
+    assert triangulate_sphere(mesh.SUBDIVISION_LIMIT).n_vertices == mesh.GRID_VERTEX_LIMIT
+
+
 def rotated_bumped_icosphere(k, seed):
     s = triangulate_sphere(k)
     rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from sigman import cli, configspace, gaussian, geometry, mesh, verify
 def _write_inputs(root) -> None:
     ico = mesh.triangulate_sphere(2)
     sphere = mesh.TriMesh(ico.manifold, ico.vertices, ico.faces, ico.a, ico.b, sources=[0])
-    curve = verify.random_polyline("shell", np.random.default_rng(4))
+    curve = verify.random_polylines(["shell"], [np.random.default_rng(4)])[0]
     files = {"sphere.json": mesh.mesh_to_json(sphere), "curve.json": mesh.polyline_to_json(curve),
              "k4.json": {"n": 4, "edges": [[i, j, 1] for i in range(4) for j in range(i + 1, 4)]},
              "r2.json": {"kind": "euclidean", "dim": 2}, "s2.json": {"kind": "unit_sphere"}}

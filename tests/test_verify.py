@@ -173,7 +173,8 @@ def test_corpus_validation_is_once_per_stack(monkeypatch):
     attempts, shapes = [], []
     for i in range(1000):
         probes.clear()
-        shapes.append(verify._random_scale_case(np.random.default_rng([SEED, 5, i]))[1].shape)
+        rng = np.random.default_rng([SEED, 5, i])
+        shapes.append(verify._random_scale_cases([rng])[0][1].shape)
         attempts.append(len(probes))
     rounds = [{s for s, a in zip(shapes, attempts) if a > r} for r in range(max(attempts))]
     probes.clear()
