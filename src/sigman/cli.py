@@ -206,7 +206,7 @@ def _cmd_config(args, started: float) -> tuple[dict, int]:
 
 
 def _cmd_embed(args, started: float) -> tuple[dict, int]:
-    g = _read(args.graph, graphembed.graph_from_json)
+    g = _read(args.graph, lambda data: graphembed.embeddable(graphembed.graph_from_json(data)))
     m = _read(args.manifold, geometry.manifold_from_json)
     result = graphembed.minimize_ratio_variance(
         g, m, seed=args.seed, restarts=args.restarts, tol_obj=args.tol,

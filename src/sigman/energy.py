@@ -173,23 +173,25 @@ def rectangle_region(step: float) -> TriMesh:
 
 
 # ---------------------------------------------------------------------------
-# Function-table energies on a uniform grid
+# Function-table energies on a uniform grid: a float per table, per (..., n) stack an array
 # ---------------------------------------------------------------------------
 
-def trapezoid(ys, xs) -> float:
-    """``scipy.integrate.trapezoid(ys, xs)``, term for term."""
-    return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
+def trapezoid(ys, xs):
+    """``scipy.integrate.trapezoid(ys, xs)``, term for term, along the last axis of ``ys``."""
+    total = np.sum(np.diff(xs) * (ys[..., 1:] + ys[..., :-1]) / 2.0, axis=-1)
+    return total if total.ndim else float(total)
 
 
 def cumulative_trapezoid(ys, xs) -> np.ndarray:
-    """``scipy.integrate.cumulative_trapezoid(ys, xs, initial=0.0)``, term for term."""
-    return np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)))
+    """``scipy.integrate.cumulative_trapezoid(ys, xs, initial=0.0)`` along ys's last axis."""
+    steps = np.cumsum(np.diff(xs) * (ys[..., 1:] + ys[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros((*steps.shape[:-1], 1)), steps), axis=-1)
 
 
 def _check_table(xs, fs, min_samples: int):
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    if xs.ndim != 1 or xs.shape != fs.shape:
+    if xs.ndim != 1 or fs.shape[-1:] != xs.shape:
         raise EnergyError("function table needs matching 1-D x and f arrays")
     if xs.shape[0] < min_samples:
         raise EnergyError(f"function table needs at least {min_samples} samples")
@@ -201,14 +203,14 @@ def _check_table(xs, fs, min_samples: int):
     return xs, fs, float(h[0])
 
 
-def riemannian_energy(xs, fs) -> float:
+def riemannian_energy(xs, fs):
     """(1/2) integral of (1 + f'^2) with central-difference f'."""
     xs, fs, h = _check_table(xs, fs, 3)
-    deriv = np.gradient(fs, h, edge_order=2)
+    deriv = np.gradient(fs, h, axis=-1, edge_order=2)
     return trapezoid(0.5 * (1.0 + deriv ** 2), xs)
 
 
-def sp_energy(xs, fs) -> float:
+def sp_energy(xs, fs):
     """Integral of f^2 (trapezoid rule)."""
     xs, fs, _ = _check_table(xs, fs, 2)
     return trapezoid(fs ** 2, xs)
@@ -233,6 +235,6 @@ def sqrt_arclength_transform(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     above exact.
     """
     xs, fs, h = _check_table(xs, fs, 3)
-    deriv = np.gradient(fs, h, edge_order=2)
+    deriv = np.gradient(fs, h, axis=-1, edge_order=2)
     variation = cumulative_trapezoid(np.abs(deriv), xs)
     return xs, np.sqrt(variation)

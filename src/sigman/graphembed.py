@@ -291,6 +291,14 @@ def _descend(score, gradient, m, pts, scale, max_iters, tol_obj):
     return best_raw, best_pts, iterations
 
 
+def embeddable(g: WeightedGraph) -> WeightedGraph:
+    """``g``, if :func:`minimize_ratio_variance` takes its vertex count: 2 to VERTEX_LIMIT."""
+    if not 2 <= g.n <= VERTEX_LIMIT:
+        raise GraphError("embedding needs at least 2 vertices" if g.n < 2 else
+                         f"graph of {g.n} vertices is over the embedding limit {VERTEX_LIMIT}")
+    return g
+
+
 def minimize_ratio_variance(
     g: WeightedGraph,
     m: ManifoldSpec,
@@ -306,10 +314,7 @@ def minimize_ratio_variance(
     order in which restarts run. The returned objective never exceeds
     the raw objective of any evaluated iterate, initial samples included.
     """
-    if g.n < 2:
-        raise GraphError("embedding needs at least 2 vertices")
-    if g.n > VERTEX_LIMIT:
-        raise GraphError(f"graph of {g.n} vertices is over the embedding limit {VERTEX_LIMIT}")
+    embeddable(g)
     if restarts < 1:
         raise GraphError(f"embedding needs restarts >= 1, got {restarts}")
     if restarts > RESTARTS_LIMIT:

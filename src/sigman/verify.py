@@ -4,11 +4,11 @@ Each check runs a reproducible corpus and reports a passed/total count;
 `verify_all` aggregates them into the summary used by the CLI. Case i
 of a random corpus, check c, draws from its own stream
 ``np.random.default_rng([seed, c, i])`` (see :func:`_corpus`), so it
-replays alone. The curve, Gaussian, configuration and scale-invariance
-corpora draw, validate and score their cases in lock step, one stack per
-kind, per n, per (particle count, mode) or per (n, dim); only each
-stream's own draws run case by case. The checks are
-deliberately redundant with the unit tests: they are the user-facing
+replays alone. The curve, Gaussian, configuration, scale-invariance and
+function-identity corpora draw, validate and score their cases in lock
+step, one stack per kind, per n, per (particle count, mode), per (n, dim)
+or per corpus; only each stream's own draws run case by case. The checks
+are deliberately redundant with the unit tests: they are the user-facing
 evidence that the inequalities hold on this installation.
 """
 
@@ -25,7 +25,6 @@ from . import configspace, energy, gaussian, geometry, graphembed, mesh
 SCALE_INV_TOL = 1e-12
 RATIO_ZERO_TOL = 1e-12
 EMBED_TARGET = 1e-8
-IDENTITY_TOL = 1e-3
 
 
 @dataclass
@@ -123,6 +122,14 @@ class SmoothMonotone:
     def cumulative_variation_integral(self, x1: float) -> float:
         """integral_0^x1 (f(x) - f(0)) dx, exact for this monotone family."""
         return self.integral(x1) - x1 * float(self(np.array([0.0]))[0])
+
+    def identity_bounds(self, n: int) -> tuple[float, float]:
+        """Error bounds of identities A and B on n samples: :func:`check_function_identities`."""
+        k, g = np.arange(1, 5), np.abs(self.gammas)
+        h, m0, m2, m3 = 3.0 / (n - 1), abs(self.c0) + 3.0 * self.alpha + g.sum(), k**2 @ g, k**3 @ g
+        delta, rounding = h * h * m2 / 4.0, 16.0 * n * 2.0 ** -53 * (1.0 + m0) ** 2
+        return (1.5 * delta * (2.0 * m0 + delta) + rounding,
+                delta + (9.0 / 8.0 + 3.0 * h) * h * h * m3 + rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +298,29 @@ def check_embedding_minima(seed: int, restarts: int = 20) -> CheckResult:
     return CheckResult("embedding_minima", passed, 2, detail=" ".join(details))
 
 
-def check_function_identities(seed: int, count: int = 100,
-                              n_samples: int = 10_000) -> CheckResult:
-    """Transform identities on random smooth monotone functions.
+def check_function_identities(seed: int, count: int = 100, n_samples: int = 1000) -> CheckResult:
+    """Transform identities on random smooth monotone functions, each within its own bound.
 
-    The antiderivative transform satisfies
-    riemannian_energy(F) = 3/2 + sp_energy(f)/2, and the square-root
-    cumulative-variation transform satisfies
-    sp_energy(L) = integral of (f - f(0)), both within IDENTITY_TOL.
+    With h = 3/(n - 1) and identity_bounds' M0 >= |f|, M2 >= |f''| and M3 >= |f'''|, (A) the
+    antiderivative F has riemannian_energy(F) = 3/2 + sp_energy(f)/2 within (3/2) d (2 M0 + d),
+    d = h^2 M2/4 (np.gradient(F) is f plus a quarter second difference at each node), and (B) the
+    square-root cumulative variation L has sp_energy(L) = integral of (f - f(0)) within d +
+    (9/8 + 3h) h^2 M3 (np.gradient(f) errs by h^2 M3/6 inside, h^2 M3 at the ends). Error terms:
+    K. E. Atkinson, An Introduction to Numerical Analysis (1989); plus 16 n u (1 + M0)^2, u = 2^-53,
+    for rounding (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3-4).
     """
     xs = np.linspace(0.0, 3.0, n_samples)
 
-    def case(rng):
-        fn = SmoothMonotone.draw(rng)
-        fs = fn(xs)
-        _, F = energy.antiderivative_transform(xs, fs)
-        lhs = energy.riemannian_energy(xs, F)
-        rhs = 1.5 + 0.5 * energy.sp_energy(xs, fs)
-        ok_a = abs(lhs - rhs) <= IDENTITY_TOL
-        _, L = energy.sqrt_arclength_transform(xs, fs)
-        ok_b = abs(energy.sp_energy(xs, L) - fn.cumulative_variation_integral(3.0)) <= IDENTITY_TOL
-        return ok_a and ok_b
-    return _corpus("function_energy_identities", seed, 6, count, lambda _, rngs: [*map(case, rngs)])
+    def judge(_, rngs):
+        fns = [SmoothMonotone.draw(rng) for rng in rngs]
+        fs = np.reshape([fn(xs) for fn in fns], (-1, n_samples))
+        err_a = energy.riemannian_energy(xs, energy.antiderivative_transform(xs, fs)[1]) - (
+            1.5 + 0.5 * energy.sp_energy(xs, fs))
+        err_b = energy.sp_energy(xs, energy.sqrt_arclength_transform(xs, fs)[1]) - [
+            fn.cumulative_variation_integral(3.0) for fn in fns]
+        bound_a, bound_b = np.reshape([fn.identity_bounds(n_samples) for fn in fns], (-1, 2)).T
+        return ((abs(err_a) <= bound_a) & (abs(err_b) <= bound_b)).tolist()
+    return _corpus("function_energy_identities", seed, 6, count, judge)
 
 
 def check_mesh_convergence(areas, antipodal, chord_ok, diameters) -> CheckResult:

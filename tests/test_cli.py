@@ -417,8 +417,25 @@ def test_embed_over_the_vertex_limit_exits_2_before_any_table(tmp_path, monkeypa
     monkeypatch.setattr(graphembed, "_objectives", lambda *args: pytest.fail("tables built"))
     assert cli.run(["embed", "--graph", str(graph), "--manifold", str(manifold),
                     "--no-timing"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: graph of {n} vertices is over the embedding limit {graphembed.VERTEX_LIMIT}\n")
+    assert capsys.readouterr().err == (f"error: {graph}: graph of {n} vertices is over the "
+                                       f"embedding limit {graphembed.VERTEX_LIMIT}\n")
+
+
+@pytest.mark.parametrize("n, option, message", [
+    (1, [], "embedding needs at least 2 vertices"),
+    (4, ["--restarts", "0"], "embedding needs restarts >= 1, got 0"),
+    (4, ["--restarts", str(graphembed.RESTARTS_LIMIT + 1)],
+     f"restarts {graphembed.RESTARTS_LIMIT + 1} is over the limit {graphembed.RESTARTS_LIMIT}"),
+])
+def test_embed_names_the_graph_file_for_its_vertex_count_and_not_for_an_option(
+        tmp_path, capsys, n, option, message):
+    graph, manifold = tmp_path / "path.json", tmp_path / "r2.json"
+    graph.write_text(json.dumps({"n": n, "edges": [[i, i + 1, 1.0] for i in range(n - 1)]}))
+    manifold.write_text(json.dumps({"kind": "euclidean", "dim": 2}))
+    assert cli.run(["embed", "--graph", str(graph), "--manifold", str(manifold), *option,
+                    "--no-timing"]) == 2
+    blamed = f"{graph}: " if not option else ""
+    assert capsys.readouterr().err == f"error: {blamed}{message}\n"
 
 
 @pytest.mark.parametrize("step, counts", [("1e-308", "inf x 1e+308"), ("5e-324", "inf x inf"),

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 
@@ -375,7 +376,7 @@ def test_riemannian_identity_for_antiderivative():
         fs = fn(xs)
         _, F = antiderivative_transform(xs, fs)
         assert riemannian_energy(xs, F) == pytest.approx(
-            1.5 + 0.5 * sp_energy(xs, fs), abs=1e-3
+            1.5 + 0.5 * sp_energy(xs, fs), abs=fn.identity_bounds(len(xs))[0]
         )
 
 
@@ -401,7 +402,66 @@ def test_sqrt_arclength_monotone_variation_identity():
         fs = fn(xs)
         _, L = sqrt_arclength_transform(xs, fs)
         want = fn.cumulative_variation_integral(3.0)
-        assert sp_energy(xs, L) == pytest.approx(want, abs=1e-3)
+        assert sp_energy(xs, L) == pytest.approx(want, abs=fn.identity_bounds(len(xs))[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(100, 20_000))
+def test_transform_identity_errors_stay_within_their_bounds(seed, n):
+    rng = np.random.default_rng(seed)
+    fns = [verify.SmoothMonotone.draw(rng) for _ in range(4)]
+    xs = np.linspace(0.0, 3.0, n)
+    fs = np.array([fn(xs) for fn in fns])
+    _, F = antiderivative_transform(xs, fs)
+    _, L = sqrt_arclength_transform(xs, fs)
+    err_a = riemannian_energy(xs, F) - (1.5 + 0.5 * sp_energy(xs, fs))
+    err_b = sp_energy(xs, L) - [fn.cumulative_variation_integral(3.0) for fn in fns]
+    bound_a, bound_b = np.array([fn.identity_bounds(n) for fn in fns]).T
+    assert (abs(err_a) <= bound_a).all() and (abs(err_b) <= bound_b).all()
+
+
+def test_worst_admissible_identity_bound_is_below_the_old_fixed_tolerance():
+    # SmoothMonotone.draw keeps |c0| <= 1 and |gamma_k| <= 0.3/k, so alpha <= 1 + 4 * 0.3; each
+    # bound grows with |c0|, alpha and every |gamma_k|, so this function has the largest ones
+    k = np.arange(1, 5)
+    worst = verify.SmoothMonotone(1.0, 1.0 + 4 * 0.3, 0.3 / k, np.zeros(4))
+    n = inspect.signature(verify.check_function_identities).parameters["n_samples"].default
+    assert n == 1000
+    bound_a, bound_b = worst.identity_bounds(n)
+    assert max(bound_a, bound_b) < 1.7e-4 < 1e-3
+    # at acceptance criterion 7's 10^4 samples the bounds are 100 times smaller (h^2)
+    assert max(worst.identity_bounds(10_000)) < 1.7e-6
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+def test_stacked_function_table_energies_equal_their_rows_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    xs = np.linspace(0.0, 3.0, 1000)
+    fs = np.array([verify.SmoothMonotone.draw(rng)(xs) for _ in range(math.prod(shape))])
+    fs = fs.reshape(*shape, len(xs))
+    rows = fs.reshape(-1, len(xs))
+    bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
+    for table in (energy.trapezoid, energy.cumulative_trapezoid):
+        stacked = table(fs, xs).reshape(len(rows), -1)
+        assert all(np.array_equal(bits(s), bits(np.atleast_1d(table(r, xs))))
+                   for s, r in zip(stacked, rows))
+    for fn in (riemannian_energy, sp_energy):
+        stacked = fn(xs, fs)
+        assert stacked.shape == shape
+        alone = [fn(xs, r) for r in rows]
+        assert all(type(a) is float for a in alone)
+        assert np.array_equal(bits(stacked.ravel()), bits(alone))
+    for transform in (antiderivative_transform, sqrt_arclength_transform):
+        grid, stacked = transform(xs, fs)
+        assert np.array_equal(grid, xs) and stacked.shape == fs.shape
+        assert all(np.array_equal(bits(s), bits(transform(xs, r)[1]))
+                   for s, r in zip(stacked.reshape(rows.shape), rows))
+
+
+@pytest.mark.parametrize("fs", [np.ones((3, 99)), np.ones((100, 3)), np.float64(1.0)])
+def test_a_stack_must_run_along_the_grid(fs):
+    with pytest.raises(EnergyError, match="^function table needs matching 1-D x and f arrays$"):
+        sp_energy(np.linspace(0.0, 3.0, 100), fs)
 
 
 @settings(max_examples=200, deadline=None)

@@ -75,6 +75,9 @@ FAULTS = {
     # the two checks that read the shared sphere ladder's diameters
     "diameter_shrunk": (mesh, "mesh_diameter", _scaled(0.99), {"surface_upper_bounds"}),
     "diameter_grown": (mesh, "mesh_diameter", _scaled(1.01), {"mesh_convergence"}),
+    # 1 + 5e-5 moves identity A by 2e-4 to 1e-3 and B by about 3e-4 at seed 42: a fixed 1e-3
+    # tolerance misses it, each case's own error bound (below 1e-4 here) does not
+    "sp_energy_nudged": (energy, "sp_energy", _scaled(1.0 + 5e-5), {"function_energy_identities"}),
     # each check that probes a hull raises MembershipError under this fault, and so fails
     "hull_verdict_flipped": (configspace, "hull_probe", _first_hull_verdict_flipped,
                              {"config_bounds", "ratio_variance_zero", "scale_invariance",

@@ -46,6 +46,12 @@ def test_every_corpus_case_draws_from_its_own_stream(monkeypatch, check, number,
     assert first_draws == [np.random.default_rng([SEED, number, i]).random() for i in order]
 
 
+@pytest.mark.parametrize("check", [c[0] for c in CORPORA], ids=[c[0].__name__ for c in CORPORA])
+def test_an_empty_corpus_passes_with_no_cases(check):
+    result = check(SEED, 0)
+    assert (result.passed, result.total, result.ok) == (0, 0, True)
+
+
 def test_a_failing_case_is_named_with_its_stream(monkeypatch):
     assert verify.check_curve_upper_bounds(SEED, 6).detail == ""
     curve_energy = verify.energy.curve_energy
